@@ -32,7 +32,6 @@ from .solver import (
     AdmmConfig,
     FusedDiffOperator,
     SolveReport,
-    inner_generalized_lasso,
     optimality_residual,
     pdglasso_solve,
     soft_threshold,

@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 input error, 2 numerical non-convergence.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import os
@@ -266,8 +267,7 @@ def fit_report_doc(
             "kkt_residual": fit.report.kkt_residual,
             "kkt_ok": fit.report.kkt_ok,
             "z_not_pd": fit.report.z_not_pd,
-            "inner_warning": fit.report.inner_warning,
-            "constraint_violation": fit.report.constraint_violation,
+            "stop_reason": fit.report.stop_reason,
         },
         "theta_hat": [[float(x) for x in row] for row in fit.theta_hat],
         "theta_mle": None
@@ -275,13 +275,10 @@ def fit_report_doc(
         else [[float(x) for x in row] for row in fit.theta_mle],
         "config": {
             "rho1": cfg.rho1,
-            "rho2": cfg.rho2,
             "adaptive": cfg.adaptive,
             "eps_abs": cfg.eps_abs,
             "eps_rel": cfg.eps_rel,
             "max_outer": cfg.max_outer,
-            "max_inner": cfg.max_inner,
-            "inf_surrogate_factor": cfg.inf_surrogate_factor,
             "kkt_refine": cfg.kkt_refine,
             "kkt_tol_factor": cfg.kkt_tol_factor,
         },
@@ -326,8 +323,7 @@ def report_fit_result(doc: dict) -> FitResult:
         kkt_residual=rep["kkt_residual"],
         kkt_ok=rep["kkt_ok"],
         z_not_pd=rep["z_not_pd"],
-        inner_warning=rep["inner_warning"],
-        constraint_violation=rep["constraint_violation"],
+        stop_reason=rep["stop_reason"],
     )
     return FitResult(
         theta_hat=np.asarray(doc["theta_hat"], dtype=float),
@@ -440,31 +436,40 @@ def cmd_path(args) -> int:
         _mode(args.lambda2_vertex), _mode(args.lambda2_inside), _mode(args.lambda2_across)
     )
     cfg = _admm_config(args)
-    winner, points = selection_path(
-        S, n, args.m, args.gamma, class_spec, cfg, threads=args.threads
-    )
+    winner, points = selection_path(S, n, args.m, args.gamma, class_spec, cfg)
     doc = fit_report_doc(winner, names, n, args.gamma, cfg)
     if args.output:
         write_fit_report(args.output, doc)
     else:
         sys.stdout.write(dump_report(doc))
     if args.grid_csv:
-        lines = ["stage,lambda1,lambda2,ebic,d,converged"]
-        for pt in points:
-            eb = "" if pt.ebic is None else repr(float(pt.ebic))
-            dd = "" if pt.d is None else str(pt.d)
-            conv = "true" if pt.converged else "false"
-            lines.append(
-                f"{pt.stage},{float(pt.lambda1)!r},{float(pt.lambda2)!r},{eb},{dd},{conv}"
-            )
-        with open(args.grid_csv, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        with open(args.grid_csv, "w", encoding="utf-8", newline="") as fh:
+            write_grid_csv(fh, points)
     print(
         f"path: winner lambda1={float(winner.spec.lambda1)!r} d={winner.d} "
         f"eBIC={winner.ebic:.4f}",
         file=sys.stderr,
     )
     return 0 if winner.report.converged else 2
+
+
+def write_grid_csv(fh, points) -> None:
+    """One row per grid point; a failed point has a blank eBIC, d and
+    stop_reason and says why in ``error``."""
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(["stage", "lambda1", "lambda2", "ebic", "d", "converged",
+                     "stop_reason", "error"])
+    for pt in points:
+        writer.writerow([
+            pt.stage,
+            repr(float(pt.lambda1)),
+            repr(float(pt.lambda2)),
+            "" if pt.ebic is None else repr(float(pt.ebic)),
+            "" if pt.d is None else pt.d,
+            "true" if pt.converged else "false",
+            "" if pt.fit is None else pt.fit.report.stop_reason,
+            pt.error or "",
+        ])
 
 
 def _mode(text: str) -> str:
@@ -618,7 +623,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_path.add_argument("--lambda2-across", default="grid", metavar="0|grid|Inf")
     p_path.add_argument("--output", "-o", default=None)
     p_path.add_argument("--grid-csv", default=None, help="write all grid points as CSV")
-    p_path.add_argument("--threads", type=int, default=_default_threads())
     _add_solver_flags(p_path)
     p_path.set_defaults(func=cmd_path)
 
@@ -632,7 +636,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--m", type=int, default=20)
     p_sim.add_argument("--gamma", type=float, default=0.0)
     p_sim.add_argument("--output", "-o", default=None, help="CSV path (default stdout)")
-    p_sim.add_argument("--threads", type=int, default=_default_threads())
+    p_sim.add_argument("--threads", type=int, default=_default_threads(),
+                       help="worker processes for the simulation cells "
+                            "(default: PDGLASSO_THREADS, else the CPU count)")
     _add_solver_flags(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
 

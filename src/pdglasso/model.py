@@ -4,7 +4,6 @@ information criteria and the two-stage penalty-path model selection."""
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -32,7 +31,6 @@ from .solver import (
     SolveReport,
     pdglasso_solve,
     solve_weighted,
-    surrogate_weight,
 )
 
 
@@ -242,28 +240,24 @@ def n_params(g: PdColouredGraph) -> int:
 def mle(S: np.ndarray, g: PdColouredGraph, cfg: Optional[AdmmConfig] = None) -> np.ndarray:
     """Constrained maximum likelihood estimate of the concentration matrix.
 
-    Runs the solver with large surrogate weights on the zero and equality
-    constraints of the graph and zero penalties elsewhere, then snaps the
-    constraints exact.  Raises :class:`MleError` when the estimate does not
-    exist (solver divergence or a non-positive-definite projection).
+    Runs the solver with infinite weights on the zero and equality
+    constraints of the graph and zero penalties elsewhere, so the estimate
+    meets its constraints exactly.  Raises :class:`MleError` when the
+    estimate does not exist (solver divergence or a non-positive-definite
+    projection).
     """
     cfg = cfg or AdmmConfig()
     idx = g.index
     _check_square(S, idx, "S")
-    big = surrogate_weight(S, cfg)
 
-    absent = g.absent_coord_mask()
-    l1_coord = np.where(absent, big, 0.0)
-    coloured = g.coloured_row_mask()
-    row_weights = np.where(coloured, big, 0.0)
+    l1_coord = np.where(g.absent_coord_mask(), math.inf, 0.0)
+    row_weights = np.where(g.coloured_row_mask(), math.inf, 0.0)
     op = FusedDiffOperator.from_row_weights(idx, row_weights)
 
-    theta, report = solve_weighted(
-        S, idx, l1_coord, op, cfg, hard_l1=absent, hard_rows=coloured
-    )
+    theta, report = solve_weighted(S, idx, l1_coord, op, cfg)
     if not report.converged:
         raise MleError("constrained MLE did not converge; it may not exist")
-    if report.z_not_pd or report.constraint_violation or not is_positive_definite(theta):
+    if report.z_not_pd or not is_positive_definite(theta):
         raise MleError("constrained MLE projection is not positive definite")
     return theta
 
@@ -283,12 +277,10 @@ def mle_fully_symmetric(
     idx = g.index
     _check_square(S, idx, "S")
     S_bar = symmetrize_paired(S, idx)
-    big = surrogate_weight(S_bar, cfg)
-    absent = g.absent_coord_mask()
-    l1_coord = np.where(absent, big, 0.0)
+    l1_coord = np.where(g.absent_coord_mask(), math.inf, 0.0)
     op = FusedDiffOperator.from_row_weights(idx, np.zeros(idx.q + 2 * idx.s))
 
-    theta, report = solve_weighted(S_bar, idx, l1_coord, op, cfg, hard_l1=absent)
+    theta, report = solve_weighted(S_bar, idx, l1_coord, op, cfg)
     if not report.converged:
         raise MleError("constrained MLE did not converge; it may not exist")
     theta = symmetrize_paired(theta, idx)
@@ -585,7 +577,6 @@ def selection_path(
     gamma: float,
     class_spec: SubmodelClass,
     cfg: Optional[AdmmConfig] = None,
-    threads: int = 1,
 ) -> tuple[FitResult, list[GridPoint]]:
     """Two-stage penalty search, returning the winner and all grid points.
 
@@ -594,7 +585,7 @@ def selection_path(
     l1 weight and grids the fused weight up to the full-symmetry threshold.
     The stage-1 winner stays in the stage-2 candidate set (not re-solved).
     Stage 2 is skipped when no component is gridded or the symmetry threshold
-    is zero.
+    is zero.  Grid points are evaluated one after another.
     """
     cfg = cfg or AdmmConfig()
     if m < 2:
@@ -602,14 +593,8 @@ def selection_path(
     S = np.asarray(S, dtype=float)
     idx = PairedIndex.from_p(S.shape[0])
 
-    def run(jobs):
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                return list(pool.map(lambda args: _evaluate(*args), jobs))
-        return [_evaluate(*args) for args in jobs]
-
     lam1_grid = _log_grid(lambda1_diag_max(S), m)
-    stage1 = run([(1, lam1, 0.0, S, n, gamma, class_spec, cfg) for lam1 in lam1_grid])
+    stage1 = [_evaluate(1, lam1, 0.0, S, n, gamma, class_spec, cfg) for lam1 in lam1_grid]
     winner1 = _best(stage1)
 
     points = list(stage1)
@@ -617,12 +602,10 @@ def selection_path(
     lam2_top = lambda2_sym_max(S, idx)
     if class_spec.any_gridded and lam2_top > 0:
         lam2_grid = _log_grid(lam2_top, m)
-        stage2 = run(
-            [
-                (2, winner1.lambda1, lam2, S, n, gamma, class_spec, cfg)
-                for lam2 in lam2_grid
-            ]
-        )
+        stage2 = [
+            _evaluate(2, winner1.lambda1, lam2, S, n, gamma, class_spec, cfg)
+            for lam2 in lam2_grid
+        ]
         points.extend(stage2)
         candidates.extend(stage2)
     winner = _best(candidates)
@@ -637,8 +620,7 @@ def model_select(
     gamma: float,
     class_spec: SubmodelClass,
     cfg: Optional[AdmmConfig] = None,
-    threads: int = 1,
 ) -> FitResult:
     """Two-stage eBIC model selection; see :func:`selection_path`."""
-    winner, _ = selection_path(S, n, m, gamma, class_spec, cfg, threads)
+    winner, _ = selection_path(S, n, m, gamma, class_spec, cfg)
     return winner

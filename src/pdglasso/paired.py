@@ -122,11 +122,28 @@ def symmetrize_paired(M: np.ndarray, idx: PairedIndex) -> np.ndarray:
     return 0.5 * (np.asarray(M, dtype=float) + swap_blocks(M, idx))
 
 
+def logdet_pd(M: np.ndarray) -> float:
+    """log det of a positive definite matrix, from its Cholesky factor.
+
+    Only the lower triangle of ``M`` is read.  Raises
+    :class:`NotPositiveDefiniteError` when ``M`` is not finite or not
+    positive definite; the sign of a determinant is never trusted for this.
+    """
+    M = np.asarray(M, dtype=float)
+    if not np.all(np.isfinite(M)):
+        raise NotPositiveDefiniteError("matrix has non-finite entries")
+    try:
+        L = np.linalg.cholesky(M)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError("matrix is not positive definite") from exc
+    return 2.0 * float(np.sum(np.log(np.diagonal(L))))
+
+
 def log_likelihood(theta: np.ndarray, S: np.ndarray) -> float:
     """Gaussian log-likelihood log det(theta) - trace(S theta), up to constants.
 
-    Raises :class:`NotPositiveDefiniteError` when the log-determinant is
-    undefined.
+    Raises :class:`NotPositiveDefiniteError` when theta is not positive
+    definite.
     """
     theta = np.asarray(theta, dtype=float)
     S = np.asarray(S, dtype=float)
@@ -134,16 +151,13 @@ def log_likelihood(theta: np.ndarray, S: np.ndarray) -> float:
         raise DimensionError(
             f"incompatible shapes theta={theta.shape}, S={S.shape}"
         )
-    sign, logdet = np.linalg.slogdet(theta)
-    if sign <= 0 or not np.isfinite(logdet):
-        raise NotPositiveDefiniteError("theta must be positive definite")
-    return float(logdet - np.sum(S * theta))
+    return float(logdet_pd(theta) - np.sum(S * theta))
 
 
 def is_positive_definite(M: np.ndarray) -> bool:
-    """Cheap PD check via Cholesky."""
+    """Cheap PD check via Cholesky (see :func:`logdet_pd`)."""
     try:
-        np.linalg.cholesky(M)
+        logdet_pd(M)
         return True
-    except np.linalg.LinAlgError:
+    except NotPositiveDefiniteError:
         return False

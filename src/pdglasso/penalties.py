@@ -22,8 +22,9 @@ from .paired import PairedIndex, _check_square, log_likelihood
 class _Infinite:
     """Symbolic infinite penalty component (hard equality constraint).
 
-    Kept distinct from float('inf') so the solver can substitute its own
-    finite surrogate deterministically.
+    Kept distinct from float('inf') in specifications; the solver passes it
+    on as ``math.inf``, which its closed-form proximal step turns into an
+    exact tie.
     """
 
     _instance = None

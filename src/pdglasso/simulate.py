@@ -21,14 +21,14 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionError, PdglassoError
+from .errors import DimensionError, NotPositiveDefiniteError, PdglassoError
 from .model import (
     PdColouredGraph,
     SubmodelClass,
     mle,
     model_select,
 )
-from .paired import PairedIndex
+from .paired import PairedIndex, logdet_pd
 from .solver import AdmmConfig
 
 _TRUTH_TAG = 1
@@ -263,12 +263,12 @@ def matrix_losses(theta_hat: np.ndarray, theta_true: np.ndarray) -> MatrixLosses
     if A.shape != B.shape:
         raise DimensionError("estimates have different shapes")
     p = A.shape[0]
-    ratio = A @ np.linalg.inv(B)
-    sign, logdet = np.linalg.slogdet(ratio)
-    if sign <= 0:
-        raise ValueError("inputs must be positive definite")
+    try:
+        logdet = logdet_pd(A) - logdet_pd(B)
+    except NotPositiveDefiniteError as exc:
+        raise ValueError("inputs must be positive definite") from exc
     frob = float(np.linalg.norm(A - B))
-    entropy = float(np.trace(ratio) - logdet - p)
+    entropy = float(np.trace(A @ np.linalg.inv(B)) - logdet - p)
     return MatrixLosses(frobenius=frob, entropy=entropy)
 
 

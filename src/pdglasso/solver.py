@@ -1,17 +1,18 @@
-"""Nested ADMM solver for the paired-data fused graphical lasso.
+"""ADMM solver for the paired-data fused graphical lasso.
 
-The outer loop splits the penalized log-likelihood over (Theta, Z, U): an
-analytic log-det proximal step for Theta, a fused/l1 proximal step for Z in
-half-vectorized coordinates, and a scaled dual update.  The Z step is itself
-a generalized lasso solved by an inner ADMM over the fused difference
-operator; because every coordinate belongs to at most one difference row,
-the inner linear solve reduces to independent closed-form 2x2 systems and
-the difference operator is never materialized as a dense matrix.
+The loop splits the penalized log-likelihood over (Theta, Z, U): an analytic
+log-det proximal step for Theta, a fused/l1 proximal step for Z in
+half-vectorized coordinates, and a scaled dual update.  Every coordinate
+belongs to at most one fused difference row, so the Z step has a closed form:
+each fused pair keeps its mean and soft-thresholds its gap, then the l1
+soft-threshold follows.  The difference operator is never materialized as a
+dense matrix.
 
-The same machinery computes constrained maximum likelihood estimates by
-assigning large surrogate weights to individual coordinates (zero
-constraints) and difference rows (equality constraints); see the model
-module.  Solves are single-threaded and deterministic.
+Infinite weights are exact: an infinite row weight ties its pair and an
+infinite l1 weight zeroes its coordinate in every iterate.  The model module
+computes constrained maximum likelihood estimates this way, with infinite
+weights on the zero and equality constraints of a graph.  Solves are
+single-threaded and deterministic.
 """
 
 from __future__ import annotations
@@ -23,7 +24,13 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionError, NotPositiveDefiniteError
-from .paired import PairedIndex, is_positive_definite, pd_unvec, pd_vec
+from .paired import (
+    PairedIndex,
+    is_positive_definite,
+    logdet_pd,
+    pd_unvec,
+    pd_vec,
+)
 from .penalties import PenaltySpec, is_inf
 
 _RHO_MIN = 1e-6
@@ -32,39 +39,43 @@ _RHO_MAX = 1e6
 
 @dataclass(frozen=True)
 class AdmmConfig:
-    """Step sizes, tolerances and iteration limits for both ADMM loops.
+    """Step size, tolerances and iteration limit of the ADMM.
 
-    ``inf_surrogate_factor`` scales the finite stand-in used for symbolic
-    infinite penalties.  When ``kkt_refine`` is set, the outer loop keeps
-    iterating (within ``max_outer``) after the residual criteria are met
-    until the coordinate-wise optimality residual drops below
+    When ``kkt_refine`` is set, the loop keeps iterating (within
+    ``max_outer``) after the residual criteria are met until the
+    coordinate-wise optimality residual drops below
     ``kkt_tol_factor * eps_abs``.
     """
 
     rho1: float = 1.0
-    rho2: float = 1.0
     adaptive: bool = True
     eps_abs: float = 1e-8
     eps_rel: float = 1e-8
     max_outer: int = 5000
-    max_inner: int = 1000
-    inf_surrogate_factor: float = 1e4
     kkt_refine: bool = True
     kkt_tol_factor: float = 10.0
 
     def __post_init__(self):
-        for name in ("rho1", "rho2", "eps_abs", "eps_rel", "inf_surrogate_factor"):
+        for name in ("rho1", "eps_abs", "eps_rel"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
         if self.eps_abs > 1e-2 or self.eps_rel > 1e-2:
             raise ValueError("stopping tolerances must be <= 1e-2")
-        if self.max_outer < 1 or self.max_inner < 1:
-            raise ValueError("iteration limits must be >= 1")
+        if self.max_outer < 1:
+            raise ValueError("iteration limit must be >= 1")
 
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Outcome of one solve."""
+    """Outcome of one solve.
+
+    ``converged`` means the primal and dual residuals met their tolerances
+    on the last iteration.  ``stop_reason`` says why the loop ended:
+    ``"kkt"`` (the optimality certificate met its tolerance),
+    ``"residuals"`` (the residuals were met and no certificate was asked
+    for, or none exists because the iterate is singular) or ``"max_outer"``
+    (the iteration budget ran out, whatever the residuals).
+    """
 
     outer_iterations: int
     primal_residual: float
@@ -74,8 +85,7 @@ class SolveReport:
     kkt_residual: Optional[float] = None
     kkt_ok: bool = False
     z_not_pd: bool = False
-    inner_warning: bool = False
-    constraint_violation: bool = False
+    stop_reason: str = "max_outer"
 
 
 def soft_threshold(x, t):
@@ -189,112 +199,44 @@ def theta_step(S: np.ndarray, Z: np.ndarray, U: np.ndarray, rho1: float) -> np.n
     return (Q * x) @ Q.T
 
 
-@dataclass(frozen=True)
-class InnerSolution:
-    z: np.ndarray
-    v: np.ndarray
-    t: np.ndarray
-    rho2: float
-    iterations: int
-    converged: bool
+def fused_l1_prox(
+    b: np.ndarray, op: FusedDiffOperator, l1_coord, rho: float
+) -> np.ndarray:
+    """Closed-form minimizer of
+    (rho/2) ||z - b||^2 + sum_r w_r |z[first_r] - z[second_r]| + sum_i l1_i |z_i|.
 
-
-def inner_generalized_lasso(
-    b: np.ndarray,
-    op: FusedDiffOperator,
-    rho2: float,
-    cfg: AdmmConfig,
-    v0: Optional[np.ndarray] = None,
-    t0: Optional[np.ndarray] = None,
-) -> InnerSolution:
-    """ADMM for min_z 0.5 ||z - b||^2 + sum_r w_r |z[a_r] - z[b_r]|.
-
-    Each iteration solves (I + rho2 F'F) z = b + rho2 F'(v - t) in closed
-    form per fused pair through the 2x2 inverse
-    (1 / (1 + 2 rho2)) [[1 + rho2, rho2], [rho2, 1 + rho2]] (identity on
-    unfused coordinates), soft-thresholds the row differences at w_r / rho2,
-    and updates the scaled dual.  Weights must be finite; non-convergence
-    within ``max_inner`` returns the last iterate flagged unconverged.
+    Every coordinate lies in at most one row, so the problem splits into
+    independent pairs.  Each positively weighted row keeps its pair's mean and
+    soft-thresholds the gap at 2 w_r / rho; an infinite w_r gives an exact
+    tie.  The l1 soft-threshold at l1_i / rho follows (fuse-then-shrink is
+    exact because the l1 weights of an active pair must be equal), and an
+    infinite l1 weight gives an exact zero.  Rows with zero weight leave
+    their coordinates untouched.
     """
-    if rho2 <= 0:
-        raise ValueError("rho2 must be > 0")
-    b = np.asarray(b, dtype=float)
-    n = len(b)
-    if np.any(op.first >= n) or np.any(op.second >= n):
-        raise DimensionError("operator indices exceed vector length")
-    if not np.all(np.isfinite(op.weights)):
-        raise ValueError("fused weights must be finite (substitute surrogates first)")
-
-    if op.n_rows == 0 or not np.any(op.weights > 0):
-        return InnerSolution(b.copy(), np.zeros(op.n_rows), np.zeros(op.n_rows), rho2, 1, True)
-
-    v = np.zeros(op.n_rows) if v0 is None else v0.copy()
-    t = np.zeros(op.n_rows) if t0 is None else t0.copy()
-    z = b.copy()
-    eps_abs = 0.1 * cfg.eps_abs
-    eps_rel = 0.1 * cfg.eps_rel
-    sq_rows = math.sqrt(op.n_rows)
-    sq_coords = math.sqrt(n)
-
-    converged = False
-    iterations = 0
-    for m in range(cfg.max_inner):
-        iterations = m + 1
-        # step (i): closed-form solve, 2x2 per fused pair
-        z = b.copy()
-        w_vt = v - t
-        ra = b[op.first] + rho2 * w_vt
-        rb = b[op.second] - rho2 * w_vt
-        denom = 1.0 + 2.0 * rho2
-        z[op.first] = ((1.0 + rho2) * ra + rho2 * rb) / denom
-        z[op.second] = (rho2 * ra + (1.0 + rho2) * rb) / denom
-        # step (ii): row-wise soft threshold
-        Fz = z[op.first] - z[op.second]
-        v_old = v
-        v = soft_threshold(Fz + t, op.weights / rho2)
-        # step (iii): dual update
-        t = t + Fz - v
-
-        r_norm = float(np.linalg.norm(Fz - v))
-        s_norm = rho2 * math.sqrt(2.0) * float(np.linalg.norm(v - v_old))
-        eps_pri = sq_rows * eps_abs + eps_rel * max(
-            float(np.linalg.norm(Fz)), float(np.linalg.norm(v))
-        )
-        eps_dual = sq_coords * eps_abs + eps_rel * rho2 * math.sqrt(2.0) * float(
-            np.linalg.norm(t)
-        )
-        if r_norm <= eps_pri and s_norm <= eps_dual:
-            converged = True
-            break
-        if cfg.adaptive:
-            if r_norm > 10.0 * s_norm and rho2 * 2.0 <= _RHO_MAX:
-                rho2 *= 2.0
-                t = t / 2.0
-            elif s_norm > 10.0 * r_norm and rho2 / 2.0 >= _RHO_MIN:
-                rho2 /= 2.0
-                t = t * 2.0
-    return InnerSolution(z, v, t, rho2, iterations, converged)
+    z = np.array(b, dtype=float)
+    active = op.weights > 0
+    a, c = op.first[active], op.second[active]
+    mean = 0.5 * (z[a] + z[c])
+    half_gap = 0.5 * soft_threshold(z[a] - z[c], 2.0 * op.weights[active] / rho)
+    z[a] = mean + half_gap
+    z[c] = mean - half_gap
+    return soft_threshold(z, np.asarray(l1_coord, dtype=float) / rho)
 
 
-def z_step(A: np.ndarray, spec: PenaltySpec, rho1: float, cfg: AdmmConfig) -> np.ndarray:
+def _component_weights(spec: PenaltySpec) -> list[float]:
+    """The three fused components as floats, ``INF`` as ``math.inf``."""
+    return [math.inf if is_inf(c) else float(c) for c in spec.components]
+
+
+def z_step(A: np.ndarray, spec: PenaltySpec, rho1: float) -> np.ndarray:
     """Fused/l1 proximal step in half-vectorized coordinates.
 
-    Solves the fused problem with zero l1 weight first, then applies the
-    l1 shrinkage lambda1 / rho1 to every coordinate of the solution.  The
-    penalty components must already be finite.
+    Minimizes (rho1/2) ||Z - A||_F^2 plus the penalty of ``spec`` through
+    :func:`fused_l1_prox`; ``INF`` components give exact ties.
     """
-    if spec.has_infinite:
-        raise ValueError("z_step requires finite penalty components")
     idx = PairedIndex.from_p(A.shape[0])
-    op = FusedDiffOperator.from_components(
-        idx,
-        spec.lambda2_vertex / rho1,
-        spec.lambda2_inside / rho1,
-        spec.lambda2_across / rho1,
-    )
-    b = pd_vec(A, idx)
-    sol = inner_generalized_lasso(b, op, cfg.rho2, cfg)
-    z = soft_threshold(sol.z, spec.lambda1 / rho1)
+    op = FusedDiffOperator.from_components(idx, *_component_weights(spec))
+    z = fused_l1_prox(pd_vec(A, idx), op, spec.lambda1, rho1)
     return pd_unvec(z, idx)
 
 
@@ -309,17 +251,25 @@ def _row_multiplicity(idx: PairedIndex) -> np.ndarray:
     return np.concatenate([np.ones(q), np.full(2 * s, 2.0)])
 
 
+def _weighted_abs_sum(weights: np.ndarray, values: np.ndarray) -> float:
+    """sum_i weights_i |values_i|; an exact zero adds 0 even under an infinite
+    weight (never inf * 0), a nonzero value under one makes the sum +inf."""
+    nz = values != 0
+    return float(np.sum(weights[nz] * np.abs(values[nz])))
+
+
 def _weighted_objective(
     Z: np.ndarray, S: np.ndarray, idx: PairedIndex, l1_coord: np.ndarray, op: FusedDiffOperator
 ) -> float:
     """Penalized negative log-likelihood with per-coordinate/per-row weights."""
-    sign, logdet = np.linalg.slogdet(Z)
-    if sign <= 0 or not np.isfinite(logdet):
+    try:
+        logdet = logdet_pd(Z)
+    except NotPositiveDefiniteError:
         return math.inf
     z = pd_vec(Z, idx)
     nll = -(logdet - float(np.sum(S * Z)))
-    l1 = float(np.sum(_vec_multiplicity(idx) * l1_coord * np.abs(z)))
-    fused = float(np.sum(_row_multiplicity(idx) * op.weights * np.abs(op.apply(z))))
+    l1 = _weighted_abs_sum(_vec_multiplicity(idx) * l1_coord, z)
+    fused = _weighted_abs_sum(_row_multiplicity(idx) * op.weights, op.apply(z))
     return nll + l1 + fused
 
 
@@ -331,75 +281,75 @@ def kkt_residual(
     op: FusedDiffOperator,
     tie_tol: Optional[float] = None,
 ) -> float:
-    """Largest coordinate-wise violation of the first-order conditions.
+    """Largest coordinate-wise violation of the first-order conditions at Z.
 
-    Works in normalized per-coordinate units: the smooth gradient is
-    G = S - Z^{-1}, zero coordinates must satisfy |G| <= l1 weight (plus the
-    fused weight where applicable), nonzero ones must cancel the gradient
-    against the active l1/fused signs.  Fused pairs within ``tie_tol`` of
-    each other count as tied (fusions reached through the inner solve are
-    equal only up to its tolerance).  Returns +inf when Z is singular.
+    The smooth gradient is G = S - Z^{-1}; see :func:`kkt_violation` for the
+    conditions.  ``tie_tol`` defaults to 1e-7 times max(1, max|Z|).  Returns
+    +inf when Z is not positive definite (checked by Cholesky).
     """
-    sign, logdet = np.linalg.slogdet(Z)
-    if sign <= 0 or not np.isfinite(logdet):
+    if not is_positive_definite(Z):
         return math.inf
-    G = pd_vec(S - np.linalg.inv(Z), idx)
     z = pd_vec(Z, idx)
     if tie_tol is None:
         tie_tol = 1e-7 * max(1.0, float(np.abs(z).max()))
-
-    fused_coord = np.zeros(len(z), dtype=bool)
-    fused_coord[op.first] = op.weights > 0
-    fused_coord[op.second] = op.weights > 0
-
-    worst = 0.0
-    free = ~fused_coord
-    zf, gf, lf = z[free], G[free], l1_coord[free]
-    nz = zf != 0
-    if np.any(nz):
-        worst = max(worst, float(np.max(np.abs(gf[nz] + lf[nz] * np.sign(zf[nz])))))
-    if np.any(~nz):
-        worst = max(worst, float(np.max(np.maximum(np.abs(gf[~nz]) - lf[~nz], 0.0))))
-
-    for r in range(op.n_rows):
-        w = op.weights[r]
-        a, bcoord = op.first[r], op.second[r]
-        za, zb = z[a], z[bcoord]
-        ga, gb = G[a], G[bcoord]
-        la, lb = l1_coord[a], l1_coord[bcoord]
-        if w == 0:
-            for zv, gv, lv in ((za, ga, la), (zb, gb, lb)):
-                if zv != 0:
-                    worst = max(worst, abs(gv + lv * math.copysign(1.0, zv)))
-                else:
-                    worst = max(worst, max(abs(gv) - lv, 0.0))
-            continue
-        if abs(za - zb) > tie_tol:
-            sd = math.copysign(1.0, za - zb)
-            for zv, gv, lv, fsign in ((za, ga, la, sd), (zb, gb, lb, -sd)):
-                if zv != 0:
-                    worst = max(worst, abs(gv + lv * math.copysign(1.0, zv) + w * fsign))
-                else:
-                    worst = max(worst, max(abs(gv + w * fsign) - lv, 0.0))
-        elif za != 0 or zb != 0:
-            # tied at a common nonzero value: a multiplier gamma in [-w, w]
-            # must cancel both gradients simultaneously
-            sv = math.copysign(1.0, za + zb)
-            gamma = -(ga + la * sv)
-            worst = max(worst, abs(ga + gb + (la + lb) * sv))
-            worst = max(worst, max(abs(gamma) - w, 0.0))
-        else:
-            # both zero: the intervals for gamma implied by each coordinate's
-            # l1 subdifferential must intersect [-w, w]
-            lo = max(-w, -ga - la, gb - lb)
-            hi = min(w, -ga + la, gb + lb)
-            worst = max(worst, max(lo - hi, 0.0))
-    return worst
+    return kkt_violation(z, pd_vec(S - np.linalg.inv(Z), idx), l1_coord, op, tie_tol)
 
 
-def surrogate_weight(S: np.ndarray, cfg: AdmmConfig) -> float:
-    """Finite stand-in for an infinite penalty component."""
-    return cfg.inf_surrogate_factor * max(1.0, float(np.abs(S).max()))
+def kkt_violation(
+    z: np.ndarray, G: np.ndarray, l1_coord: np.ndarray, op: FusedDiffOperator, tie_tol: float
+) -> float:
+    """Largest violation of the first-order conditions in half-vectorized
+    coordinates, given the iterate z and the smooth gradient G.
+
+    Works in normalized per-coordinate units: zero coordinates must satisfy
+    |G| <= l1 weight (plus the fused weight where applicable), nonzero ones
+    must cancel the gradient against the active l1/fused signs.  Pairs of a
+    finite positive row weight within ``tie_tol`` of each other count as
+    tied.  Infinite weights are constraints: an exact zero or an exact tie
+    meets them and adds nothing, anything else returns +inf.
+    """
+    l1_coord = np.asarray(l1_coord, dtype=float)
+    active = op.weights > 0
+    a, b, w = op.first[active], op.second[active], op.weights[active]
+    za, zb = z[a], z[b]
+    hard_row = np.isinf(w)
+    if np.any(z[np.isinf(l1_coord)] != 0) or np.any(za[hard_row] != zb[hard_row]):
+        return math.inf
+
+    # coordinates on their own: those in no active row as they are, the two
+    # of an untied pair with the fused term w sign(gap) added to the gradient
+    split = np.abs(za - zb) > tie_tol
+    ws = np.where(split, w * np.copysign(1.0, za - zb), 0.0)
+    shift = np.zeros(len(z))
+    shift[a] = ws
+    shift[b] = -ws
+    alone = np.ones(len(z), dtype=bool)
+    alone[a[~split]] = False
+    alone[b[~split]] = False
+    coord = np.where(
+        z != 0,
+        np.abs(G + l1_coord * np.copysign(1.0, z) + shift),
+        np.maximum(np.abs(G + shift) - l1_coord, 0.0),
+    )
+    parts = [coord[alone]]
+
+    ta, tb, w = a[~split], b[~split], w[~split]
+    za, zb, ga, gb, la, lb = z[ta], z[tb], G[ta], G[tb], l1_coord[ta], l1_coord[tb]
+    # tied at a common nonzero value: a multiplier gamma in [-w, w] must
+    # cancel both gradients simultaneously
+    t = (za != 0) | (zb != 0)
+    sv = np.copysign(1.0, za[t] + zb[t])
+    gamma = -(ga[t] + la[t] * sv)
+    parts.append(np.abs(ga[t] + gb[t] + (la[t] + lb[t]) * sv))
+    parts.append(np.maximum(np.abs(gamma) - w[t], 0.0))
+
+    # both zero: the intervals for gamma implied by each coordinate's l1
+    # subdifferential must intersect [-w, w]
+    o = ~t
+    lo = np.maximum(np.maximum(-w[o], -ga[o] - la[o]), gb[o] - lb[o])
+    hi = np.minimum(np.minimum(w[o], -ga[o] + la[o]), gb[o] + lb[o])
+    parts.append(np.maximum(lo - hi, 0.0))
+    return max([0.0] + [float(part.max()) for part in parts if part.size])
 
 
 def solve_weighted(
@@ -408,16 +358,13 @@ def solve_weighted(
     l1_coord: np.ndarray,
     op: FusedDiffOperator,
     cfg: AdmmConfig,
-    hard_l1: Optional[np.ndarray] = None,
-    hard_rows: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, SolveReport]:
-    """Run the outer ADMM with explicit per-coordinate l1 and per-row fused weights.
+    """Run the ADMM with explicit per-coordinate l1 and per-row fused weights.
 
-    ``hard_l1`` and ``hard_rows`` mark coordinates and rows whose weights are
-    surrogates for exact constraints; after convergence those coordinates are
-    snapped to zero and those pairs averaged, provided the solve brought them
-    within tolerance.  Within any positively weighted row the two l1 weights
-    must be equal, otherwise the two-stage proximal split is invalid.
+    Infinite weights are exact constraints: an infinite l1 weight holds its
+    coordinate at zero and an infinite row weight ties its pair.  Within any
+    positively weighted row the two l1 weights must be equal, otherwise the
+    fuse-then-shrink proximal step is invalid.
 
     Returns the sparse/fused iterate Z (or the positive definite iterate
     Theta when Z is not positive definite, flagged in the report).
@@ -431,72 +378,23 @@ def solve_weighted(
     active = op.weights > 0
     if np.any(l1_coord[op.first[active]] != l1_coord[op.second[active]]):
         raise ValueError("l1 weights must match within each active fused pair")
-    # only positively weighted rows enter the inner solve
-    op_active = FusedDiffOperator(
-        op.q, op.first[active], op.second[active], op.weights[active]
-    )
 
     p = idx.p
     rho1 = cfg.rho1
-    rho2 = cfg.rho2
     Z = np.zeros((p, p))
     U = np.zeros((p, p))
-    v = np.zeros(op_active.n_rows)
-    t = np.zeros(op_active.n_rows)
-
-    def finalize(Z_raw: np.ndarray) -> tuple[np.ndarray, bool]:
-        """Make fusions exact and snap surrogate constraints; flags misses."""
-        z = pd_vec(Z_raw, idx)
-        tie_tol = 1e-7 * max(1.0, float(np.abs(z).max()))
-        a_act, b_act = op_active.first, op_active.second
-        near = np.abs(z[a_act] - z[b_act]) <= tie_tol
-        means = 0.5 * (z[a_act[near]] + z[b_act[near]])
-        z[a_act[near]] = means
-        z[b_act[near]] = means
-
-        tol = 1e-5 * max(1.0, float(np.abs(z).max()))
-        missed = False
-        if hard_rows is not None and np.any(hard_rows):
-            a_idx = op.first[hard_rows]
-            b_idx = op.second[hard_rows]
-            ok = np.abs(z[a_idx] - z[b_idx]) <= tol
-            pair_means = 0.5 * (z[a_idx[ok]] + z[b_idx[ok]])
-            z[a_idx[ok]] = pair_means
-            z[b_idx[ok]] = pair_means
-            missed |= not np.all(ok)
-        if hard_l1 is not None and np.any(hard_l1):
-            vals = z[hard_l1]
-            small = np.abs(vals) <= tol
-            vals[small] = 0.0
-            z[hard_l1] = vals
-            missed |= not np.all(small)
-        return pd_unvec(z, idx), missed
-
     primal = math.inf
     dual = math.inf
     residuals_ok = False
     kkt = None
     kkt_ok = False
-    inner_warning = False
+    stop_reason = "max_outer"
     iterations = 0
 
     for l in range(cfg.max_outer):
         iterations = l + 1
         Theta = theta_step(S, Z, U, rho1)
-        b = pd_vec(Theta + U, idx)
-        if op_active.n_rows > 0:
-            scaled = FusedDiffOperator(
-                op_active.q, op_active.first, op_active.second, op_active.weights / rho1
-            )
-            sol = inner_generalized_lasso(b, scaled, rho2, cfg, v0=v, t0=t)
-            v, t, rho2 = sol.v, sol.t, sol.rho2
-            if not sol.converged:
-                inner_warning = True
-            z_tilde = sol.z
-        else:
-            z_tilde = b
-        z = soft_threshold(z_tilde, l1_coord / rho1)
-        Z_new = pd_unvec(z, idx)
+        Z_new = pd_unvec(fused_l1_prox(pd_vec(Theta + U, idx), op, l1_coord, rho1), idx)
         U = U + Theta - Z_new
 
         primal = float(np.linalg.norm(Theta - Z_new))
@@ -509,11 +407,16 @@ def solve_weighted(
         residuals_ok = primal <= eps_pri and dual <= eps_dual
         if residuals_ok:
             if not cfg.kkt_refine:
+                stop_reason = "residuals"
                 break
-            # check optimality on the matrix that would be returned
-            kkt = kkt_residual(finalize(Z)[0], S, idx, l1_coord, op)
+            kkt = kkt_residual(Z, S, idx, l1_coord, op)
             kkt_ok = kkt <= cfg.kkt_tol_factor * cfg.eps_abs
-            if kkt_ok or not math.isfinite(kkt):
+            if kkt_ok:
+                stop_reason = "kkt"
+                break
+            if not math.isfinite(kkt):
+                # no certificate exists for a singular iterate
+                stop_reason = "residuals"
                 break
         if cfg.adaptive:
             if primal > 10.0 * dual and rho1 * 2.0 <= _RHO_MAX:
@@ -522,8 +425,6 @@ def solve_weighted(
             elif dual > 10.0 * primal and rho1 / 2.0 >= _RHO_MIN:
                 rho1 /= 2.0
                 U = U * 2.0
-
-    Z, violation = finalize(Z)
 
     z_not_pd = False
     result = Z
@@ -540,8 +441,7 @@ def solve_weighted(
         kkt_residual=None if kkt is None else float(kkt),
         kkt_ok=bool(kkt_ok),
         z_not_pd=bool(z_not_pd),
-        inner_warning=bool(inner_warning),
-        constraint_violation=bool(violation),
+        stop_reason=stop_reason,
     )
     return result, report
 
@@ -555,9 +455,9 @@ def pdglasso_solve(
     """Minimize the paired-data fused graphical lasso objective.
 
     Returns the final Z iterate, which carries exact zeros from the l1
-    shrinkage, together with a solve report.  Infinite penalty components are
-    run with a large finite surrogate and the corresponding pairs averaged
-    exactly afterwards, so they act as hard equality constraints.  With
+    shrinkage and exact ties from the fused step, together with a solve
+    report.  Infinite penalty components are passed to the solver as
+    ``math.inf`` and act as hard equality constraints.  With
     ``diag_penalty`` unset the l1 weight is dropped on the diagonal entries.
     """
     cfg = cfg or AdmmConfig()
@@ -577,25 +477,8 @@ def pdglasso_solve(
     l1_coord = np.full(idx.vec_length, float(spec.lambda1))
     if not diag_penalty:
         l1_coord[: 2 * idx.q] = 0.0
-
-    big = surrogate_weight(S, cfg)
-    comps = []
-    hard = []
-    for c in spec.components:
-        if is_inf(c):
-            comps.append(big)
-            hard.append(True)
-        else:
-            comps.append(float(c))
-            hard.append(False)
-    op = FusedDiffOperator.from_components(idx, *comps)
-    q, s = idx.q, idx.s
-    hard_rows = np.concatenate(
-        [np.full(q, hard[0]), np.full(s, hard[1]), np.full(s, hard[2])]
-    )
-    return solve_weighted(
-        S, idx, l1_coord, op, cfg, hard_rows=hard_rows if any(hard) else None
-    )
+    op = FusedDiffOperator.from_components(idx, *_component_weights(spec))
+    return solve_weighted(S, idx, l1_coord, op, cfg)
 
 
 def optimality_residual(

@@ -6,6 +6,8 @@ LAPACK, subgradient descent and iterative proportional scaling instead of
 ADMM, and hand-derived closed forms for the tiny fused problems.
 """
 
+import math
+
 import numpy as np
 
 
@@ -54,6 +56,64 @@ def two_point_fused(b1: float, b2: float, w: float) -> tuple[float, float]:
         return m, m
     shift = w * np.sign(b1 - b2)
     return b1 - shift, b2 + shift
+
+
+def kkt_violation_loop(z, G, l1_coord, first, second, weights, tie_tol) -> float:
+    """Row-by-row reference for the first-order violation of the fused/l1
+    problem in half-vectorized coordinates, for finite weights.
+
+    Free coordinates (in no positively weighted row) need G + l1 sign(z) = 0
+    when nonzero and |G| <= l1 when zero.  An untied pair adds the fused
+    sign to each gradient; a pair tied at a nonzero value needs a common
+    multiplier in [-w, w]; a pair tied at zero needs the two multiplier
+    intervals to meet [-w, w].
+    """
+    z = np.asarray(z, dtype=float)
+    G = np.asarray(G, dtype=float)
+    l1_coord = np.asarray(l1_coord, dtype=float)
+    fused_coord = np.zeros(len(z), dtype=bool)
+    fused_coord[first] = weights > 0
+    fused_coord[second] = weights > 0
+
+    worst = 0.0
+    free = ~fused_coord
+    zf, gf, lf = z[free], G[free], l1_coord[free]
+    nz = zf != 0
+    if np.any(nz):
+        worst = max(worst, float(np.max(np.abs(gf[nz] + lf[nz] * np.sign(zf[nz])))))
+    if np.any(~nz):
+        worst = max(worst, float(np.max(np.maximum(np.abs(gf[~nz]) - lf[~nz], 0.0))))
+
+    for r in range(len(weights)):
+        w = weights[r]
+        a, bcoord = first[r], second[r]
+        za, zb = z[a], z[bcoord]
+        ga, gb = G[a], G[bcoord]
+        la, lb = l1_coord[a], l1_coord[bcoord]
+        if w == 0:
+            for zv, gv, lv in ((za, ga, la), (zb, gb, lb)):
+                if zv != 0:
+                    worst = max(worst, abs(gv + lv * math.copysign(1.0, zv)))
+                else:
+                    worst = max(worst, max(abs(gv) - lv, 0.0))
+            continue
+        if abs(za - zb) > tie_tol:
+            sd = math.copysign(1.0, za - zb)
+            for zv, gv, lv, fsign in ((za, ga, la, sd), (zb, gb, lb, -sd)):
+                if zv != 0:
+                    worst = max(worst, abs(gv + lv * math.copysign(1.0, zv) + w * fsign))
+                else:
+                    worst = max(worst, max(abs(gv + w * fsign) - lv, 0.0))
+        elif za != 0 or zb != 0:
+            sv = math.copysign(1.0, za + zb)
+            gamma = -(ga + la * sv)
+            worst = max(worst, abs(ga + gb + (la + lb) * sv))
+            worst = max(worst, max(abs(gamma) - w, 0.0))
+        else:
+            lo = max(-w, -ga - la, gb - lb)
+            hi = min(w, -ga + la, gb + lb)
+            worst = max(worst, max(lo - hi, 0.0))
+    return worst
 
 
 def soft(x: float, t: float) -> float:

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import numpy as np
@@ -8,8 +10,9 @@ from pdglasso.cli import (
     main,
     read_fit_report,
     report_fit_result,
+    write_grid_csv,
 )
-from pdglasso.model import n_params
+from pdglasso.model import GridPoint, n_params
 from pdglasso.paired import PairedIndex, swap_blocks
 from pdglasso.penalties import lambda1_diag_max
 
@@ -80,6 +83,7 @@ class TestFit:
         ])
         assert code == 0
         fit = report_fit_result(read_fit_report(str(out)))
+        assert fit.report.stop_reason == "kkt"
         idx = PairedIndex(3)
         assert np.array_equal(swap_blocks(fit.theta_hat, idx), fit.theta_hat)
         assert fit.graph.is_fully_symmetric()
@@ -199,7 +203,7 @@ class TestPath:
         out = tmp_path / "win.json"
         code = main([
             "path", str(cov), "--cov", "--n", "50", "--m", "2",
-            "--output", str(out), "--threads", "1",
+            "--output", str(out),
             "--eps-abs", "1e-7", "--eps-rel", "1e-7", "--no-kkt-refine",
         ])
         assert code == 0
@@ -214,13 +218,30 @@ class TestPath:
         m = 3
         code = main([
             "path", str(cov), "--cov", "--n", "80", "--m", str(m),
-            "--output", str(out), "--grid-csv", str(grid), "--threads", "1",
+            "--output", str(out), "--grid-csv", str(grid),
             "--eps-abs", "1e-7", "--eps-rel", "1e-7", "--no-kkt-refine",
         ])
         assert code == 0
         lines = grid.read_text().splitlines()
-        assert lines[0] == "stage,lambda1,lambda2,ebic,d,converged"
+        assert lines[0] == "stage,lambda1,lambda2,ebic,d,converged,stop_reason,error"
         assert len(lines) - 1 == 2 * m  # stage-1 winner reused, not re-solved
+        rows = list(csv.DictReader(io.StringIO(grid.read_text())))
+        assert all(r["stop_reason"] == "residuals" and r["error"] == "" for r in rows)
+
+    def test_grid_csv_shows_failure_text(self):
+        points = [
+            GridPoint(1, 0.5, 0.0, None, None, False, error="MLE failed, does not exist"),
+        ]
+        fh = io.StringIO()
+        write_grid_csv(fh, points)
+        (row,) = csv.DictReader(io.StringIO(fh.getvalue()))
+        assert row["ebic"] == "" and row["stop_reason"] == ""
+        assert row["error"] == "MLE failed, does not exist"
+
+    def test_threads_flag_removed(self, tmp_path):
+        cov = write_cov(tmp_path / "S.csv", np.eye(4))
+        with pytest.raises(SystemExit):
+            main(["path", str(cov), "--cov", "--n", "10", "--threads", "2"])
 
     def test_larger_gamma_never_denser(self, tmp_path, rng):
         theta = strong_ggm_truth(6, rng)
@@ -233,7 +254,7 @@ class TestPath:
             out = tmp_path / f"win{gamma}.json"
             code = main([
                 "path", str(cov), "--cov", "--n", "500", "--m", "5",
-                "--gamma", gamma, "--output", str(out), "--threads", "1",
+                "--gamma", gamma, "--output", str(out),
                 "--eps-abs", "1e-7", "--eps-rel", "1e-7", "--no-kkt-refine",
             ])
             assert code == 0

@@ -21,9 +21,9 @@ from pdglasso.model import (
     rcon_residual,
     selection_path,
 )
-from pdglasso.paired import PairedIndex, swap_blocks, symmetrize_paired
+from pdglasso.paired import PairedIndex, pd_vec, swap_blocks, symmetrize_paired
 from pdglasso.penalties import PenaltySpec, lambda2_sym_max
-from pdglasso.solver import AdmmConfig, pdglasso_solve
+from pdglasso.solver import AdmmConfig, FusedDiffOperator, pdglasso_solve
 
 from conftest import (
     random_coloured_graph,
@@ -153,6 +153,17 @@ class TestMle:
             assert np.array_equal(back.across_diag, g.across_diag)
             assert np.array_equal(back.inside_coloured, g.inside_coloured)
             assert np.array_equal(back.across_coloured, g.across_coloured)
+
+    def test_infinite_constraints_give_exact_ties_and_zeros(self, rng):
+        idx = PairedIndex(3)
+        for _ in range(4):
+            g = random_coloured_graph(3, rng)
+            theta = mle(random_pd(6, rng), g)
+            z = pd_vec(theta, idx)
+            assert np.all(z[g.absent_coord_mask()] == 0.0)
+            op = FusedDiffOperator.from_row_weights(idx, np.zeros(idx.q + 2 * idx.s))
+            tied = g.coloured_row_mask()
+            assert np.array_equal(z[op.first[tied]], z[op.second[tied]])
 
     def test_fully_symmetric_complete_is_averaged_inverse(self, rng):
         idx = PairedIndex(2)
@@ -436,12 +447,12 @@ class TestModelSelect:
         with pytest.raises(ValueError):
             model_select(random_pd(4, rng), 10, 1, 0.0, SubmodelClass())
 
-    def test_grid_threads_do_not_change_winner(self, rng):
+    def test_serial_runs_are_deterministic(self, rng):
         S = random_pd(6, rng)
         cfg = AdmmConfig(eps_abs=1e-7, eps_rel=1e-7, kkt_refine=False)
-        serial, pts1 = selection_path(S, 120, 4, 0.0, SubmodelClass(), cfg, threads=1)
-        threaded, pts2 = selection_path(S, 120, 4, 0.0, SubmodelClass(), cfg, threads=3)
-        assert np.array_equal(serial.theta_hat, threaded.theta_hat)
+        first, pts1 = selection_path(S, 120, 4, 0.0, SubmodelClass(), cfg)
+        second, pts2 = selection_path(S, 120, 4, 0.0, SubmodelClass(), cfg)
+        assert np.array_equal(first.theta_hat, second.theta_hat)
         assert [(p.stage, p.lambda1, p.lambda2, p.ebic) for p in pts1] == (
             [(p.stage, p.lambda1, p.lambda2, p.ebic) for p in pts2]
         )

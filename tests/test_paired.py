@@ -7,6 +7,7 @@ from pdglasso.errors import DimensionError, NotPositiveDefiniteError
 from pdglasso.paired import (
     PairedIndex,
     log_likelihood,
+    logdet_pd,
     pd_unvec,
     pd_vec,
     swap_blocks,
@@ -141,6 +142,25 @@ class TestLogLikelihood:
         bad = np.array([[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(NotPositiveDefiniteError):
             log_likelihood(bad, np.eye(2))
+
+    def test_negative_definite_with_positive_determinant_raises(self):
+        # det(-I2) = 1 > 0: a determinant's sign cannot tell these apart
+        with pytest.raises(NotPositiveDefiniteError):
+            log_likelihood(-np.eye(2), np.eye(2))
+
+    def test_indefinite_with_positive_determinant_raises(self):
+        bad = np.diag([-1.0, -2.0, 3.0, 4.0])
+        assert np.linalg.det(bad) > 0
+        with pytest.raises(NotPositiveDefiniteError):
+            log_likelihood(bad, np.eye(4))
+
+    def test_logdet_pd_matches_slogdet(self, rng):
+        theta = random_pd(6, rng)
+        assert logdet_pd(theta) == pytest.approx(np.linalg.slogdet(theta)[1], abs=1e-12)
+
+    def test_non_finite_raises(self):
+        with pytest.raises(NotPositiveDefiniteError):
+            logdet_pd(np.array([[1.0, np.nan], [np.nan, 1.0]]))
 
     def test_swap_equivariance(self, rng):
         # mathematically exact (permutations preserve det and trace); the

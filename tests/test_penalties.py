@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pdglasso.errors import DimensionError
+from pdglasso.errors import DimensionError, NotPositiveDefiniteError
 from pdglasso.paired import PairedIndex, swap_blocks, symmetrize_paired
 from pdglasso.penalties import (
     INF,
@@ -17,6 +17,8 @@ from pdglasso.penalties import (
     objective,
     parse_penalty_value,
 )
+
+from pdglasso.solver import optimality_residual
 
 from conftest import random_pd, random_sym
 
@@ -174,6 +176,16 @@ class TestObjective:
             PenaltySpec(0.1, 0.1, 0.1, 0.2),
         ):
             assert objective(theta, S, bumped) >= lo
+
+
+class TestObjectiveNotPositiveDefinite:
+    def test_negative_identity_raises(self):
+        # det(-I2) = 1 > 0, yet the objective is undefined there
+        with pytest.raises(NotPositiveDefiniteError):
+            objective(-np.eye(2), np.eye(2), PenaltySpec(0.1))
+
+    def test_optimality_residual_is_inf(self):
+        assert optimality_residual(-np.eye(2), np.eye(2), PenaltySpec(0.1)) == math.inf
 
 
 class TestThresholds:

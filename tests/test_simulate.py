@@ -234,6 +234,13 @@ class TestMatrixLosses:
         assert losses.frobenius == pytest.approx(math.sqrt(2))
         assert losses.entropy == pytest.approx(0.6137056388801092, abs=1e-12)
 
+    def test_not_positive_definite_rejected(self):
+        # det(-I2) = 1 > 0: the sign of a determinant cannot detect this
+        with pytest.raises(ValueError):
+            matrix_losses(-np.eye(2), np.eye(2))
+        with pytest.raises(ValueError):
+            matrix_losses(np.eye(2), np.diag([-1.0, -2.0]))
+
     def test_entropy_nonnegative(self, rng):
         for _ in range(100):
             a = random_pd(4, rng)

@@ -18,7 +18,10 @@ from pdglasso.penalties import (
 from pdglasso.solver import (
     AdmmConfig,
     FusedDiffOperator,
-    inner_generalized_lasso,
+    _weighted_objective,
+    fused_l1_prox,
+    kkt_residual,
+    kkt_violation,
     optimality_residual,
     pdglasso_solve,
     soft_threshold,
@@ -27,7 +30,13 @@ from pdglasso.solver import (
 )
 
 from conftest import random_pd, random_sym
-from oracles import dense_F, pair_prox, subgradient_prox, projected_subgradient_glasso
+from oracles import (
+    dense_F,
+    kkt_violation_loop,
+    pair_prox,
+    projected_subgradient_glasso,
+    subgradient_prox,
+)
 
 
 class TestSoftThreshold:
@@ -126,6 +135,9 @@ class TestThetaStep:
 
 
 class TestInnerGeneralizedLasso:
+    """The fused step as a generalized lasso over the difference operator,
+    solved in closed form by :func:`fused_l1_prox`."""
+
     def setup_op(self, weights):
         idx = PairedIndex(1)
         return idx, FusedDiffOperator.from_row_weights(idx, np.array(weights))
@@ -133,50 +145,155 @@ class TestInnerGeneralizedLasso:
     def test_zero_weights_identity(self, rng):
         idx, op = self.setup_op([0.0])
         b = rng.standard_normal(3)
-        sol = inner_generalized_lasso(b, op, 1.0, AdmmConfig())
-        assert np.array_equal(sol.z, b)
-        assert sol.iterations == 1
+        assert np.array_equal(fused_l1_prox(b, op, 0.0, 1.0), b)
 
     def test_pair_fuses_at_large_weight(self):
         idx, op = self.setup_op([2.0])
-        b = np.array([1.0, 3.0, 0.0])
-        sol = inner_generalized_lasso(b, op, 1.0, AdmmConfig())
-        assert sol.z[0] == pytest.approx(2.0, abs=1e-7)
-        assert sol.z[1] == pytest.approx(2.0, abs=1e-7)
+        z = fused_l1_prox(np.array([1.0, 3.0, 0.0]), op, 0.0, 1.0)
+        assert z[0] == pytest.approx(2.0, abs=1e-7)
+        assert z[1] == pytest.approx(2.0, abs=1e-7)
 
     def test_pair_shrinks_toward_mean(self):
         idx, op = self.setup_op([0.5])
-        b = np.array([1.0, 3.0, 0.0])
-        sol = inner_generalized_lasso(b, op, 1.0, AdmmConfig())
-        assert sol.z[0] == pytest.approx(1.5, abs=1e-7)
-        assert sol.z[1] == pytest.approx(2.5, abs=1e-7)
+        z = fused_l1_prox(np.array([1.0, 3.0, 0.0]), op, 0.0, 1.0)
+        assert z[0] == pytest.approx(1.5, abs=1e-7)
+        assert z[1] == pytest.approx(2.5, abs=1e-7)
 
     def test_matches_closed_form_on_random_pairs(self, rng):
         idx = PairedIndex(2)
         op = FusedDiffOperator.from_components(idx, 0.8, 0.3, 1.2)
         b = rng.standard_normal(idx.vec_length)
-        sol = inner_generalized_lasso(b, op, 1.0, AdmmConfig())
+        z = fused_l1_prox(b, op, 0.0, 1.0)
         for r in range(op.n_rows):
             a, c = op.first[r], op.second[r]
             z1, z2 = pair_prox(b[a], b[c], op.weights[r], 0.0)
-            assert sol.z[a] == pytest.approx(z1, abs=1e-7)
-            assert sol.z[c] == pytest.approx(z2, abs=1e-7)
+            assert z[a] == pytest.approx(z1, abs=1e-7)
+            assert z[c] == pytest.approx(z2, abs=1e-7)
 
-    def test_infinite_weights_rejected(self):
+    def test_matches_fuse_then_shrink_with_l1_and_rho(self, rng):
+        idx = PairedIndex(3)
+        op = FusedDiffOperator.from_components(idx, 0.8, 0.3, 1.2)
+        b = rng.standard_normal(idx.vec_length)
+        rho, l1 = 1.7, 0.25
+        z = fused_l1_prox(b, op, l1, rho)
+        for r in range(op.n_rows):
+            a, c = op.first[r], op.second[r]
+            z1, z2 = pair_prox(b[a], b[c], op.weights[r] / rho, l1 / rho)
+            assert z[a] == pytest.approx(z1, abs=1e-12)
+            assert z[c] == pytest.approx(z2, abs=1e-12)
+
+    def test_infinite_weight_gives_exact_tie(self):
         idx, op = self.setup_op([math.inf])
-        with pytest.raises(ValueError):
-            inner_generalized_lasso(np.zeros(3), op, 1.0, AdmmConfig())
+        z = fused_l1_prox(np.array([1.0, 3.0, 0.0]), op, 0.0, 1.0)
+        assert z[0] == z[1] == 2.0
+
+    def test_infinite_l1_weight_gives_exact_zero(self, rng):
+        idx, op = self.setup_op([0.0])
+        b = rng.standard_normal(3)
+        z = fused_l1_prox(b, op, np.array([math.inf, 0.0, math.inf]), 1.0)
+        assert z[0] == 0.0 and z[2] == 0.0
+        assert z[1] == b[1]
+
+
+class TestKktViolation:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_row_loop_exactly(self, data):
+        # small value pools make exact zeros (of both signs) and exact ties common
+        idx = PairedIndex(data.draw(st.integers(1, 4)))
+        n, rows = idx.vec_length, idx.q + 2 * idx.s
+        value = st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.25]) | st.floats(-3, 3)
+        weight = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0, 2)
+        z = np.array(data.draw(st.lists(value, min_size=n, max_size=n)))
+        G = np.array(data.draw(st.lists(value, min_size=n, max_size=n)))
+        l1 = np.array(data.draw(st.lists(weight, min_size=n, max_size=n)))
+        w = np.array(data.draw(st.lists(weight, min_size=rows, max_size=rows)))
+        tie_tol = data.draw(st.sampled_from([0.0, 1e-7, 0.3]))
+        op = FusedDiffOperator.from_row_weights(idx, w)
+        assert kkt_violation(z, G, l1, op, tie_tol) == kkt_violation_loop(
+            z, G, l1, op.first, op.second, op.weights, tie_tol
+        )
+
+    def test_matches_row_loop_on_solver_output(self, rng):
+        S = random_pd(10, rng)
+        idx = PairedIndex(5)
+        spec = PenaltySpec(0.08, 0.05, 0.02, 0.1)
+        theta, _ = pdglasso_solve(S, spec, AdmmConfig(max_outer=60, kkt_refine=False))
+        op = FusedDiffOperator.from_components(idx, 0.05, 0.02, 0.1)
+        z = pd_vec(theta, idx)
+        G = pd_vec(S - np.linalg.inv(theta), idx)
+        l1 = np.full(idx.vec_length, 0.08)
+        assert np.any(z == 0) and np.any(op.apply(z) == 0)
+        for tie_tol in (0.0, 1e-7, 1e-3):
+            assert kkt_violation(z, G, l1, op, tie_tol) == kkt_violation_loop(
+                z, G, l1, op.first, op.second, op.weights, tie_tol
+            )
+
+    def test_infinite_weights_met_add_nothing(self):
+        idx = PairedIndex(1)
+        z = np.array([2.0, 2.0, 0.0])
+        G = np.array([0.1, -0.1, 5.0])
+        l1 = np.array([0.0, 0.0, math.inf])
+        op = FusedDiffOperator.from_row_weights(idx, np.array([math.inf]))
+        assert kkt_violation(z, G, l1, op, 0.0) == 0.0
+
+    def test_infinite_weights_violated_give_inf(self):
+        idx = PairedIndex(1)
+        G = np.zeros(3)
+        op = FusedDiffOperator.from_row_weights(idx, np.array([math.inf]))
+        untied = np.array([2.0, 2.5, 0.0])
+        assert kkt_violation(untied, G, np.zeros(3), op, 1.0) == math.inf
+        nonzero = np.array([2.0, 2.0, 0.1])
+        l1 = np.array([0.0, 0.0, math.inf])
+        assert kkt_violation(nonzero, G, l1, op, 0.0) == math.inf
+
+    def test_not_positive_definite_gives_inf(self):
+        idx = PairedIndex(1)
+        op = FusedDiffOperator.from_components(idx, 0.1, 0.1, 0.1)
+        l1 = np.full(3, 0.1)
+        assert kkt_residual(-np.eye(2), np.eye(2), idx, l1, op) == math.inf
+        # indefinite with a positive determinant
+        M = np.diag([-1.0, -2.0])
+        assert np.linalg.det(M) > 0
+        assert kkt_residual(M, np.eye(2), idx, l1, op) == math.inf
+
+
+class TestWeightedObjective:
+    def test_infinite_weights_met_add_nothing(self):
+        idx = PairedIndex(1)
+        Z = np.array([[2.0, 0.0], [0.0, 2.0]])
+        S = np.eye(2)
+        op = FusedDiffOperator.from_row_weights(idx, np.array([math.inf]))
+        l1 = np.array([0.0, 0.0, math.inf])
+        expected = -2.0 * math.log(2.0) + 4.0
+        assert _weighted_objective(Z, S, idx, l1, op) == pytest.approx(expected, abs=1e-12)
+
+    def test_infinite_weights_violated_give_inf(self):
+        idx = PairedIndex(1)
+        S = np.eye(2)
+        op = FusedDiffOperator.from_row_weights(idx, np.array([math.inf]))
+        untied = np.array([[2.0, 0.0], [0.0, 3.0]])
+        assert _weighted_objective(untied, S, idx, np.zeros(3), op) == math.inf
+        off = np.array([[2.0, 0.5], [0.5, 2.0]])
+        l1 = np.array([0.0, 0.0, math.inf])
+        assert _weighted_objective(off, S, idx, l1, op) == math.inf
+
+    def test_not_positive_definite_gives_inf(self):
+        idx = PairedIndex(1)
+        op = FusedDiffOperator.from_components(idx, 0.0, 0.0, 0.0)
+        M = np.diag([-1.0, -2.0])
+        assert _weighted_objective(M, np.eye(2), idx, np.zeros(3), op) == math.inf
 
 
 class TestZStep:
     def test_zero_spec_returns_input(self, rng):
         A = random_sym(6, rng)
-        out = z_step(A, PenaltySpec(0.0), 1.0, AdmmConfig())
+        out = z_step(A, PenaltySpec(0.0), 1.0)
         assert np.array_equal(out, A)
 
     def test_huge_l1_zeroes_everything(self, rng):
         A = random_sym(4, rng)
-        out = z_step(A, PenaltySpec(1e6), 1.0, AdmmConfig())
+        out = z_step(A, PenaltySpec(1e6), 1.0)
         assert np.all(out == 0)
 
     def test_matches_subgradient_oracle(self, rng):
@@ -184,7 +301,7 @@ class TestZStep:
         A = random_sym(4, rng)
         rho1 = 1.3
         spec = PenaltySpec.uniform(0.21, 0.4)
-        out = z_step(A, spec, rho1, AdmmConfig())
+        out = z_step(A, spec, rho1)
 
         op = FusedDiffOperator.from_components(idx, 1.0, 1.0, 1.0)
         pairs = list(zip(op.first.tolist(), op.second.tolist()))
@@ -207,17 +324,18 @@ class TestZStep:
         A = random_sym(4, rng)
         rho1 = 1.3
         spec = PenaltySpec(0.21, 0.37, 0.11, 0.52)
-        out = z_step(A, spec, rho1, AdmmConfig())
+        out = z_step(A, spec, rho1)
         ref = matrix_prox_subgradient(
             A, rho1, spec.lambda1, spec.lambda2_vertex,
             spec.lambda2_inside, spec.lambda2_across,
         )
         assert np.abs(out - ref).max() < 1e-5
 
-    def test_rejects_infinite_components(self, rng):
+    def test_infinite_component_gives_exact_tie(self, rng):
+        idx = PairedIndex(2)
         A = random_sym(4, rng)
-        with pytest.raises(ValueError):
-            z_step(A, PenaltySpec(0.1, lambda2_inside=INF), 1.0, AdmmConfig())
+        out = z_step(A, PenaltySpec(0.1, lambda2_inside=INF), 1.0)
+        assert out[0, 1] == out[2, 3]
 
 
 class TestPdglassoSolve:
@@ -272,8 +390,18 @@ class TestPdglassoSolve:
         S = random_pd(6, rng)
         spec = PenaltySpec(0.05, INF, INF, INF)
         theta, report = pdglasso_solve(S, spec)
-        assert report.converged and not report.constraint_violation
+        assert report.converged and report.stop_reason == "kkt"
         assert np.array_equal(swap_blocks(theta, idx), theta)
+
+    def test_infinite_components_give_exact_ties_and_zeros(self, rng):
+        idx = PairedIndex(4)
+        S = random_pd(8, rng)
+        spec = PenaltySpec(0.6 * lambda1_diag_max(S), INF, INF, 0.0)
+        theta, report = pdglasso_solve(S, spec)
+        assert report.converged and not report.z_not_pd
+        q = idx.q
+        assert np.array_equal(theta[:q, :q], theta[q:, q:])
+        assert np.any(theta == 0.0)
 
     def test_relabeling_equivariance(self, rng):
         idx = PairedIndex(3)
@@ -344,3 +472,20 @@ class TestAdmmConfig:
         _, report = pdglasso_solve(S, PenaltySpec.uniform(0.3, 0.1), cfg)
         assert not report.converged
         assert report.outer_iterations == 2
+        assert report.stop_reason == "max_outer"
+
+    def test_stop_reasons(self, rng):
+        S = random_pd(6, rng)
+        spec = PenaltySpec.uniform(0.1, 0.05)
+        _, report = pdglasso_solve(S, spec, AdmmConfig(kkt_refine=False))
+        assert report.converged and report.stop_reason == "residuals"
+        _, report = pdglasso_solve(S, spec, AdmmConfig())
+        assert report.converged and report.stop_reason == "kkt"
+
+    def test_has_seven_fields(self):
+        from dataclasses import fields
+
+        assert [f.name for f in fields(AdmmConfig)] == [
+            "rho1", "adaptive", "eps_abs", "eps_rel", "max_outer",
+            "kkt_refine", "kkt_tol_factor",
+        ]
