@@ -27,13 +27,12 @@ from .model import (
     PdColouredGraph,
     SubmodelClass,
     deviance,
-    extract_graph,
-    filter_extracted_colours,
-    fit_point,
     lrt,
     mle,
     n_params,
+    refit_point,
     selection_path,
+    solve_point,
 )
 from .paired import PairedIndex
 from .penalties import (
@@ -46,7 +45,7 @@ from .penalties import (
     parse_penalty_value,
 )
 from .simulate import ScenarioSpec, results_to_csv, run_scenario
-from .solver import AdmmConfig, SolveReport, pdglasso_solve
+from .solver import AdmmConfig, SolveReport
 
 _STANDARDIZE_CAVEAT = (
     "note: rescaling the variables does not preserve equality constraints, "
@@ -274,13 +273,10 @@ def fit_report_doc(
         if fit.theta_mle is None
         else [[float(x) for x in row] for row in fit.theta_mle],
         "config": {
-            "rho1": cfg.rho1,
-            "adaptive": cfg.adaptive,
             "eps_abs": cfg.eps_abs,
             "eps_rel": cfg.eps_rel,
             "max_outer": cfg.max_outer,
             "kkt_refine": cfg.kkt_refine,
-            "kkt_tol_factor": cfg.kkt_tol_factor,
         },
         "seed": seed,
     }
@@ -321,7 +317,6 @@ def report_fit_result(doc: dict) -> FitResult:
         converged=rep["converged"],
         objective_value=rep["objective_value"],
         kkt_residual=rep["kkt_residual"],
-        kkt_ok=rep["kkt_ok"],
         z_not_pd=rep["z_not_pd"],
         stop_reason=rep["stop_reason"],
     )
@@ -381,20 +376,12 @@ def cmd_fit(args) -> int:
         parse_penalty_value(args.lambda2_across),
     )
     cfg = _admm_config(args)
+    fit = solve_point(S, spec, cfg, diag_penalty=not args.no_diag_penalty)
     try:
-        fit = fit_point(
-            S, n, args.gamma, spec, cfg, diag_penalty=not args.no_diag_penalty
-        )
+        fit = refit_point(fit, S, n, args.gamma, cfg)
     except MleError as exc:
         # the refit failed: report the penalized solve alone and exit 2
         print(f"warning: MLE refit failed ({exc})", file=sys.stderr)
-        theta_hat, report = pdglasso_solve(
-            S, spec, cfg, diag_penalty=not args.no_diag_penalty
-        )
-        idx = PairedIndex.from_p(S.shape[0])
-        graph = filter_extracted_colours(extract_graph(theta_hat, idx), spec)
-        fit = FitResult(theta_hat, graph, n_params(graph), math.nan, spec, report,
-                        theta_mle=None)
     doc = fit_report_doc(fit, names, n, args.gamma, cfg)
     if args.output:
         write_fit_report(args.output, doc)

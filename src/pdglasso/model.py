@@ -4,7 +4,7 @@ information criteria and the two-stage penalty-path model selection."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -22,6 +22,7 @@ from .paired import (
 from .penalties import (
     INF,
     PenaltySpec,
+    is_inf,
     lambda1_diag_max,
     lambda2_sym_max,
 )
@@ -154,8 +155,9 @@ class PdColouredGraph:
 class FitResult:
     """A fitted model: penalized estimate, extracted graph and its MLE refit.
 
-    ``theta_mle`` is None (with ``ebic`` NaN) only when a caller tolerates a
-    failed refit; everything produced by the selection path has both.
+    ``theta_mle`` is None (with ``ebic`` NaN) before the refit, or when a
+    caller tolerates a failed one; everything produced by the selection path
+    has both.
     """
 
     theta_hat: np.ndarray
@@ -499,10 +501,8 @@ def filter_extracted_colours(graph: PdColouredGraph, spec: PenaltySpec) -> PdCol
     (e.g. perfectly symmetric input), not a fusion selected by the penalty,
     so the extracted model stays within the searched submodel class.
     """
-    from .penalties import is_inf as _is_inf
-
     def active(c):
-        return _is_inf(c) or c > 0
+        return is_inf(c) or c > 0
 
     vertex = graph.vertex_coloured
     inside = graph.inside_coloured
@@ -519,6 +519,29 @@ def filter_extracted_colours(graph: PdColouredGraph, spec: PenaltySpec) -> PdCol
     )
 
 
+def solve_point(
+    S: np.ndarray, spec: PenaltySpec, cfg: AdmmConfig, diag_penalty: bool = True
+) -> FitResult:
+    """Solve at one penalty value and extract the model, without the refit.
+
+    Colours are read off the estimate only for fused components that were
+    active in the solve, so the fit stays within its submodel class.
+    """
+    theta_hat, report = pdglasso_solve(S, spec, cfg, diag_penalty=diag_penalty)
+    idx = PairedIndex.from_p(S.shape[0])
+    graph = filter_extracted_colours(extract_graph(theta_hat, idx), spec)
+    return FitResult(theta_hat, graph, n_params(graph), math.nan, spec, report,
+                     theta_mle=None)
+
+
+def refit_point(
+    fit: FitResult, S: np.ndarray, n: int, gamma: float, cfg: AdmmConfig
+) -> FitResult:
+    """Refit the MLE of a solved point's model and score it by eBIC."""
+    theta_mle = mle(S, fit.graph, cfg)
+    return replace(fit, ebic=ebic(theta_mle, S, n, fit.d, gamma), theta_mle=theta_mle)
+
+
 def fit_point(
     S: np.ndarray,
     n: int,
@@ -527,35 +550,15 @@ def fit_point(
     cfg: AdmmConfig,
     diag_penalty: bool = True,
 ) -> FitResult:
-    """Solve at one penalty value, extract the model and refit its MLE.
-
-    Colours are read off the estimate only for fused components that were
-    active in the solve, so the fit stays within its submodel class.
-    """
-    theta_hat, report = pdglasso_solve(S, spec, cfg, diag_penalty=diag_penalty)
-    idx = PairedIndex.from_p(S.shape[0])
-    graph = filter_extracted_colours(extract_graph(theta_hat, idx), spec)
-    theta_mle = mle(S, graph, cfg)
-    d = n_params(graph)
-    crit = ebic(theta_mle, S, n, d, gamma)
-    return FitResult(
-        theta_hat=theta_hat,
-        graph=graph,
-        d=d,
-        ebic=crit,
-        spec=spec,
-        report=report,
-        theta_mle=theta_mle,
-    )
+    """Solve at one penalty value, extract the model and refit its MLE."""
+    return refit_point(solve_point(S, spec, cfg, diag_penalty), S, n, gamma, cfg)
 
 
 def _evaluate(stage, lam1, lam2, S, n, gamma, class_spec, cfg) -> GridPoint:
     spec = class_spec.spec(lam1, lam2)
     try:
         fit = fit_point(S, n, gamma, spec, cfg)
-    except PdglassoError as exc:
-        return GridPoint(stage, lam1, lam2, None, None, False, error=str(exc))
-    except np.linalg.LinAlgError as exc:
+    except (PdglassoError, np.linalg.LinAlgError) as exc:
         return GridPoint(stage, lam1, lam2, None, None, False, error=str(exc))
     return GridPoint(
         stage, lam1, lam2, fit.ebic, fit.d, fit.report.converged, fit=fit

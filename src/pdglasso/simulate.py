@@ -119,12 +119,10 @@ def _graph_from_adjacency(adj: np.ndarray, idx: PairedIndex) -> PdColouredGraph:
     )
 
 
-def _ggm_truth(p: int, density: float, rng: np.random.Generator, cfg: AdmmConfig):
+def _ggm_truth(p: int, density: float, rng: np.random.Generator):
+    """Wishart draw S_star and the graph thresholded from its inverse."""
     S_star = wishart_identity(p, p, rng)
-    K = np.linalg.inv(S_star)
-    graph = graph_from_threshold(K, density)
-    theta = mle(S_star, graph, cfg)
-    return np.linalg.inv(theta), graph, S_star
+    return graph_from_threshold(np.linalg.inv(S_star), density), S_star
 
 
 def ggm_covariance(
@@ -133,8 +131,8 @@ def ggm_covariance(
     """Random covariance exactly adapted to a random graph of given density."""
     cfg = cfg or AdmmConfig()
     rng = seed if isinstance(seed, np.random.Generator) else child_rng(seed)
-    Sigma, graph, _ = _ggm_truth(p, density, rng, cfg)
-    return Sigma, graph
+    graph, S_star = _ggm_truth(p, density, rng)
+    return np.linalg.inv(mle(S_star, graph, cfg)), graph
 
 
 def _inject_symmetries(
@@ -188,7 +186,7 @@ def pdrcon_covariance(
         if isinstance(seed, np.random.Generator)
         else child_rng(spec.seed if seed is None else seed)
     )
-    _, graph, S_star = _ggm_truth(spec.p, spec.density, rng, cfg)
+    graph, S_star = _ggm_truth(spec.p, spec.density, rng)
     graph = _inject_symmetries(graph, spec.symmetry_fraction, rng)
     theta = mle(S_star, graph, cfg)
     return np.linalg.inv(theta), graph

@@ -13,6 +13,13 @@ infinite l1 weight zeroes its coordinate in every iterate.  The model module
 computes constrained maximum likelihood estimates this way, with infinite
 weights on the zero and equality constraints of a graph.  Solves are
 single-threaded and deterministic.
+
+Two choices are constants, not settings.  The step size starts at
+``_RHO_INIT`` and residual balancing (Boyd et al. 2011, section 3.4.1)
+always adapts it, doubling or halving within [``_RHO_MIN``, ``_RHO_MAX``]
+when one residual exceeds ten times the other, so its start matters little.
+The optimality certificate must fall to ``_KKT_TOL_FACTOR * eps_abs``, tied
+to the residual tolerance a caller already sets.
 """
 
 from __future__ import annotations
@@ -33,30 +40,30 @@ from .paired import (
 )
 from .penalties import PenaltySpec, is_inf
 
+_RHO_INIT = 1.0
 _RHO_MIN = 1e-6
 _RHO_MAX = 1e6
+_KKT_TOL_FACTOR = 10.0
 
 
 @dataclass(frozen=True)
 class AdmmConfig:
-    """Step size, tolerances and iteration limit of the ADMM.
+    """Tolerances and iteration limit of the ADMM.
 
     When ``kkt_refine`` is set, the loop keeps iterating (within
     ``max_outer``) after the residual criteria are met until the
     coordinate-wise optimality residual drops below
-    ``kkt_tol_factor * eps_abs``.
+    ``_KKT_TOL_FACTOR * eps_abs``; the step size is adapted, not set (see
+    the module docstring).
     """
 
-    rho1: float = 1.0
-    adaptive: bool = True
     eps_abs: float = 1e-8
     eps_rel: float = 1e-8
     max_outer: int = 5000
     kkt_refine: bool = True
-    kkt_tol_factor: float = 10.0
 
     def __post_init__(self):
-        for name in ("rho1", "eps_abs", "eps_rel"):
+        for name in ("eps_abs", "eps_rel"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
         if self.eps_abs > 1e-2 or self.eps_rel > 1e-2:
@@ -83,9 +90,13 @@ class SolveReport:
     converged: bool
     objective_value: float
     kkt_residual: Optional[float] = None
-    kkt_ok: bool = False
     z_not_pd: bool = False
     stop_reason: str = "max_outer"
+
+    @property
+    def kkt_ok(self) -> bool:
+        """The optimality certificate met its tolerance."""
+        return self.stop_reason == "kkt"
 
 
 def soft_threshold(x, t):
@@ -173,13 +184,6 @@ class FusedDiffOperator:
         v = np.asarray(v, dtype=float)
         return v[self.first] - v[self.second]
 
-    def apply_t(self, y: np.ndarray, n_coords: int) -> np.ndarray:
-        """Adjoint: scatter +y to first coordinates, -y to second ones."""
-        out = np.zeros(n_coords)
-        out[self.first] = y
-        out[self.second] = -y
-        return out
-
 
 def theta_step(S: np.ndarray, Z: np.ndarray, U: np.ndarray, rho1: float) -> np.ndarray:
     """Analytic log-det proximal step.
@@ -223,9 +227,19 @@ def fused_l1_prox(
     return soft_threshold(z, np.asarray(l1_coord, dtype=float) / rho)
 
 
-def _component_weights(spec: PenaltySpec) -> list[float]:
-    """The three fused components as floats, ``INF`` as ``math.inf``."""
-    return [math.inf if is_inf(c) else float(c) for c in spec.components]
+def _penalty_weights(
+    spec: PenaltySpec, idx: PairedIndex, diag_penalty: bool = True
+) -> tuple[np.ndarray, FusedDiffOperator]:
+    """Per-coordinate l1 weights and the fused operator of ``spec``.
+
+    ``INF`` components become ``math.inf`` row weights; with ``diag_penalty``
+    unset the l1 weight is dropped on the diagonal entries.
+    """
+    l1_coord = np.full(idx.vec_length, float(spec.lambda1))
+    if not diag_penalty:
+        l1_coord[: 2 * idx.q] = 0.0
+    weights = [math.inf if is_inf(c) else float(c) for c in spec.components]
+    return l1_coord, FusedDiffOperator.from_components(idx, *weights)
 
 
 def z_step(A: np.ndarray, spec: PenaltySpec, rho1: float) -> np.ndarray:
@@ -235,9 +249,8 @@ def z_step(A: np.ndarray, spec: PenaltySpec, rho1: float) -> np.ndarray:
     :func:`fused_l1_prox`; ``INF`` components give exact ties.
     """
     idx = PairedIndex.from_p(A.shape[0])
-    op = FusedDiffOperator.from_components(idx, *_component_weights(spec))
-    z = fused_l1_prox(pd_vec(A, idx), op, spec.lambda1, rho1)
-    return pd_unvec(z, idx)
+    l1_coord, op = _penalty_weights(spec, idx)
+    return pd_unvec(fused_l1_prox(pd_vec(A, idx), op, l1_coord, rho1), idx)
 
 
 def _vec_multiplicity(idx: PairedIndex) -> np.ndarray:
@@ -380,14 +393,13 @@ def solve_weighted(
         raise ValueError("l1 weights must match within each active fused pair")
 
     p = idx.p
-    rho1 = cfg.rho1
+    rho1 = _RHO_INIT
     Z = np.zeros((p, p))
     U = np.zeros((p, p))
     primal = math.inf
     dual = math.inf
     residuals_ok = False
     kkt = None
-    kkt_ok = False
     stop_reason = "max_outer"
     iterations = 0
 
@@ -410,21 +422,20 @@ def solve_weighted(
                 stop_reason = "residuals"
                 break
             kkt = kkt_residual(Z, S, idx, l1_coord, op)
-            kkt_ok = kkt <= cfg.kkt_tol_factor * cfg.eps_abs
-            if kkt_ok:
+            if kkt <= _KKT_TOL_FACTOR * cfg.eps_abs:
                 stop_reason = "kkt"
                 break
             if not math.isfinite(kkt):
                 # no certificate exists for a singular iterate
                 stop_reason = "residuals"
                 break
-        if cfg.adaptive:
-            if primal > 10.0 * dual and rho1 * 2.0 <= _RHO_MAX:
-                rho1 *= 2.0
-                U = U / 2.0
-            elif dual > 10.0 * primal and rho1 / 2.0 >= _RHO_MIN:
-                rho1 /= 2.0
-                U = U * 2.0
+        # residual balancing
+        if primal > 10.0 * dual and rho1 * 2.0 <= _RHO_MAX:
+            rho1 *= 2.0
+            U = U / 2.0
+        elif dual > 10.0 * primal and rho1 / 2.0 >= _RHO_MIN:
+            rho1 /= 2.0
+            U = U * 2.0
 
     z_not_pd = False
     result = Z
@@ -439,7 +450,6 @@ def solve_weighted(
         converged=bool(residuals_ok),
         objective_value=_weighted_objective(result, S, idx, l1_coord, op),
         kkt_residual=None if kkt is None else float(kkt),
-        kkt_ok=bool(kkt_ok),
         z_not_pd=bool(z_not_pd),
         stop_reason=stop_reason,
     )
@@ -474,10 +484,7 @@ def pdglasso_solve(
             "with all penalties zero the problem is unbounded unless S is positive definite"
         )
 
-    l1_coord = np.full(idx.vec_length, float(spec.lambda1))
-    if not diag_penalty:
-        l1_coord[: 2 * idx.q] = 0.0
-    op = FusedDiffOperator.from_components(idx, *_component_weights(spec))
+    l1_coord, op = _penalty_weights(spec, idx, diag_penalty)
     return solve_weighted(S, idx, l1_coord, op, cfg)
 
 
@@ -486,15 +493,9 @@ def optimality_residual(
 ) -> float:
     """Coordinate-wise first-order residual of the objective at ``theta``.
 
-    Only defined for finite penalty components.
+    ``INF`` components are constraints (see :func:`kkt_violation`): +inf
+    when ``theta`` breaks one.
     """
-    if spec.has_infinite:
-        raise ValueError("optimality residual requires finite penalty components")
     idx = PairedIndex.from_p(theta.shape[0])
-    l1_coord = np.full(idx.vec_length, float(spec.lambda1))
-    if not diag_penalty:
-        l1_coord[: 2 * idx.q] = 0.0
-    op = FusedDiffOperator.from_components(
-        idx, spec.lambda2_vertex, spec.lambda2_inside, spec.lambda2_across
-    )
+    l1_coord, op = _penalty_weights(spec, idx, diag_penalty)
     return kkt_residual(theta, S, idx, l1_coord, op)

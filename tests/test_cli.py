@@ -1,11 +1,14 @@
 import csv
 import io
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from pdglasso.cli import (
+    _admm_config,
+    build_parser,
     dump_report,
     main,
     read_fit_report,
@@ -15,6 +18,7 @@ from pdglasso.cli import (
 from pdglasso.model import GridPoint, n_params
 from pdglasso.paired import PairedIndex, swap_blocks
 from pdglasso.penalties import lambda1_diag_max
+from pdglasso.solver import AdmmConfig
 
 from conftest import random_pd, strong_ggm_truth
 
@@ -109,6 +113,44 @@ class TestFit:
         ])
         assert code == 2
         assert out.exists()  # report still written
+
+    def test_failed_refit_reports_the_single_penalized_solve(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # n=6 observations of p=20 variables: the refit's MLE does not exist.
+        # Penalized solves reach solve_weighted through the solver module,
+        # MLE refits through the model module, so this counts only the former.
+        import pdglasso.solver as solver
+
+        calls = []
+        solve = solver.solve_weighted
+
+        def counting_solve(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "solve_weighted", counting_solve)
+        Y = np.random.default_rng(11).standard_normal((6, 20))
+        data = write_data(tmp_path / "Y.csv", Y)
+        out = tmp_path / "report.json"
+        code = main(["fit", str(data), "--lambda1", "0.01", "--output", str(out)])
+        assert code == 2
+        assert "MLE refit failed" in capsys.readouterr().err
+        doc = read_fit_report(str(out))
+        assert doc["theta_mle"] is None and doc["ebic"] is None
+        assert doc["n"] == 6 and len(doc["theta_hat"]) == 20
+        assert len(calls) == 1
+
+    def test_every_config_field_reachable_from_flags(self, tmp_path):
+        args = build_parser().parse_args([
+            "fit", str(tmp_path / "S.csv"), "--lambda1", "0.1",
+            "--eps-abs", "1e-6", "--eps-rel", "1e-6", "--max-outer", "7",
+            "--no-kkt-refine",
+        ])
+        cfg, default = _admm_config(args), AdmmConfig()
+        same = [f.name for f in fields(AdmmConfig)
+                if getattr(cfg, f.name) == getattr(default, f.name)]
+        assert same == []
 
     def test_report_round_trip_is_byte_identical(self, tmp_path, rng):
         cov = write_cov(tmp_path / "S.csv", random_pd(4, rng))

@@ -112,6 +112,20 @@ class TestPdrconCovariance:
         assert np.array_equal(Sigma_pd, Sigma_gg)
         assert np.array_equal(g_pd.inside_present, g_gg.inside_present)
 
+    def test_fits_one_mle(self, monkeypatch):
+        import pdglasso.simulate as simulate
+
+        calls = []
+        mle = simulate.mle
+
+        def counting_mle(*args, **kwargs):
+            calls.append(1)
+            return mle(*args, **kwargs)
+
+        monkeypatch.setattr(simulate, "mle", counting_mle)
+        pdrcon_covariance(_spec(frac=0.5, seed=3), FAST)
+        assert len(calls) == 1
+
     def test_full_fraction_is_swap_invariant(self):
         Sigma, g = pdrcon_covariance(_spec(frac=1.0, seed=9), FAST)
         idx = PairedIndex(4)

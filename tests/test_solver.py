@@ -104,8 +104,6 @@ class TestFusedDiffOperator:
             F = dense_F(q)
             v = rng.standard_normal(idx.vec_length)
             assert np.allclose(op.apply(v), F @ v)
-            y = rng.standard_normal(op.n_rows)
-            assert np.allclose(op.apply_t(y, idx.vec_length), F.T @ y)
 
 
 class TestThetaStep:
@@ -419,6 +417,17 @@ class TestPdglassoSolve:
         assert report.converged and report.kkt_ok
         assert optimality_residual(theta, S, spec) <= 10 * cfg.eps_abs
 
+    def test_optimality_certificate_with_infinite_component(self, rng):
+        cfg = AdmmConfig()
+        S = random_pd(8, rng)
+        spec = PenaltySpec(0.1, lambda2_vertex=INF, lambda2_inside=0.05)
+        theta, report = pdglasso_solve(S, spec, cfg)
+        assert report.stop_reason == "kkt"
+        assert optimality_residual(theta, S, spec) <= 10 * cfg.eps_abs
+        untied = theta.copy()
+        untied[0, 0] += 0.1  # the vertex pair (0, 4) is no longer tied
+        assert optimality_residual(untied, S, spec) == math.inf
+
     def test_objective_is_local_minimum(self, rng):
         S = random_pd(6, rng)
         spec = PenaltySpec.uniform(0.1, 0.05)
@@ -460,8 +469,6 @@ class TestPdglassoSolve:
 class TestAdmmConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
-            AdmmConfig(rho1=0.0)
-        with pytest.raises(ValueError):
             AdmmConfig(eps_abs=0.5)
         with pytest.raises(ValueError):
             AdmmConfig(max_outer=0)
@@ -482,10 +489,9 @@ class TestAdmmConfig:
         _, report = pdglasso_solve(S, spec, AdmmConfig())
         assert report.converged and report.stop_reason == "kkt"
 
-    def test_has_seven_fields(self):
+    def test_has_four_fields(self):
         from dataclasses import fields
 
         assert [f.name for f in fields(AdmmConfig)] == [
-            "rho1", "adaptive", "eps_abs", "eps_rel", "max_outer",
-            "kkt_refine", "kkt_tol_factor",
+            "eps_abs", "eps_rel", "max_outer", "kkt_refine",
         ]
