@@ -30,6 +30,7 @@ from .model import (
     lrt,
     mle,
     n_params,
+    rcon_residual,
     refit_point,
     selection_path,
     solve_point,
@@ -237,10 +238,14 @@ def _penalty_from_json(value):
 
 
 def fit_report_doc(
-    fit: FitResult, names: list[str], n: int | None, gamma: float, cfg: AdmmConfig,
-    seed: int | None = None,
+    fit: FitResult, S: np.ndarray, names: list[str], n: int | None, gamma: float,
+    cfg: AdmmConfig, seed: int | None = None,
 ) -> dict:
-    """JSON-ready document for a fitted model."""
+    """JSON-ready document for a fitted model.
+
+    ``rcon_residual`` is the likelihood-equation residual of ``theta_mle``
+    against S (see :func:`pdglasso.model.rcon_residual`), null without a refit.
+    """
     g = fit.graph
     return {
         "version": __version__,
@@ -272,6 +277,9 @@ def fit_report_doc(
         "theta_mle": None
         if fit.theta_mle is None
         else [[float(x) for x in row] for row in fit.theta_mle],
+        "rcon_residual": None
+        if fit.theta_mle is None
+        else rcon_residual(fit.theta_mle, S, g),
         "config": {
             "eps_abs": cfg.eps_abs,
             "eps_rel": cfg.eps_rel,
@@ -382,7 +390,7 @@ def cmd_fit(args) -> int:
     except MleError as exc:
         # the refit failed: report the penalized solve alone and exit 2
         print(f"warning: MLE refit failed ({exc})", file=sys.stderr)
-    doc = fit_report_doc(fit, names, n, args.gamma, cfg)
+    doc = fit_report_doc(fit, S, names, n, args.gamma, cfg)
     if args.output:
         write_fit_report(args.output, doc)
     else:
@@ -424,7 +432,7 @@ def cmd_path(args) -> int:
     )
     cfg = _admm_config(args)
     winner, points = selection_path(S, n, args.m, args.gamma, class_spec, cfg)
-    doc = fit_report_doc(winner, names, n, args.gamma, cfg)
+    doc = fit_report_doc(winner, S, names, n, args.gamma, cfg)
     if args.output:
         write_fit_report(args.output, doc)
     else:

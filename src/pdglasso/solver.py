@@ -9,10 +9,11 @@ soft-threshold follows.  The difference operator is never materialized as a
 dense matrix.
 
 Infinite weights are exact: an infinite row weight ties its pair and an
-infinite l1 weight zeroes its coordinate in every iterate.  The model module
-computes constrained maximum likelihood estimates this way, with infinite
-weights on the zero and equality constraints of a graph.  Solves are
-single-threaded and deterministic.
+infinite l1 weight zeroes its coordinate in every iterate.  Constrained
+maximum likelihood estimates do not use this route: the model module refits
+them by a Newton method over the graph's free parameters, and the tests keep
+the infinite-weight ADMM as its reference.  Solves are single-threaded and
+deterministic.
 
 Two choices are constants, not settings.  The step size starts at
 ``_RHO_INIT`` and residual balancing (Boyd et al. 2011, section 3.4.1)
@@ -48,13 +49,16 @@ _KKT_TOL_FACTOR = 10.0
 
 @dataclass(frozen=True)
 class AdmmConfig:
-    """Tolerances and iteration limit of the ADMM.
+    """Tolerances and iteration limit of the ADMM, and of the MLE refit.
 
     When ``kkt_refine`` is set, the loop keeps iterating (within
     ``max_outer``) after the residual criteria are met until the
     coordinate-wise optimality residual drops below
     ``_KKT_TOL_FACTOR * eps_abs``; the step size is adapted, not set (see
-    the module docstring).
+    the module docstring).  ``eps_abs`` and ``max_outer`` also bound
+    :func:`pdglasso.model.mle`: its likelihood-equation residual must fall
+    to ``_KKT_TOL_FACTOR * eps_abs * max(1, max|S|)`` within ``max_outer``
+    Newton steps.
     """
 
     eps_abs: float = 1e-8

@@ -15,7 +15,7 @@ from pdglasso.cli import (
     report_fit_result,
     write_grid_csv,
 )
-from pdglasso.model import GridPoint, n_params
+from pdglasso.model import GridPoint, n_params, rcon_residual
 from pdglasso.paired import PairedIndex, swap_blocks
 from pdglasso.penalties import lambda1_diag_max
 from pdglasso.solver import AdmmConfig
@@ -118,8 +118,7 @@ class TestFit:
         self, tmp_path, capsys, monkeypatch
     ):
         # n=6 observations of p=20 variables: the refit's MLE does not exist.
-        # Penalized solves reach solve_weighted through the solver module,
-        # MLE refits through the model module, so this counts only the former.
+        # MLE refits do not call solve_weighted, so this counts penalized solves.
         import pdglasso.solver as solver
 
         calls = []
@@ -138,6 +137,7 @@ class TestFit:
         assert "MLE refit failed" in capsys.readouterr().err
         doc = read_fit_report(str(out))
         assert doc["theta_mle"] is None and doc["ebic"] is None
+        assert doc["rcon_residual"] is None
         assert doc["n"] == 6 and len(doc["theta_hat"]) == 20
         assert len(calls) == 1
 
@@ -162,6 +162,19 @@ class TestFit:
         first = out.read_bytes()
         doc = read_fit_report(str(out))
         assert dump_report(doc).encode() == first
+
+    def test_report_carries_refit_certificate(self, tmp_path, rng):
+        S = random_pd(4, rng)
+        cov = write_cov(tmp_path / "S.csv", S)
+        out = tmp_path / "report.json"
+        main([
+            "fit", str(cov), "--cov", "--lambda1", "0.1", "--n", "25",
+            "--lambda2-inside", "0.05", "--output", str(out),
+        ])
+        doc = read_fit_report(str(out))
+        fit = report_fit_result(doc)
+        assert doc["rcon_residual"] == rcon_residual(fit.theta_mle, S, fit.graph)
+        assert doc["rcon_residual"] <= 10 * 1e-8 * max(1.0, float(np.abs(S).max()))
 
     def test_standardize_prints_caveat(self, tmp_path, rng, capsys):
         cov = write_cov(tmp_path / "S.csv", random_pd(4, rng))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdglasso.chisq import chi2_quantile
 from pdglasso.errors import MleError
@@ -23,7 +25,8 @@ from pdglasso.model import (
 )
 from pdglasso.paired import PairedIndex, pd_vec, swap_blocks, symmetrize_paired
 from pdglasso.penalties import PenaltySpec, lambda2_sym_max
-from pdglasso.solver import AdmmConfig, FusedDiffOperator, pdglasso_solve
+from pdglasso.simulate import ScenarioSpec, mvn_sample_cov, pdrcon_covariance
+from pdglasso.solver import AdmmConfig, FusedDiffOperator, pdglasso_solve, solve_weighted
 
 from conftest import (
     random_coloured_graph,
@@ -179,6 +182,97 @@ class TestMle:
         cfg = AdmmConfig(max_outer=300, kkt_refine=False)
         with pytest.raises(MleError):
             mle(S, PdColouredGraph.complete(2), cfg)
+
+
+def swap_graph(g):
+    """The coloured graph of the block-swapped model: L and R trade places."""
+    return PdColouredGraph(g.q, g.vertex_coloured, g.inside_present[:, ::-1],
+                           g.inside_coloured, g.across_present[:, ::-1],
+                           g.across_coloured, g.across_diag)
+
+
+def assert_exact_constraints(theta, g):
+    idx = g.index
+    z = pd_vec(theta, idx)
+    assert np.all(z[g.absent_coord_mask()] == 0.0)
+    op = FusedDiffOperator.from_row_weights(idx, np.zeros(idx.q + 2 * idx.s))
+    tied = g.coloured_row_mask()
+    assert np.array_equal(z[op.first[tied]], z[op.second[tied]])
+
+
+class TestMleNewton:
+    @settings(max_examples=40, deadline=None)
+    @given(q=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_matches_inf_weight_admm(self, q, seed):
+        r = np.random.default_rng(seed)
+        g = random_coloured_graph(q, r)
+        S = random_pd(2 * q, r)
+        idx = g.index
+        l1 = np.where(g.absent_coord_mask(), math.inf, 0.0)
+        op = FusedDiffOperator.from_row_weights(
+            idx, np.where(g.coloured_row_mask(), math.inf, 0.0)
+        )
+        ref, report = solve_weighted(S, idx, l1, op, AdmmConfig())
+        assert report.stop_reason == "kkt"
+        assert np.abs(mle(S, g) - ref).max() <= 1e-5
+
+    @settings(max_examples=40, deadline=None)
+    @given(q=st.integers(1, 4), seed=st.integers(0, 2**32 - 1), c=st.floats(1e-2, 1e2))
+    def test_scale_equivariance(self, q, seed, c):
+        r = np.random.default_rng(seed)
+        g = random_coloured_graph(q, r)
+        S = random_pd(2 * q, r)
+        cfg = AdmmConfig(eps_abs=1e-10)
+        a = mle(S, g, cfg)
+        b = mle(c * S, g, cfg)
+        assert np.abs(c * b - a).max() <= 1e-6 * np.abs(a).max()
+        assert_exact_constraints(b, g)
+
+    @settings(max_examples=40, deadline=None)
+    @given(q=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_block_swap_equivariance(self, q, seed):
+        r = np.random.default_rng(seed)
+        g = random_coloured_graph(q, r)
+        S = random_pd(2 * q, r)
+        idx = g.index
+        a = swap_blocks(mle(S, g), idx)
+        b = mle(swap_blocks(S, idx), swap_graph(g))
+        assert np.abs(a - b).max() <= 1e-6 * np.abs(a).max()
+        assert_exact_constraints(a, swap_graph(g))
+        assert_exact_constraints(b, swap_graph(g))
+
+    def test_wishart_design_certified_where_admm_exhausts_budget(self):
+        # an unscaled Wishart design as in the simulations: the p=20 truth of
+        # scenario seed 0 and a sample of n=200
+        spec = ScenarioSpec(p=20, density=0.2, symmetry_fraction=0.5,
+                            n_list=(200,), replications=1, seed=0)
+        Sigma, g = pdrcon_covariance(spec)
+        S = mvn_sample_cov(Sigma, 200, 0)
+        cfg = AdmmConfig(max_outer=200)
+        idx = g.index
+        l1 = np.where(g.absent_coord_mask(), math.inf, 0.0)
+        op = FusedDiffOperator.from_row_weights(
+            idx, np.where(g.coloured_row_mask(), math.inf, 0.0)
+        )
+        _, report = solve_weighted(S, idx, l1, op, cfg)
+        assert report.stop_reason == "max_outer"
+        theta = mle(S, g, cfg)
+        assert rcon_residual(theta, S, g) <= 10 * cfg.eps_abs * max(1.0, np.abs(S).max())
+        assert_exact_constraints(theta, g)
+
+    def test_zero_variance_raises(self, rng):
+        S = random_pd(4, rng)
+        S[0, :] = S[:, 0] = 0.0  # a constant variable
+        with pytest.raises(MleError):
+            mle(S, PdColouredGraph.empty(2))
+
+    def test_non_finite_input_rejected(self, rng):
+        S = random_pd(4, rng)
+        S[1, 1] = np.nan
+        with pytest.raises(ValueError):
+            mle(S, PdColouredGraph.complete(2))
+        with pytest.raises(ValueError):
+            mle_fully_symmetric(S, PdColouredGraph.complete(2, coloured=True))
 
 
 class TestMleFullySymmetric:
