@@ -140,93 +140,75 @@ def _cov_from_input(M: np.ndarray, cov: bool, standardize: bool) -> tuple[np.nda
 # fit report serialization
 
 
+_EDGE_KINDS = ("inside-L", "inside-R", "across", "across-diagonal")
+
+
+def _edge_kind(idx: PairedIndex, i: int, j: int) -> str | None:
+    """Report kind of the edge between variables i and j; None when i == j."""
+    if i == j:
+        return None
+    if idx.swap_perm[i] == j:
+        return "across-diagonal"
+    left = (i < idx.q, j < idx.q)
+    if all(left):
+        return "inside-L"
+    return "across" if any(left) else "inside-R"
+
+
 def _graph_edges_json(g: PdColouredGraph, names: list[str]) -> list[dict]:
-    q = g.q
-    idx = PairedIndex(q)
-    i_arr, j_arr = idx._pairs
+    """Present edges in report order: for each pair i < j of the left group
+    the entries (i, j), (i', j'), (i, j') and (i', j), then every (i, i')."""
+    idx = g.index
+    present = ~g.absent_coord_mask()
+    a, b = idx.fused_pairs
+    symmetry = np.full(idx.vec_length, "none", dtype=object)
+    symmetry[a] = symmetry[b] = np.where(
+        g.coloured_row_mask(),
+        "parametric",
+        np.where(present[a] & present[b], "structural", "none"),
+    )
+    swap = idx.swap_perm
+    i, j = idx.pairs
+    left = np.arange(idx.q)
+    rows = np.concatenate([np.stack([i, swap[i], i, swap[i]], axis=1).ravel(), left])
+    cols = np.concatenate([np.stack([j, swap[j], swap[j], j], axis=1).ravel(), swap[left]])
     edges = []
-    for k in range(g.s):
-        i, j = int(i_arr[k]), int(j_arr[k])
-        sym_inside = (
-            "parametric"
-            if g.inside_coloured[k]
-            else ("structural" if g.inside_present[k].all() else "none")
-        )
-        if g.inside_present[k, 0]:
-            edges.append(
-                {"i": names[i], "j": names[j], "kind": "inside-L", "symmetry": sym_inside}
-            )
-        if g.inside_present[k, 1]:
-            edges.append(
-                {"i": names[i + q], "j": names[j + q], "kind": "inside-R", "symmetry": sym_inside}
-            )
-        sym_across = (
-            "parametric"
-            if g.across_coloured[k]
-            else ("structural" if g.across_present[k].all() else "none")
-        )
-        if g.across_present[k, 0]:
-            edges.append(
-                {"i": names[i], "j": names[j + q], "kind": "across", "symmetry": sym_across}
-            )
-        if g.across_present[k, 1]:
-            edges.append(
-                {"i": names[i + q], "j": names[j], "kind": "across", "symmetry": sym_across}
-            )
-    for i in range(q):
-        if g.across_diag[i]:
-            edges.append(
-                {"i": names[i], "j": names[i + q], "kind": "across-diagonal", "symmetry": "none"}
-            )
+    for r, c in zip(rows.tolist(), cols.tolist()):
+        k = idx.coord_of[r, c]
+        if present[k]:
+            edges.append({"i": names[r], "j": names[c], "kind": _edge_kind(idx, r, c),
+                          "symmetry": str(symmetry[k])})
     return edges
 
 
 def _graph_from_json(doc: dict) -> PdColouredGraph:
+    """The graph of a report; a name, kind or endpoint that does not fit the
+    report's variables raises :class:`InputError`."""
     names = doc["variables"]
-    p = len(names)
-    idx = PairedIndex.from_p(p)
-    q, s = idx.q, idx.s
+    idx = PairedIndex.from_p(len(names))
     pos = {name: k for k, name in enumerate(names)}
-    i_arr, j_arr = idx._pairs
-    pair_no = {(int(i_arr[k]), int(j_arr[k])): k for k in range(s)}
 
-    vertex = np.zeros(q, dtype=bool)
+    def position(name) -> int:
+        if name not in pos:
+            raise InputError(f"unknown variable {name!r} in report")
+        return pos[name]
+
+    present = np.zeros(idx.vec_length, dtype=bool)
+    tied = np.zeros(idx.vec_length, dtype=bool)
     for name in doc["vertex_symmetries"]:
-        vertex[pos[name]] = True
-    inside_present = np.zeros((s, 2), dtype=bool)
-    inside_col = np.zeros(s, dtype=bool)
-    across_present = np.zeros((s, 2), dtype=bool)
-    across_col = np.zeros(s, dtype=bool)
-    across_diag = np.zeros(q, dtype=bool)
-
+        v = position(name)
+        tied[idx.coord_of[v, v]] = True
     for e in doc["edges"]:
-        a, b = pos[e["i"]], pos[e["j"]]
-        kind = e["kind"]
-        if kind == "inside-L":
-            inside_present[pair_no[(a, b)], 0] = True
-            if e["symmetry"] == "parametric":
-                inside_col[pair_no[(a, b)]] = True
-        elif kind == "inside-R":
-            inside_present[pair_no[(a - q, b - q)], 1] = True
-            if e["symmetry"] == "parametric":
-                inside_col[pair_no[(a - q, b - q)]] = True
-        elif kind == "across-diagonal":
-            across_diag[a] = True
-        elif kind == "across":
-            left, right = (a, b - q) if b >= q else (b, a - q)
-            if left < right:
-                across_present[pair_no[(left, right)], 0] = True
-                if e["symmetry"] == "parametric":
-                    across_col[pair_no[(left, right)]] = True
-            else:
-                across_present[pair_no[(right, left)], 1] = True
-                if e["symmetry"] == "parametric":
-                    across_col[pair_no[(right, left)]] = True
-        else:
+        i, j, kind = position(e["i"]), position(e["j"]), e["kind"]
+        if kind not in _EDGE_KINDS:
             raise InputError(f"unknown edge kind {kind!r} in report")
-    return PdColouredGraph(
-        q, vertex, inside_present, inside_col, across_present, across_col, across_diag
-    )
+        if _edge_kind(idx, i, j) != kind:
+            raise InputError(f"edge {e['i']}-{e['j']} in report is not of kind {kind!r}")
+        k = idx.coord_of[i, j]
+        present[k] = True
+        tied[k] |= e["symmetry"] == "parametric"
+    a, b = idx.fused_pairs
+    return PdColouredGraph.from_masks(idx.q, present, tied[a] | tied[b])
 
 
 def _penalty_json(value):
@@ -239,7 +221,7 @@ def _penalty_from_json(value):
 
 def fit_report_doc(
     fit: FitResult, S: np.ndarray, names: list[str], n: int | None, gamma: float,
-    cfg: AdmmConfig, seed: int | None = None,
+    cfg: AdmmConfig,
 ) -> dict:
     """JSON-ready document for a fitted model.
 
@@ -286,7 +268,6 @@ def fit_report_doc(
             "max_outer": cfg.max_outer,
             "kkt_refine": cfg.kkt_refine,
         },
-        "seed": seed,
     }
 
 
@@ -354,10 +335,15 @@ def _admm_config(args) -> AdmmConfig:
     )
 
 
-def _add_solver_flags(parser):
+def _add_refit_flags(parser):
+    """The settings an MLE refit reads (see :class:`AdmmConfig`)."""
     parser.add_argument("--eps-abs", type=float, default=1e-8)
-    parser.add_argument("--eps-rel", type=float, default=1e-8)
     parser.add_argument("--max-outer", type=int, default=5000)
+
+
+def _add_solver_flags(parser):
+    _add_refit_flags(parser)
+    parser.add_argument("--eps-rel", type=float, default=1e-8)
     parser.add_argument("--no-kkt-refine", action="store_true",
                         help="stop on residuals only, skip optimality polishing")
 
@@ -511,8 +497,11 @@ def cmd_compare(args) -> int:
         raise InputError("--input is required unless --precomputed is used")
     full_doc = read_fit_report(args.full)
     sub_doc = read_fit_report(args.sub)
-    g_full = _graph_from_json(full_doc)
-    g_sub = _graph_from_json(sub_doc)
+    try:
+        g_full = _graph_from_json(full_doc)
+        g_sub = _graph_from_json(sub_doc)
+    except (KeyError, TypeError) as exc:
+        raise InputError(f"malformed report: {exc!r}") from exc
     violation = _nesting_violation(g_full, g_sub)
     if violation:
         raise InputError(f"models are not nested: {violation}")
@@ -523,7 +512,7 @@ def cmd_compare(args) -> int:
         n = args.n
     if n is None:
         raise InputError("--n is required with --cov")
-    cfg = _admm_config(args)
+    cfg = AdmmConfig(eps_abs=args.eps_abs, max_outer=args.max_outer)
     theta_full = mle(S, g_full, cfg)
     theta_sub = mle(S, g_sub, cfg)
     dev_full = deviance(theta_full, S, n)
@@ -651,7 +640,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--d-full", type=int, default=None)
     p_cmp.add_argument("--deviance-sub", type=float, default=None)
     p_cmp.add_argument("--d-sub", type=int, default=None)
-    _add_solver_flags(p_cmp)
+    _add_refit_flags(p_cmp)
     p_cmp.set_defaults(func=cmd_compare)
     return parser
 

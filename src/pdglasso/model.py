@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -27,13 +28,7 @@ from .penalties import (
     lambda1_diag_max,
     lambda2_sym_max,
 )
-from .solver import (
-    _KKT_TOL_FACTOR,
-    AdmmConfig,
-    FusedDiffOperator,
-    SolveReport,
-    pdglasso_solve,
-)
+from .solver import _KKT_TOL_FACTOR, AdmmConfig, SolveReport, pdglasso_solve
 
 
 @dataclass(frozen=True)
@@ -45,6 +40,10 @@ class PdColouredGraph:
     ``across_present[k]`` does the same for the across pair ({i,j'}, {i',j}).
     A coloured pair is constrained to equal concentrations and must have both
     edges present.  Across-diagonal edges {i,i'} are never coloured.
+
+    Over :class:`PairedIndex`'s layout the graph is two masks: the present
+    half-vectorized coordinates and the coloured fused rows;
+    :meth:`from_masks` and the two ``*_mask`` methods convert between them.
     """
 
     q: int
@@ -56,7 +55,7 @@ class PdColouredGraph:
     across_diag: np.ndarray
 
     def __post_init__(self):
-        s = self.q * (self.q - 1) // 2
+        s = self.s
         shapes = {
             "vertex_coloured": (self.q,),
             "inside_present": (s, 2),
@@ -85,65 +84,66 @@ class PdColouredGraph:
     def s(self) -> int:
         return self.q * (self.q - 1) // 2
 
-    @property
+    @cached_property
     def index(self) -> PairedIndex:
         return PairedIndex(self.q)
 
     @property
     def n_edges(self) -> int:
-        return int(
-            self.inside_present.sum() + self.across_present.sum() + self.across_diag.sum()
-        )
+        return int(np.count_nonzero(~self.absent_coord_mask())) - self.p
 
     def is_fully_symmetric(self) -> bool:
         """All vertices coloured, every present pair colour-matched on both sides."""
-        inside_ok = bool(
-            np.all(self.inside_present[:, 0] == self.inside_present[:, 1])
-            and np.all(self.inside_coloured == self.inside_present.all(axis=1))
-        )
-        across_ok = bool(
-            np.all(self.across_present[:, 0] == self.across_present[:, 1])
-            and np.all(self.across_coloured == self.across_present.all(axis=1))
-        )
-        return bool(np.all(self.vertex_coloured)) and inside_ok and across_ok
+        a, b = self.index.fused_pairs
+        present = ~self.absent_coord_mask()
+        return bool(np.array_equal(present[a], present[b])
+                    and np.array_equal(self.coloured_row_mask(), present[a]))
 
     @classmethod
     def empty(cls, q: int) -> "PdColouredGraph":
-        s = q * (q - 1) // 2
-        return cls(
-            q,
-            np.zeros(q, dtype=bool),
-            np.zeros((s, 2), dtype=bool),
-            np.zeros(s, dtype=bool),
-            np.zeros((s, 2), dtype=bool),
-            np.zeros(s, dtype=bool),
-            np.zeros(q, dtype=bool),
-        )
+        idx = PairedIndex(q)
+        return cls.from_masks(q, np.zeros(idx.vec_length, dtype=bool),
+                              np.zeros(idx.n_rows, dtype=bool))
 
     @classmethod
     def complete(cls, q: int, coloured: bool = False) -> "PdColouredGraph":
-        s = q * (q - 1) // 2
+        idx = PairedIndex(q)
+        return cls.from_masks(q, np.ones(idx.vec_length, dtype=bool),
+                              np.full(idx.n_rows, coloured))
+
+    @classmethod
+    def from_masks(cls, q: int, present: np.ndarray, coloured: np.ndarray) -> "PdColouredGraph":
+        """The graph with the given present coordinates and coloured fused
+        rows; the inverse of ``~absent_coord_mask()`` and
+        ``coloured_row_mask()``.  Diagonal coordinates are always present and
+        their entries of ``present`` are ignored."""
+        idx = PairedIndex(q)
+        present = np.asarray(present, dtype=bool)
+        coloured = np.asarray(coloured, dtype=bool)
+        if present.shape != (idx.vec_length,) or coloured.shape != (idx.n_rows,):
+            raise DimensionError(
+                f"expected masks of lengths {idx.vec_length} and {idx.n_rows} for q={q}"
+            )
+        s = idx.s
+        edges = present[2 * q :]
         return cls(
             q,
-            np.full(q, coloured),
-            np.ones((s, 2), dtype=bool),
-            np.full(s, coloured),
-            np.ones((s, 2), dtype=bool),
-            np.full(s, coloured),
-            np.ones(q, dtype=bool),
+            coloured[:q],
+            edges[: 2 * s].reshape(2, s).T,
+            coloured[q : q + s],
+            edges[2 * s : 4 * s].reshape(2, s).T,
+            coloured[q + s :],
+            edges[4 * s :],
         )
 
     def absent_coord_mask(self) -> np.ndarray:
         """Half-vectorized coordinates constrained to zero by missing edges."""
-        idx = self.index
-        mask = np.zeros(idx.vec_length, dtype=bool)
-        q, s = self.q, self.s
-        mask[2 * q : 2 * q + s] = ~self.inside_present[:, 0]
-        mask[2 * q + s : 2 * q + 2 * s] = ~self.inside_present[:, 1]
-        mask[2 * q + 2 * s : 2 * q + 3 * s] = ~self.across_present[:, 0]
-        mask[2 * q + 3 * s : 2 * q + 4 * s] = ~self.across_present[:, 1]
-        mask[2 * q + 4 * s :] = ~self.across_diag
-        return mask
+        return ~np.concatenate([
+            np.ones(2 * self.q, dtype=bool),
+            self.inside_present.T.ravel(),
+            self.across_present.T.ravel(),
+            self.across_diag,
+        ])
 
     def coloured_row_mask(self) -> np.ndarray:
         """Fused-operator rows constrained to exact equality by colours."""
@@ -170,12 +170,6 @@ class FitResult:
     theta_mle: Optional[np.ndarray]
 
 
-def default_tolerances(theta: np.ndarray) -> tuple[float, float]:
-    """Relative zero/equality tolerances guarding float noise in estimates."""
-    scale = 1e-5 * max(1.0, float(np.abs(theta).max()))
-    return scale, scale
-
-
 def extract_graph(
     theta: np.ndarray,
     idx: PairedIndex,
@@ -186,58 +180,40 @@ def extract_graph(
 
     An edge is present when its entry exceeds ``zero_tol`` in absolute value;
     a present symmetric pair is coloured when the two entries differ by at
-    most ``eq_tol``, and likewise for vertex pairs on the diagonal.
+    most ``eq_tol``, and likewise for vertex pairs on the diagonal.  Both
+    default to 1e-5 max(1, max|theta|), which guards float noise in estimates.
     """
     _check_square(theta, idx, "theta")
-    if zero_tol is None or eq_tol is None:
-        z_def, e_def = default_tolerances(theta)
-        zero_tol = z_def if zero_tol is None else zero_tol
-        eq_tol = e_def if eq_tol is None else eq_tol
+    default = 1e-5 * max(1.0, float(np.abs(theta).max()))
+    zero_tol = default if zero_tol is None else zero_tol
+    eq_tol = default if eq_tol is None else eq_tol
     if zero_tol <= 0 or eq_tol <= 0:
         raise ValueError("tolerances must be > 0")
 
-    q, s = idx.q, idx.s
     z = pd_vec(theta, idx)
-    vertex_coloured = np.abs(z[:q] - z[q : 2 * q]) <= eq_tol
-    upper_ll = z[2 * q : 2 * q + s]
-    upper_rr = z[2 * q + s : 2 * q + 2 * s]
-    upper_lr = z[2 * q + 2 * s : 2 * q + 3 * s]
-    upper_rl = z[2 * q + 3 * s : 2 * q + 4 * s]
-    diag_lr = z[2 * q + 4 * s :]
-
-    inside_present = np.stack(
-        [np.abs(upper_ll) > zero_tol, np.abs(upper_rr) > zero_tol], axis=1
-    )
-    inside_coloured = inside_present.all(axis=1) & (
-        np.abs(upper_ll - upper_rr) <= eq_tol
-    )
-    across_present = np.stack(
-        [np.abs(upper_lr) > zero_tol, np.abs(upper_rl) > zero_tol], axis=1
-    )
-    across_coloured = across_present.all(axis=1) & (
-        np.abs(upper_lr - upper_rl) <= eq_tol
-    )
-    return PdColouredGraph(
-        q,
-        vertex_coloured,
-        inside_present,
-        inside_coloured,
-        across_present,
-        across_coloured,
-        np.abs(diag_lr) > zero_tol,
-    )
+    a, b = idx.fused_pairs
+    present = (np.abs(z) > zero_tol) | idx.diagonal
+    coloured = present[a] & present[b] & (np.abs(z[a] - z[b]) <= eq_tol)
+    return PdColouredGraph.from_masks(idx.q, present, coloured)
 
 
 def n_params(g: PdColouredGraph) -> int:
     """Free parameters: saturated count minus zero and equality constraints."""
-    p = g.p
-    absents = int(
-        (~g.inside_present).sum() + (~g.across_present).sum() + (~g.across_diag).sum()
-    )
-    colours = int(
-        g.vertex_coloured.sum() + g.inside_coloured.sum() + g.across_coloured.sum()
-    )
-    return p * (p + 1) // 2 - absents - colours
+    return int((~g.absent_coord_mask()).sum() - g.coloured_row_mask().sum())
+
+
+def _colour_classes(idx: PairedIndex, absent: np.ndarray, coloured: np.ndarray):
+    """The free parameters behind the masks of a coloured graph.
+
+    Returns ``owner``, the first coordinate of each coordinate's class (the
+    coordinate itself unless a coloured row ties it to an earlier one), and
+    ``cls``, the class number of each coordinate not in ``absent``, with the
+    classes numbered in the order of their owners.
+    """
+    first, second = idx.fused_pairs
+    owner = np.arange(idx.vec_length)
+    owner[second[coloured]] = first[coloured]
+    return owner, np.unique(owner[~absent], return_inverse=True)[1]
 
 
 # Newton-CG refit: Armijo constant, step halvings before the line search
@@ -264,16 +240,12 @@ def _rcon_newton(
     S = np.asarray(S, dtype=float)
     if not np.all(np.isfinite(S)):
         raise ValueError("S contains non-finite entries")
-    # one free parameter per class: a tied pair or a lone present coordinate,
-    # numbered in the order of the class's first coordinate
-    op = FusedDiffOperator.from_row_weights(idx, np.zeros(idx.q + 2 * idx.s))
-    owner = np.arange(idx.vec_length)
-    owner[op.second[coloured]] = op.first[coloured]
+    # one free parameter per class: a tied pair or a lone present coordinate
+    _, cls = _colour_classes(idx, absent, coloured)
     free = ~absent
-    owners, cls = np.unique(owner[free], return_inverse=True)
-    d = len(owners)
+    d = int(cls.max()) + 1
     size = np.bincount(cls, minlength=d).astype(float)
-    diag = owners < 2 * idx.q
+    diag = np.bincount(cls, weights=idx.diagonal[free], minlength=d) > 0
     weight = np.where(diag, 1.0, 2.0)  # matrix entries per coordinate
 
     def expand(v):
@@ -430,7 +402,7 @@ def mle_fully_symmetric(
     idx = g.index
     _check_square(S, idx, "S")
     S_bar = symmetrize_paired(S, idx)
-    no_ties = np.zeros(idx.q + 2 * idx.s, dtype=bool)
+    no_ties = np.zeros(idx.n_rows, dtype=bool)
     return symmetrize_paired(
         _rcon_newton(S_bar, idx, g.absent_coord_mask(), no_ties, cfg), idx
     )
@@ -444,34 +416,12 @@ def rcon_residual(theta: np.ndarray, S: np.ndarray, g: PdColouredGraph) -> float
     exactly zero.
     """
     idx = g.index
-    Sigma_hat = np.linalg.inv(theta)
-    d_hat = pd_vec(Sigma_hat, idx) - pd_vec(S, idx)
-    z = pd_vec(theta, idx)
-    q, s = idx.q, idx.s
-
-    worst = 0.0
     absent = g.absent_coord_mask()
-    if absent.any():
-        worst = max(worst, float(np.abs(z[absent]).max()))
-
-    op = FusedDiffOperator.from_row_weights(idx, np.zeros(q + 2 * s))
-    coloured = g.coloured_row_mask()
-    if coloured.any():
-        worst = max(
-            worst,
-            float(np.abs(z[op.first[coloured]] - z[op.second[coloured]]).max()),
-        )
-        class_sum = d_hat[op.first[coloured]] + d_hat[op.second[coloured]]
-        worst = max(worst, float(np.abs(class_sum).max()))
-
-    free = ~absent
-    fused_coord = np.zeros(idx.vec_length, dtype=bool)
-    fused_coord[op.first[coloured]] = True
-    fused_coord[op.second[coloured]] = True
-    free &= ~fused_coord
-    if free.any():
-        worst = max(worst, float(np.abs(d_hat[free]).max()))
-    return worst
+    owner, cls = _colour_classes(idx, absent, g.coloured_row_mask())
+    z = pd_vec(theta, idx)
+    d_hat = pd_vec(np.linalg.inv(theta), idx) - pd_vec(S, idx)
+    parts = (z[absent], z - z[owner], np.bincount(cls, weights=d_hat[~absent]))
+    return max([0.0] + [float(np.abs(part).max()) for part in parts if part.size])
 
 
 def ebic(theta_mle: np.ndarray, S: np.ndarray, n: int, d: int, gamma: float) -> float:
@@ -646,21 +596,11 @@ def filter_extracted_colours(graph: PdColouredGraph, spec: PenaltySpec) -> PdCol
     (e.g. perfectly symmetric input), not a fusion selected by the penalty,
     so the extracted model stays within the searched submodel class.
     """
-    def active(c):
-        return is_inf(c) or c > 0
-
-    vertex = graph.vertex_coloured
-    inside = graph.inside_coloured
-    across = graph.across_coloured
-    if not active(spec.lambda2_vertex):
-        vertex = np.zeros_like(vertex)
-    if not active(spec.lambda2_inside):
-        inside = np.zeros_like(inside)
-    if not active(spec.lambda2_across):
-        across = np.zeros_like(across)
-    return PdColouredGraph(
-        graph.q, vertex, graph.inside_present, inside,
-        graph.across_present, across, graph.across_diag,
+    active = [is_inf(c) or c > 0 for c in spec.components]
+    return PdColouredGraph.from_masks(
+        graph.q,
+        ~graph.absent_coord_mask(),
+        graph.coloured_row_mask() & graph.index.component_rows(*active),
     )
 
 
@@ -693,10 +633,9 @@ def fit_point(
     gamma: float,
     spec: PenaltySpec,
     cfg: AdmmConfig,
-    diag_penalty: bool = True,
 ) -> FitResult:
     """Solve at one penalty value, extract the model and refit its MLE."""
-    return refit_point(solve_point(S, spec, cfg, diag_penalty), S, n, gamma, cfg)
+    return refit_point(solve_point(S, spec, cfg), S, n, gamma, cfg)
 
 
 def _evaluate(stage, lam1, lam2, S, n, gamma, class_spec, cfg) -> GridPoint:

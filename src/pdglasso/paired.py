@@ -39,6 +39,11 @@ class PairedIndex:
     def vec_length(self) -> int:
         return 3 * self.q + 4 * self.s
 
+    @property
+    def n_rows(self) -> int:
+        """Number of fused rows (see :attr:`fused_pairs`)."""
+        return self.q + 2 * self.s
+
     @classmethod
     def from_p(cls, p: int) -> "PairedIndex":
         if p < 2 or p % 2 != 0:
@@ -46,28 +51,68 @@ class PairedIndex:
         return cls(p // 2)
 
     @cached_property
-    def _pairs(self):
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """Row/col indices of the strict upper triangle of one q x q block,
         in row-major pair order (0,1), (0,2), ..., (q-2, q-1)."""
         i, j = np.triu_indices(self.q, k=1)
-        return i, j
+        return _readonly(i), _readonly(j)
 
     @cached_property
-    def _vec_rows_cols(self):
-        """Row and column index arrays mapping a symmetric matrix to its
-        canonical half-vectorization (see :func:`pd_vec` for the layout)."""
+    def coords(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row and column of the matrix entry behind each half-vectorized
+        coordinate; this is the one definition of the layout (see
+        :func:`pd_vec`)."""
         q = self.q
         d = np.arange(q)
-        i, j = self._pairs
+        i, j = self.pairs
         rows = np.concatenate([d, d + q, i, i + q, i, i + q, d])
         cols = np.concatenate([d, d + q, j, j + q, j + q, j, d + q])
-        return rows, cols
+        return _readonly(rows), _readonly(cols)
+
+    @cached_property
+    def coord_of(self) -> np.ndarray:
+        """p x p lookup: the coordinate of entry (i, j), equal to that of (j, i)."""
+        rows, cols = self.coords
+        lookup = np.empty((self.p, self.p), dtype=np.intp)
+        lookup[rows, cols] = lookup[cols, rows] = np.arange(self.vec_length)
+        return _readonly(lookup)
+
+    @cached_property
+    def diagonal(self) -> np.ndarray:
+        """Coordinates of diagonal entries."""
+        rows, cols = self.coords
+        return _readonly(rows == cols)
+
+    @cached_property
+    def fused_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Coordinates (first, second) of the fused rows: each coordinate with
+        its block-swap image, first < second.
+
+        The rows are the q vertex pairs (diag LL, diag RR), then the s inside
+        pairs (upper LL, upper RR), then the s across pairs (upper LR, upper
+        RL).  The across diagonal is its own image and lies in no row.
+        """
+        rows, cols = self.coords
+        perm = self.swap_perm
+        image = self.coord_of[perm[rows], perm[cols]]
+        first = np.flatnonzero(image > np.arange(self.vec_length))
+        return _readonly(first), _readonly(image[first])
+
+    def component_rows(self, vertex, inside, across) -> np.ndarray:
+        """One value per fused row from one value per component."""
+        return np.repeat([vertex, inside, across], [self.q, self.s, self.s])
 
     @cached_property
     def swap_perm(self) -> np.ndarray:
         """Permutation implementing the L/R block swap."""
         q = self.q
-        return np.concatenate([np.arange(q, 2 * q), np.arange(q)])
+        return _readonly(np.concatenate([np.arange(q, 2 * q), np.arange(q)]))
+
+
+def _readonly(arr: np.ndarray) -> np.ndarray:
+    """Cached index arrays are shared, so they are made read-only."""
+    arr.setflags(write=False)
+    return arr
 
 
 def _check_square(M: np.ndarray, idx: PairedIndex, name: str = "matrix") -> None:
@@ -87,7 +132,7 @@ def pd_vec(M: np.ndarray, idx: PairedIndex) -> np.ndarray:
     triangle (diagonal included).
     """
     _check_square(M, idx)
-    rows, cols = idx._vec_rows_cols
+    rows, cols = idx.coords
     return np.asarray(M, dtype=float)[rows, cols]
 
 
@@ -98,7 +143,7 @@ def pd_unvec(v: np.ndarray, idx: PairedIndex) -> np.ndarray:
         raise DimensionError(
             f"vector has shape {v.shape}, expected ({idx.vec_length},) for q={idx.q}"
         )
-    rows, cols = idx._vec_rows_cols
+    rows, cols = idx.coords
     M = np.zeros((idx.p, idx.p))
     M[rows, cols] = v
     M[cols, rows] = v

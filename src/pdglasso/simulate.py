@@ -94,29 +94,10 @@ def graph_from_threshold(K: np.ndarray, density: float) -> PdColouredGraph:
     rows, cols = np.triu_indices(p, k=1)
     values = np.abs(K[rows, cols])
     n_edges = math.ceil(density * len(values))
-    order = np.argsort(-values, kind="stable")
-    keep = order[:n_edges]
-    adj = np.zeros((p, p), dtype=bool)
-    adj[rows[keep], cols[keep]] = True
-    adj |= adj.T
-    return _graph_from_adjacency(adj, idx)
-
-
-def _graph_from_adjacency(adj: np.ndarray, idx: PairedIndex) -> PdColouredGraph:
-    q, s = idx.q, idx.s
-    i, j = idx._pairs
-    inside_present = np.stack([adj[i, j], adj[i + q, j + q]], axis=1)
-    across_present = np.stack([adj[i, j + q], adj[i + q, j]], axis=1)
-    across_diag = adj[np.arange(q), np.arange(q) + q]
-    return PdColouredGraph(
-        q,
-        np.zeros(q, dtype=bool),
-        inside_present,
-        np.zeros(s, dtype=bool),
-        across_present,
-        np.zeros(s, dtype=bool),
-        across_diag,
-    )
+    keep = np.argsort(-values, kind="stable")[:n_edges]
+    present = np.zeros(idx.vec_length, dtype=bool)
+    present[idx.coord_of[rows[keep], cols[keep]]] = True
+    return PdColouredGraph.from_masks(idx.q, present, np.zeros(idx.n_rows, dtype=bool))
 
 
 def _ggm_truth(p: int, density: float, rng: np.random.Generator):
@@ -140,36 +121,26 @@ def _inject_symmetries(
 ) -> PdColouredGraph:
     """Convert a share of each symmetry pool into parametric symmetries.
 
-    Selected vertex pairs are coloured; selected inside/across pairs with at
-    least one present edge get both edges present and coloured, while fully
-    absent selections already are symmetries (a shared zero) and stay absent.
+    Selected fused rows (vertex, inside and across pairs, drawn in that
+    order) with at least one present entry get both entries present and
+    coloured, while fully absent selections already are symmetries (a shared
+    zero) and stay absent.  Vertex pairs are always present.
     """
-    q, s = graph.q, graph.s
-    vertex = graph.vertex_coloured.copy()
-    inside_present = graph.inside_present.copy()
-    inside_col = graph.inside_coloured.copy()
-    across_present = graph.across_present.copy()
-    across_col = graph.across_coloured.copy()
-
-    def pick(pool_size: int) -> np.ndarray:
-        k = int(round(fraction * pool_size))
+    idx = graph.index
+    present = ~graph.absent_coord_mask()
+    coloured = graph.coloured_row_mask()
+    a, b = idx.fused_pairs
+    component = idx.component_rows(0, 1, 2)
+    for c in range(3):
+        pool = np.flatnonzero(component == c)
+        k = int(round(fraction * len(pool)))
         if k == 0:
-            return np.zeros(0, dtype=int)
-        return rng.choice(pool_size, size=k, replace=False)
-
-    vertex[pick(q)] = True
-    for k in pick(s):
-        if inside_present[k].any():
-            inside_present[k] = True
-            inside_col[k] = True
-    for k in pick(s):
-        if across_present[k].any():
-            across_present[k] = True
-            across_col[k] = True
-    return PdColouredGraph(
-        q, vertex, inside_present, inside_col, across_present, across_col,
-        graph.across_diag.copy(),
-    )
+            continue
+        chosen = pool[rng.choice(len(pool), size=k, replace=False)]
+        chosen = chosen[present[a[chosen]] | present[b[chosen]]]
+        present[a[chosen]] = present[b[chosen]] = True
+        coloured[chosen] = True
+    return PdColouredGraph.from_masks(graph.q, present, coloured)
 
 
 def pdrcon_covariance(
@@ -207,15 +178,7 @@ def mvn_sample_cov(Sigma: np.ndarray, n: int, seed) -> np.ndarray:
 
 
 def _edge_vector(g: PdColouredGraph) -> np.ndarray:
-    return np.concatenate(
-        [
-            g.inside_present[:, 0],
-            g.inside_present[:, 1],
-            g.across_present[:, 0],
-            g.across_present[:, 1],
-            g.across_diag,
-        ]
-    )
+    return ~g.absent_coord_mask()[~g.index.diagonal]
 
 
 @dataclass(frozen=True)

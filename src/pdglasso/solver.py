@@ -122,11 +122,9 @@ def soft_threshold(x, t):
 class FusedDiffOperator:
     """Pairwise difference operator over half-vectorized coordinates.
 
-    Row r computes v[first[r]] - v[second[r]].  The rows are the q vertex
-    pairs (diag LL vs diag RR), then the s inside pairs (upper LL vs upper
-    RR), then the s across pairs (upper LR vs upper RL); ``weights`` holds
-    one fused penalty weight per row.  Coordinates of the across diagonal
-    appear in no row.
+    Row r computes v[first[r]] - v[second[r]] over the rows of
+    :attr:`PairedIndex.fused_pairs`; ``weights`` holds one fused penalty
+    weight per row.
     """
 
     q: int
@@ -144,28 +142,9 @@ class FusedDiffOperator:
     def n_rows(self) -> int:
         return len(self.first)
 
-    @staticmethod
-    def _pair_indices(idx: PairedIndex):
-        q, s = idx.q, idx.s
-        first = np.concatenate(
-            [
-                np.arange(q),  # diag LL
-                np.arange(2 * q, 2 * q + s),  # upper LL
-                np.arange(2 * q + 2 * s, 2 * q + 3 * s),  # upper LR
-            ]
-        )
-        second = np.concatenate(
-            [
-                np.arange(q, 2 * q),  # diag RR
-                np.arange(2 * q + s, 2 * q + 2 * s),  # upper RR
-                np.arange(2 * q + 3 * s, 2 * q + 4 * s),  # upper RL
-            ]
-        )
-        return first, second
-
     @classmethod
     def from_row_weights(cls, idx: PairedIndex, weights: np.ndarray) -> "FusedDiffOperator":
-        first, second = cls._pair_indices(idx)
+        first, second = idx.fused_pairs
         weights = np.asarray(weights, dtype=float).copy()
         if weights.shape != first.shape:
             raise DimensionError(
@@ -177,11 +156,7 @@ class FusedDiffOperator:
     def from_components(
         cls, idx: PairedIndex, w_vertex: float, w_inside: float, w_across: float
     ) -> "FusedDiffOperator":
-        q, s = idx.q, idx.s
-        weights = np.concatenate(
-            [np.full(q, w_vertex), np.full(s, w_inside), np.full(s, w_across)]
-        )
-        return cls.from_row_weights(idx, weights)
+        return cls.from_row_weights(idx, idx.component_rows(w_vertex, w_inside, w_across))
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """Row-wise differences; never builds the dense matrix."""
@@ -241,7 +216,7 @@ def _penalty_weights(
     """
     l1_coord = np.full(idx.vec_length, float(spec.lambda1))
     if not diag_penalty:
-        l1_coord[: 2 * idx.q] = 0.0
+        l1_coord[idx.diagonal] = 0.0
     weights = [math.inf if is_inf(c) else float(c) for c in spec.components]
     return l1_coord, FusedDiffOperator.from_components(idx, *weights)
 
@@ -255,17 +230,6 @@ def z_step(A: np.ndarray, spec: PenaltySpec, rho1: float) -> np.ndarray:
     idx = PairedIndex.from_p(A.shape[0])
     l1_coord, op = _penalty_weights(spec, idx)
     return pd_unvec(fused_l1_prox(pd_vec(A, idx), op, l1_coord, rho1), idx)
-
-
-def _vec_multiplicity(idx: PairedIndex) -> np.ndarray:
-    """How many matrix entries each half-vectorized coordinate represents."""
-    q, s = idx.q, idx.s
-    return np.concatenate([np.ones(2 * q), np.full(4 * s, 2.0), np.full(q, 2.0)])
-
-
-def _row_multiplicity(idx: PairedIndex) -> np.ndarray:
-    q, s = idx.q, idx.s
-    return np.concatenate([np.ones(q), np.full(2 * s, 2.0)])
 
 
 def _weighted_abs_sum(weights: np.ndarray, values: np.ndarray) -> float:
@@ -285,8 +249,9 @@ def _weighted_objective(
         return math.inf
     z = pd_vec(Z, idx)
     nll = -(logdet - float(np.sum(S * Z)))
-    l1 = _weighted_abs_sum(_vec_multiplicity(idx) * l1_coord, z)
-    fused = _weighted_abs_sum(_row_multiplicity(idx) * op.weights, op.apply(z))
+    mult = np.where(idx.diagonal, 1.0, 2.0)  # matrix entries per coordinate
+    l1 = _weighted_abs_sum(mult * l1_coord, z)
+    fused = _weighted_abs_sum(mult[op.first] * op.weights, op.apply(z))
     return nll + l1 + fused
 
 
@@ -296,19 +261,18 @@ def kkt_residual(
     idx: PairedIndex,
     l1_coord: np.ndarray,
     op: FusedDiffOperator,
-    tie_tol: Optional[float] = None,
 ) -> float:
     """Largest coordinate-wise violation of the first-order conditions at Z.
 
     The smooth gradient is G = S - Z^{-1}; see :func:`kkt_violation` for the
-    conditions.  ``tie_tol`` defaults to 1e-7 times max(1, max|Z|).  Returns
-    +inf when Z is not positive definite (checked by Cholesky).
+    conditions, with pairs within 1e-7 max(1, max|Z|) of each other counted
+    as tied.  Returns +inf when Z is not positive definite (checked by
+    Cholesky).
     """
     if not is_positive_definite(Z):
         return math.inf
     z = pd_vec(Z, idx)
-    if tie_tol is None:
-        tie_tol = 1e-7 * max(1.0, float(np.abs(z).max()))
+    tie_tol = 1e-7 * max(1.0, float(np.abs(z).max()))
     return kkt_violation(z, pd_vec(S - np.linalg.inv(Z), idx), l1_coord, op, tie_tol)
 
 

@@ -5,9 +5,13 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdglasso.cli import (
     _admm_config,
+    _graph_edges_json,
+    _graph_from_json,
     build_parser,
     dump_report,
     main,
@@ -15,12 +19,12 @@ from pdglasso.cli import (
     report_fit_result,
     write_grid_csv,
 )
-from pdglasso.model import GridPoint, n_params, rcon_residual
+from pdglasso.model import GridPoint, PdColouredGraph, n_params, rcon_residual
 from pdglasso.paired import PairedIndex, swap_blocks
 from pdglasso.penalties import lambda1_diag_max
 from pdglasso.solver import AdmmConfig
 
-from conftest import random_pd, strong_ggm_truth
+from conftest import example_structures, random_coloured_graph, random_pd, strong_ggm_truth
 
 
 def write_cov(path, S, names=None):
@@ -45,6 +49,60 @@ def write_data(path, Y, names=None):
     return path
 
 
+def _names(q):
+    return [f"g{i + 1}_L" for i in range(q)] + [f"g{i + 1}_R" for i in range(q)]
+
+
+def _assert_same_graph(h, g):
+    for f in fields(PdColouredGraph):
+        assert np.array_equal(getattr(h, f.name), getattr(g, f.name)), f.name
+
+
+class TestReportGraph:
+    @settings(max_examples=60, deadline=None)
+    @given(q=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_round_trips(self, q, seed):
+        g = random_coloured_graph(q, np.random.default_rng(seed))
+        _assert_same_graph(
+            PdColouredGraph.from_masks(q, ~g.absent_coord_mask(), g.coloured_row_mask()), g
+        )
+        names = _names(q)
+        doc = {
+            "variables": names,
+            "edges": _graph_edges_json(g, names),
+            "vertex_symmetries": [names[i] for i in np.flatnonzero(g.vertex_coloured)],
+        }
+        _assert_same_graph(_graph_from_json(doc), g)
+
+    def test_edge_order_and_symmetry_labels(self):
+        names = ["a1", "a2", "a3", "b1", "b2", "b3"]
+
+        def rows(g):
+            return [(e["i"], e["j"], e["kind"], e["symmetry"]) for e in _graph_edges_json(g, names)]
+
+        assert rows(example_structures()[3]) == [
+            ("a1", "a2", "inside-L", "parametric"),
+            ("b1", "b2", "inside-R", "parametric"),
+            ("a1", "b2", "across", "parametric"),
+            ("b1", "a2", "across", "parametric"),
+            ("a2", "a3", "inside-L", "parametric"),
+            ("b2", "b3", "inside-R", "parametric"),
+            ("a2", "b3", "across", "parametric"),
+            ("b2", "a3", "across", "parametric"),
+            ("a1", "b1", "across-diagonal", "none"),
+            ("a2", "b2", "across-diagonal", "none"),
+        ]
+        assert rows(example_structures()[1]) == [
+            ("b1", "b2", "inside-R", "none"),
+            ("a1", "b2", "across", "parametric"),
+            ("b1", "a2", "across", "parametric"),
+            ("b1", "b3", "inside-R", "none"),
+            ("b2", "b3", "inside-R", "none"),
+            ("a2", "b3", "across", "structural"),
+            ("b2", "a3", "across", "structural"),
+        ]
+
+
 class TestFit:
     def test_identity_covariance_empty_model(self, tmp_path, capsys):
         cov = write_cov(tmp_path / "S.csv", np.eye(6))
@@ -57,6 +115,7 @@ class TestFit:
         doc = read_fit_report(str(out))
         assert doc["edges"] == []
         assert doc["d"] == 6
+        assert "seed" not in doc
         assert doc["solver_report"]["converged"] is True
 
     def test_lambda_at_printed_threshold_gives_empty_graph(self, tmp_path, rng):
@@ -346,6 +405,12 @@ class TestSimulateCommand:
         assert main(["simulate", "--p", "7", "--n-list", "10"]) == 1
 
 
+def _add_edge(i, j, kind):
+    def edit(doc):
+        doc["edges"].append({"i": i, "j": j, "kind": kind, "symmetry": "none"})
+    return edit
+
+
 class TestCompare:
     def test_precomputed_reference_row(self, capsys):
         code = main([
@@ -383,6 +448,42 @@ class TestCompare:
         doc = json.loads(capsys.readouterr().out)
         assert doc["degenerate"] is True
         assert doc["stat"] == 0.0
+
+    @pytest.mark.parametrize("edit, message", [
+        (_add_edge("g1_L", "g2_R", "inside-L"), "not of kind 'inside-L'"),
+        (_add_edge("g1_L", "g1_L", "inside-L"), "not of kind 'inside-L'"),
+        (_add_edge("g1_L", "g1_R", "across"), "not of kind 'across'"),
+        (_add_edge("g2_R", "g2_L", "inside-R"), "not of kind 'inside-R'"),
+        (_add_edge("g1_L", "g9_L", "inside-L"), "unknown variable 'g9_L'"),
+        (lambda doc: doc["vertex_symmetries"].append("g9_L"), "unknown variable 'g9_L'"),
+        (lambda doc: doc.pop("edges"), "malformed report: KeyError('edges')"),
+    ], ids=["across-as-inside", "self-loop", "diagonal-as-across", "across-as-inside-R",
+            "unknown-variable", "unknown-vertex-symmetry", "missing-key"])
+    def test_malformed_report_is_an_input_error(self, tmp_path, rng, capsys, edit, message):
+        cov = write_cov(tmp_path / "S.csv", random_pd(4, rng))
+        rep = tmp_path / "m.json"
+        assert self._fit(tmp_path, cov, rep, "0.1") == 0
+        doc = read_fit_report(str(rep))
+        edit(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(dump_report(doc))
+        capsys.readouterr()
+        code = main(["compare", str(bad), str(rep), "--input", str(cov), "--cov", "--n", "200"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("flag", [["--eps-rel", "1e-6"], ["--no-kkt-refine"]])
+    def test_takes_only_the_refit_settings(self, flag, capsys):
+        args = build_parser().parse_args(
+            ["compare", "a.json", "b.json", "--eps-abs", "1e-6", "--max-outer", "7"]
+        )
+        assert (args.eps_abs, args.max_outer) == (1e-6, 7)
+        # refits read no other solver setting, so compare offers none
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", "a.json", "b.json", *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_nested_pair_and_violation(self, tmp_path, rng, capsys):
         theta = strong_ggm_truth(6, rng, n_edges=6)

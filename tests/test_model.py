@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdglasso.chisq import chi2_quantile
-from pdglasso.errors import MleError
+from pdglasso.errors import DimensionError, MleError
 from pdglasso.model import (
     PdColouredGraph,
     SubmodelClass,
@@ -79,6 +79,48 @@ class TestExtractGraph:
         idx = PairedIndex(2)
         with pytest.raises(ValueError):
             extract_graph(np.eye(4), idx, zero_tol=0.0)
+
+
+def _adjacency(g):
+    """Edge entries of a graph, set from its fields index by index."""
+    q = g.q
+    A = np.eye(2 * q, dtype=bool)
+    for k, (i, j) in enumerate(zip(*np.triu_indices(q, k=1))):
+        A[i, j], A[i + q, j + q] = g.inside_present[k]
+        A[i, j + q], A[i + q, j] = g.across_present[k]
+    for i in range(q):
+        A[i, i + q] = g.across_diag[i]
+    return A | A.T
+
+
+class TestGraphMasks:
+    @settings(max_examples=60, deadline=None)
+    @given(q=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_absent_mask_matches_the_fields(self, q, seed):
+        g = random_coloured_graph(q, np.random.default_rng(seed))
+        present = pd_vec(_adjacency(g).astype(float), g.index) != 0
+        assert np.array_equal(~g.absent_coord_mask(), present)
+        assert g.n_edges == int(_adjacency(g).sum() - 2 * q) // 2
+
+    def test_diagonal_of_present_is_ignored(self):
+        idx = PairedIndex(2)
+        g = PdColouredGraph.from_masks(2, np.zeros(idx.vec_length, dtype=bool),
+                                       np.zeros(idx.n_rows, dtype=bool))
+        assert g.n_edges == 0
+        assert n_params(g) == 4
+
+    def test_from_masks_checks_lengths_and_colours(self):
+        idx = PairedIndex(2)
+        with pytest.raises(DimensionError):
+            PdColouredGraph.from_masks(2, np.ones(idx.vec_length - 1, dtype=bool),
+                                       np.zeros(idx.n_rows, dtype=bool))
+        with pytest.raises(DimensionError):
+            PdColouredGraph.from_masks(2, np.ones(idx.vec_length, dtype=bool),
+                                       np.zeros(idx.n_rows + 1, dtype=bool))
+        # a coloured inside row needs both of its entries present
+        with pytest.raises(ValueError):
+            PdColouredGraph.from_masks(2, np.zeros(idx.vec_length, dtype=bool),
+                                       np.array([False, False, True, False]))
 
 
 class TestNParams:

@@ -31,6 +31,40 @@ class TestPairedIndex:
         with pytest.raises(DimensionError):
             PairedIndex(0)
 
+    @pytest.mark.parametrize("q", [1, 2, 4])
+    def test_fused_pairs_are_block_swap_images(self, q):
+        idx = PairedIndex(q)
+        s = idx.s
+        first, second = idx.fused_pairs
+        rows, cols = idx.coords
+        perm = idx.swap_perm
+        assert len(first) == len(second) == idx.n_rows == q + 2 * s
+        for a, b in zip(first, second):
+            assert {perm[rows[a]], perm[cols[a]]} == {rows[b], cols[b]}
+        # vertex rows (diag LL, RR), inside rows (upper LL, RR), across rows
+        # (upper LR, RL), in pd_vec's segment order
+        assert np.array_equal(first, np.r_[0:q, 2 * q:2 * q + s, 2 * q + 2 * s:2 * q + 3 * s])
+        assert np.array_equal(second, np.r_[q:2 * q, 2 * q + s:2 * q + 2 * s,
+                                            2 * q + 3 * s:2 * q + 4 * s])
+        # only the across diagonal, its own swap image, lies in no row
+        alone = np.ones(idx.vec_length, dtype=bool)
+        alone[first] = alone[second] = False
+        assert np.array_equal(np.flatnonzero(alone), np.arange(2 * q + 4 * s, idx.vec_length))
+
+    def test_coordinate_lookup_inverts_the_layout(self):
+        idx = PairedIndex(3)
+        rows, cols = idx.coords
+        assert np.array_equal(idx.coord_of[rows, cols], np.arange(idx.vec_length))
+        assert np.array_equal(idx.coord_of, idx.coord_of.T)
+        assert np.array_equal(idx.diagonal, rows == cols)
+        assert np.array_equal(idx.component_rows(0, 1, 2), [0, 0, 0, 1, 1, 1, 2, 2, 2])
+
+    def test_cached_index_arrays_are_read_only(self):
+        idx = PairedIndex(2)
+        for arr in (*idx.fused_pairs, *idx.coords, idx.coord_of, idx.diagonal, idx.swap_perm):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
 
 class TestVec:
     def test_smallest_paired_matrix(self):
