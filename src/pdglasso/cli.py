@@ -254,6 +254,7 @@ def fit_report_doc(
             "kkt_ok": fit.report.kkt_ok,
             "z_not_pd": fit.report.z_not_pd,
             "stop_reason": fit.report.stop_reason,
+            "polish_attempts": fit.report.polish_attempts,
         },
         "theta_hat": [[float(x) for x in row] for row in fit.theta_hat],
         "theta_mle": None
@@ -303,11 +304,11 @@ def report_fit_result(doc: dict) -> FitResult:
         outer_iterations=rep["outer_iterations"],
         primal_residual=rep["primal_residual"],
         dual_residual=rep["dual_residual"],
-        converged=rep["converged"],
         objective_value=rep["objective_value"],
         kkt_residual=rep["kkt_residual"],
         z_not_pd=rep["z_not_pd"],
         stop_reason=rep["stop_reason"],
+        polish_attempts=rep.get("polish_attempts", 0),  # absent from older reports
     )
     return FitResult(
         theta_hat=np.asarray(doc["theta_hat"], dtype=float),
@@ -345,7 +346,9 @@ def _add_solver_flags(parser):
     _add_refit_flags(parser)
     parser.add_argument("--eps-rel", type=float, default=1e-8)
     parser.add_argument("--no-kkt-refine", action="store_true",
-                        help="stop on residuals only, skip optimality polishing")
+                        help="stop once the ADMM residuals are met, without "
+                             "iterating on to the optimality certificate; the "
+                             "Newton polish on the identified face still runs")
 
 
 def _add_input_flags(parser):
@@ -480,9 +483,10 @@ def cmd_simulate(args) -> int:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    failures = sum(1 for r in rows if r.error)
-    if failures:
-        print(f"simulate: {failures} cell(s) failed", file=sys.stderr)
+    for r in rows:
+        if r.error:
+            print(f"simulate: cell n={r.n} rep={r.rep} method={r.method} failed: {r.error}",
+                  file=sys.stderr)
     return 0
 
 

@@ -3,7 +3,10 @@
 Everything here deliberately avoids the production code paths: dense
 operator matrices instead of index arithmetic, cofactor expansion instead of
 LAPACK, subgradient descent and iterative proportional scaling instead of
-ADMM, and hand-derived closed forms for the tiny fused problems.
+ADMM, and hand-derived closed forms for the tiny fused problems.  The one
+exception is :func:`admm_loop`, the solver's loop without its face polish,
+which is built from the production steps so that it can be compared bit for
+bit.
 """
 
 import math
@@ -305,3 +308,54 @@ def ips_ggm_mle(S, cliques, max_iter=2000, tol=1e-13):
         if np.abs(K - K_old).max() < tol:
             break
     return K
+
+
+def admm_loop(S, idx, l1_coord, op, cfg):
+    """Reference for ``solve_weighted``: the same ADMM loop, from the same
+    production steps, without the Newton polish on the identified face.
+
+    Returns (estimate, outer iterations, stop reason), the estimate being Z,
+    or the Theta step when Z is not positive definite.
+    """
+    from pdglasso import solver
+    from pdglasso.paired import is_positive_definite, pd_unvec, pd_vec
+
+    S = np.asarray(S, dtype=float)
+    p = idx.p
+    rho1 = solver._RHO_INIT
+    Z = np.zeros((p, p))
+    U = np.zeros((p, p))
+    stop_reason = "max_outer"
+    iterations = 0
+    for l in range(cfg.max_outer):
+        iterations = l + 1
+        Theta = solver.theta_step(S, Z, U, rho1)
+        Z_new = pd_unvec(solver.fused_l1_prox(pd_vec(Theta + U, idx), op, l1_coord, rho1), idx)
+        U = U + Theta - Z_new
+        primal = float(np.linalg.norm(Theta - Z_new))
+        dual = rho1 * float(np.linalg.norm(Z_new - Z))
+        eps_pri = p * cfg.eps_abs + cfg.eps_rel * max(
+            float(np.linalg.norm(Theta)), float(np.linalg.norm(Z_new))
+        )
+        eps_dual = p * cfg.eps_abs + cfg.eps_rel * rho1 * float(np.linalg.norm(U))
+        Z = Z_new
+        if primal <= eps_pri and dual <= eps_dual:
+            if not cfg.kkt_refine:
+                stop_reason = "residuals"
+                break
+            kkt = solver.kkt_residual(Z, S, idx, l1_coord, op)
+            if kkt <= solver._KKT_TOL_FACTOR * cfg.eps_abs:
+                stop_reason = "kkt"
+                break
+            if not math.isfinite(kkt):
+                stop_reason = "residuals"
+                break
+        if primal > 10.0 * dual and rho1 * 2.0 <= solver._RHO_MAX:
+            rho1 *= 2.0
+            U = U / 2.0
+        elif dual > 10.0 * primal and rho1 / 2.0 >= solver._RHO_MIN:
+            rho1 /= 2.0
+            U = U * 2.0
+    if not is_positive_definite(Z):
+        Z = solver.theta_step(S, Z, U, rho1)
+    return Z, iterations, stop_reason

@@ -19,6 +19,7 @@ from pdglasso.cli import (
     report_fit_result,
     write_grid_csv,
 )
+from pdglasso.errors import MleError
 from pdglasso.model import GridPoint, PdColouredGraph, n_params, rcon_residual
 from pdglasso.paired import PairedIndex, swap_blocks
 from pdglasso.penalties import lambda1_diag_max
@@ -222,6 +223,21 @@ class TestFit:
         doc = read_fit_report(str(out))
         assert dump_report(doc).encode() == first
 
+    def test_report_carries_polish_work(self, tmp_path, rng):
+        cov = write_cov(tmp_path / "S.csv", random_pd(6, rng))
+        out = tmp_path / "report.json"
+        main([
+            "fit", str(cov), "--cov", "--lambda1", "0.1", "--n", "25",
+            "--lambda2-inside", "0.05", "--output", str(out),
+        ])
+        doc = read_fit_report(str(out))
+        rep = doc["solver_report"]
+        assert rep["polish_attempts"] >= 1 and rep["stop_reason"] == "kkt"
+        assert rep["converged"] is True
+        assert report_fit_result(doc).report.polish_attempts == rep["polish_attempts"]
+        del rep["polish_attempts"]  # a report written before the polish existed
+        assert report_fit_result(doc).report.polish_attempts == 0
+
     def test_report_carries_refit_certificate(self, tmp_path, rng):
         S = random_pd(4, rng)
         cov = write_cov(tmp_path / "S.csv", S)
@@ -340,7 +356,8 @@ class TestPath:
         assert lines[0] == "stage,lambda1,lambda2,ebic,d,converged,stop_reason,error"
         assert len(lines) - 1 == 2 * m  # stage-1 winner reused, not re-solved
         rows = list(csv.DictReader(io.StringIO(grid.read_text())))
-        assert all(r["stop_reason"] == "residuals" and r["error"] == "" for r in rows)
+        # --no-kkt-refine stops on the residuals or on a certified face polish
+        assert all(r["stop_reason"] in ("residuals", "kkt") and r["error"] == "" for r in rows)
 
     def test_grid_csv_shows_failure_text(self):
         points = [
@@ -403,6 +420,29 @@ class TestSimulateCommand:
 
     def test_invalid_spec(self, tmp_path):
         assert main(["simulate", "--p", "7", "--n-list", "10"]) == 1
+
+    def test_failed_cell_is_named_on_stderr(self, tmp_path, monkeypatch, capsys):
+        import pdglasso.simulate as simulate
+
+        calls = []
+        real = simulate.model_select
+
+        def fail_first(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise MleError("every penalty grid point failed")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(simulate, "model_select", fail_first)
+        out = tmp_path / "table.csv"
+        assert main(self.ARGS + ["--output", str(out), "--threads", "1"]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            "simulate: cell n=40 rep=0 method=pdglasso failed: every penalty grid point failed"
+        ]
+        rows = list(csv.DictReader(io.StringIO(out.read_text())))
+        assert [r["f1"] for r in rows].count("nan") == 1
+        assert rows[0]["method"] == "pdglasso" and rows[0]["converged"] == "false"
 
 
 def _add_edge(i, j, kind):

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdglasso.errors import NotPositiveDefiniteError
-from pdglasso.paired import PairedIndex, pd_vec, swap_blocks
+from pdglasso import solver
+from pdglasso.errors import MleError, NotPositiveDefiniteError
+from pdglasso.paired import PairedIndex, is_positive_definite, pd_vec, swap_blocks
 from pdglasso.penalties import (
     INF,
     PenaltySpec,
@@ -18,6 +19,7 @@ from pdglasso.penalties import (
 from pdglasso.solver import (
     AdmmConfig,
     FusedDiffOperator,
+    _penalty_weights,
     _weighted_objective,
     fused_l1_prox,
     kkt_residual,
@@ -25,12 +27,14 @@ from pdglasso.solver import (
     optimality_residual,
     pdglasso_solve,
     soft_threshold,
+    solve_weighted,
     theta_step,
     z_step,
 )
 
 from conftest import random_pd, random_sym
 from oracles import (
+    admm_loop,
     dense_F,
     kkt_violation_loop,
     pair_prox,
@@ -466,6 +470,109 @@ class TestPdglassoSolve:
         assert np.abs(np.diag(theta_pen) - 1.0 / (np.diag(S) + lam)).max() < 1e-6
 
 
+def face_masks(theta, idx, op):
+    """Zero, tie and sign masks of an estimate over the active fused rows."""
+    z = pd_vec(theta, idx)
+    active = op.weights > 0
+    gap = z[op.first[active]] - z[op.second[active]]
+    return z == 0, gap == 0, np.sign(z), np.sign(gap)
+
+
+def random_instance(data):
+    """A small paired problem with finite and infinite fused components."""
+    q = data.draw(st.integers(1, 4))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    r = np.random.default_rng(seed)
+    S = random_pd(2 * q, r)
+    idx = PairedIndex(q)
+    top = lambda2_sym_max(S, idx)
+    component = st.sampled_from([0.0, INF]) | st.floats(0.05, 1.0).map(lambda c: c * top)
+    spec = PenaltySpec(
+        data.draw(st.floats(0.05, 0.9)) * lambda1_diag_max(S),
+        data.draw(component), data.draw(component), data.draw(component),
+    )
+    return S, idx, spec
+
+
+class TestFacePolish:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_plain_admm(self, data):
+        S, idx, spec = random_instance(data)
+        cfg = AdmmConfig(eps_abs=1e-10, eps_rel=1e-10)
+        l1, op = _penalty_weights(spec, idx)
+        theta, report = solve_weighted(S, idx, l1, op, cfg)
+        ref, _, ref_stop = admm_loop(S, idx, l1, op, cfg)
+        assert report.stop_reason == ref_stop == "kkt"
+        for got, want in zip(face_masks(theta, idx, op), face_masks(ref, idx, op)):
+            assert np.array_equal(got, want)
+        assert np.abs(theta - ref).max() <= 1e-6
+
+    @pytest.mark.parametrize("kkt_refine", [True, False])
+    def test_rejected_polish_leaves_admm_unchanged(self, rng, monkeypatch, kkt_refine):
+        def fail(*args, **kwargs):
+            raise MleError("face solver failed")
+
+        monkeypatch.setattr(solver, "_rcon_newton", fail)
+        S = random_pd(8, rng)
+        idx = PairedIndex(4)
+        cfg = AdmmConfig(kkt_refine=kkt_refine)
+        l1, op = _penalty_weights(PenaltySpec(0.1, INF, 0.05, 0.02), idx)
+        theta, report = solve_weighted(S, idx, l1, op, cfg)
+        ref, iterations, stop_reason = admm_loop(S, idx, l1, op, cfg)
+        assert report.polish_attempts >= 1
+        assert np.array_equal(theta, ref)
+        assert report.outer_iterations == iterations
+        assert report.stop_reason == stop_reason
+
+    def test_polished_estimate_is_certified_with_exact_zeros_and_ties(self, rng):
+        cfg = AdmmConfig()
+        S = random_pd(8, rng)
+        idx = PairedIndex(4)
+        spec = PenaltySpec(0.1, INF, 0.05, 0.02)
+        theta, report = pdglasso_solve(S, spec, cfg)
+        assert report.stop_reason == "kkt" and report.polish_attempts >= 1
+        assert optimality_residual(theta, S, spec) <= 10 * cfg.eps_abs
+        l1, op = _penalty_weights(spec, idx)
+        assert admm_loop(S, idx, l1, op, cfg)[1] > report.outer_iterations
+        zeros, ties, _, _ = face_masks(theta, idx, op)
+        assert zeros.any() and ties[idx.q:].any()  # zeros and finite-weight ties
+        G = pd_vec(S - np.linalg.inv(theta), idx)
+        assert kkt_violation(pd_vec(theta, idx), G, l1, op, 0.0) <= 10 * cfg.eps_abs
+        assert report.kkt_residual <= 10 * cfg.eps_abs
+
+    def test_polish_keeps_only_a_certified_face(self, rng):
+        cfg = AdmmConfig()
+        S = random_pd(8, rng)
+        idx = PairedIndex(4)
+        spec = PenaltySpec(0.1, INF, 0.05, 0.0)  # across entries are in no active row
+        l1, op = _penalty_weights(spec, idx)
+        theta, _ = solve_weighted(S, idx, l1, op, cfg)
+        theta_again, kkt = solver._polish(S, idx, theta, l1, op, cfg)
+        assert kkt <= 10 * cfg.eps_abs
+        assert np.abs(theta_again - theta).max() <= 1e-8
+        # the same face with one more zero: Newton solves it, the certificate
+        # rejects it
+        z = pd_vec(theta, idx)
+        active = op.weights > 0
+        in_row = np.isin(np.arange(len(z)), np.concatenate([op.first[active], op.second[active]]))
+        alone = (z != 0) & ~idx.diagonal & ~in_row
+        k = np.flatnonzero(alone)[np.argmin(np.abs(z[alone]))]
+        wrong = theta.copy()
+        i, j = idx.coords[0][k], idx.coords[1][k]
+        wrong[i, j] = wrong[j, i] = 0.0
+        assert is_positive_definite(wrong)
+        assert solver._polish(S, idx, wrong, l1, op, cfg) is None
+
+    def test_residuals_stop_when_met_before_a_polish(self, rng):
+        S = random_pd(6, rng)
+        spec = PenaltySpec.uniform(0.1, 0.05)
+        cfg = AdmmConfig(eps_abs=1e-3, eps_rel=1e-3, kkt_refine=False)
+        _, report = pdglasso_solve(S, spec, cfg)
+        assert report.converged and report.stop_reason == "residuals"
+        assert report.polish_attempts == 0
+
+
 class TestAdmmConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -485,7 +592,10 @@ class TestAdmmConfig:
         S = random_pd(6, rng)
         spec = PenaltySpec.uniform(0.1, 0.05)
         _, report = pdglasso_solve(S, spec, AdmmConfig(kkt_refine=False))
-        assert report.converged and report.stop_reason == "residuals"
+        # the face polish runs without kkt_refine and certifies before the
+        # residuals are met
+        assert report.converged and report.stop_reason == "kkt"
+        assert report.polish_attempts >= 1
         _, report = pdglasso_solve(S, spec, AdmmConfig())
         assert report.converged and report.stop_reason == "kkt"
 
