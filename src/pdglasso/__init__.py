@@ -30,7 +30,6 @@ from .penalties import (
 )
 from .solver import (
     AdmmConfig,
-    FusedDiffOperator,
     SolveReport,
     optimality_residual,
     pdglasso_solve,

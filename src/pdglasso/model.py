@@ -145,7 +145,7 @@ class PdColouredGraph:
         ])
 
     def coloured_row_mask(self) -> np.ndarray:
-        """Fused-operator rows constrained to exact equality by colours."""
+        """Rows of :attr:`PairedIndex.fused_pairs` tied exactly by colours."""
         return np.concatenate(
             [self.vertex_coloured, self.inside_coloured, self.across_coloured]
         )
@@ -274,8 +274,8 @@ def ebic(theta_mle: np.ndarray, S: np.ndarray, n: int, d: int, gamma: float) -> 
         raise ValueError(f"sample size must be >= 1, got {n}")
     if d < 0:
         raise ValueError(f"parameter count must be >= 0, got {d}")
-    if gamma < 0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
+    if not 0 <= gamma < math.inf:  # NaN fails too
+        raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
     p = theta_mle.shape[0]
     ll = log_likelihood(theta_mle, S)
     return -n * ll + math.log(n) * d + 4.0 * d * gamma * math.log(p)

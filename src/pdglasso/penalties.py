@@ -61,8 +61,9 @@ def parse_penalty_value(text: str) -> PenaltyValue:
 class PenaltySpec:
     """l1 weight plus the three fused penalty components.
 
-    Each lambda2 component is 0.0 (off), a finite nonnegative weight, or the
-    symbolic ``INF`` enforcing exact equality of the corresponding entries.
+    ``lambda1`` is a finite nonnegative weight.  Each lambda2 component is
+    0.0 (off), a finite nonnegative weight, or the symbolic ``INF`` enforcing
+    exact equality of the corresponding entries.
     """
 
     lambda1: float
@@ -71,12 +72,13 @@ class PenaltySpec:
     lambda2_across: PenaltyValue = 0.0
 
     def __post_init__(self):
-        if self.lambda1 < 0:
-            raise ValueError(f"lambda1 must be >= 0, got {self.lambda1}")
+        # written so that NaN fails; a float inf is not the symbol INF
+        if not 0 <= self.lambda1 < math.inf:
+            raise ValueError(f"lambda1 must be finite and >= 0, got {self.lambda1}")
         for name in ("lambda2_vertex", "lambda2_inside", "lambda2_across"):
             value = getattr(self, name)
-            if not is_inf(value) and value < 0:
-                raise ValueError(f"{name} must be >= 0 or Inf, got {value}")
+            if not (is_inf(value) or 0 <= value < math.inf):
+                raise ValueError(f"{name} must be finite and >= 0, or Inf, got {value}")
 
     @classmethod
     def uniform(cls, lambda1: float, lambda2: float) -> "PenaltySpec":

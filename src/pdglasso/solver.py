@@ -2,11 +2,12 @@
 
 The loop splits the penalized log-likelihood over (Theta, Z, U): an analytic
 log-det proximal step for Theta, a fused/l1 proximal step for Z in
-half-vectorized coordinates, and a scaled dual update.  Every coordinate
-belongs to at most one fused difference row, so the Z step has a closed form:
-each fused pair keeps its mean and soft-thresholds its gap, then the l1
-soft-threshold follows.  The difference operator is never materialized as a
-dense matrix.
+half-vectorized coordinates, and a scaled dual update.  The fused penalty
+is sum_r w_r |z[a_r] - z[b_r]| over the rows (a_r, b_r) of
+:attr:`PairedIndex.fused_pairs`, passed as one row-weight vector ``row_w``;
+the difference operator is never built.  Every coordinate belongs to at most
+one row, so the Z step has a closed form: each fused pair keeps its mean and
+soft-thresholds its gap, then the l1 soft-threshold follows.
 
 Infinite weights are exact: an infinite row weight ties its pair and an
 infinite l1 weight zeroes its coordinate in every iterate.  Constrained
@@ -86,10 +87,8 @@ class AdmmConfig:
 
     def __post_init__(self):
         for name in ("eps_abs", "eps_rel"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
-        if self.eps_abs > 1e-2 or self.eps_rel > 1e-2:
-            raise ValueError("stopping tolerances must be <= 1e-2")
+            if not 0 < getattr(self, name) <= 1e-2:  # NaN fails too
+                raise ValueError(f"{name} must be in (0, 1e-2], got {getattr(self, name)}")
         if self.max_outer < 1:
             raise ValueError("iteration limit must be >= 1")
 
@@ -145,52 +144,6 @@ def soft_threshold(x, t):
     return out
 
 
-@dataclass(frozen=True)
-class FusedDiffOperator:
-    """Pairwise difference operator over half-vectorized coordinates.
-
-    Row r computes v[first[r]] - v[second[r]] over the rows of
-    :attr:`PairedIndex.fused_pairs`; ``weights`` holds one fused penalty
-    weight per row.
-    """
-
-    q: int
-    first: np.ndarray
-    second: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        for arr in (self.first, self.second, self.weights):
-            arr.setflags(write=False)
-        if not (len(self.first) == len(self.second) == len(self.weights)):
-            raise DimensionError("operator index/weight arrays must have equal length")
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.first)
-
-    @classmethod
-    def from_row_weights(cls, idx: PairedIndex, weights: np.ndarray) -> "FusedDiffOperator":
-        first, second = idx.fused_pairs
-        weights = np.asarray(weights, dtype=float).copy()
-        if weights.shape != first.shape:
-            raise DimensionError(
-                f"expected {len(first)} row weights for q={idx.q}, got {weights.shape}"
-            )
-        return cls(idx.q, first, second, weights)
-
-    @classmethod
-    def from_components(
-        cls, idx: PairedIndex, w_vertex: float, w_inside: float, w_across: float
-    ) -> "FusedDiffOperator":
-        return cls.from_row_weights(idx, idx.component_rows(w_vertex, w_inside, w_across))
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        """Row-wise differences; never builds the dense matrix."""
-        v = np.asarray(v, dtype=float)
-        return v[self.first] - v[self.second]
-
-
 def theta_step(S: np.ndarray, Z: np.ndarray, U: np.ndarray, rho1: float) -> np.ndarray:
     """Analytic log-det proximal step.
 
@@ -209,11 +162,20 @@ def theta_step(S: np.ndarray, Z: np.ndarray, U: np.ndarray, rho1: float) -> np.n
     return (Q * x) @ Q.T
 
 
+def _active_rows(idx: PairedIndex, row_w: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Coordinates (a, b) and weights of the positively weighted fused rows."""
+    active = row_w > 0
+    first, second = idx.fused_pairs
+    return first[active], second[active], row_w[active]
+
+
 def fused_l1_prox(
-    b: np.ndarray, op: FusedDiffOperator, l1_coord, rho: float
+    b: np.ndarray, idx: PairedIndex, l1_coord, row_w: np.ndarray, rho: float
 ) -> np.ndarray:
     """Closed-form minimizer of
-    (rho/2) ||z - b||^2 + sum_r w_r |z[first_r] - z[second_r]| + sum_i l1_i |z_i|.
+    (rho/2) ||z - b||^2 + sum_r w_r |z[first_r] - z[second_r]| + sum_i l1_i |z_i|,
+    the rows r being :attr:`PairedIndex.fused_pairs` and ``row_w`` their
+    weights.
 
     Every coordinate lies in at most one row, so the problem splits into
     independent pairs.  Each positively weighted row keeps its pair's mean and
@@ -224,10 +186,9 @@ def fused_l1_prox(
     their coordinates untouched.
     """
     z = np.array(b, dtype=float)
-    active = op.weights > 0
-    a, c = op.first[active], op.second[active]
+    a, c, w = _active_rows(idx, row_w)
     mean = 0.5 * (z[a] + z[c])
-    half_gap = 0.5 * soft_threshold(z[a] - z[c], 2.0 * op.weights[active] / rho)
+    half_gap = 0.5 * soft_threshold(z[a] - z[c], 2.0 * w / rho)
     z[a] = mean + half_gap
     z[c] = mean - half_gap
     return soft_threshold(z, np.asarray(l1_coord, dtype=float) / rho)
@@ -235,8 +196,8 @@ def fused_l1_prox(
 
 def _penalty_weights(
     spec: PenaltySpec, idx: PairedIndex, diag_penalty: bool = True
-) -> tuple[np.ndarray, FusedDiffOperator]:
-    """Per-coordinate l1 weights and the fused operator of ``spec``.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-coordinate l1 weights and per-row fused weights of ``spec``.
 
     ``INF`` components become ``math.inf`` row weights; with ``diag_penalty``
     unset the l1 weight is dropped on the diagonal entries.
@@ -245,7 +206,7 @@ def _penalty_weights(
     if not diag_penalty:
         l1_coord[idx.diagonal] = 0.0
     weights = [math.inf if is_inf(c) else float(c) for c in spec.components]
-    return l1_coord, FusedDiffOperator.from_components(idx, *weights)
+    return l1_coord, idx.component_rows(*weights)
 
 
 def z_step(A: np.ndarray, spec: PenaltySpec, rho1: float) -> np.ndarray:
@@ -255,8 +216,8 @@ def z_step(A: np.ndarray, spec: PenaltySpec, rho1: float) -> np.ndarray:
     :func:`fused_l1_prox`; ``INF`` components give exact ties.
     """
     idx = PairedIndex.from_p(A.shape[0])
-    l1_coord, op = _penalty_weights(spec, idx)
-    return pd_unvec(fused_l1_prox(pd_vec(A, idx), op, l1_coord, rho1), idx)
+    l1_coord, row_w = _penalty_weights(spec, idx)
+    return pd_unvec(fused_l1_prox(pd_vec(A, idx), idx, l1_coord, row_w, rho1), idx)
 
 
 def _weighted_abs_sum(weights: np.ndarray, values: np.ndarray) -> float:
@@ -267,7 +228,7 @@ def _weighted_abs_sum(weights: np.ndarray, values: np.ndarray) -> float:
 
 
 def _weighted_objective(
-    Z: np.ndarray, S: np.ndarray, idx: PairedIndex, l1_coord: np.ndarray, op: FusedDiffOperator
+    Z: np.ndarray, S: np.ndarray, idx: PairedIndex, l1_coord: np.ndarray, row_w: np.ndarray
 ) -> float:
     """Penalized negative log-likelihood with per-coordinate/per-row weights."""
     try:
@@ -278,36 +239,36 @@ def _weighted_objective(
     nll = -(logdet - float(np.sum(S * Z)))
     mult = np.where(idx.diagonal, 1.0, 2.0)  # matrix entries per coordinate
     l1 = _weighted_abs_sum(mult * l1_coord, z)
-    fused = _weighted_abs_sum(mult[op.first] * op.weights, op.apply(z))
+    first, second = idx.fused_pairs
+    fused = _weighted_abs_sum(mult[first] * row_w, z[first] - z[second])
     return nll + l1 + fused
 
 
 def kkt_residual(
-    Z: np.ndarray,
-    S: np.ndarray,
-    idx: PairedIndex,
-    l1_coord: np.ndarray,
-    op: FusedDiffOperator,
+    Z: np.ndarray, S: np.ndarray, idx: PairedIndex, l1_coord: np.ndarray, row_w: np.ndarray
 ) -> float:
-    """Largest coordinate-wise violation of the first-order conditions at Z.
+    """Optimality certificate of a solver iterate Z: the largest
+    coordinate-wise violation of the first-order conditions.
 
     The smooth gradient is G = S - Z^{-1}; see :func:`kkt_violation` for the
-    conditions, with pairs within 1e-7 max(1, max|Z|) of each other counted
-    as tied.  Returns +inf when Z is not positive definite (checked by
-    Cholesky).
+    conditions.  Ties are read exactly, as the proximal step and the face
+    polish make them.  Returns +inf when Z is not positive definite (checked
+    by Cholesky).
     """
     if not is_positive_definite(Z):
         return math.inf
-    z = pd_vec(Z, idx)
-    tie_tol = 1e-7 * max(1.0, float(np.abs(z).max()))
-    return kkt_violation(z, pd_vec(S - np.linalg.inv(Z), idx), l1_coord, op, tie_tol)
+    G = pd_vec(S - np.linalg.inv(Z), idx)
+    return kkt_violation(pd_vec(Z, idx), G, idx, l1_coord, row_w, 0.0)
 
 
 def kkt_violation(
-    z: np.ndarray, G: np.ndarray, l1_coord: np.ndarray, op: FusedDiffOperator, tie_tol: float
+    z: np.ndarray, G: np.ndarray, idx: PairedIndex, l1_coord: np.ndarray,
+    row_w: np.ndarray, tie_tol: float,
 ) -> float:
     """Largest violation of the first-order conditions in half-vectorized
-    coordinates, given the iterate z and the smooth gradient G.
+    coordinates, given the iterate z and the smooth gradient G, under the
+    per-coordinate l1 weights and the per-row weights ``row_w`` of
+    :attr:`PairedIndex.fused_pairs`.
 
     Works in normalized per-coordinate units: zero coordinates must satisfy
     |G| <= l1 weight (plus the fused weight where applicable), nonzero ones
@@ -317,8 +278,7 @@ def kkt_violation(
     meets them and adds nothing, anything else returns +inf.
     """
     l1_coord = np.asarray(l1_coord, dtype=float)
-    active = op.weights > 0
-    a, b, w = op.first[active], op.second[active], op.weights[active]
+    a, b, w = _active_rows(idx, row_w)
     za, zb = z[a], z[b]
     hard_row = np.isinf(w)
     if np.any(z[np.isinf(l1_coord)] != 0) or np.any(za[hard_row] != zb[hard_row]):
@@ -368,12 +328,8 @@ def _face(z: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _polish(
-    S: np.ndarray,
-    idx: PairedIndex,
-    Z: np.ndarray,
-    l1_coord: np.ndarray,
-    op: FusedDiffOperator,
-    cfg: AdmmConfig,
+    Z: np.ndarray, S: np.ndarray, idx: PairedIndex, l1_coord: np.ndarray,
+    row_w: np.ndarray, cfg: AdmmConfig,
 ) -> Optional[tuple[np.ndarray, float]]:
     """Solve the penalized problem on the face of the positive definite Z by
     Newton's method, started at Z.
@@ -382,42 +338,37 @@ def _polish(
     on each nonzero coordinate, plus w_r sign(z_a - z_b) on a and minus it
     on b for each untied active row r.  So the face solver with S + Delta,
     the zeros of z absent and the tied rows coloured, minimizes the
-    objective there.  Returns (Theta, certificate) when the certificate
-    with exact ties meets ``_KKT_TOL_FACTOR * eps_abs``, otherwise None.
+    objective there.  Returns (Theta, certificate) when
+    :func:`kkt_residual` meets ``_KKT_TOL_FACTOR * eps_abs``, otherwise None.
     """
     tol = _KKT_TOL_FACTOR * cfg.eps_abs
     z = pd_vec(Z, idx)
-    active = op.weights > 0
-    a, b = op.first[active], op.second[active]
+    a, b, w = _active_rows(idx, row_w)
     gap = z[a] - z[b]
     untied = gap != 0  # never an infinite row: the proximal step ties those
     nonzero = z != 0  # never an infinite l1 weight: those coordinates are zero
     delta = np.zeros(len(z))
     delta[nonzero] = l1_coord[nonzero] * np.sign(z[nonzero])
-    shift = op.weights[active][untied] * np.sign(gap[untied])
+    shift = w[untied] * np.sign(gap[untied])
     delta[a[untied]] += shift
     delta[b[untied]] -= shift
-    coloured = np.zeros(op.n_rows, dtype=bool)
-    coloured[np.flatnonzero(active)[~untied]] = True
+    coloured = row_w > 0
+    coloured[coloured] = ~untied
     try:
         Theta = _rcon_newton(
             S + pd_unvec(delta, idx), idx, ~nonzero, coloured, tol, cfg.max_outer, Z
         )
     except MleError:
         return None
-    G = pd_vec(S - np.linalg.inv(Theta), idx)
-    kkt = kkt_violation(pd_vec(Theta, idx), G, l1_coord, op, 0.0)
+    kkt = kkt_residual(Theta, S, idx, l1_coord, row_w)
     return (Theta, kkt) if kkt <= tol else None
 
 
 def solve_weighted(
-    S: np.ndarray,
-    idx: PairedIndex,
-    l1_coord: np.ndarray,
-    op: FusedDiffOperator,
-    cfg: AdmmConfig,
+    S: np.ndarray, idx: PairedIndex, l1_coord: np.ndarray, row_w: np.ndarray, cfg: AdmmConfig
 ) -> tuple[np.ndarray, SolveReport]:
-    """Run the ADMM with explicit per-coordinate l1 and per-row fused weights.
+    """Run the ADMM with explicit per-coordinate l1 weights and one weight
+    per row of :attr:`PairedIndex.fused_pairs` in ``row_w``.
 
     Infinite weights are exact constraints: an infinite l1 weight holds its
     coordinate at zero and an infinite row weight ties its pair.  Within any
@@ -440,8 +391,10 @@ def solve_weighted(
     l1_coord = np.asarray(l1_coord, dtype=float)
     if l1_coord.shape != (idx.vec_length,):
         raise DimensionError("l1 weight vector has wrong length")
-    active = op.weights > 0
-    a, b = op.first[active], op.second[active]
+    row_w = np.asarray(row_w, dtype=float)
+    if row_w.shape != (idx.n_rows,):
+        raise DimensionError("row weight vector has wrong length")
+    a, b, _ = _active_rows(idx, row_w)
     if np.any(l1_coord[a] != l1_coord[b]):
         raise ValueError("l1 weights must match within each active fused pair")
 
@@ -462,7 +415,7 @@ def solve_weighted(
     for l in range(cfg.max_outer):
         iterations = l + 1
         Theta = theta_step(S, Z, U, rho1)
-        z = fused_l1_prox(pd_vec(Theta + U, idx), op, l1_coord, rho1)
+        z = fused_l1_prox(pd_vec(Theta + U, idx), idx, l1_coord, row_w, rho1)
         Z_new = pd_unvec(z, idx)
         U = U + Theta - Z_new
 
@@ -477,7 +430,7 @@ def solve_weighted(
             if not cfg.kkt_refine:
                 stop_reason = "residuals"
                 break
-            kkt = kkt_residual(Z, S, idx, l1_coord, op)
+            kkt = kkt_residual(Z, S, idx, l1_coord, row_w)
             if kkt <= _KKT_TOL_FACTOR * cfg.eps_abs:
                 stop_reason = "kkt"
                 break
@@ -492,7 +445,7 @@ def solve_weighted(
                 and is_positive_definite(Z)):
             tried = face
             polish_attempts += 1
-            polished = _polish(S, idx, Z, l1_coord, op, cfg)
+            polished = _polish(Z, S, idx, l1_coord, row_w, cfg)
             if polished is not None:
                 stop_reason = "kkt"
                 break
@@ -516,7 +469,7 @@ def solve_weighted(
         outer_iterations=iterations,
         primal_residual=primal,
         dual_residual=dual,
-        objective_value=_weighted_objective(result, S, idx, l1_coord, op),
+        objective_value=_weighted_objective(result, S, idx, l1_coord, row_w),
         kkt_residual=None if kkt is None else float(kkt),
         z_not_pd=bool(z_not_pd),
         stop_reason=stop_reason,
@@ -553,8 +506,8 @@ def pdglasso_solve(
             "with all penalties zero the problem is unbounded unless S is positive definite"
         )
 
-    l1_coord, op = _penalty_weights(spec, idx, diag_penalty)
-    return solve_weighted(S, idx, l1_coord, op, cfg)
+    l1_coord, row_w = _penalty_weights(spec, idx, diag_penalty)
+    return solve_weighted(S, idx, l1_coord, row_w, cfg)
 
 
 def optimality_residual(
@@ -562,9 +515,15 @@ def optimality_residual(
 ) -> float:
     """Coordinate-wise first-order residual of the objective at ``theta``.
 
-    ``INF`` components are constraints (see :func:`kkt_violation`): +inf
-    when ``theta`` breaks one.
+    As :func:`kkt_residual`, but for a matrix that need not come from the
+    solver: pairs within 1e-7 max(1, max|theta|) of each other count as
+    tied.  ``INF`` components are constraints (see :func:`kkt_violation`):
+    +inf when ``theta`` breaks one.
     """
     idx = PairedIndex.from_p(theta.shape[0])
-    l1_coord, op = _penalty_weights(spec, idx, diag_penalty)
-    return kkt_residual(theta, S, idx, l1_coord, op)
+    if not is_positive_definite(theta):
+        return math.inf
+    l1_coord, row_w = _penalty_weights(spec, idx, diag_penalty)
+    z = pd_vec(theta, idx)
+    G = pd_vec(S - np.linalg.inv(theta), idx)
+    return kkt_violation(z, G, idx, l1_coord, row_w, 1e-7 * max(1.0, float(np.abs(z).max())))

@@ -310,7 +310,7 @@ def ips_ggm_mle(S, cliques, max_iter=2000, tol=1e-13):
     return K
 
 
-def admm_loop(S, idx, l1_coord, op, cfg):
+def admm_loop(S, idx, l1_coord, row_w, cfg):
     """Reference for ``solve_weighted``: the same ADMM loop, from the same
     production steps, without the Newton polish on the identified face.
 
@@ -330,7 +330,7 @@ def admm_loop(S, idx, l1_coord, op, cfg):
     for l in range(cfg.max_outer):
         iterations = l + 1
         Theta = solver.theta_step(S, Z, U, rho1)
-        Z_new = pd_unvec(solver.fused_l1_prox(pd_vec(Theta + U, idx), op, l1_coord, rho1), idx)
+        Z_new = pd_unvec(solver.fused_l1_prox(pd_vec(Theta + U, idx), idx, l1_coord, row_w, rho1), idx)
         U = U + Theta - Z_new
         primal = float(np.linalg.norm(Theta - Z_new))
         dual = rho1 * float(np.linalg.norm(Z_new - Z))
@@ -343,7 +343,7 @@ def admm_loop(S, idx, l1_coord, op, cfg):
             if not cfg.kkt_refine:
                 stop_reason = "residuals"
                 break
-            kkt = solver.kkt_residual(Z, S, idx, l1_coord, op)
+            kkt = solver.kkt_residual(Z, S, idx, l1_coord, row_w)
             if kkt <= solver._KKT_TOL_FACTOR * cfg.eps_abs:
                 stop_reason = "kkt"
                 break

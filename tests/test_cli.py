@@ -291,6 +291,45 @@ class TestInputValidation:
         assert main(["thresholds", "no-such-file.csv"]) == 1
 
 
+class TestNonFiniteSettings:
+    @pytest.mark.parametrize("flags", [
+        ["--lambda1", "inf"],
+        ["--lambda1", "nan"],
+        ["--lambda1", "0.1", "--lambda2-inside", "nan"],
+        ["--lambda1", "0.1", "--eps-abs", "nan"],
+        ["--lambda1", "0.1", "--eps-rel", "nan"],
+    ])
+    def test_fit_exits_1_before_any_solve(self, tmp_path, monkeypatch, capsys, flags):
+        from pdglasso import solver
+
+        calls = []
+        monkeypatch.setattr(solver, "solve_weighted", lambda *a, **k: calls.append(a))
+        cov = write_cov(tmp_path / "S.csv", np.eye(4))
+        out = tmp_path / "report.json"
+        assert main(["fit", str(cov), "--cov", "--n", "10", "-o", str(out), *flags]) == 1
+        assert calls == [] and not out.exists()
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", [["fit", "--lambda1", "0.1"], ["path", "--m", "2"]])
+    def test_nan_gamma_exits_1_without_a_report(self, tmp_path, capsys, command):
+        cov = write_cov(tmp_path / "S.csv", np.eye(4))
+        out = tmp_path / "report.json"
+        code = main([command[0], str(cov), "--cov", "--n", "10", *command[1:],
+                     "--gamma", "nan", "-o", str(out)])
+        assert code == 1 and not out.exists()
+        assert "gamma must be finite" in capsys.readouterr().err
+
+    def test_simulate_nan_gamma_exits_1_before_any_cell(self, tmp_path, monkeypatch):
+        import pdglasso.simulate as simulate
+
+        calls = []
+        monkeypatch.setattr(simulate, "model_select", lambda *a, **k: calls.append(a))
+        out = tmp_path / "table.csv"
+        code = main(TestSimulateCommand.ARGS + ["--gamma", "nan", "--threads", "1",
+                                                "--output", str(out)])
+        assert code == 1 and calls == [] and not out.exists()
+
+
 class TestThresholds:
     def test_q1_frozen_values(self, tmp_path, capsys):
         S = np.array([[2.0, 0.5], [0.5, 1.0]])
@@ -368,6 +407,38 @@ class TestPath:
         (row,) = csv.DictReader(io.StringIO(fh.getvalue()))
         assert row["ebic"] == "" and row["stop_reason"] == ""
         assert row["error"] == "MLE failed, does not exist"
+
+    def test_failed_points_are_listed_and_a_winner_chosen(self, tmp_path):
+        # n = 6 < p = 20: at the smallest l1 weight the selected model has no MLE
+        data = write_data(tmp_path / "Y.csv", np.random.default_rng(0).standard_normal((6, 20)))
+        out, grid = tmp_path / "win.json", tmp_path / "grid.csv"
+        code = main(["path", str(data), "--m", "8", "-o", str(out), "--grid-csv", str(grid)])
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(grid.read_text())))
+        first = min(rows[:8], key=lambda r: float(r["lambda1"]))
+        assert first["error"].startswith("Newton system is numerically singular")
+        assert first["ebic"] == "" and first["converged"] == "false"
+        doc = read_fit_report(str(out))
+        assert doc["penalties"]["lambda1"] > float(first["lambda1"])
+        assert doc["theta_mle"] is not None
+
+    def test_every_point_failed_exits_2(self, tmp_path, capsys):
+        Y = np.random.default_rng(1).standard_normal((30, 6))
+        Y[:, 2] = 0.0  # a constant variable: no refit exists
+        data = write_data(tmp_path / "Y.csv", Y)
+        out = tmp_path / "win.json"
+        assert main(["path", str(data), "--m", "2", "-o", str(out)]) == 2
+        assert capsys.readouterr().err == "error: every penalty grid point failed\n"
+        assert not out.exists()
+
+    def test_infinite_mode_ties_every_vertex(self, tmp_path):
+        data = write_data(tmp_path / "Y.csv", np.random.default_rng(2).standard_normal((40, 6)))
+        out = tmp_path / "win.json"
+        code = main(["path", str(data), "--m", "3", "--lambda2-vertex", "Inf", "-o", str(out)])
+        assert code == 0
+        doc = read_fit_report(str(out))
+        assert doc["penalties"]["lambda2_vertex"] == "Inf"
+        assert doc["vertex_symmetries"] == ["g1_L", "g2_L", "g3_L"]
 
     def test_threads_flag_removed(self, tmp_path):
         cov = write_cov(tmp_path / "S.csv", np.eye(4))

@@ -26,7 +26,7 @@ from pdglasso.model import (
 from pdglasso.paired import PairedIndex, pd_vec, swap_blocks, symmetrize_paired
 from pdglasso.penalties import PenaltySpec, lambda2_sym_max
 from pdglasso.simulate import ScenarioSpec, mvn_sample_cov, pdrcon_covariance
-from pdglasso.solver import AdmmConfig, FusedDiffOperator, pdglasso_solve, solve_weighted
+from pdglasso.solver import AdmmConfig, pdglasso_solve, solve_weighted
 
 from conftest import (
     random_coloured_graph,
@@ -206,9 +206,9 @@ class TestMle:
             theta = mle(random_pd(6, rng), g)
             z = pd_vec(theta, idx)
             assert np.all(z[g.absent_coord_mask()] == 0.0)
-            op = FusedDiffOperator.from_row_weights(idx, np.zeros(idx.q + 2 * idx.s))
+            first, second = idx.fused_pairs
             tied = g.coloured_row_mask()
-            assert np.array_equal(z[op.first[tied]], z[op.second[tied]])
+            assert np.array_equal(z[first[tied]], z[second[tied]])
 
     def test_fully_symmetric_complete_is_averaged_inverse(self, rng):
         idx = PairedIndex(2)
@@ -237,9 +237,9 @@ def assert_exact_constraints(theta, g):
     idx = g.index
     z = pd_vec(theta, idx)
     assert np.all(z[g.absent_coord_mask()] == 0.0)
-    op = FusedDiffOperator.from_row_weights(idx, np.zeros(idx.q + 2 * idx.s))
+    first, second = idx.fused_pairs
     tied = g.coloured_row_mask()
-    assert np.array_equal(z[op.first[tied]], z[op.second[tied]])
+    assert np.array_equal(z[first[tied]], z[second[tied]])
 
 
 class TestMleNewton:
@@ -251,12 +251,10 @@ class TestMleNewton:
         S = random_pd(2 * q, r)
         idx = g.index
         l1 = np.where(g.absent_coord_mask(), math.inf, 0.0)
-        op = FusedDiffOperator.from_row_weights(
-            idx, np.where(g.coloured_row_mask(), math.inf, 0.0)
-        )
+        w = np.where(g.coloured_row_mask(), math.inf, 0.0)
         # the plain loop: solve_weighted's polish would use the face solver
         # under test
-        ref, _, stop_reason = admm_loop(S, idx, l1, op, AdmmConfig())
+        ref, _, stop_reason = admm_loop(S, idx, l1, w, AdmmConfig())
         assert stop_reason == "kkt"
         assert np.abs(mle(S, g) - ref).max() <= 1e-5
 
@@ -295,13 +293,11 @@ class TestMleNewton:
         cfg = AdmmConfig(max_outer=200)
         idx = g.index
         l1 = np.where(g.absent_coord_mask(), math.inf, 0.0)
-        op = FusedDiffOperator.from_row_weights(
-            idx, np.where(g.coloured_row_mask(), math.inf, 0.0)
-        )
+        w = np.where(g.coloured_row_mask(), math.inf, 0.0)
         # the plain Inf ADMM exhausts its budget; the polished solve certifies
         # on the same face solver as the refit
-        assert admm_loop(S, idx, l1, op, cfg)[2] == "max_outer"
-        _, report = solve_weighted(S, idx, l1, op, cfg)
+        assert admm_loop(S, idx, l1, w, cfg)[2] == "max_outer"
+        _, report = solve_weighted(S, idx, l1, w, cfg)
         assert report.stop_reason == "kkt" and report.polish_attempts >= 1
         theta = mle(S, g, cfg)
         assert rcon_residual(theta, S, g) <= 10 * cfg.eps_abs * max(1.0, np.abs(S).max())
@@ -388,6 +384,12 @@ class TestEbic:
             ebic(theta, theta, n=0, d=1, gamma=0.0)
         with pytest.raises(ValueError):
             ebic(theta, theta, n=10, d=-1, gamma=0.0)
+
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -0.5])
+    def test_gamma_must_be_finite_and_nonnegative(self, rng, gamma):
+        theta = random_pd(2, rng)
+        with pytest.raises(ValueError):
+            ebic(theta, theta, n=10, d=1, gamma=gamma)
 
 
 class TestLrt:

@@ -51,6 +51,17 @@ class TestPenaltySpec:
         with pytest.raises(ValueError):
             PenaltySpec(0.1, lambda2_inside=-1.0)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"lambda1": math.nan},
+        {"lambda1": math.inf},
+        {"lambda1": 0.1, "lambda2_vertex": math.nan},
+        {"lambda1": 0.1, "lambda2_inside": math.nan},
+        {"lambda1": 0.1, "lambda2_across": math.inf},  # the symbol INF is meant
+    ])
+    def test_rejects_non_finite(self, kwargs):
+        with pytest.raises(ValueError):
+            PenaltySpec(**kwargs)
+
     def test_inf_is_symbolic(self):
         spec = PenaltySpec(0.1, lambda2_vertex=INF)
         assert is_inf(spec.lambda2_vertex)

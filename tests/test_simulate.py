@@ -150,15 +150,14 @@ class TestPdrconCovariance:
         # inverse costs a few digits but stays far below any model tolerance
         theta = np.linalg.inv(Sigma)
         from pdglasso.paired import pd_vec
-        from pdglasso.solver import FusedDiffOperator
 
         idx = PairedIndex(4)
         z = pd_vec(theta, idx)
         absent = g.absent_coord_mask()
         assert np.abs(z[absent]).max() < 1e-10
-        op = FusedDiffOperator.from_row_weights(idx, np.zeros(idx.q + 2 * idx.s))
+        first, second = idx.fused_pairs
         coloured = g.coloured_row_mask()
-        diffs = z[op.first[coloured]] - z[op.second[coloured]]
+        diffs = z[first[coloured]] - z[second[coloured]]
         assert np.abs(diffs).max() < 1e-10
 
 
@@ -307,3 +306,8 @@ class TestScenarioSpecValidation:
     def test_rejects_bad_fraction(self):
         with pytest.raises(ValueError):
             _spec(frac=1.5)
+
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -0.5])
+    def test_rejects_bad_select_gamma(self, gamma):
+        with pytest.raises(ValueError):
+            _spec(select_gamma=gamma)

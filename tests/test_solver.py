@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdglasso import solver
-from pdglasso.errors import MleError, NotPositiveDefiniteError
+from pdglasso.errors import DimensionError, MleError, NotPositiveDefiniteError
 from pdglasso.paired import PairedIndex, is_positive_definite, pd_vec, swap_blocks
 from pdglasso.penalties import (
     INF,
@@ -18,7 +18,6 @@ from pdglasso.penalties import (
 )
 from pdglasso.solver import (
     AdmmConfig,
-    FusedDiffOperator,
     _penalty_weights,
     _weighted_objective,
     fused_l1_prox,
@@ -75,13 +74,19 @@ class TestSoftThreshold:
         assert abs(x - out) <= t + ulp
 
 
-class TestFusedDiffOperator:
+def fused_diffs(idx, v):
+    """F v, the differences over the rows of ``idx.fused_pairs``."""
+    first, second = idx.fused_pairs
+    return v[first] - v[second]
+
+
+class TestFusedPairs:
     def test_row_count_and_disjointness(self):
         for q in (1, 2, 3, 5):
             idx = PairedIndex(q)
-            op = FusedDiffOperator.from_components(idx, 1.0, 1.0, 1.0)
-            assert op.n_rows == q + 2 * idx.s
-            coords = np.concatenate([op.first, op.second])
+            first, second = idx.fused_pairs
+            assert idx.n_rows == len(first) == len(second) == q + 2 * idx.s
+            coords = np.concatenate([first, second])
             assert len(np.unique(coords)) == len(coords)
             # across-diagonal coordinates appear in no row
             diag_lr = np.arange(2 * q + 4 * idx.s, idx.vec_length)
@@ -92,22 +97,25 @@ class TestFusedDiffOperator:
         from pdglasso.paired import symmetrize_paired
 
         M = symmetrize_paired(random_sym(6, rng), idx)
-        op = FusedDiffOperator.from_components(idx, 1.0, 1.0, 1.0)
-        assert np.all(op.apply(pd_vec(M, idx)) == 0)
+        assert np.all(fused_diffs(idx, pd_vec(M, idx)) == 0)
 
     def test_q1_single_row(self):
         idx = PairedIndex(1)
-        op = FusedDiffOperator.from_components(idx, 1.0, 1.0, 1.0)
-        assert op.n_rows == 1
-        assert op.apply(np.array([2.0, 4.0, 1.0])).tolist() == [-2.0]
+        assert idx.n_rows == 1
+        assert fused_diffs(idx, np.array([2.0, 4.0, 1.0])).tolist() == [-2.0]
 
     def test_matches_dense_matrix(self, rng):
         for q in (1, 2, 3, 4):
             idx = PairedIndex(q)
-            op = FusedDiffOperator.from_components(idx, 1.0, 1.0, 1.0)
             F = dense_F(q)
             v = rng.standard_normal(idx.vec_length)
-            assert np.allclose(op.apply(v), F @ v)
+            assert np.allclose(fused_diffs(idx, v), F @ v)
+
+    def test_solve_needs_one_weight_per_row(self):
+        idx = PairedIndex(2)
+        l1 = np.zeros(idx.vec_length)
+        with pytest.raises(DimensionError):
+            solve_weighted(np.eye(4), idx, l1, np.zeros(idx.n_rows + 1), AdmmConfig())
 
 
 class TestThetaStep:
@@ -140,59 +148,56 @@ class TestInnerGeneralizedLasso:
     """The fused step as a generalized lasso over the difference operator,
     solved in closed form by :func:`fused_l1_prox`."""
 
-    def setup_op(self, weights):
-        idx = PairedIndex(1)
-        return idx, FusedDiffOperator.from_row_weights(idx, np.array(weights))
+    def setup_rows(self, weights):
+        return PairedIndex(1), np.array(weights)
 
     def test_zero_weights_identity(self, rng):
-        idx, op = self.setup_op([0.0])
+        idx, w = self.setup_rows([0.0])
         b = rng.standard_normal(3)
-        assert np.array_equal(fused_l1_prox(b, op, 0.0, 1.0), b)
+        assert np.array_equal(fused_l1_prox(b, idx, 0.0, w, 1.0), b)
 
     def test_pair_fuses_at_large_weight(self):
-        idx, op = self.setup_op([2.0])
-        z = fused_l1_prox(np.array([1.0, 3.0, 0.0]), op, 0.0, 1.0)
+        idx, w = self.setup_rows([2.0])
+        z = fused_l1_prox(np.array([1.0, 3.0, 0.0]), idx, 0.0, w, 1.0)
         assert z[0] == pytest.approx(2.0, abs=1e-7)
         assert z[1] == pytest.approx(2.0, abs=1e-7)
 
     def test_pair_shrinks_toward_mean(self):
-        idx, op = self.setup_op([0.5])
-        z = fused_l1_prox(np.array([1.0, 3.0, 0.0]), op, 0.0, 1.0)
+        idx, w = self.setup_rows([0.5])
+        z = fused_l1_prox(np.array([1.0, 3.0, 0.0]), idx, 0.0, w, 1.0)
         assert z[0] == pytest.approx(1.5, abs=1e-7)
         assert z[1] == pytest.approx(2.5, abs=1e-7)
 
     def test_matches_closed_form_on_random_pairs(self, rng):
         idx = PairedIndex(2)
-        op = FusedDiffOperator.from_components(idx, 0.8, 0.3, 1.2)
+        w = idx.component_rows(0.8, 0.3, 1.2)
         b = rng.standard_normal(idx.vec_length)
-        z = fused_l1_prox(b, op, 0.0, 1.0)
-        for r in range(op.n_rows):
-            a, c = op.first[r], op.second[r]
-            z1, z2 = pair_prox(b[a], b[c], op.weights[r], 0.0)
+        z = fused_l1_prox(b, idx, 0.0, w, 1.0)
+        for a, c, w_r in zip(*idx.fused_pairs, w):
+            z1, z2 = pair_prox(b[a], b[c], w_r, 0.0)
             assert z[a] == pytest.approx(z1, abs=1e-7)
             assert z[c] == pytest.approx(z2, abs=1e-7)
 
     def test_matches_fuse_then_shrink_with_l1_and_rho(self, rng):
         idx = PairedIndex(3)
-        op = FusedDiffOperator.from_components(idx, 0.8, 0.3, 1.2)
+        w = idx.component_rows(0.8, 0.3, 1.2)
         b = rng.standard_normal(idx.vec_length)
         rho, l1 = 1.7, 0.25
-        z = fused_l1_prox(b, op, l1, rho)
-        for r in range(op.n_rows):
-            a, c = op.first[r], op.second[r]
-            z1, z2 = pair_prox(b[a], b[c], op.weights[r] / rho, l1 / rho)
+        z = fused_l1_prox(b, idx, l1, w, rho)
+        for a, c, w_r in zip(*idx.fused_pairs, w):
+            z1, z2 = pair_prox(b[a], b[c], w_r / rho, l1 / rho)
             assert z[a] == pytest.approx(z1, abs=1e-12)
             assert z[c] == pytest.approx(z2, abs=1e-12)
 
     def test_infinite_weight_gives_exact_tie(self):
-        idx, op = self.setup_op([math.inf])
-        z = fused_l1_prox(np.array([1.0, 3.0, 0.0]), op, 0.0, 1.0)
+        idx, w = self.setup_rows([math.inf])
+        z = fused_l1_prox(np.array([1.0, 3.0, 0.0]), idx, 0.0, w, 1.0)
         assert z[0] == z[1] == 2.0
 
     def test_infinite_l1_weight_gives_exact_zero(self, rng):
-        idx, op = self.setup_op([0.0])
+        idx, w = self.setup_rows([0.0])
         b = rng.standard_normal(3)
-        z = fused_l1_prox(b, op, np.array([math.inf, 0.0, math.inf]), 1.0)
+        z = fused_l1_prox(b, idx, np.array([math.inf, 0.0, math.inf]), w, 1.0)
         assert z[0] == 0.0 and z[2] == 0.0
         assert z[1] == b[1]
 
@@ -211,9 +216,8 @@ class TestKktViolation:
         l1 = np.array(data.draw(st.lists(weight, min_size=n, max_size=n)))
         w = np.array(data.draw(st.lists(weight, min_size=rows, max_size=rows)))
         tie_tol = data.draw(st.sampled_from([0.0, 1e-7, 0.3]))
-        op = FusedDiffOperator.from_row_weights(idx, w)
-        assert kkt_violation(z, G, l1, op, tie_tol) == kkt_violation_loop(
-            z, G, l1, op.first, op.second, op.weights, tie_tol
+        assert kkt_violation(z, G, idx, l1, w, tie_tol) == kkt_violation_loop(
+            z, G, l1, *idx.fused_pairs, w, tie_tol
         )
 
     def test_matches_row_loop_on_solver_output(self, rng):
@@ -221,14 +225,14 @@ class TestKktViolation:
         idx = PairedIndex(5)
         spec = PenaltySpec(0.08, 0.05, 0.02, 0.1)
         theta, _ = pdglasso_solve(S, spec, AdmmConfig(max_outer=60, kkt_refine=False))
-        op = FusedDiffOperator.from_components(idx, 0.05, 0.02, 0.1)
+        w = idx.component_rows(0.05, 0.02, 0.1)
         z = pd_vec(theta, idx)
         G = pd_vec(S - np.linalg.inv(theta), idx)
         l1 = np.full(idx.vec_length, 0.08)
-        assert np.any(z == 0) and np.any(op.apply(z) == 0)
+        assert np.any(z == 0) and np.any(fused_diffs(idx, z) == 0)
         for tie_tol in (0.0, 1e-7, 1e-3):
-            assert kkt_violation(z, G, l1, op, tie_tol) == kkt_violation_loop(
-                z, G, l1, op.first, op.second, op.weights, tie_tol
+            assert kkt_violation(z, G, idx, l1, w, tie_tol) == kkt_violation_loop(
+                z, G, l1, *idx.fused_pairs, w, tie_tol
             )
 
     def test_infinite_weights_met_add_nothing(self):
@@ -236,28 +240,28 @@ class TestKktViolation:
         z = np.array([2.0, 2.0, 0.0])
         G = np.array([0.1, -0.1, 5.0])
         l1 = np.array([0.0, 0.0, math.inf])
-        op = FusedDiffOperator.from_row_weights(idx, np.array([math.inf]))
-        assert kkt_violation(z, G, l1, op, 0.0) == 0.0
+        w = np.array([math.inf])
+        assert kkt_violation(z, G, idx, l1, w, 0.0) == 0.0
 
     def test_infinite_weights_violated_give_inf(self):
         idx = PairedIndex(1)
         G = np.zeros(3)
-        op = FusedDiffOperator.from_row_weights(idx, np.array([math.inf]))
+        w = np.array([math.inf])
         untied = np.array([2.0, 2.5, 0.0])
-        assert kkt_violation(untied, G, np.zeros(3), op, 1.0) == math.inf
+        assert kkt_violation(untied, G, idx, np.zeros(3), w, 1.0) == math.inf
         nonzero = np.array([2.0, 2.0, 0.1])
         l1 = np.array([0.0, 0.0, math.inf])
-        assert kkt_violation(nonzero, G, l1, op, 0.0) == math.inf
+        assert kkt_violation(nonzero, G, idx, l1, w, 0.0) == math.inf
 
     def test_not_positive_definite_gives_inf(self):
         idx = PairedIndex(1)
-        op = FusedDiffOperator.from_components(idx, 0.1, 0.1, 0.1)
+        w = idx.component_rows(0.1, 0.1, 0.1)
         l1 = np.full(3, 0.1)
-        assert kkt_residual(-np.eye(2), np.eye(2), idx, l1, op) == math.inf
+        assert kkt_residual(-np.eye(2), np.eye(2), idx, l1, w) == math.inf
         # indefinite with a positive determinant
         M = np.diag([-1.0, -2.0])
         assert np.linalg.det(M) > 0
-        assert kkt_residual(M, np.eye(2), idx, l1, op) == math.inf
+        assert kkt_residual(M, np.eye(2), idx, l1, w) == math.inf
 
 
 class TestWeightedObjective:
@@ -265,26 +269,26 @@ class TestWeightedObjective:
         idx = PairedIndex(1)
         Z = np.array([[2.0, 0.0], [0.0, 2.0]])
         S = np.eye(2)
-        op = FusedDiffOperator.from_row_weights(idx, np.array([math.inf]))
+        w = np.array([math.inf])
         l1 = np.array([0.0, 0.0, math.inf])
         expected = -2.0 * math.log(2.0) + 4.0
-        assert _weighted_objective(Z, S, idx, l1, op) == pytest.approx(expected, abs=1e-12)
+        assert _weighted_objective(Z, S, idx, l1, w) == pytest.approx(expected, abs=1e-12)
 
     def test_infinite_weights_violated_give_inf(self):
         idx = PairedIndex(1)
         S = np.eye(2)
-        op = FusedDiffOperator.from_row_weights(idx, np.array([math.inf]))
+        w = np.array([math.inf])
         untied = np.array([[2.0, 0.0], [0.0, 3.0]])
-        assert _weighted_objective(untied, S, idx, np.zeros(3), op) == math.inf
+        assert _weighted_objective(untied, S, idx, np.zeros(3), w) == math.inf
         off = np.array([[2.0, 0.5], [0.5, 2.0]])
         l1 = np.array([0.0, 0.0, math.inf])
-        assert _weighted_objective(off, S, idx, l1, op) == math.inf
+        assert _weighted_objective(off, S, idx, l1, w) == math.inf
 
     def test_not_positive_definite_gives_inf(self):
         idx = PairedIndex(1)
-        op = FusedDiffOperator.from_components(idx, 0.0, 0.0, 0.0)
+        w = idx.component_rows(0.0, 0.0, 0.0)
         M = np.diag([-1.0, -2.0])
-        assert _weighted_objective(M, np.eye(2), idx, np.zeros(3), op) == math.inf
+        assert _weighted_objective(M, np.eye(2), idx, np.zeros(3), w) == math.inf
 
 
 class TestZStep:
@@ -305,8 +309,8 @@ class TestZStep:
         spec = PenaltySpec.uniform(0.21, 0.4)
         out = z_step(A, spec, rho1)
 
-        op = FusedDiffOperator.from_components(idx, 1.0, 1.0, 1.0)
-        pairs = list(zip(op.first.tolist(), op.second.tolist()))
+        first, second = idx.fused_pairs
+        pairs = list(zip(first.tolist(), second.tolist()))
         weights = [
             spec.lambda2_vertex / rho1,
             spec.lambda2_inside / rho1,
@@ -470,11 +474,10 @@ class TestPdglassoSolve:
         assert np.abs(np.diag(theta_pen) - 1.0 / (np.diag(S) + lam)).max() < 1e-6
 
 
-def face_masks(theta, idx, op):
+def face_masks(theta, idx, row_w):
     """Zero, tie and sign masks of an estimate over the active fused rows."""
     z = pd_vec(theta, idx)
-    active = op.weights > 0
-    gap = z[op.first[active]] - z[op.second[active]]
+    gap = fused_diffs(idx, z)[row_w > 0]
     return z == 0, gap == 0, np.sign(z), np.sign(gap)
 
 
@@ -500,11 +503,11 @@ class TestFacePolish:
     def test_matches_plain_admm(self, data):
         S, idx, spec = random_instance(data)
         cfg = AdmmConfig(eps_abs=1e-10, eps_rel=1e-10)
-        l1, op = _penalty_weights(spec, idx)
-        theta, report = solve_weighted(S, idx, l1, op, cfg)
-        ref, _, ref_stop = admm_loop(S, idx, l1, op, cfg)
+        l1, w = _penalty_weights(spec, idx)
+        theta, report = solve_weighted(S, idx, l1, w, cfg)
+        ref, _, ref_stop = admm_loop(S, idx, l1, w, cfg)
         assert report.stop_reason == ref_stop == "kkt"
-        for got, want in zip(face_masks(theta, idx, op), face_masks(ref, idx, op)):
+        for got, want in zip(face_masks(theta, idx, w), face_masks(ref, idx, w)):
             assert np.array_equal(got, want)
         assert np.abs(theta - ref).max() <= 1e-6
 
@@ -517,9 +520,9 @@ class TestFacePolish:
         S = random_pd(8, rng)
         idx = PairedIndex(4)
         cfg = AdmmConfig(kkt_refine=kkt_refine)
-        l1, op = _penalty_weights(PenaltySpec(0.1, INF, 0.05, 0.02), idx)
-        theta, report = solve_weighted(S, idx, l1, op, cfg)
-        ref, iterations, stop_reason = admm_loop(S, idx, l1, op, cfg)
+        l1, w = _penalty_weights(PenaltySpec(0.1, INF, 0.05, 0.02), idx)
+        theta, report = solve_weighted(S, idx, l1, w, cfg)
+        ref, iterations, stop_reason = admm_loop(S, idx, l1, w, cfg)
         assert report.polish_attempts >= 1
         assert np.array_equal(theta, ref)
         assert report.outer_iterations == iterations
@@ -533,12 +536,12 @@ class TestFacePolish:
         theta, report = pdglasso_solve(S, spec, cfg)
         assert report.stop_reason == "kkt" and report.polish_attempts >= 1
         assert optimality_residual(theta, S, spec) <= 10 * cfg.eps_abs
-        l1, op = _penalty_weights(spec, idx)
-        assert admm_loop(S, idx, l1, op, cfg)[1] > report.outer_iterations
-        zeros, ties, _, _ = face_masks(theta, idx, op)
+        l1, w = _penalty_weights(spec, idx)
+        assert admm_loop(S, idx, l1, w, cfg)[1] > report.outer_iterations
+        zeros, ties, _, _ = face_masks(theta, idx, w)
         assert zeros.any() and ties[idx.q:].any()  # zeros and finite-weight ties
         G = pd_vec(S - np.linalg.inv(theta), idx)
-        assert kkt_violation(pd_vec(theta, idx), G, l1, op, 0.0) <= 10 * cfg.eps_abs
+        assert kkt_violation(pd_vec(theta, idx), G, idx, l1, w, 0.0) <= 10 * cfg.eps_abs
         assert report.kkt_residual <= 10 * cfg.eps_abs
 
     def test_polish_keeps_only_a_certified_face(self, rng):
@@ -546,23 +549,23 @@ class TestFacePolish:
         S = random_pd(8, rng)
         idx = PairedIndex(4)
         spec = PenaltySpec(0.1, INF, 0.05, 0.0)  # across entries are in no active row
-        l1, op = _penalty_weights(spec, idx)
-        theta, _ = solve_weighted(S, idx, l1, op, cfg)
-        theta_again, kkt = solver._polish(S, idx, theta, l1, op, cfg)
+        l1, w = _penalty_weights(spec, idx)
+        theta, _ = solve_weighted(S, idx, l1, w, cfg)
+        theta_again, kkt = solver._polish(theta, S, idx, l1, w, cfg)
         assert kkt <= 10 * cfg.eps_abs
         assert np.abs(theta_again - theta).max() <= 1e-8
         # the same face with one more zero: Newton solves it, the certificate
         # rejects it
         z = pd_vec(theta, idx)
-        active = op.weights > 0
-        in_row = np.isin(np.arange(len(z)), np.concatenate([op.first[active], op.second[active]]))
+        first, second = idx.fused_pairs
+        in_row = np.isin(np.arange(len(z)), np.concatenate([first[w > 0], second[w > 0]]))
         alone = (z != 0) & ~idx.diagonal & ~in_row
         k = np.flatnonzero(alone)[np.argmin(np.abs(z[alone]))]
         wrong = theta.copy()
         i, j = idx.coords[0][k], idx.coords[1][k]
         wrong[i, j] = wrong[j, i] = 0.0
         assert is_positive_definite(wrong)
-        assert solver._polish(S, idx, wrong, l1, op, cfg) is None
+        assert solver._polish(wrong, S, idx, l1, w, cfg) is None
 
     def test_residuals_stop_when_met_before_a_polish(self, rng):
         S = random_pd(6, rng)
@@ -579,6 +582,11 @@ class TestAdmmConfig:
             AdmmConfig(eps_abs=0.5)
         with pytest.raises(ValueError):
             AdmmConfig(max_outer=0)
+
+    @pytest.mark.parametrize("name", ["eps_abs", "eps_rel"])
+    def test_nan_tolerance_rejected(self, name):
+        with pytest.raises(ValueError):
+            AdmmConfig(**{name: math.nan})
 
     def test_nonconvergence_reported(self, rng):
         S = random_pd(6, rng)
