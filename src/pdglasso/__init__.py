@@ -30,6 +30,7 @@ from .penalties import (
 )
 from .solver import (
     AdmmConfig,
+    AdmmState,
     SolveReport,
     optimality_residual,
     pdglasso_solve,

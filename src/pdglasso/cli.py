@@ -26,6 +26,7 @@ from .model import (
     FitResult,
     PdColouredGraph,
     SubmodelClass,
+    check_gamma,
     deviance,
     lrt,
     mle,
@@ -360,6 +361,7 @@ def _add_input_flags(parser):
 
 
 def cmd_fit(args) -> int:
+    check_gamma(args.gamma)
     M, names = read_matrix_csv(args.input, args.cov)
     S, n = _cov_from_input(M, args.cov, args.standardize)
     if n is None:
@@ -410,6 +412,7 @@ def cmd_thresholds(args) -> int:
 
 
 def cmd_path(args) -> int:
+    check_gamma(args.gamma)
     M, names = read_matrix_csv(args.input, args.cov)
     S, n = _cov_from_input(M, args.cov, args.standardize)
     if n is None:

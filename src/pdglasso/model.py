@@ -27,7 +27,7 @@ from .penalties import (
     lambda1_diag_max,
     lambda2_sym_max,
 )
-from .solver import _KKT_TOL_FACTOR, AdmmConfig, SolveReport, pdglasso_solve
+from .solver import _KKT_TOL_FACTOR, AdmmConfig, AdmmState, SolveReport, pdglasso_solve
 
 
 @dataclass(frozen=True)
@@ -268,14 +268,19 @@ def rcon_residual(theta: np.ndarray, S: np.ndarray, g: PdColouredGraph) -> float
     return max([0.0] + [float(np.abs(part).max()) for part in parts if part.size])
 
 
+def check_gamma(gamma: float, name: str = "gamma") -> None:
+    """Raise ValueError unless the eBIC ``gamma`` is finite and >= 0."""
+    if not 0 <= gamma < math.inf:  # NaN fails too
+        raise ValueError(f"{name} must be finite and >= 0, got {gamma}")
+
+
 def ebic(theta_mle: np.ndarray, S: np.ndarray, n: int, d: int, gamma: float) -> float:
     """Extended BIC: -n l(theta) + log(n) d + 4 d gamma log(p)."""
     if n < 1:
         raise ValueError(f"sample size must be >= 1, got {n}")
     if d < 0:
         raise ValueError(f"parameter count must be >= 0, got {d}")
-    if not 0 <= gamma < math.inf:  # NaN fails too
-        raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
+    check_gamma(gamma)
     p = theta_mle.shape[0]
     ll = log_likelihood(theta_mle, S)
     return -n * ll + math.log(n) * d + 4.0 * d * gamma * math.log(p)
@@ -449,14 +454,17 @@ def filter_extracted_colours(graph: PdColouredGraph, spec: PenaltySpec) -> PdCol
 
 
 def solve_point(
-    S: np.ndarray, spec: PenaltySpec, cfg: AdmmConfig, diag_penalty: bool = True
+    S: np.ndarray, spec: PenaltySpec, cfg: AdmmConfig, diag_penalty: bool = True,
+    *, start: Optional[AdmmState] = None,
 ) -> FitResult:
     """Solve at one penalty value and extract the model, without the refit.
 
     Colours are read off the estimate only for fused components that were
-    active in the solve, so the fit stays within its submodel class.
+    active in the solve, so the fit stays within its submodel class.  The
+    solve starts from ``start`` (see :func:`pdglasso.solver.solve_weighted`),
+    cold when it is None.
     """
-    theta_hat, report = pdglasso_solve(S, spec, cfg, diag_penalty=diag_penalty)
+    theta_hat, report = pdglasso_solve(S, spec, cfg, diag_penalty=diag_penalty, start=start)
     idx = PairedIndex.from_p(S.shape[0])
     graph = filter_extracted_colours(extract_graph(theta_hat, idx), spec)
     return FitResult(theta_hat, graph, n_params(graph), math.nan, spec, report,
@@ -477,15 +485,18 @@ def fit_point(
     gamma: float,
     spec: PenaltySpec,
     cfg: AdmmConfig,
+    *,
+    start: Optional[AdmmState] = None,
 ) -> FitResult:
-    """Solve at one penalty value, extract the model and refit its MLE."""
-    return refit_point(solve_point(S, spec, cfg), S, n, gamma, cfg)
+    """Solve at one penalty value from ``start`` (cold when None), extract
+    the model and refit its MLE."""
+    return refit_point(solve_point(S, spec, cfg, start=start), S, n, gamma, cfg)
 
 
-def _evaluate(stage, lam1, lam2, S, n, gamma, class_spec, cfg) -> GridPoint:
+def _evaluate(stage, lam1, lam2, S, n, gamma, class_spec, cfg, start) -> GridPoint:
     spec = class_spec.spec(lam1, lam2)
     try:
-        fit = fit_point(S, n, gamma, spec, cfg)
+        fit = fit_point(S, n, gamma, spec, cfg, start=start)
     except (PdglassoError, np.linalg.LinAlgError) as exc:
         return GridPoint(stage, lam1, lam2, None, None, False, error=str(exc))
     return GridPoint(
@@ -516,16 +527,33 @@ def selection_path(
     l1 weight and grids the fused weight up to the full-symmetry threshold.
     The stage-1 winner stays in the stage-2 candidate set (not re-solved).
     Stage 2 is skipped when no component is gridded or the symmetry threshold
-    is zero.  Grid points are evaluated one after another.
+    is zero.
+
+    Grid points are evaluated one after another, stage 1 in ascending l1
+    weight and stage 2 in ascending fused weight, and the path is
+    warm-started as in glasso and glmnet (Friedman, Hastie & Tibshirani
+    2008, Biostatistics 9:432; 2010, J. Stat. Softw. 33(1)): each solve
+    starts from the ADMM state (Z, U, rho1) that the solve of the point
+    before it ended in, and the first stage-2 solve from the last stage-1
+    point's.  The first point starts cold, and so does the point after one
+    that failed.  Each solve still ends only on its own residuals or
+    certificate.
     """
     cfg = cfg or AdmmConfig()
     if m < 2:
         raise ValueError(f"grid length must be >= 2, got {m}")
+    check_gamma(gamma)
     S = np.asarray(S, dtype=float)
     idx = PairedIndex.from_p(S.shape[0])
+    start = None  # the ADMM state handed from one grid point to the next
 
-    lam1_grid = _log_grid(lambda1_diag_max(S), m)
-    stage1 = [_evaluate(1, lam1, 0.0, S, n, gamma, class_spec, cfg) for lam1 in lam1_grid]
+    def evaluate(stage: int, lam1: float, lam2: float) -> GridPoint:
+        nonlocal start
+        pt = _evaluate(stage, lam1, lam2, S, n, gamma, class_spec, cfg, start)
+        start = pt.fit.report.state if pt.valid else None
+        return pt
+
+    stage1 = [evaluate(1, lam1, 0.0) for lam1 in _log_grid(lambda1_diag_max(S), m)]
     winner1 = _best(stage1)
 
     points = list(stage1)
@@ -533,10 +561,7 @@ def selection_path(
     lam2_top = lambda2_sym_max(S, idx)
     if class_spec.any_gridded and lam2_top > 0:
         lam2_grid = _log_grid(lam2_top, m)
-        stage2 = [
-            _evaluate(2, winner1.lambda1, lam2, S, n, gamma, class_spec, cfg)
-            for lam2 in lam2_grid
-        ]
+        stage2 = [evaluate(2, winner1.lambda1, lam2) for lam2 in lam2_grid]
         points.extend(stage2)
         candidates.extend(stage2)
     winner = _best(candidates)

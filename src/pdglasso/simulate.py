@@ -25,6 +25,7 @@ from .errors import DimensionError, NotPositiveDefiniteError, PdglassoError
 from .model import (
     PdColouredGraph,
     SubmodelClass,
+    check_gamma,
     mle,
     model_select,
 )
@@ -64,8 +65,7 @@ class ScenarioSpec:
             )
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
-        if not 0 <= self.select_gamma < math.inf:  # NaN fails too
-            raise ValueError(f"select_gamma must be finite and >= 0, got {self.select_gamma}")
+        check_gamma(self.select_gamma, "select_gamma")
         object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
 
     @property

@@ -310,14 +310,35 @@ class TestNonFiniteSettings:
         assert calls == [] and not out.exists()
         assert capsys.readouterr().err.startswith("error: ")
 
-    @pytest.mark.parametrize("command", [["fit", "--lambda1", "0.1"], ["path", "--m", "2"]])
-    def test_nan_gamma_exits_1_without_a_report(self, tmp_path, capsys, command):
+    @staticmethod
+    def run_with_gamma(tmp_path, monkeypatch, command, gamma):
+        """Exit code, report written and penalized solves of one CLI call."""
+        from pdglasso import solver
+
+        calls = []
+        solve = solver.solve_weighted
+
+        def counting_solve(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "solve_weighted", counting_solve)
         cov = write_cov(tmp_path / "S.csv", np.eye(4))
         out = tmp_path / "report.json"
         code = main([command[0], str(cov), "--cov", "--n", "10", *command[1:],
-                     "--gamma", "nan", "-o", str(out)])
-        assert code == 1 and not out.exists()
+                     "--gamma", gamma, "-o", str(out)])
+        return code, out.exists(), len(calls)
+
+    @pytest.mark.parametrize("command", [["fit", "--lambda1", "0.1"], ["path", "--m", "2"]])
+    def test_nan_gamma_exits_1_without_a_report(self, tmp_path, monkeypatch, capsys, command):
+        assert self.run_with_gamma(tmp_path, monkeypatch, command, "nan") == (1, False, 0)
         assert "gamma must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["fit", "--lambda1", "0.1"], ["path", "--m", "2"]])
+    def test_negative_gamma_exits_1_before_any_solve(self, tmp_path, monkeypatch, capsys,
+                                                     command):
+        assert self.run_with_gamma(tmp_path, monkeypatch, command, "-1") == (1, False, 0)
+        assert "gamma must be finite and >= 0" in capsys.readouterr().err
 
     def test_simulate_nan_gamma_exits_1_before_any_cell(self, tmp_path, monkeypatch):
         import pdglasso.simulate as simulate

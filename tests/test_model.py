@@ -590,6 +590,58 @@ class TestModelSelect:
         with pytest.raises(ValueError):
             model_select(random_pd(4, rng), 10, 1, 0.0, SubmodelClass())
 
+    @staticmethod
+    def record_starts(monkeypatch):
+        """Lists of the start state each penalized solve receives and of the
+        end state it reports, filled as the solves run."""
+        from pdglasso import solver
+
+        starts, states = [], []
+        solve = solver.solve_weighted
+
+        def recording_solve(*args, **kwargs):
+            starts.append(kwargs.get("start"))
+            theta, report = solve(*args, **kwargs)
+            states.append(report.state)
+            return theta, report
+
+        monkeypatch.setattr(solver, "solve_weighted", recording_solve)
+        return starts, states
+
+    def test_path_is_warm_started_in_grid_order(self, rng, monkeypatch):
+        starts, states = self.record_starts(monkeypatch)
+        S = random_pd(6, rng)
+        _, points = selection_path(S, 100, 4, 0.0, SubmodelClass(), AdmmConfig())
+        assert [pt.stage for pt in points] == [1] * 4 + [2] * 4
+        assert all(pt.valid for pt in points) and len(starts) == 8
+        assert starts[0] is None  # the first stage-1 point starts cold
+        assert starts[4] is states[3]  # stage 2 continues from the last stage-1 point
+        assert all(starts[k] is states[k - 1] for k in range(1, 8))
+        assert all(state is not None for state in states)
+
+    def test_failed_point_does_not_seed_the_next(self, rng, monkeypatch):
+        from pdglasso import model
+
+        starts, states = self.record_starts(monkeypatch)
+        refit = model.mle
+        refits = []
+
+        def failing_second_refit(*args, **kwargs):
+            refits.append(args)
+            if len(refits) == 2:
+                raise MleError("forced refit failure")
+            return refit(*args, **kwargs)
+
+        monkeypatch.setattr(model, "mle", failing_second_refit)
+        S = random_pd(6, rng)
+        _, points = selection_path(S, 100, 4, 0.0, SubmodelClass(), AdmmConfig())
+        assert [pt.valid for pt in points] == [True, False] + [True] * 6
+        # the failed point's solve ended normally, yet its state is dropped
+        assert states[1] is not None
+        assert starts[1] is states[0]
+        assert starts[2] is None
+        assert all(starts[k] is states[k - 1] for k in range(3, 8))
+
     def test_serial_runs_are_deterministic(self, rng):
         S = random_pd(6, rng)
         cfg = AdmmConfig(eps_abs=1e-7, eps_rel=1e-7, kkt_refine=False)

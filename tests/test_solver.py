@@ -488,13 +488,18 @@ def random_instance(data):
     r = np.random.default_rng(seed)
     S = random_pd(2 * q, r)
     idx = PairedIndex(q)
+    return S, idx, random_spec(data, S, idx)
+
+
+def random_spec(data, S, idx):
+    """A penalty for S with l1 weight and finite, zero or infinite fused
+    components drawn relative to its thresholds."""
     top = lambda2_sym_max(S, idx)
     component = st.sampled_from([0.0, INF]) | st.floats(0.05, 1.0).map(lambda c: c * top)
-    spec = PenaltySpec(
+    return PenaltySpec(
         data.draw(st.floats(0.05, 0.9)) * lambda1_diag_max(S),
         data.draw(component), data.draw(component), data.draw(component),
     )
-    return S, idx, spec
 
 
 class TestFacePolish:
@@ -510,6 +515,36 @@ class TestFacePolish:
         for got, want in zip(face_masks(theta, idx, w), face_masks(ref, idx, w)):
             assert np.array_equal(got, want)
         assert np.abs(theta - ref).max() <= 1e-6
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_warm_start_moves_the_estimate_only_within_tolerance(self, data):
+        S, idx, first = random_instance(data)
+        second = random_spec(data, S, idx)
+        cfg = AdmmConfig(eps_abs=1e-10, eps_rel=1e-10)
+        _, report = solve_weighted(S, idx, *_penalty_weights(first, idx), cfg)
+        l1, w = _penalty_weights(second, idx)
+        warm, warm_report = solve_weighted(S, idx, l1, w, cfg, start=report.state)
+        cold, cold_report = solve_weighted(S, idx, l1, w, cfg)
+        assert warm_report.stop_reason == cold_report.stop_reason == "kkt"
+        for got, want in zip(face_masks(warm, idx, w), face_masks(cold, idx, w)):
+            assert np.array_equal(got, want)
+        assert np.abs(warm - cold).max() <= 1e-6
+        assert warm_report.kkt_residual <= 10 * cfg.eps_abs
+
+    def test_cold_start_is_the_default(self, rng):
+        S = random_pd(6, rng)
+        idx = PairedIndex(3)
+        l1, w = _penalty_weights(PenaltySpec.uniform(0.1, 0.05), idx)
+        cfg = AdmmConfig()
+        theta, report = solve_weighted(S, idx, l1, w, cfg)
+        cold = solver.AdmmState(np.zeros((6, 6)), np.zeros((6, 6)), solver._RHO_INIT)
+        again, again_report = solve_weighted(S, idx, l1, w, cfg, start=cold)
+        assert np.array_equal(theta, again)
+        assert again_report.outer_iterations == report.outer_iterations
+        # restarted from its own end state, a solve needs fewer iterations
+        _, warm_report = solve_weighted(S, idx, l1, w, cfg, start=report.state)
+        assert warm_report.outer_iterations < report.outer_iterations
 
     @pytest.mark.parametrize("kkt_refine", [True, False])
     def test_rejected_polish_leaves_admm_unchanged(self, rng, monkeypatch, kkt_refine):
