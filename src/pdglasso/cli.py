@@ -3,8 +3,8 @@
 Matrix input is CSV with a header row of variable names; the first half of
 the columns is the left group and the second half the right group with
 positional pairing.  Rows are observations unless --cov marks the file as a
-p x p covariance matrix.  Fit reports are canonical JSON documents that
-round-trip byte for byte.
+p x p covariance matrix.  Fit reports are canonical JSON documents:
+``dump_report(json.load(fh))`` gives back the bytes of the file.
 
 Exit codes: 0 success, 1 input error, 2 numerical non-convergence.
 """
@@ -26,6 +26,7 @@ from .model import (
     FitResult,
     PdColouredGraph,
     SubmodelClass,
+    check_alpha,
     check_gamma,
     deviance,
     lrt,
@@ -38,7 +39,6 @@ from .model import (
 )
 from .paired import PairedIndex
 from .penalties import (
-    INF,
     PenaltySpec,
     is_inf,
     lambda1_block_max,
@@ -47,7 +47,7 @@ from .penalties import (
     parse_penalty_value,
 )
 from .simulate import ScenarioSpec, results_to_csv, run_scenario
-from .solver import AdmmConfig, SolveReport
+from .solver import AdmmConfig
 
 _STANDARDIZE_CAVEAT = (
     "note: rescaling the variables does not preserve equality constraints, "
@@ -120,21 +120,31 @@ def read_matrix_csv(path: str, cov: bool) -> tuple[np.ndarray, list[str]]:
     return M, names
 
 
-def _cov_from_input(M: np.ndarray, cov: bool, standardize: bool) -> tuple[np.ndarray, int | None]:
-    """Second-moment matrix and the sample size when one is known."""
-    if cov:
-        S = M
-        n = None
+def _read_sample(args) -> tuple[np.ndarray, list[str], int | None]:
+    """S, the variable names and the sample size of the subcommand's input.
+
+    The sample size is the row count of a data file, or ``--n`` with
+    ``--cov``; a subcommand with an ``--n`` flag gets an :class:`InputError`
+    when it is missing or below 1.
+    """
+    M, names = read_matrix_csv(args.input, args.cov)
+    if args.cov:
+        S, n = M, getattr(args, "n", None)
     else:
         n = M.shape[0]
         S = M.T @ M / n
-    if standardize:
+    if "n" in args:
+        if n is None:
+            raise InputError("--n is required with --cov")
+        if n < 1:
+            raise InputError(f"--n must be >= 1, got {n}")
+    if args.standardize:
         d = np.sqrt(np.diag(S))
         if np.any(d <= 0):
             raise InputError("cannot standardize: zero variance column")
         S = S / np.outer(d, d)
         print(_STANDARDIZE_CAVEAT, file=sys.stderr)
-    return S, n
+    return S, names, n
 
 
 # ---------------------------------------------------------------------------
@@ -216,10 +226,6 @@ def _penalty_json(value):
     return "Inf" if is_inf(value) else value
 
 
-def _penalty_from_json(value):
-    return INF if value == "Inf" else float(value)
-
-
 def fit_report_doc(
     fit: FitResult, S: np.ndarray, names: list[str], n: int | None, gamma: float,
     cfg: AdmmConfig,
@@ -290,40 +296,6 @@ def read_fit_report(path: str) -> dict:
         raise InputError(f"cannot read report {path}: {exc}") from exc
 
 
-def report_fit_result(doc: dict) -> FitResult:
-    """Rebuild the in-memory fit from a report document."""
-    graph = _graph_from_json(doc)
-    pen = doc["penalties"]
-    spec = PenaltySpec(
-        pen["lambda1"],
-        _penalty_from_json(pen["lambda2_vertex"]),
-        _penalty_from_json(pen["lambda2_inside"]),
-        _penalty_from_json(pen["lambda2_across"]),
-    )
-    rep = doc["solver_report"]
-    report = SolveReport(
-        outer_iterations=rep["outer_iterations"],
-        primal_residual=rep["primal_residual"],
-        dual_residual=rep["dual_residual"],
-        objective_value=rep["objective_value"],
-        kkt_residual=rep["kkt_residual"],
-        z_not_pd=rep["z_not_pd"],
-        stop_reason=rep["stop_reason"],
-        polish_attempts=rep.get("polish_attempts", 0),  # absent from older reports
-    )
-    return FitResult(
-        theta_hat=np.asarray(doc["theta_hat"], dtype=float),
-        graph=graph,
-        d=doc["d"],
-        ebic=math.nan if doc["ebic"] is None else doc["ebic"],
-        spec=spec,
-        report=report,
-        theta_mle=None
-        if doc["theta_mle"] is None
-        else np.asarray(doc["theta_mle"], dtype=float),
-    )
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -362,12 +334,7 @@ def _add_input_flags(parser):
 
 def cmd_fit(args) -> int:
     check_gamma(args.gamma)
-    M, names = read_matrix_csv(args.input, args.cov)
-    S, n = _cov_from_input(M, args.cov, args.standardize)
-    if n is None:
-        n = args.n
-    if n is None:
-        raise InputError("--n is required with --cov (the eBIC needs a sample size)")
+    S, names, n = _read_sample(args)
     spec = PenaltySpec(
         args.lambda1,
         parse_penalty_value(args.lambda2_vertex),
@@ -395,8 +362,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_thresholds(args) -> int:
-    M, names = read_matrix_csv(args.input, args.cov)
-    S, _ = _cov_from_input(M, args.cov, args.standardize)
+    S, _, _ = _read_sample(args)
     idx = PairedIndex.from_p(S.shape[0])
     values = {
         "lambda1_diag": lambda1_diag_max(S),
@@ -413,12 +379,7 @@ def cmd_thresholds(args) -> int:
 
 def cmd_path(args) -> int:
     check_gamma(args.gamma)
-    M, names = read_matrix_csv(args.input, args.cov)
-    S, n = _cov_from_input(M, args.cov, args.standardize)
-    if n is None:
-        n = args.n
-    if n is None:
-        raise InputError("--n is required with --cov (the eBIC needs a sample size)")
+    S, names, n = _read_sample(args)
     class_spec = SubmodelClass(
         _mode(args.lambda2_vertex), _mode(args.lambda2_inside), _mode(args.lambda2_across)
     )
@@ -494,12 +455,27 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    alpha = args.alpha
+    check_alpha(args.alpha)
     if args.precomputed:
-        result = lrt(args.deviance_full, args.d_full, args.deviance_sub, args.d_sub, alpha)
+        missing = [
+            flag
+            for flag, value in (
+                ("--deviance-full", args.deviance_full),
+                ("--d-full", args.d_full),
+                ("--deviance-sub", args.deviance_sub),
+                ("--d-sub", args.d_sub),
+            )
+            if value is None
+        ]
+        if missing:
+            raise InputError(f"--precomputed needs {', '.join(missing)}")
+        result = lrt(args.deviance_full, args.d_full, args.deviance_sub, args.d_sub,
+                     args.alpha)
         _print_lrt(result, args.deviance_full, args.deviance_sub)
         return 0
 
+    if args.full is None or args.sub is None:
+        raise InputError("compare needs two report files (or --precomputed)")
     if not args.input:
         raise InputError("--input is required unless --precomputed is used")
     full_doc = read_fit_report(args.full)
@@ -513,12 +489,7 @@ def cmd_compare(args) -> int:
     if violation:
         raise InputError(f"models are not nested: {violation}")
 
-    M, _ = read_matrix_csv(args.input, args.cov)
-    S, n = _cov_from_input(M, args.cov, args.standardize)
-    if n is None:
-        n = args.n
-    if n is None:
-        raise InputError("--n is required with --cov")
+    S, _, n = _read_sample(args)
     cfg = AdmmConfig(eps_abs=args.eps_abs, max_outer=args.max_outer)
     theta_full = mle(S, g_full, cfg)
     theta_sub = mle(S, g_sub, cfg)
@@ -532,7 +503,7 @@ def cmd_compare(args) -> int:
             "deviance_full": dev_full, "deviance_sub": dev_sub,
         }, indent=2, sort_keys=True))
         return 0
-    result = lrt(dev_full, d_full, dev_sub, d_sub, alpha)
+    result = lrt(dev_full, d_full, dev_sub, d_sub, args.alpha)
     _print_lrt(result, dev_full, dev_sub)
     return 0
 
@@ -656,21 +627,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "compare" and args.precomputed:
-            missing = [
-                flag
-                for flag, value in (
-                    ("--deviance-full", args.deviance_full),
-                    ("--d-full", args.d_full),
-                    ("--deviance-sub", args.deviance_sub),
-                    ("--d-sub", args.d_sub),
-                )
-                if value is None
-            ]
-            if missing:
-                raise InputError(f"--precomputed needs {', '.join(missing)}")
-        elif args.command == "compare" and (args.full is None or args.sub is None):
-            raise InputError("compare needs two report files (or --precomputed)")
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

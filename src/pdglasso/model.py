@@ -274,21 +274,26 @@ def check_gamma(gamma: float, name: str = "gamma") -> None:
         raise ValueError(f"{name} must be finite and >= 0, got {gamma}")
 
 
-def ebic(theta_mle: np.ndarray, S: np.ndarray, n: int, d: int, gamma: float) -> float:
-    """Extended BIC: -n l(theta) + log(n) d + 4 d gamma log(p)."""
-    if n < 1:
-        raise ValueError(f"sample size must be >= 1, got {n}")
-    if d < 0:
-        raise ValueError(f"parameter count must be >= 0, got {d}")
-    check_gamma(gamma)
-    p = theta_mle.shape[0]
-    ll = log_likelihood(theta_mle, S)
-    return -n * ll + math.log(n) * d + 4.0 * d * gamma * math.log(p)
+def check_alpha(alpha: float) -> None:
+    """Raise ValueError unless the test level ``alpha`` is in (0, 1)."""
+    if not 0.0 < alpha < 1.0:  # NaN fails too
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
 
 
 def deviance(theta_mle: np.ndarray, S: np.ndarray, n: int) -> float:
     """-n l(theta), comparable across nested models fitted on the same S."""
+    if n < 1:
+        raise ValueError(f"sample size must be >= 1, got {n}")
     return -n * log_likelihood(theta_mle, S)
+
+
+def ebic(theta_mle: np.ndarray, S: np.ndarray, n: int, d: int, gamma: float) -> float:
+    """Extended BIC: the deviance plus log(n) d + 4 d gamma log(p)."""
+    if d < 0:
+        raise ValueError(f"parameter count must be >= 0, got {d}")
+    check_gamma(gamma)
+    p = theta_mle.shape[0]
+    return deviance(theta_mle, S, n) + math.log(n) * d + 4.0 * d * gamma * math.log(p)
 
 
 @dataclass(frozen=True)
@@ -314,8 +319,7 @@ def lrt(
     slack = 1e-6 * max(1.0, abs(deviance_full))
     if deviance_sub < deviance_full - slack:
         raise ValueError("submodel deviance is below the full model's: not nested")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    check_alpha(alpha)
     stat = deviance_sub - deviance_full
     df = d_full - d_sub
     critical = chi2_quantile(1.0 - alpha, df)

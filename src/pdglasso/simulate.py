@@ -67,6 +67,10 @@ class ScenarioSpec:
             raise ValueError("replications must be >= 1")
         check_gamma(self.select_gamma, "select_gamma")
         object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
+        if not self.n_list or min(self.n_list) < 1:
+            raise ValueError(f"n_list must be nonempty with every n >= 1, got {self.n_list}")
+        if self.select_m < 2:
+            raise ValueError(f"select_m must be >= 2, got {self.select_m}")
 
     @property
     def label(self) -> str:

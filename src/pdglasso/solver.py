@@ -126,7 +126,7 @@ class SolveReport:
     estimate when one was computed.  ``polish_attempts`` counts the Newton
     polishes tried; at most the last one was accepted.  ``state`` is the
     ADMM state the loop ended in, a start state for a solve at a nearby
-    penalty; it is None on a report rebuilt from a file.
+    penalty.
     """
 
     outer_iterations: int

@@ -16,7 +16,6 @@ from pdglasso.cli import (
     dump_report,
     main,
     read_fit_report,
-    report_fit_result,
     write_grid_csv,
 )
 from pdglasso.errors import MleError
@@ -146,11 +145,11 @@ class TestFit:
             "--lambda2-across", "Inf", "--output", str(out),
         ])
         assert code == 0
-        fit = report_fit_result(read_fit_report(str(out)))
-        assert fit.report.stop_reason == "kkt"
-        idx = PairedIndex(3)
-        assert np.array_equal(swap_blocks(fit.theta_hat, idx), fit.theta_hat)
-        assert fit.graph.is_fully_symmetric()
+        doc = read_fit_report(str(out))
+        assert doc["solver_report"]["stop_reason"] == "kkt"
+        theta_hat = np.asarray(doc["theta_hat"])
+        assert np.array_equal(swap_blocks(theta_hat, PairedIndex(3)), theta_hat)
+        assert _graph_from_json(doc).is_fully_symmetric()
 
     def test_data_input_counts_rows(self, tmp_path, rng):
         Y = rng.standard_normal((30, 4))
@@ -234,9 +233,6 @@ class TestFit:
         rep = doc["solver_report"]
         assert rep["polish_attempts"] >= 1 and rep["stop_reason"] == "kkt"
         assert rep["converged"] is True
-        assert report_fit_result(doc).report.polish_attempts == rep["polish_attempts"]
-        del rep["polish_attempts"]  # a report written before the polish existed
-        assert report_fit_result(doc).report.polish_attempts == 0
 
     def test_report_carries_refit_certificate(self, tmp_path, rng):
         S = random_pd(4, rng)
@@ -247,8 +243,8 @@ class TestFit:
             "--lambda2-inside", "0.05", "--output", str(out),
         ])
         doc = read_fit_report(str(out))
-        fit = report_fit_result(doc)
-        assert doc["rcon_residual"] == rcon_residual(fit.theta_mle, S, fit.graph)
+        theta_mle = np.asarray(doc["theta_mle"])
+        assert doc["rcon_residual"] == rcon_residual(theta_mle, S, _graph_from_json(doc))
         assert doc["rcon_residual"] <= 10 * 1e-8 * max(1.0, float(np.abs(S).max()))
 
     def test_standardize_prints_caveat(self, tmp_path, rng, capsys):
@@ -311,7 +307,7 @@ class TestNonFiniteSettings:
         assert capsys.readouterr().err.startswith("error: ")
 
     @staticmethod
-    def run_with_gamma(tmp_path, monkeypatch, command, gamma):
+    def run_with_gamma(tmp_path, monkeypatch, command, gamma, n="10"):
         """Exit code, report written and penalized solves of one CLI call."""
         from pdglasso import solver
 
@@ -325,7 +321,7 @@ class TestNonFiniteSettings:
         monkeypatch.setattr(solver, "solve_weighted", counting_solve)
         cov = write_cov(tmp_path / "S.csv", np.eye(4))
         out = tmp_path / "report.json"
-        code = main([command[0], str(cov), "--cov", "--n", "10", *command[1:],
+        code = main([command[0], str(cov), "--cov", "--n", n, *command[1:],
                      "--gamma", gamma, "-o", str(out)])
         return code, out.exists(), len(calls)
 
@@ -339,6 +335,13 @@ class TestNonFiniteSettings:
                                                      command):
         assert self.run_with_gamma(tmp_path, monkeypatch, command, "-1") == (1, False, 0)
         assert "gamma must be finite and >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    @pytest.mark.parametrize("command", [["fit", "--lambda1", "0.1"], ["path", "--m", "2"]])
+    def test_sample_size_below_1_exits_1_before_any_solve(self, tmp_path, monkeypatch,
+                                                          capsys, command, n):
+        assert self.run_with_gamma(tmp_path, monkeypatch, command, "0", n=n) == (1, False, 0)
+        assert f"--n must be >= 1, got {n}" in capsys.readouterr().err
 
     def test_simulate_nan_gamma_exits_1_before_any_cell(self, tmp_path, monkeypatch):
         import pdglasso.simulate as simulate
@@ -513,6 +516,22 @@ class TestSimulateCommand:
     def test_invalid_spec(self, tmp_path):
         assert main(["simulate", "--p", "7", "--n-list", "10"]) == 1
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--n-list", "30,0"], "every n >= 1"),
+        (["--m", "1"], "select_m must be >= 2"),
+    ], ids=["n-list-with-0", "m-1"])
+    def test_bad_sample_size_or_grid_exits_1_before_any_truth(
+        self, tmp_path, monkeypatch, capsys, flags, message
+    ):
+        import pdglasso.simulate as simulate
+
+        calls = []
+        monkeypatch.setattr(simulate, "pdrcon_covariance", lambda *a, **k: calls.append(a))
+        out = tmp_path / "table.csv"
+        code = main(self.ARGS + flags + ["--threads", "1", "--output", str(out)])
+        assert code == 1 and calls == [] and not out.exists()
+        assert message in capsys.readouterr().err
+
     def test_failed_cell_is_named_on_stderr(self, tmp_path, monkeypatch, capsys):
         import pdglasso.simulate as simulate
 
@@ -605,6 +624,31 @@ class TestCompare:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--n", "0"], "--n must be >= 1, got 0"),
+        (["--n", "200", "--alpha", "2"], "alpha must be in (0, 1), got 2.0"),
+    ], ids=["n-0", "alpha-2"])
+    def test_bad_sample_size_or_alpha_exits_1_before_any_refit(
+        self, tmp_path, rng, monkeypatch, capsys, flags, message
+    ):
+        import pdglasso.cli as cli
+
+        cov = write_cov(tmp_path / "S.csv", random_pd(4, rng))
+        full, sub = tmp_path / "full.json", tmp_path / "sub.json"
+        assert self._fit(tmp_path, cov, full, "0.02") == 0
+        assert self._fit(tmp_path, cov, sub, "0.3") == 0
+        calls = []
+        monkeypatch.setattr(cli, "mle", lambda *a, **k: calls.append(a))
+        capsys.readouterr()
+        code = main(["compare", str(full), str(sub), "--input", str(cov), "--cov", *flags])
+        assert code == 1 and calls == []
+        assert message in capsys.readouterr().err
+
+    def test_alpha_is_checked_before_any_report_is_read(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.json")
+        assert main(["compare", missing, missing, "--input", missing, "--alpha", "2"]) == 1
+        assert "alpha must be in (0, 1)" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag", [["--eps-rel", "1e-6"], ["--no-kkt-refine"]])
     def test_takes_only_the_refit_settings(self, flag, capsys):
         args = build_parser().parse_args(
@@ -634,8 +678,8 @@ class TestCompare:
         out = capsys.readouterr().out
         assert code == 0
         doc = json.loads(out)
-        assert doc["df"] == n_params(report_fit_result(read_fit_report(str(full))).graph) - (
-            n_params(report_fit_result(read_fit_report(str(sub))).graph)
+        assert doc["df"] == n_params(_graph_from_json(read_fit_report(str(full)))) - (
+            n_params(_graph_from_json(read_fit_report(str(sub))))
         )
         # swapped direction is not nested: the "submodel" has extra edges
         code = main([

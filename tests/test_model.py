@@ -10,6 +10,7 @@ from pdglasso.errors import DimensionError, MleError
 from pdglasso.model import (
     PdColouredGraph,
     SubmodelClass,
+    deviance,
     ebic,
     extract_graph,
     graph_summary,
@@ -384,6 +385,8 @@ class TestEbic:
             ebic(theta, theta, n=0, d=1, gamma=0.0)
         with pytest.raises(ValueError):
             ebic(theta, theta, n=10, d=-1, gamma=0.0)
+        with pytest.raises(ValueError, match="sample size"):
+            deviance(theta, theta, 0)
 
     @pytest.mark.parametrize("gamma", [math.nan, math.inf, -0.5])
     def test_gamma_must_be_finite_and_nonnegative(self, rng, gamma):
@@ -418,8 +421,12 @@ class TestLrt:
         with pytest.raises(ValueError):
             lrt(110.0, 10, 100.0, 8, alpha=0.05)  # sub fits better
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, math.nan])
+    def test_alpha_must_be_inside_the_unit_interval(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            lrt(100.0, 10, 110.0, 8, alpha=alpha)
+
     def test_power_against_one_removed_strong_edge(self, rng):
-        from pdglasso.model import deviance
         from pdglasso.simulate import mvn_sample_cov
 
         rejects = 0

@@ -311,3 +311,12 @@ class TestScenarioSpecValidation:
     def test_rejects_bad_select_gamma(self, gamma):
         with pytest.raises(ValueError):
             _spec(select_gamma=gamma)
+
+    @pytest.mark.parametrize("n_list", [(), (30, 0), (-5,)])
+    def test_rejects_empty_or_nonpositive_n_list(self, n_list):
+        with pytest.raises(ValueError, match="n_list"):
+            _spec(n_list=n_list)
+
+    def test_rejects_a_grid_below_two_points(self):
+        with pytest.raises(ValueError, match="select_m"):
+            _spec(select_m=1)

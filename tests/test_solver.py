@@ -546,19 +546,36 @@ class TestFacePolish:
         _, warm_report = solve_weighted(S, idx, l1, w, cfg, start=report.state)
         assert warm_report.outer_iterations < report.outer_iterations
 
-    @pytest.mark.parametrize("kkt_refine", [True, False])
-    def test_rejected_polish_leaves_admm_unchanged(self, rng, monkeypatch, kkt_refine):
+    @pytest.mark.parametrize("kkt_refine, eps_rel, refines", [
+        pytest.param(True, 1e-8, False, id="True"),
+        pytest.param(False, 1e-8, False, id="False"),
+        # loose residuals are met before the certificate, so the loop
+        # iterates on past failed certificates
+        pytest.param(True, 1e-3, True, id="True-past-failed-certificates"),
+    ])
+    def test_rejected_polish_leaves_admm_unchanged(self, rng, monkeypatch, kkt_refine,
+                                                   eps_rel, refines):
         def fail(*args, **kwargs):
             raise MleError("face solver failed")
 
+        certificates = []
+        kkt = solver.kkt_residual
+
+        def recording_kkt(*args, **kwargs):
+            certificates.append(kkt(*args, **kwargs))
+            return certificates[-1]
+
         monkeypatch.setattr(solver, "_rcon_newton", fail)
+        monkeypatch.setattr(solver, "kkt_residual", recording_kkt)
         S = random_pd(8, rng)
         idx = PairedIndex(4)
-        cfg = AdmmConfig(kkt_refine=kkt_refine)
+        cfg = AdmmConfig(kkt_refine=kkt_refine, eps_rel=eps_rel)
         l1, w = _penalty_weights(PenaltySpec(0.1, INF, 0.05, 0.02), idx)
         theta, report = solve_weighted(S, idx, l1, w, cfg)
+        solve_certificates = list(certificates)
         ref, iterations, stop_reason = admm_loop(S, idx, l1, w, cfg)
         assert report.polish_attempts >= 1
+        assert any(c > 10 * cfg.eps_abs for c in solve_certificates) == refines
         assert np.array_equal(theta, ref)
         assert report.outer_iterations == iterations
         assert report.stop_reason == stop_reason
@@ -630,6 +647,16 @@ class TestAdmmConfig:
         assert not report.converged
         assert report.outer_iterations == 2
         assert report.stop_reason == "max_outer"
+
+    def test_singular_iterate_returns_the_theta_step(self, rng):
+        # one iteration at a penalty above the threshold leaves Z singular
+        S = random_pd(6, rng)
+        theta, report = pdglasso_solve(
+            S, PenaltySpec(3 * lambda1_diag_max(S)), AdmmConfig(max_outer=1)
+        )
+        assert report.stop_reason == "max_outer" and report.z_not_pd
+        assert is_positive_definite(theta)
+        assert np.array_equal(theta, theta_step(S, *report.state))
 
     def test_stop_reasons(self, rng):
         S = random_pd(6, rng)

@@ -1,0 +1,60 @@
+"""The names the benchmark's layer tracer wraps.
+
+``perfbench/tracehooks.py`` replaces each of these module attributes with a
+timing wrapper, looking it up by name, and reports 0 calls for a name it
+does not find.  A rename or a move would therefore not fail the benchmark
+but silently empty a per-layer metric; these tests fail instead.
+"""
+
+import inspect
+
+import pytest
+
+import pdglasso.cli as cli
+import pdglasso.model as model
+import pdglasso.simulate as simulate
+import pdglasso.solver as solver
+
+HOOKED = [
+    (solver, "theta_step"),
+    (solver, "kkt_residual"),
+    (solver, "solve_weighted"),
+    (model, "mle"),
+    (model, "fit_point"),
+    (simulate, "mle"),
+    (simulate, "pdrcon_covariance"),
+    (simulate, "model_select"),
+    (simulate, "_run_cell"),
+    (cli, "selection_path"),
+    (cli, "run_scenario"),
+    (cli, "read_matrix_csv"),
+    (cli, "write_fit_report"),
+    (cli, "results_to_csv"),
+]
+
+
+@pytest.mark.parametrize("module, name", HOOKED,
+                         ids=[f"{m.__name__}.{n}" for m, n in HOOKED])
+def test_hooked_name_is_a_function_of_its_module(module, name):
+    assert callable(getattr(module, name, None))
+
+
+def test_solve_config_is_the_fifth_positional_parameter():
+    # the tracer reads cfg.max_outer from args[4] when cfg is not a keyword
+    params = list(inspect.signature(solver.solve_weighted).parameters)
+    assert params[4] == "cfg"
+
+
+def test_input_is_read_through_the_cli_global(tmp_path, monkeypatch):
+    calls = []
+    read = cli.read_matrix_csv
+
+    def counting_read(*args, **kwargs):
+        calls.append(args)
+        return read(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "read_matrix_csv", counting_read)
+    path = tmp_path / "S.csv"
+    path.write_text("a_L,a_R\n1.0,0.0\n0.0,1.0\n")
+    assert cli.main(["thresholds", str(path), "--cov"]) == 0
+    assert len(calls) == 1
