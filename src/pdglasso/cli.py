@@ -55,14 +55,23 @@ _STANDARDIZE_CAVEAT = (
 )
 
 
-def _default_threads() -> int:
-    env = os.environ.get("PDGLASSO_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
+def _simulate_threads(flag: str | None) -> int:
+    """Worker processes for simulate: ``--threads``, else a non-empty
+    ``PDGLASSO_THREADS``, else the CPU count.  A value that is not an integer
+    >= 1 is an :class:`InputError` naming where it came from."""
+    if flag is not None:
+        source, text = "--threads", flag
+    else:
+        source, text = "PDGLASSO_THREADS", os.environ.get("PDGLASSO_THREADS")
+        if not text:
+            return os.cpu_count() or 1
+    try:
+        threads = int(text)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise InputError(f"{source} must be an integer >= 1, got {text!r}")
+    return threads
 
 
 # ---------------------------------------------------------------------------
@@ -125,8 +134,11 @@ def _read_sample(args) -> tuple[np.ndarray, list[str], int | None]:
 
     The sample size is the row count of a data file, or ``--n`` with
     ``--cov``; a subcommand with an ``--n`` flag gets an :class:`InputError`
-    when it is missing or below 1.
+    when it is missing or below 1 with ``--cov``, or given without it.
     """
+    if not args.cov and getattr(args, "n", None) is not None:
+        raise InputError("--n applies only with --cov; a data file's sample size "
+                         "is its row count")
     M, names = read_matrix_csv(args.input, args.cov)
     if args.cov:
         S, n = M, getattr(args, "n", None)
@@ -429,6 +441,7 @@ def _mode(text: str) -> str:
 
 
 def cmd_simulate(args) -> int:
+    threads = _simulate_threads(args.threads)
     spec = ScenarioSpec(
         p=args.p,
         density=args.density,
@@ -440,7 +453,7 @@ def cmd_simulate(args) -> int:
         select_gamma=args.gamma,
     )
     cfg = _admm_config(args)
-    rows = run_scenario(spec, cfg, threads=args.threads)
+    rows = run_scenario(spec, cfg, threads=threads)
     text = results_to_csv(rows)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -598,7 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--m", type=int, default=20)
     p_sim.add_argument("--gamma", type=float, default=0.0)
     p_sim.add_argument("--output", "-o", default=None, help="CSV path (default stdout)")
-    p_sim.add_argument("--threads", type=int, default=_default_threads(),
+    p_sim.add_argument("--threads", default=None,
                        help="worker processes for the simulation cells "
                             "(default: PDGLASSO_THREADS, else the CPU count)")
     _add_solver_flags(p_sim)

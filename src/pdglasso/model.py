@@ -533,15 +533,18 @@ def selection_path(
     Stage 2 is skipped when no component is gridded or the symmetry threshold
     is zero.
 
-    Grid points are evaluated one after another, stage 1 in ascending l1
-    weight and stage 2 in ascending fused weight, and the path is
+    Grid points are evaluated one after another and the path is
     warm-started as in glasso and glmnet (Friedman, Hastie & Tibshirani
-    2008, Biostatistics 9:432; 2010, J. Stat. Softw. 33(1)): each solve
-    starts from the ADMM state (Z, U, rho1) that the solve of the point
-    before it ended in, and the first stage-2 solve from the last stage-1
-    point's.  The first point starts cold, and so does the point after one
-    that failed.  Each solve still ends only on its own residuals or
-    certificate.
+    2008, Biostatistics 9:432; 2010, J. Stat. Softw. 33(1)).  Each stage is
+    swept from its sparsest point down: stage 1 in descending l1 weight,
+    from the diagonal threshold, and stage 2 in descending fused weight,
+    from the full-symmetry threshold.  The top of stage 1 starts cold; each
+    later solve starts from the ADMM state (Z, U, rho1) that the solve
+    evaluated before it ended in, except that stage 2 starts from the
+    stage-1 winner's, whose l1 weight it keeps.  A point after one that
+    failed starts cold.  Each solve still ends only on its own residuals or
+    certificate.  The returned points are in ascending penalty order within
+    each stage.
     """
     cfg = cfg or AdmmConfig()
     if m < 2:
@@ -549,23 +552,27 @@ def selection_path(
     check_gamma(gamma)
     S = np.asarray(S, dtype=float)
     idx = PairedIndex.from_p(S.shape[0])
-    start = None  # the ADMM state handed from one grid point to the next
 
-    def evaluate(stage: int, lam1: float, lam2: float) -> GridPoint:
-        nonlocal start
-        pt = _evaluate(stage, lam1, lam2, S, n, gamma, class_spec, cfg, start)
-        start = pt.fit.report.state if pt.valid else None
-        return pt
+    def sweep(stage: int, grid: list[tuple[float, float]],
+              start: Optional[AdmmState]) -> list[GridPoint]:
+        """Evaluate (lambda1, lambda2) pairs from the last one down, the first
+        from ``start``, and return the points in grid order."""
+        swept = []
+        for lam1, lam2 in reversed(grid):
+            pt = _evaluate(stage, lam1, lam2, S, n, gamma, class_spec, cfg, start)
+            start = pt.fit.report.state if pt.valid else None
+            swept.append(pt)
+        return swept[::-1]
 
-    stage1 = [evaluate(1, lam1, 0.0) for lam1 in _log_grid(lambda1_diag_max(S), m)]
+    stage1 = sweep(1, [(lam1, 0.0) for lam1 in _log_grid(lambda1_diag_max(S), m)], None)
     winner1 = _best(stage1)
 
     points = list(stage1)
     candidates = [winner1]
     lam2_top = lambda2_sym_max(S, idx)
     if class_spec.any_gridded and lam2_top > 0:
-        lam2_grid = _log_grid(lam2_top, m)
-        stage2 = [evaluate(2, winner1.lambda1, lam2) for lam2 in lam2_grid]
+        stage2 = sweep(2, [(winner1.lambda1, lam2) for lam2 in _log_grid(lam2_top, m)],
+                       winner1.fit.report.state)
         points.extend(stage2)
         candidates.extend(stage2)
     winner = _best(candidates)

@@ -320,8 +320,11 @@ def run_scenario(
     seed, so the output depends only on (spec, cfg).  Cells run in worker
     processes when ``threads`` > 1 with a deterministic, order-preserving
     reduction, so parallel and serial runs agree bit for bit.  Per-cell
-    failures are recorded in the table and the run continues.
+    failures are recorded in the table and the run continues.  Raises
+    ValueError when ``threads`` < 1.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     cfg = cfg or AdmmConfig()
     cells = [(rep, n) for rep in range(spec.replications) for n in spec.n_list]
     worker = partial(_run_cell, spec, cfg)

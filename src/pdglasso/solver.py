@@ -31,12 +31,14 @@ where it was, so a polish never makes a solve worse.
 
 A solve starts cold, at Z = U = 0 and rho1 = ``_RHO_INIT``, unless its
 caller hands it a start state (Z, U, rho1).  Every report carries the ADMM
-state its loop ended in, and the selection path starts each grid point from
-the state of the point before it: the pathwise warm starts of glasso and
-glmnet (Friedman, Hastie & Tibshirani 2008, Biostatistics 9:432; 2010,
-J. Stat. Softw. 33(1)).  A start state changes where the loop begins, not
-what ends it: the residual tests and the certificate are the same, so a
-warm solve meets the same tolerances, usually in fewer iterations.
+state its loop ended in.  The selection path sweeps each stage from its
+sparsest penalty down and starts each grid point from the state of the
+point solved before it, and stage 2 from the stage-1 winner's: the pathwise
+warm starts of glasso and glmnet (Friedman, Hastie & Tibshirani 2008,
+Biostatistics 9:432; 2010, J. Stat. Softw. 33(1)).  A start state changes
+where the loop begins, not what ends it: the residual tests and the
+certificate are the same, so a warm solve meets the same tolerances,
+usually in fewer iterations.
 
 Two choices are constants, not settings.  The cold step size is
 ``_RHO_INIT`` and residual balancing (Boyd et al. 2011, section 3.4.1)

@@ -343,6 +343,19 @@ class TestNonFiniteSettings:
         assert self.run_with_gamma(tmp_path, monkeypatch, command, "0", n=n) == (1, False, 0)
         assert f"--n must be >= 1, got {n}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["fit", "--lambda1", "0.2"], ["path", "--m", "2"]])
+    def test_n_without_cov_exits_1_before_any_solve(self, tmp_path, monkeypatch, capsys,
+                                                    command):
+        from pdglasso import solver
+
+        calls = []
+        monkeypatch.setattr(solver, "solve_weighted", lambda *a, **k: calls.append(a))
+        data = write_data(tmp_path / "Y.csv", np.random.default_rng(3).standard_normal((30, 4)))
+        out = tmp_path / "report.json"
+        code = main([command[0], str(data), *command[1:], "--n", "5", "-o", str(out)])
+        assert code == 1 and calls == [] and not out.exists()
+        assert "--n applies only with --cov" in capsys.readouterr().err
+
     def test_simulate_nan_gamma_exits_1_before_any_cell(self, tmp_path, monkeypatch):
         import pdglasso.simulate as simulate
 
@@ -515,6 +528,37 @@ class TestSimulateCommand:
 
     def test_invalid_spec(self, tmp_path):
         assert main(["simulate", "--p", "7", "--n-list", "10"]) == 1
+
+    @pytest.mark.parametrize("flags, env, message", [
+        (["--threads", "0"], None, "--threads must be an integer >= 1, got '0'"),
+        (["--threads", "two"], None, "--threads must be an integer >= 1, got 'two'"),
+        ([], "0", "PDGLASSO_THREADS must be an integer >= 1, got '0'"),
+        ([], "two", "PDGLASSO_THREADS must be an integer >= 1, got 'two'"),
+    ], ids=["flag-0", "flag-two", "env-0", "env-two"])
+    def test_bad_worker_count_exits_1_before_any_truth(
+        self, tmp_path, monkeypatch, capsys, flags, env, message
+    ):
+        import pdglasso.simulate as simulate
+
+        calls = []
+        monkeypatch.setattr(simulate, "pdrcon_covariance", lambda *a, **k: calls.append(a))
+        if env is None:
+            monkeypatch.delenv("PDGLASSO_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("PDGLASSO_THREADS", env)
+        out = tmp_path / "table.csv"
+        code = main(self.ARGS + flags + ["--output", str(out)])
+        assert code == 1 and calls == [] and not out.exists()
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["fit", "--lambda1", "0.1"], ["path", "--m", "2"]])
+    def test_bad_worker_variable_leaves_fit_and_path_alone(self, tmp_path, monkeypatch,
+                                                           command):
+        monkeypatch.setenv("PDGLASSO_THREADS", "two")
+        cov = write_cov(tmp_path / "S.csv", np.eye(4))
+        out = tmp_path / "report.json"
+        code = main([command[0], str(cov), "--cov", "--n", "10", *command[1:], "-o", str(out)])
+        assert code == 0 and out.exists()
 
     @pytest.mark.parametrize("flags, message", [
         (["--n-list", "30,0"], "every n >= 1"),

@@ -10,6 +10,7 @@ from pdglasso.errors import DimensionError, MleError
 from pdglasso.model import (
     PdColouredGraph,
     SubmodelClass,
+    _best,
     deviance,
     ebic,
     extract_graph,
@@ -615,16 +616,27 @@ class TestModelSelect:
         monkeypatch.setattr(solver, "solve_weighted", recording_solve)
         return starts, states
 
+    @staticmethod
+    def solve_order(points, states):
+        """For each point, in the order returned, the index of its solve."""
+        return [next(k for k, state in enumerate(states) if state is pt.fit.report.state)
+                for pt in points]
+
     def test_path_is_warm_started_in_grid_order(self, rng, monkeypatch):
+        # each stage is swept from its largest penalty down; stage 2 starts
+        # from the stage-1 winner, not from the last stage-1 solve
         starts, states = self.record_starts(monkeypatch)
         S = random_pd(6, rng)
         _, points = selection_path(S, 100, 4, 0.0, SubmodelClass(), AdmmConfig())
         assert [pt.stage for pt in points] == [1] * 4 + [2] * 4
         assert all(pt.valid for pt in points) and len(starts) == 8
-        assert starts[0] is None  # the first stage-1 point starts cold
-        assert starts[4] is states[3]  # stage 2 continues from the last stage-1 point
-        assert all(starts[k] is states[k - 1] for k in range(1, 8))
         assert all(state is not None for state in states)
+        assert self.solve_order(points, states) == [3, 2, 1, 0, 7, 6, 5, 4]
+        assert starts[0] is None  # the stage-1 top starts cold
+        assert all(starts[k] is states[k - 1] for k in (1, 2, 3, 5, 6, 7))
+        winner1 = _best(points[:4])
+        assert winner1 is not points[0]  # else the two stage-2 rules coincide
+        assert starts[4] is winner1.fit.report.state
 
     def test_failed_point_does_not_seed_the_next(self, rng, monkeypatch):
         from pdglasso import model
@@ -642,12 +654,50 @@ class TestModelSelect:
         monkeypatch.setattr(model, "mle", failing_second_refit)
         S = random_pd(6, rng)
         _, points = selection_path(S, 100, 4, 0.0, SubmodelClass(), AdmmConfig())
-        assert [pt.valid for pt in points] == [True, False] + [True] * 6
+        # the second solve is the second-largest stage-1 penalty
+        assert [pt.valid for pt in points] == [True, True, False, True] + [True] * 4
         # the failed point's solve ended normally, yet its state is dropped
         assert states[1] is not None
         assert starts[1] is states[0]
         assert starts[2] is None
-        assert all(starts[k] is states[k - 1] for k in range(3, 8))
+        assert starts[3] is states[2]
+        assert starts[4] is _best(points[:4]).fit.report.state
+        assert all(starts[k] is states[k - 1] for k in (5, 6, 7))
+
+    def test_points_come_back_in_ascending_order(self, rng):
+        S = random_pd(6, rng)
+        _, points = selection_path(S, 100, 5, 0.0, SubmodelClass(), AdmmConfig())
+        stage1 = [pt for pt in points if pt.stage == 1]
+        stage2 = [pt for pt in points if pt.stage == 2]
+        assert points == stage1 + stage2 and len(stage1) == len(stage2) == 5
+        lam1 = [pt.lambda1 for pt in stage1]
+        lam2 = [pt.lambda2 for pt in stage2]
+        assert lam1 == sorted(lam1) and len(set(lam1)) == 5
+        assert lam2 == sorted(lam2) and len(set(lam2)) == 5
+        assert {pt.lambda1 for pt in stage2} == {_best(stage1).lambda1}
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("p", [4, 6, 8])
+    def test_warm_path_selects_as_the_cold_path(self, monkeypatch, p, seed):
+        from pdglasso import solver
+
+        rng = np.random.default_rng(seed)
+        theta = strong_ggm_truth(p, rng)
+        S = mvn_sample_cov(np.linalg.inv(theta), 60, seed)
+        warm, warm_pts = selection_path(S, 60, 4, 0.0, SubmodelClass(), AdmmConfig())
+        solve = solver.solve_weighted
+        monkeypatch.setattr(solver, "solve_weighted",
+                            lambda *a, **k: solve(*a, **{**k, "start": None}))
+        cold, cold_pts = selection_path(S, 60, 4, 0.0, SubmodelClass(), AdmmConfig())
+        assert (warm.spec, warm.d) == (cold.spec, cold.d)
+        assert len(warm_pts) == len(cold_pts)
+        for w, c in zip(warm_pts, cold_pts):
+            assert (w.stage, w.lambda1, w.lambda2, w.d) == (c.stage, c.lambda1, c.lambda2, c.d)
+            assert np.array_equal(w.fit.graph.absent_coord_mask(),
+                                  c.fit.graph.absent_coord_mask())
+            assert np.array_equal(w.fit.graph.coloured_row_mask(),
+                                  c.fit.graph.coloured_row_mask())
+            assert w.ebic == pytest.approx(c.ebic, rel=1e-8)
 
     def test_serial_runs_are_deterministic(self, rng):
         S = random_pd(6, rng)

@@ -293,6 +293,16 @@ class TestRunScenario:
         parallel = results_to_csv(run_scenario(spec, FAST, threads=4))
         assert serial == parallel
 
+    @pytest.mark.parametrize("threads", [0, -2])
+    def test_thread_count_below_one_raises_before_any_truth(self, monkeypatch, threads):
+        import pdglasso.simulate as simulate
+
+        calls = []
+        monkeypatch.setattr(simulate, "pdrcon_covariance", lambda *a, **k: calls.append(a))
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            run_scenario(_spec(p=6, n_list=(40,), select_m=3), FAST, threads=threads)
+        assert calls == []
+
 
 class TestScenarioSpecValidation:
     def test_rejects_odd_p(self):
