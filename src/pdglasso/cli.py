@@ -274,6 +274,7 @@ def fit_report_doc(
             "z_not_pd": fit.report.z_not_pd,
             "stop_reason": fit.report.stop_reason,
             "polish_attempts": fit.report.polish_attempts,
+            "restarts": fit.report.restarts,
         },
         "theta_hat": [[float(x) for x in row] for row in fit.theta_hat],
         "theta_mle": None

@@ -26,8 +26,20 @@ gradient there, so Newton's method solves it exactly (the second-order step
 on a fixed free set of QUIC, Hsieh et al. 2014, and of proximal Newton
 methods, Lee, Sun & Saunders 2014).  The polished point is kept only if the
 optimality certificate, with exact ties, meets its tolerance; strict
-convexity then makes it the optimum.  Otherwise the ADMM continues from
-where it was, so a polish never makes a solve worse.
+convexity then makes it the optimum.  A rejected polish is still the exact
+optimum on the face it tried.  When its certificate is strictly below that
+of every polish rejected before it in the solve, the ADMM restarts there,
+at most ``_MAX_RESTARTS`` times per solve: Z becomes the polished point and
+U the dual that makes the next Theta step return it, so the next Z step is
+a proximal-gradient step from the Newton point that moves the face toward
+the coordinates it violates.  This alternation of a Newton solve on a face
+with a step that updates the face is the orthant-based Newton method of
+Oztoprak, Nocedal, Rennie & Olsen (2012, NIPS) and the free-set update of
+QUIC (Hsieh et al. 2014, JMLR 15:2911).  Restarts need a strict gain and
+are capped, because restarting on every rejection can cycle between
+neighbouring faces.  After any other rejection the ADMM continues from
+where it was.  The ADMM converges from any start, so a restart changes
+where the loop goes on from, not what ends it: the certificate still does.
 
 A solve starts cold, at Z = U = 0 and rho1 = ``_RHO_INIT``, unless its
 caller hands it a start state (Z, U, rho1).  Every report carries the ADMM
@@ -72,6 +84,7 @@ _RHO_MIN = 1e-6
 _RHO_MAX = 1e6
 _KKT_TOL_FACTOR = 10.0
 _POLISH_AFTER = 10  # iterations a face must hold before it is polished
+_MAX_RESTARTS = 5  # restarts of the ADMM from a rejected polish, per solve
 
 
 @dataclass(frozen=True)
@@ -126,9 +139,12 @@ class SolveReport:
     iterate, which a polished solve replaces before they meet their
     tolerances.  ``kkt_residual`` is the certificate of the returned
     estimate when one was computed.  ``polish_attempts`` counts the Newton
-    polishes tried; at most the last one was accepted.  ``state`` is the
-    ADMM state the loop ended in, a start state for a solve at a nearby
-    penalty.
+    polishes tried; at most the last one was accepted.  ``restarts`` counts
+    the rejected polishes the ADMM restarted from, each with a certificate
+    strictly below the earlier ones', at most ``_MAX_RESTARTS``.  ``state``
+    is the ADMM state the loop ended in, after any restart and before an
+    accepted polish replaced the estimate: a start state for a solve at a
+    nearby penalty.
     """
 
     outer_iterations: int
@@ -139,6 +155,7 @@ class SolveReport:
     z_not_pd: bool = False
     stop_reason: str = "max_outer"
     polish_attempts: int = 0
+    restarts: int = 0
     state: Optional[AdmmState] = field(default=None, compare=False, repr=False)
 
     @property
@@ -350,7 +367,7 @@ def _face(z: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.concatenate([np.sign(z), np.sign(z[a] - z[b])])
 
 
-def _polish(
+def _face_newton(
     Z: np.ndarray, S: np.ndarray, idx: PairedIndex, l1_coord: np.ndarray,
     row_w: np.ndarray, cfg: AdmmConfig,
 ) -> Optional[tuple[np.ndarray, float]]:
@@ -361,8 +378,9 @@ def _polish(
     on each nonzero coordinate, plus w_r sign(z_a - z_b) on a and minus it
     on b for each untied active row r.  So the face solver with S + Delta,
     the zeros of z absent and the tied rows coloured, minimizes the
-    objective there.  Returns (Theta, certificate) when
-    :func:`kkt_residual` meets ``_KKT_TOL_FACTOR * eps_abs``, otherwise None.
+    objective there.  Returns (Theta, certificate), the certificate being
+    :func:`kkt_residual` of Theta, whether or not it meets its tolerance;
+    None when the face solver fails.
     """
     tol = _KKT_TOL_FACTOR * cfg.eps_abs
     z = pd_vec(Z, idx)
@@ -383,8 +401,19 @@ def _polish(
         )
     except MleError:
         return None
-    kkt = kkt_residual(Theta, S, idx, l1_coord, row_w)
-    return (Theta, kkt) if kkt <= tol else None
+    return Theta, kkt_residual(Theta, S, idx, l1_coord, row_w)
+
+
+def _polish(
+    Z: np.ndarray, S: np.ndarray, idx: PairedIndex, l1_coord: np.ndarray,
+    row_w: np.ndarray, cfg: AdmmConfig,
+) -> Optional[tuple[np.ndarray, float]]:
+    """The face optimum of :func:`_face_newton` and its certificate when the
+    certificate meets ``_KKT_TOL_FACTOR * eps_abs``, otherwise None."""
+    candidate = _face_newton(Z, S, idx, l1_coord, row_w, cfg)
+    if candidate is None or candidate[1] > _KKT_TOL_FACTOR * cfg.eps_abs:
+        return None
+    return candidate
 
 
 def solve_weighted(
@@ -401,9 +430,14 @@ def solve_weighted(
 
     Once the face of Z (see :func:`_face`) has held for ``_POLISH_AFTER``
     iterations, is not the face last polished, and Z is positive definite,
-    the face is polished by :func:`_polish`; an accepted polish ends the
-    solve with ``stop_reason`` ``"kkt"``, a rejected one leaves the ADMM
-    state as it was.
+    the face is solved by :func:`_face_newton`.  A certified face optimum
+    ends the solve with ``stop_reason`` ``"kkt"``.  A rejected one whose
+    certificate is strictly below that of every earlier rejected polish of
+    this solve restarts the ADMM from it, at most ``_MAX_RESTARTS`` times:
+    Z = Theta_f, U = (Theta_f^{-1} - S) / rho1 and a new face hold, while
+    the face last polished is kept, so it is not polished again at once.
+    Any other rejection, or a face solver failure, leaves the ADMM state as
+    it was.
 
     The loop starts from ``start``, the ``state`` of an earlier report,
     or cold at Z = U = 0 and ``_RHO_INIT`` when it is None.  The face hold,
@@ -442,6 +476,8 @@ def solve_weighted(
     face = tried = None
     held = 0
     polish_attempts = 0
+    restarts = 0
+    best = math.inf  # the best certificate of a rejected polish so far
     polished = None
 
     for l in range(cfg.max_outer):
@@ -477,10 +513,21 @@ def solve_weighted(
                 and is_positive_definite(Z)):
             tried = face
             polish_attempts += 1
-            polished = _polish(Z, S, idx, l1_coord, row_w, cfg)
-            if polished is not None:
+            candidate = _face_newton(Z, S, idx, l1_coord, row_w, cfg)
+            if candidate is not None and candidate[1] <= _KKT_TOL_FACTOR * cfg.eps_abs:
+                polished = candidate
                 stop_reason = "kkt"
                 break
+            if candidate is not None and candidate[1] < best and restarts < _MAX_RESTARTS:
+                # restart at the face optimum, which the next theta_step
+                # returns; the residuals belong to the iterate it replaces,
+                # so they do not rebalance rho1
+                Z, best = candidate
+                U = (np.linalg.inv(Z) - S) / rho1
+                restarts += 1
+                face = None
+                held = 0
+                continue
         # residual balancing
         if primal > 10.0 * dual and rho1 * 2.0 <= _RHO_MAX:
             rho1 *= 2.0
@@ -506,6 +553,7 @@ def solve_weighted(
         z_not_pd=bool(z_not_pd),
         stop_reason=stop_reason,
         polish_attempts=polish_attempts,
+        restarts=restarts,
         state=AdmmState(Z, U, rho1),
     )
     return result, report

@@ -232,6 +232,7 @@ class TestFit:
         doc = read_fit_report(str(out))
         rep = doc["solver_report"]
         assert rep["polish_attempts"] >= 1 and rep["stop_reason"] == "kkt"
+        assert type(rep["restarts"]) is int and 0 <= rep["restarts"] <= rep["polish_attempts"]
         assert rep["converged"] is True
 
     def test_report_carries_refit_certificate(self, tmp_path, rng):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pdglasso import solver
@@ -579,6 +579,133 @@ class TestFacePolish:
         assert np.array_equal(theta, ref)
         assert report.outer_iterations == iterations
         assert report.stop_reason == stop_reason
+
+    def test_restart_state_reproduces_the_rejected_polish(self, rng, monkeypatch):
+        # a one-iteration hold polishes faces before they are final, so some
+        # polishes are rejected and restart the ADMM
+        monkeypatch.setattr(solver, "_POLISH_AFTER", 1)
+        events = []
+        step, newton = solver.theta_step, solver._face_newton
+
+        def recording_step(S, Z, U, rho1):
+            events.append(("step", Z.copy(), U.copy(), rho1))
+            return step(S, Z, U, rho1)
+
+        def recording_newton(*args, **kwargs):
+            candidate = newton(*args, **kwargs)
+            events.append(("polish", candidate))
+            return candidate
+
+        monkeypatch.setattr(solver, "theta_step", recording_step)
+        monkeypatch.setattr(solver, "_face_newton", recording_newton)
+        S = random_pd(8, rng)
+        idx = PairedIndex(4)
+        cfg = AdmmConfig()
+        l1, w = _penalty_weights(PenaltySpec(0.1, INF, 0.05, 0.02), idx)
+        _, report = solve_weighted(S, idx, l1, w, cfg)
+        assert report.restarts >= 1 and report.stop_reason == "kkt"
+        # the first rejected polish always restarts: the next Theta step
+        # starts from it
+        first = next(i for i, (kind, *rest) in enumerate(events)
+                     if kind == "polish" and rest[0] is not None
+                     and rest[0][1] > 10 * cfg.eps_abs)
+        theta_f = events[first][1][0]
+        kind, Z, U, rho1 = events[first + 1]
+        assert kind == "step"
+        assert np.array_equal(Z, theta_f)
+        assert np.allclose(U, (np.linalg.inv(theta_f) - S) / rho1, rtol=0, atol=1e-12)
+        assert np.abs(step(S, Z, U, rho1) - theta_f).max() <= 1e-10
+
+    def test_restart_needs_a_strictly_better_certificate(self, rng, monkeypatch):
+        # after a first rejected polish at certificate 1, equal (1) and worse
+        # (2) certificates must leave the ADMM exactly as a failed face
+        # solve does
+        monkeypatch.setattr(solver, "_POLISH_AFTER", 1)
+        newton = solver._face_newton
+        S = random_pd(8, rng)
+        idx = PairedIndex(4)
+        cfg = AdmmConfig()
+        l1, w = _penalty_weights(PenaltySpec(0.1, INF, 0.05, 0.02), idx)
+
+        def solve(later):
+            calls = []
+
+            def fake(*args, **kwargs):
+                calls.append(None)
+                theta_f, _ = newton(*args, **kwargs)
+                return (theta_f, 1.0) if len(calls) == 1 else later(theta_f, len(calls))
+
+            monkeypatch.setattr(solver, "_face_newton", fake)
+            return solve_weighted(S, idx, l1, w, cfg)
+
+        theta, report = solve(lambda theta_f, k: (theta_f, 1.0 + k % 2))
+        ref, ref_report = solve(lambda theta_f, k: None)
+        assert report.restarts == ref_report.restarts == 1
+        assert report.polish_attempts == ref_report.polish_attempts >= 3
+        assert np.array_equal(theta, ref)
+        assert report.outer_iterations == ref_report.outer_iterations
+        assert report.stop_reason == ref_report.stop_reason
+        for got, want in zip(report.state, ref_report.state):
+            assert np.array_equal(got, want)
+
+    def always_rejected_solve(self, rng, monkeypatch):
+        """A solve whose every polish is rejected with a certificate strictly
+        below the one before, so each rejection may restart the ADMM."""
+        monkeypatch.setattr(solver, "_POLISH_AFTER", 1)
+        newton = solver._face_newton
+        calls = []
+
+        def fake(*args, **kwargs):
+            calls.append(None)
+            return newton(*args, **kwargs)[0], 1.0 / len(calls)
+
+        monkeypatch.setattr(solver, "_face_newton", fake)
+        S = random_pd(8, rng)
+        idx = PairedIndex(4)
+        cfg = AdmmConfig()
+        l1, w = _penalty_weights(PenaltySpec(0.1, INF, 0.05, 0.02), idx)
+        theta, report = solve_weighted(S, idx, l1, w, cfg)
+        return S, idx, l1, w, cfg, theta, report
+
+    def test_every_strictly_better_rejection_restarts(self, rng, monkeypatch):
+        *_, report = self.always_rejected_solve(rng, monkeypatch)
+        assert report.restarts == report.polish_attempts <= solver._MAX_RESTARTS
+
+    @pytest.mark.parametrize("cap", [1, 2])
+    def test_restarts_stop_at_the_cap(self, rng, monkeypatch, cap):
+        # a lower cap, so that this small solve has more rejections than it
+        monkeypatch.setattr(solver, "_MAX_RESTARTS", cap)
+        *_, report = self.always_rejected_solve(rng, monkeypatch)
+        assert report.polish_attempts > cap
+        assert report.restarts == cap
+
+    def test_always_rejected_solve_ends_on_the_admm_stop(self, rng, monkeypatch):
+        S, idx, l1, w, cfg, theta, report = self.always_rejected_solve(rng, monkeypatch)
+        assert report.stop_reason == "kkt"
+        assert report.outer_iterations < cfg.max_outer
+        # the ADMM's own certificate, at its own iterate
+        assert report.kkt_residual == kkt_residual(theta, S, idx, l1, w) <= 10 * cfg.eps_abs
+        ref, _, _ = admm_loop(S, idx, l1, w, cfg)
+        for got, want in zip(face_masks(theta, idx, w), face_masks(ref, idx, w)):
+            assert np.array_equal(got, want)
+        assert np.abs(theta - ref).max() <= 1e-6
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_restarted_solve_matches_plain_admm(self, data):
+        S, idx, spec = random_instance(data)
+        cfg = AdmmConfig(eps_abs=1e-10, eps_rel=1e-10)
+        l1, w = _penalty_weights(spec, idx)
+        # a one-iteration hold makes most of these solves restart
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "_POLISH_AFTER", 1)
+            theta, report = solve_weighted(S, idx, l1, w, cfg)
+        assume(report.restarts >= 1)
+        ref, _, ref_stop = admm_loop(S, idx, l1, w, cfg)
+        assert report.stop_reason == ref_stop == "kkt"
+        for got, want in zip(face_masks(theta, idx, w), face_masks(ref, idx, w)):
+            assert np.array_equal(got, want)
+        assert np.abs(theta - ref).max() <= 1e-6
 
     def test_polished_estimate_is_certified_with_exact_zeros_and_ties(self, rng):
         cfg = AdmmConfig()
