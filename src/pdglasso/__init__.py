@@ -1,5 +1,26 @@
 """Paired-data graphical lasso: joint structure learning of two dependent
-Gaussian graphical models with fused symmetry penalties."""
+Gaussian graphical models with fused symmetry penalties.
+
+BLAS threads: when this package is imported before numpy, as both CLI entry
+points (``python -m pdglasso`` and the ``pdglasso`` script) do, it sets
+``OPENBLAS_NUM_THREADS=1`` unless ``OPENBLAS_NUM_THREADS``,
+``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS`` is already set and non-empty.
+The solver's p x p eigendecompositions, inverses and products gain nothing
+from a second BLAS thread at the sizes this package is used for, and the
+idle threads busy-wait and cost start-up time.  Parallel work comes from the
+``simulate`` process pool instead.  Imported after numpy, the package changes
+no environment variable: numpy's BLAS has already started and the variable
+would only leak into child processes.
+"""
+
+import os as _os
+import sys as _sys
+
+if "numpy" not in _sys.modules and not any(
+    _os.environ.get(name)
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+):
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 __version__ = "0.1.0"
 

@@ -57,13 +57,16 @@ _STANDARDIZE_CAVEAT = (
 
 def _simulate_threads(flag: str | None) -> int:
     """Worker processes for simulate: ``--threads``, else a non-empty
-    ``PDGLASSO_THREADS``, else the CPU count.  A value that is not an integer
-    >= 1 is an :class:`InputError` naming where it came from."""
+    ``PDGLASSO_THREADS``, else the CPUs in this process's affinity mask (the
+    CPU count where the platform has no mask).  A value that is not an
+    integer >= 1 is an :class:`InputError` naming where it came from."""
     if flag is not None:
         source, text = "--threads", flag
     else:
         source, text = "PDGLASSO_THREADS", os.environ.get("PDGLASSO_THREADS")
         if not text:
+            if hasattr(os, "sched_getaffinity"):
+                return len(os.sched_getaffinity(0))
             return os.cpu_count() or 1
     try:
         threads = int(text)
@@ -613,8 +616,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--gamma", type=float, default=0.0)
     p_sim.add_argument("--output", "-o", default=None, help="CSV path (default stdout)")
     p_sim.add_argument("--threads", default=None,
-                       help="worker processes for the simulation cells "
-                            "(default: PDGLASSO_THREADS, else the CPU count)")
+                       help="worker processes for the simulation cells, at most "
+                            "one per cell (default: PDGLASSO_THREADS, else the "
+                            "CPUs this process may run on)")
     _add_solver_flags(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
 

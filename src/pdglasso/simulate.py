@@ -317,19 +317,22 @@ def run_scenario(
     """Simulate every (replication, n) cell and score both selection methods.
 
     Each cell draws its truth and sample from child streams of the scenario
-    seed, so the output depends only on (spec, cfg).  Cells run in worker
-    processes when ``threads`` > 1 with a deterministic, order-preserving
-    reduction, so parallel and serial runs agree bit for bit.  Per-cell
-    failures are recorded in the table and the run continues.  Raises
-    ValueError when ``threads`` < 1.
+    seed, so the output depends only on (spec, cfg).  The cells run in
+    min(``threads``, number of cells) worker processes, no more, since a
+    pool may start all its workers up front; with one worker they run in
+    this process.  The reduction is deterministic and order-preserving, so
+    parallel and serial runs agree bit for bit.  Per-cell failures are
+    recorded in the table and the run continues.  Raises ValueError when
+    ``threads`` < 1.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     cfg = cfg or AdmmConfig()
     cells = [(rep, n) for rep in range(spec.replications) for n in spec.n_list]
     worker = partial(_run_cell, spec, cfg)
-    if threads > 1 and len(cells) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, len(cells))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(worker, cells))
     else:
         chunks = [worker(cell) for cell in cells]

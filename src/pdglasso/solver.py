@@ -14,7 +14,8 @@ infinite l1 weight zeroes its coordinate in every iterate.  Constrained
 maximum likelihood estimates do not use this route: the model module refits
 them by the Newton method of :mod:`pdglasso.face`, and the tests keep the
 infinite-weight ADMM as its reference.  Solves are single-threaded and
-deterministic.
+deterministic; through the CLI the BLAS under them is single-threaded too
+(see :mod:`pdglasso`).
 
 The ADMM finds the face of the solution (its zeros, its tied fused rows and
 the signs of everything else) long before its linear-rate tail meets the

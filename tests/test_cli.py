@@ -1,17 +1,23 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pdglasso
 from pdglasso.cli import (
     _admm_config,
     _graph_edges_json,
     _graph_from_json,
+    _simulate_threads,
     build_parser,
     dump_report,
     main,
@@ -599,6 +605,72 @@ class TestSimulateCommand:
         rows = list(csv.DictReader(io.StringIO(out.read_text())))
         assert [r["f1"] for r in rows].count("nan") == 1
         assert rows[0]["method"] == "pdglasso" and rows[0]["converged"] == "false"
+
+    def test_default_worker_count_is_the_affinity_mask(self, monkeypatch):
+        import pdglasso.cli as cli
+
+        monkeypatch.delenv("PDGLASSO_THREADS", raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        assert _simulate_threads(None) == 3
+
+    def test_default_worker_count_without_affinity_is_the_cpu_count(self, monkeypatch):
+        import pdglasso.cli as cli
+
+        monkeypatch.delenv("PDGLASSO_THREADS", raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 7)
+        monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+        assert _simulate_threads(None) == 7
+
+
+_BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _fresh_import(preamble="", **variables):
+    """Environment of a fresh interpreter before and after ``import pdglasso``
+    (after running ``preamble``), and its thread count after the import
+    (None where /proc/self/status does not exist)."""
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_VARIABLES}
+    src = str(Path(pdglasso.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.update(variables)
+    code = (
+        "import json, os\n"
+        + preamble
+        + "before = dict(os.environ)\n"
+        "import pdglasso\n"
+        "threads = None\n"
+        "if os.path.exists('/proc/self/status'):\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        threads = [int(line.split()[1]) for line in fh if line.startswith('Threads:')][0]\n"
+        "print(json.dumps([before, dict(os.environ), threads]))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=60)
+    return json.loads(done.stdout)
+
+
+class TestBlasThreads:
+    @pytest.mark.parametrize("variables", [{}, {"OPENBLAS_NUM_THREADS": ""}],
+                             ids=["unset", "empty"])
+    def test_import_before_numpy_sets_one_thread(self, variables):
+        before, after, threads = _fresh_import(**variables)
+        assert after.pop("OPENBLAS_NUM_THREADS") == "1"
+        before.pop("OPENBLAS_NUM_THREADS", None)
+        assert after == before
+        if threads is not None:
+            assert threads == 1
+
+    @pytest.mark.parametrize("name", _BLAS_VARIABLES)
+    def test_user_thread_count_is_left_alone(self, name):
+        before, after, _ = _fresh_import(**{name: "3"})
+        assert before[name] == "3"
+        assert after == before
+
+    def test_import_after_numpy_changes_no_variable(self):
+        before, after, _ = _fresh_import("import numpy\n")
+        assert "OPENBLAS_NUM_THREADS" not in after
+        assert after == before
 
 
 def _add_edge(i, j, kind):

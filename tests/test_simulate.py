@@ -303,6 +303,39 @@ class TestRunScenario:
             run_scenario(_spec(p=6, n_list=(40,), select_m=3), FAST, threads=threads)
         assert calls == []
 
+    @pytest.mark.parametrize("threads, n_list, expected", [
+        (64, (40, 60), [2]),
+        (2, (40, 60, 80), [2]),
+        (4, (40,), []),
+        (1, (40, 60), []),
+    ], ids=["64-for-2-cells", "2-for-3-cells", "1-cell", "1-thread"])
+    def test_pool_starts_at_most_one_worker_per_cell(self, monkeypatch, threads, n_list,
+                                                     expected):
+        import pdglasso.simulate as simulate
+
+        started = []
+
+        class RecordingExecutor:
+            """Records the pool size and runs the cells here; starts no process."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, cells):
+                return map(fn, cells)
+
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(simulate, "_run_cell", lambda spec, cfg, cell: [cell])
+        rows = run_scenario(_spec(p=6, n_list=n_list, select_m=3), FAST, threads=threads)
+        assert rows == [(0, n) for n in n_list]
+        assert started == expected
+
 
 class TestScenarioSpecValidation:
     def test_rejects_odd_p(self):
