@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .errors import MleError, NotPositiveDefiniteError
-from .paired import PairedIndex, logdet_pd, pd_unvec, pd_vec
+from .paired import PairedIndex, logdet_pd
 
 # Newton-CG: Armijo constant, step halvings before the line search gives up,
 # and the largest CG forcing term (see _pcg)
@@ -87,14 +87,22 @@ def _rcon_newton(
     size = np.bincount(cls, minlength=d).astype(float)
     diag = np.bincount(cls, weights=idx.diagonal[free], minlength=d) > 0
     weight = np.where(diag, 1.0, 2.0)  # matrix entries per coordinate
+    weight_size = weight * size
+    # the class of every matrix entry, slot d (held at zero) for absent ones,
+    # and the flat positions of the free coordinates' entries
+    slot = np.full(idx.vec_length, d)
+    slot[free] = cls
+    entry_cls = slot.take(idx.entry_coord)
+    free_flat = idx.coord_flat[free]
+    padded = np.zeros(d + 1)
+    p = idx.p
 
     def expand(v):
-        z = np.zeros(idx.vec_length)
-        z[free] = v[cls]
-        return pd_unvec(z, idx)
+        padded[:d] = v
+        return padded.take(entry_cls).reshape(p, p)
 
     def classsum(M):
-        return np.bincount(cls, weights=pd_vec(M, idx)[free], minlength=d)
+        return np.bincount(cls, weights=M.take(free_flat), minlength=d)
 
     def objective(Theta):
         try:
@@ -110,7 +118,7 @@ def _rcon_newton(
         # start from the MLE of the graph without edges
         theta[diag] = size[diag] / S_sum[diag]
     else:
-        theta[cls] = pd_vec(start, idx)[free]
+        theta[cls] = np.asarray(start, dtype=float).take(free_flat)
     Theta = expand(theta)
     f = objective(Theta)
     last_local = math.inf
@@ -133,7 +141,7 @@ def _rcon_newton(
         rhs = weight * resid
         step = _pcg(
             lambda v: weight * classsum(Sigma @ expand(v) @ Sigma),
-            lambda r: classsum(Theta @ expand(r / (weight * size)) @ Theta) / size,
+            lambda r: classsum(Theta @ expand(r / weight_size) @ Theta) / size,
             rhs,
             d,
         )

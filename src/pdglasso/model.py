@@ -85,7 +85,7 @@ class PdColouredGraph:
 
     @cached_property
     def index(self) -> PairedIndex:
-        return PairedIndex(self.q)
+        return PairedIndex.of(self.q)
 
     @property
     def n_edges(self) -> int:
@@ -100,13 +100,13 @@ class PdColouredGraph:
 
     @classmethod
     def empty(cls, q: int) -> "PdColouredGraph":
-        idx = PairedIndex(q)
+        idx = PairedIndex.of(q)
         return cls.from_masks(q, np.zeros(idx.vec_length, dtype=bool),
                               np.zeros(idx.n_rows, dtype=bool))
 
     @classmethod
     def complete(cls, q: int, coloured: bool = False) -> "PdColouredGraph":
-        idx = PairedIndex(q)
+        idx = PairedIndex.of(q)
         return cls.from_masks(q, np.ones(idx.vec_length, dtype=bool),
                               np.full(idx.n_rows, coloured))
 
@@ -116,7 +116,7 @@ class PdColouredGraph:
         rows; the inverse of ``~absent_coord_mask()`` and
         ``coloured_row_mask()``.  Diagonal coordinates are always present and
         their entries of ``present`` are ignored."""
-        idx = PairedIndex(q)
+        idx = PairedIndex.of(q)
         present = np.asarray(present, dtype=bool)
         coloured = np.asarray(coloured, dtype=bool)
         if present.shape != (idx.vec_length,) or coloured.shape != (idx.n_rows,):
@@ -529,6 +529,9 @@ def selection_path(
     Stage 1 grids the l1 weight over m log-spaced values up to the diagonal
     threshold with gridded fused components at zero; stage 2 fixes the chosen
     l1 weight and grids the fused weight up to the full-symmetry threshold.
+    For a class with no ``"inf"`` component, stage 1 is the plain graphical
+    lasso path, point for point, whatever the class: the simulation module
+    reads its glasso baseline off it (see :func:`pdglasso.simulate._run_cell`).
     The stage-1 winner stays in the stage-2 candidate set (not re-solved).
     Stage 2 is skipped when no component is gridded or the symmetry threshold
     is zero.

@@ -9,7 +9,7 @@ arrays.  All objects here are immutable values; operations are pure functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -18,7 +18,11 @@ from .errors import DimensionError, NotPositiveDefiniteError
 
 @dataclass(frozen=True)
 class PairedIndex:
-    """The L/R partition of p = 2q variables with pairing i <-> i + q."""
+    """The L/R partition of p = 2q variables with pairing i <-> i + q.
+
+    The library keeps one instance per q, from :meth:`of` or :meth:`from_p`,
+    so its cached index maps are built once per size and shared read-only.
+    """
 
     q: int
 
@@ -45,10 +49,17 @@ class PairedIndex:
         return self.q + 2 * self.s
 
     @classmethod
+    @lru_cache(maxsize=None, typed=True)  # typed: q=3.0 never stands in for q=3
+    def of(cls, q: int) -> "PairedIndex":
+        """The shared instance for group size q."""
+        return cls(q)
+
+    @classmethod
     def from_p(cls, p: int) -> "PairedIndex":
+        """The shared instance for p = 2q variables."""
         if p < 2 or p % 2 != 0:
             raise DimensionError(f"total dimension must be even and >= 2, got p={p}")
-        return cls(p // 2)
+        return cls.of(p // 2)
 
     @cached_property
     def pairs(self) -> tuple[np.ndarray, np.ndarray]:
@@ -76,6 +87,19 @@ class PairedIndex:
         lookup = np.empty((self.p, self.p), dtype=np.intp)
         lookup[rows, cols] = lookup[cols, rows] = np.arange(self.vec_length)
         return _readonly(lookup)
+
+    @cached_property
+    def coord_flat(self) -> np.ndarray:
+        """Flat (row-major) position rows * p + cols of each coordinate's
+        entry: ``M.take(coord_flat)`` is :func:`pd_vec` of ``M``."""
+        rows, cols = self.coords
+        return _readonly(rows * self.p + cols)
+
+    @cached_property
+    def entry_coord(self) -> np.ndarray:
+        """:attr:`coord_of` flattened row-major: ``v.take(entry_coord)`` is
+        :func:`pd_unvec` of ``v``, flattened."""
+        return _readonly(self.coord_of.ravel())
 
     @cached_property
     def diagonal(self) -> np.ndarray:
@@ -132,8 +156,7 @@ def pd_vec(M: np.ndarray, idx: PairedIndex) -> np.ndarray:
     triangle (diagonal included).
     """
     _check_square(M, idx)
-    rows, cols = idx.coords
-    return np.asarray(M, dtype=float)[rows, cols]
+    return np.asarray(M, dtype=float).take(idx.coord_flat)
 
 
 def pd_unvec(v: np.ndarray, idx: PairedIndex) -> np.ndarray:
@@ -143,11 +166,7 @@ def pd_unvec(v: np.ndarray, idx: PairedIndex) -> np.ndarray:
         raise DimensionError(
             f"vector has shape {v.shape}, expected ({idx.vec_length},) for q={idx.q}"
         )
-    rows, cols = idx.coords
-    M = np.zeros((idx.p, idx.p))
-    M[rows, cols] = v
-    M[cols, rows] = v
-    return M
+    return v.take(idx.entry_coord).reshape(idx.p, idx.p)
 
 
 def swap_blocks(M: np.ndarray, idx: PairedIndex) -> np.ndarray:

@@ -6,6 +6,11 @@ constrained MLE refit, so the truth is exactly adapted to its graph.  An
 adjustable share of vertex, inside and across positions is converted into
 parametric symmetries to produce paired coloured truths.
 
+:func:`run_scenario` scores pdglasso against the plain graphical lasso in
+each (replication, n) cell.  Both selections come from one pdglasso
+selection path: the glasso baseline is the best point of its stage 1,
+which is the glasso path itself, so each cell solves its path once.
+
 All randomness flows through numpy's default PCG64 generator; child streams
 are derived from the master seed and integer tags, so runs are reproducible
 bit for bit regardless of execution order or thread count.
@@ -25,9 +30,10 @@ from .errors import DimensionError, NotPositiveDefiniteError, PdglassoError
 from .model import (
     PdColouredGraph,
     SubmodelClass,
+    _best,
     check_gamma,
     mle,
-    model_select,
+    selection_path,
 )
 from .paired import PairedIndex, logdet_pd
 from .solver import AdmmConfig
@@ -274,41 +280,59 @@ class CellResult:
     error: Optional[str] = None
 
 
-_METHODS = (
-    ("pdglasso", SubmodelClass("grid", "grid", "grid")),
-    ("glasso", SubmodelClass("zero", "zero", "zero")),
-)
+_METHODS = ("pdglasso", "glasso")
+_PDGLASSO = SubmodelClass("grid", "grid", "grid")
 
 
 def _run_cell(spec: ScenarioSpec, cfg: AdmmConfig, cell: tuple[int, int]) -> list[CellResult]:
+    """Draw one cell's truth and sample, and score both methods' selections.
+
+    Both come from one pdglasso selection path.  The glasso baseline is the
+    eBIC winner of the l1 path with every fused component at zero, and that
+    path is stage 1 of pdglasso's, point for point: the same penalties,
+    grid, sweep order and warm starts.  So its winner is the best stage-1
+    point under the tie-break rule of every selection
+    (:func:`pdglasso.model._best`), and the path is solved once per cell.
+    The path fails only when every stage-1 point fails; then both rows
+    record the same error.
+    """
     rep, n = cell
     truth_rng = child_rng(spec.seed, _TRUTH_TAG, rep)
     Sigma, truth = pdrcon_covariance(spec, cfg, seed=truth_rng)
     theta_true = np.linalg.inv(Sigma)
     S = mvn_sample_cov(Sigma, n, child_rng(spec.seed, _SAMPLE_TAG, rep, n))
+    try:
+        winner, points = selection_path(
+            S, n, spec.select_m, spec.select_gamma, _PDGLASSO, cfg
+        )
+    except (PdglassoError, np.linalg.LinAlgError) as exc:
+        return [_failed_row(spec, n, rep, method, exc) for method in _METHODS]
+    fits = (winner, _best([pt for pt in points if pt.stage == 1]).fit)
     out = []
-    for method, class_spec in _METHODS:
+    for method, fit in zip(_METHODS, fits):
         try:
-            fit = model_select(S, n, spec.select_m, spec.select_gamma, class_spec, cfg)
             scores = edge_metrics(truth, fit.graph)
             losses = matrix_losses(fit.theta_mle, theta_true)
-            out.append(
-                CellResult(
-                    spec.label, n, rep, method,
-                    scores.ppv, scores.tpr, scores.f1, scores.mcc,
-                    losses.frobenius, losses.entropy,
-                    fit.d, fit.ebic, fit.report.converged,
-                )
-            )
         except (PdglassoError, np.linalg.LinAlgError) as exc:
-            out.append(
-                CellResult(
-                    spec.label, n, rep, method,
-                    math.nan, math.nan, math.nan, math.nan,
-                    math.nan, math.nan, 0, math.nan, False, error=str(exc),
-                )
+            out.append(_failed_row(spec, n, rep, method, exc))
+            continue
+        out.append(
+            CellResult(
+                spec.label, n, rep, method,
+                scores.ppv, scores.tpr, scores.f1, scores.mcc,
+                losses.frobenius, losses.entropy,
+                fit.d, fit.ebic, fit.report.converged,
             )
+        )
     return out
+
+
+def _failed_row(spec: ScenarioSpec, n: int, rep: int, method: str, exc: Exception) -> CellResult:
+    return CellResult(
+        spec.label, n, rep, method,
+        math.nan, math.nan, math.nan, math.nan,
+        math.nan, math.nan, 0, math.nan, False, error=str(exc),
+    )
 
 
 def run_scenario(

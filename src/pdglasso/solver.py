@@ -179,10 +179,15 @@ def soft_threshold(x, t):
     if np.any(t_arr < 0):
         raise ValueError("threshold must be >= 0")
     x_arr = np.asarray(x, dtype=float)
-    out = np.sign(x_arr) * np.maximum(np.abs(x_arr) - t_arr, 0.0)
+    out = _shrink(x_arr, t_arr)
     if np.isscalar(x) or x_arr.ndim == 0:
         return float(out)
     return out
+
+
+def _shrink(x: np.ndarray, t) -> np.ndarray:
+    """:func:`soft_threshold` of an array, with thresholds known to be >= 0."""
+    return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
 
 
 def theta_step(S: np.ndarray, Z: np.ndarray, U: np.ndarray, rho1: float) -> np.ndarray:
@@ -226,13 +231,25 @@ def fused_l1_prox(
     infinite l1 weight gives an exact zero.  Rows with zero weight leave
     their coordinates untouched.
     """
-    z = np.array(b, dtype=float)
     a, c, w = _active_rows(idx, row_w)
-    mean = 0.5 * (z[a] + z[c])
-    half_gap = 0.5 * soft_threshold(z[a] - z[c], 2.0 * w / rho)
+    gap_t = 2.0 * w / rho
+    l1_t = np.asarray(l1_coord, dtype=float) / rho
+    if np.any(gap_t < 0) or np.any(l1_t < 0):
+        raise ValueError("threshold must be >= 0")
+    return _prox(np.array(b, dtype=float), a, c, gap_t, l1_t)
+
+
+def _prox(z: np.ndarray, a: np.ndarray, c: np.ndarray, gap_t: np.ndarray,
+          l1_t: np.ndarray) -> np.ndarray:
+    """:func:`fused_l1_prox` of z, which it overwrites, given the active rows
+    (a, c), their gap thresholds 2 w / rho and the l1 thresholds l1 / rho,
+    all known to be >= 0."""
+    za, zc = z[a], z[c]
+    mean = 0.5 * (za + zc)
+    half_gap = 0.5 * _shrink(za - zc, gap_t)
     z[a] = mean + half_gap
     z[c] = mean - half_gap
-    return soft_threshold(z, np.asarray(l1_coord, dtype=float) / rho)
+    return _shrink(z, l1_t)
 
 
 def _penalty_weights(
@@ -427,7 +444,8 @@ def solve_weighted(
     Infinite weights are exact constraints: an infinite l1 weight holds its
     coordinate at zero and an infinite row weight ties its pair.  Within any
     positively weighted row the two l1 weights must be equal, otherwise the
-    fuse-then-shrink proximal step is invalid.
+    fuse-then-shrink proximal step is invalid, and no l1 weight may be
+    negative.  Rows of zero or negative weight are inactive.
 
     Once the face of Z (see :func:`_face`) has held for ``_POLISH_AFTER``
     iterations, is not the face last polished, and Z is positive definite,
@@ -458,9 +476,12 @@ def solve_weighted(
     row_w = np.asarray(row_w, dtype=float)
     if row_w.shape != (idx.n_rows,):
         raise DimensionError("row weight vector has wrong length")
-    a, b, _ = _active_rows(idx, row_w)
+    if np.any(l1_coord < 0):
+        raise ValueError("l1 weights must be >= 0")
+    a, b, w = _active_rows(idx, row_w)
     if np.any(l1_coord[a] != l1_coord[b]):
         raise ValueError("l1 weights must match within each active fused pair")
+    w2 = 2.0 * w
 
     p = idx.p
     if start is None:
@@ -484,8 +505,8 @@ def solve_weighted(
     for l in range(cfg.max_outer):
         iterations = l + 1
         Theta = theta_step(S, Z, U, rho1)
-        z = fused_l1_prox(pd_vec(Theta + U, idx), idx, l1_coord, row_w, rho1)
-        Z_new = pd_unvec(z, idx)
+        z = _prox((Theta + U).take(idx.coord_flat), a, b, w2 / rho1, l1_coord / rho1)
+        Z_new = z.take(idx.entry_coord).reshape(p, p)
         U = U + Theta - Z_new
 
         primal = float(np.linalg.norm(Theta - Z_new))

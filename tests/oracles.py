@@ -3,10 +3,11 @@
 Everything here deliberately avoids the production code paths: dense
 operator matrices instead of index arithmetic, cofactor expansion instead of
 LAPACK, subgradient descent and iterative proportional scaling instead of
-ADMM, and hand-derived closed forms for the tiny fused problems.  The one
-exception is :func:`admm_loop`, the solver's loop without its face polish,
-which is built from the production steps so that it can be compared bit for
-bit.
+ADMM, and hand-derived closed forms for the tiny fused problems.  The two
+exceptions are built from the production steps so that they can be compared
+bit for bit: :func:`admm_loop`, the solver's loop without its face polish,
+and :func:`two_path_rows`, the simulation cells with one selection path per
+method.
 """
 
 import math
@@ -359,3 +360,46 @@ def admm_loop(S, idx, l1_coord, row_w, cfg):
     if not is_positive_definite(Z):
         Z = solver.theta_step(S, Z, U, rho1)
     return Z, iterations, stop_reason
+
+
+def two_path_rows(spec, cfg):
+    """Reference for ``simulate.run_scenario``: every cell scored from two
+    independent ``model_select`` calls, one per submodel class (grid on
+    every fused component for pdglasso, zero on every one for glasso).
+
+    Returns the rows in ``run_scenario``'s order.  A failed selection gives
+    that method's row NaN scores and the error message.
+    """
+    from pdglasso import simulate
+    from pdglasso.errors import PdglassoError
+    from pdglasso.model import SubmodelClass, model_select
+
+    methods = (("pdglasso", SubmodelClass("grid", "grid", "grid")),
+               ("glasso", SubmodelClass("zero", "zero", "zero")))
+    rows = []
+    for rep in range(spec.replications):
+        for n in spec.n_list:
+            truth_rng = simulate.child_rng(spec.seed, simulate._TRUTH_TAG, rep)
+            Sigma, truth = simulate.pdrcon_covariance(spec, cfg, seed=truth_rng)
+            theta_true = np.linalg.inv(Sigma)
+            S = simulate.mvn_sample_cov(
+                Sigma, n, simulate.child_rng(spec.seed, simulate._SAMPLE_TAG, rep, n)
+            )
+            for method, class_spec in methods:
+                try:
+                    fit = model_select(S, n, spec.select_m, spec.select_gamma, class_spec, cfg)
+                except (PdglassoError, np.linalg.LinAlgError) as exc:
+                    rows.append(simulate.CellResult(
+                        spec.label, n, rep, method, *[math.nan] * 6, 0, math.nan, False,
+                        error=str(exc),
+                    ))
+                    continue
+                scores = simulate.edge_metrics(truth, fit.graph)
+                losses = simulate.matrix_losses(fit.theta_mle, theta_true)
+                rows.append(simulate.CellResult(
+                    spec.label, n, rep, method,
+                    scores.ppv, scores.tpr, scores.f1, scores.mcc,
+                    losses.frobenius, losses.entropy,
+                    fit.d, fit.ebic, fit.report.converged,
+                ))
+    return rows

@@ -367,7 +367,7 @@ class TestNonFiniteSettings:
         import pdglasso.simulate as simulate
 
         calls = []
-        monkeypatch.setattr(simulate, "model_select", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(simulate, "selection_path", lambda *a, **k: calls.append(a))
         out = tmp_path / "table.csv"
         code = main(TestSimulateCommand.ARGS + ["--gamma", "nan", "--threads", "1",
                                                 "--output", str(out)])
@@ -587,7 +587,7 @@ class TestSimulateCommand:
         import pdglasso.simulate as simulate
 
         calls = []
-        real = simulate.model_select
+        real = simulate.selection_path
 
         def fail_first(*args, **kwargs):
             calls.append(1)
@@ -595,16 +595,23 @@ class TestSimulateCommand:
                 raise MleError("every penalty grid point failed")
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(simulate, "model_select", fail_first)
+        # a cell's one selection path serves both methods, so its failure
+        # fails both rows of the cell, and the next cell still runs
+        monkeypatch.setattr(simulate, "selection_path", fail_first)
         out = tmp_path / "table.csv"
         assert main(self.ARGS + ["--output", str(out), "--threads", "1"]) == 0
         err = capsys.readouterr().err.splitlines()
         assert err == [
-            "simulate: cell n=40 rep=0 method=pdglasso failed: every penalty grid point failed"
+            f"simulate: cell n=40 rep=0 method={method} failed: every penalty grid point failed"
+            for method in ("pdglasso", "glasso")
         ]
+        assert len(calls) == 2
         rows = list(csv.DictReader(io.StringIO(out.read_text())))
-        assert [r["f1"] for r in rows].count("nan") == 1
-        assert rows[0]["method"] == "pdglasso" and rows[0]["converged"] == "false"
+        assert [r["f1"] for r in rows].count("nan") == 2
+        assert [(r["rep"], r["method"], r["converged"]) for r in rows[:2]] == [
+            ("0", "pdglasso", "false"), ("0", "glasso", "false")
+        ]
+        assert all(r["f1"] != "nan" for r in rows[2:])
 
     def test_default_worker_count_is_the_affinity_mask(self, monkeypatch):
         import pdglasso.cli as cli

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdglasso.errors import DimensionError, NotPositiveDefiniteError
+from pdglasso.model import PdColouredGraph
 from pdglasso.paired import (
     PairedIndex,
     log_likelihood,
@@ -61,9 +62,33 @@ class TestPairedIndex:
 
     def test_cached_index_arrays_are_read_only(self):
         idx = PairedIndex(2)
-        for arr in (*idx.fused_pairs, *idx.coords, idx.coord_of, idx.diagonal, idx.swap_perm):
+        for arr in (*idx.fused_pairs, *idx.coords, idx.coord_of, idx.diagonal, idx.swap_perm,
+                    idx.coord_flat, idx.entry_coord):
             with pytest.raises(ValueError):
                 arr[0] = 0
+
+    @pytest.mark.parametrize("p", [2, 6, 20])
+    def test_one_shared_instance_per_size(self, p):
+        idx = PairedIndex.from_p(p)
+        assert PairedIndex.from_p(p) is idx
+        assert PairedIndex.of(p // 2) is idx
+        assert PdColouredGraph.empty(p // 2).index is idx
+        assert PdColouredGraph.complete(p // 2).index is idx
+
+    def test_shared_instance_is_keyed_by_type(self):
+        PairedIndex.of(7.0)
+        assert type(PairedIndex.of(7).q) is int
+
+    def test_shared_instance_rejects_bad_sizes_every_time(self):
+        for _ in range(2):
+            with pytest.raises(DimensionError, match="q=0"):
+                PairedIndex.of(0)
+
+    def test_flat_maps_restate_the_layout(self):
+        idx = PairedIndex(3)
+        rows, cols = idx.coords
+        assert np.array_equal(idx.coord_flat, np.ravel_multi_index((rows, cols), (6, 6)))
+        assert np.array_equal(idx.entry_coord.reshape(6, 6), idx.coord_of)
 
 
 class TestVec:
@@ -103,6 +128,36 @@ class TestVec:
         assert np.array_equal(pd_unvec(pd_vec(M, idx), idx), M)
         v = r.standard_normal(idx.vec_length)
         assert np.array_equal(pd_vec(pd_unvec(v, idx), idx), v)
+
+    @settings(max_examples=40, deadline=None)
+    @given(q=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_vec_and_unvec_equal_the_fancy_index_definition(self, q, seed):
+        idx = PairedIndex.of(q)
+        rows, cols = idx.coords
+        r = np.random.default_rng(seed)
+        p = 2 * q
+        sym = random_sym(p, r)
+        general = r.standard_normal((p, p))
+        for M in (sym, general, general.T, sym[::-1, ::-1].T):
+            assert pd_vec(M, idx).tobytes() == M[rows, cols].tobytes()
+        # signed zeros and non-finite values are moved, never computed
+        v = r.standard_normal(idx.vec_length)
+        v[r.integers(idx.vec_length)] = -0.0
+        v[r.integers(idx.vec_length)] = np.nan
+        ref = np.zeros((p, p))
+        ref[rows, cols] = v
+        ref[cols, rows] = v
+        assert pd_unvec(v, idx).tobytes() == ref.tobytes()
+        strided = np.repeat(v, 2)[::2]  # a non-contiguous view
+        assert pd_unvec(strided, idx).tobytes() == ref.tobytes()
+        assert pd_vec(ref, idx).tobytes() == v.tobytes()
+
+    def test_unvec_returns_a_fresh_writable_matrix(self):
+        idx = PairedIndex(2)
+        v = np.arange(float(idx.vec_length))
+        M = pd_unvec(v, idx)
+        M[0, 0] = -1.0
+        assert v[0] == 0.0 and pd_unvec(v, idx)[0, 0] == 0.0
 
     def test_dimension_errors(self):
         idx = PairedIndex(2)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pdglasso.errors import DimensionError
+from pdglasso.errors import DimensionError, MleError
 from pdglasso.model import PdColouredGraph, extract_graph
 from pdglasso.paired import PairedIndex, swap_blocks
 from pdglasso.simulate import (
@@ -22,6 +22,7 @@ from pdglasso.simulate import (
 from pdglasso.solver import AdmmConfig
 
 from conftest import random_pd
+from oracles import two_path_rows
 
 FAST = AdmmConfig(eps_abs=1e-7, eps_rel=1e-7, kkt_refine=False)
 
@@ -335,6 +336,54 @@ class TestRunScenario:
         rows = run_scenario(_spec(p=6, n_list=n_list, select_m=3), FAST, threads=threads)
         assert rows == [(0, n) for n in n_list]
         assert started == expected
+
+
+class TestSharedSelectionPath:
+    """Both rows of a cell come from one selection path."""
+
+    @pytest.mark.parametrize("seed", [3, 21, 58])
+    @pytest.mark.parametrize("frac", [0.0, 1.0])
+    def test_rows_equal_two_independent_selections(self, seed, frac):
+        spec = _spec(p=6, density=0.4, frac=frac, seed=seed, n_list=(30, 200),
+                     select_m=4)
+        rows = run_scenario(spec, FAST)
+        assert [r.method for r in rows] == ["pdglasso", "glasso"] * 2
+        assert all(r.error is None for r in rows)
+        assert rows == two_path_rows(spec, FAST)
+
+    def test_failed_stage_one_fails_both_rows_alike(self, monkeypatch):
+        import pdglasso.model as model
+
+        def failing_fit(*args, **kwargs):
+            raise MleError("refit failed")
+
+        monkeypatch.setattr(model, "fit_point", failing_fit)
+        spec = _spec(p=6, n_list=(40,), select_m=3)
+        rows = run_scenario(spec, FAST)
+        assert [r.method for r in rows] == ["pdglasso", "glasso"]
+        assert {r.error for r in rows} == {"every penalty grid point failed"}
+        assert all(math.isnan(r.f1) and not r.converged and r.d == 0 for r in rows)
+        assert [r.error for r in two_path_rows(spec, FAST)] == [r.error for r in rows]
+
+    @pytest.mark.parametrize("m", [3, 5])
+    def test_a_cell_makes_two_penalized_solves_per_grid_point(self, monkeypatch, m):
+        import pdglasso.solver as solver
+
+        calls = []
+        real = solver.solve_weighted
+
+        def counting_solve(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "solve_weighted", counting_solve)
+        spec = _spec(p=6, density=0.4, n_list=(80,), select_m=m)
+        rows = run_scenario(spec, FAST, threads=1)  # one cell runs in this process
+        assert all(r.error is None for r in rows)
+        assert len(calls) == 2 * m
+        calls.clear()
+        two_path_rows(spec, FAST)
+        assert len(calls) == 3 * m
 
 
 class TestScenarioSpecValidation:

@@ -189,6 +189,46 @@ class TestInnerGeneralizedLasso:
             assert z[a] == pytest.approx(z1, abs=1e-12)
             assert z[c] == pytest.approx(z2, abs=1e-12)
 
+    @settings(max_examples=40, deadline=None)
+    @given(q=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+           rho=st.floats(1e-3, 1e3))
+    def test_equals_its_soft_threshold_definition_bit_for_bit(self, q, seed, rho):
+        idx = PairedIndex(q)
+        r = np.random.default_rng(seed)
+        b = r.standard_normal(idx.vec_length)
+        w = r.choice([0.0, 0.3, 2.0, math.inf], idx.n_rows)
+        l1 = np.full(idx.vec_length, r.choice([0.0, 0.1, 1.0]))
+        a, c = idx.fused_pairs
+        a, c, w_on = a[w > 0], c[w > 0], w[w > 0]
+        ref = b.copy()
+        mean = 0.5 * (ref[a] + ref[c])
+        half_gap = 0.5 * soft_threshold(ref[a] - ref[c], 2.0 * w_on / rho)
+        ref[a] = mean + half_gap
+        ref[c] = mean - half_gap
+        ref = soft_threshold(ref, l1 / rho)
+        before = b.copy()
+        assert fused_l1_prox(b, idx, l1, w, rho).tobytes() == ref.tobytes()
+        assert b.tobytes() == before.tobytes()
+
+    def test_negative_thresholds_rejected(self):
+        idx, w = self.setup_rows([1.0])
+        b = np.array([1.0, 3.0, 0.0])
+        with pytest.raises(ValueError, match="threshold"):
+            fused_l1_prox(b, idx, np.array([0.0, 0.0, -1.0]), w, 1.0)
+        with pytest.raises(ValueError, match="threshold"):
+            fused_l1_prox(b, idx, 0.0, w, -1.0)
+
+    def test_solve_rejects_a_negative_l1_weight_before_any_step(self, monkeypatch):
+        from pdglasso import solver
+
+        calls = []
+        monkeypatch.setattr(solver, "theta_step", lambda *a: calls.append(a))
+        idx = PairedIndex(1)
+        with pytest.raises(ValueError, match="l1 weights must be >= 0"):
+            solve_weighted(np.eye(2), idx, np.array([0.1, 0.1, -0.1]),
+                           np.zeros(idx.n_rows), AdmmConfig())
+        assert calls == []
+
     def test_infinite_weight_gives_exact_tie(self):
         idx, w = self.setup_rows([math.inf])
         z = fused_l1_prox(np.array([1.0, 3.0, 0.0]), idx, 0.0, w, 1.0)

@@ -23,7 +23,7 @@ HOOKED = [
     (model, "fit_point"),
     (simulate, "mle"),
     (simulate, "pdrcon_covariance"),
-    (simulate, "model_select"),
+    (simulate, "selection_path"),
     (simulate, "_run_cell"),
     (cli, "selection_path"),
     (cli, "run_scenario"),
