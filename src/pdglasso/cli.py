@@ -290,7 +290,6 @@ def fit_report_doc(
             "eps_abs": cfg.eps_abs,
             "eps_rel": cfg.eps_rel,
             "max_outer": cfg.max_outer,
-            "kkt_refine": cfg.kkt_refine,
         },
     }
 
@@ -321,7 +320,6 @@ def _admm_config(args) -> AdmmConfig:
         eps_abs=args.eps_abs,
         eps_rel=args.eps_rel,
         max_outer=args.max_outer,
-        kkt_refine=not args.no_kkt_refine,
     )
 
 
@@ -334,10 +332,9 @@ def _add_refit_flags(parser):
 def _add_solver_flags(parser):
     _add_refit_flags(parser)
     parser.add_argument("--eps-rel", type=float, default=1e-8)
-    parser.add_argument("--no-kkt-refine", action="store_true",
-                        help="stop once the ADMM residuals are met, without "
-                             "iterating on to the optimality certificate; the "
-                             "Newton polish on the identified face still runs")
+    # accepted and ignored, so that command lines passing it still parse:
+    # every solve ends at its certificate
+    parser.add_argument("--no-kkt-refine", action="store_true", help=argparse.SUPPRESS)
 
 
 def _add_input_flags(parser):

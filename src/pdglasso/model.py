@@ -545,9 +545,9 @@ def selection_path(
     later solve starts from the ADMM state (Z, U, rho1) that the solve
     evaluated before it ended in, except that stage 2 starts from the
     stage-1 winner's, whose l1 weight it keeps.  A point after one that
-    failed starts cold.  Each solve still ends only on its own residuals or
-    certificate.  The returned points are in ascending penalty order within
-    each stage.
+    failed starts cold.  Each solve still ends only on its own certificate
+    (or, at a singular iterate, its residuals).  The returned points are in
+    ascending penalty order within each stage.
     """
     cfg = cfg or AdmmConfig()
     if m < 2:

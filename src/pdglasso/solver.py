@@ -53,6 +53,16 @@ where the loop begins, not what ends it: the residual tests and the
 certificate are the same, so a warm solve meets the same tolerances,
 usually in fewer iterations.
 
+One rule ends a solve: the certificate.  At each iteration whose ADMM
+residuals (Boyd et al. 2011, section 3.3) meet ``eps_abs`` and
+``eps_rel``, the certificate of the iterate is computed, and the solve
+ends when it, or that of a polish, meets its tolerance.  A singular
+iterate has no certificate, so its solve ends at the residuals and
+returns the positive definite Theta step.  Any other solve ends when
+``max_outer`` is spent.  The residual test only gates the certificate, an
+inverse and a Cholesky factorization that every ADMM step would otherwise
+pay.
+
 Two choices are constants, not settings.  The cold step size is
 ``_RHO_INIT`` and residual balancing (Boyd et al. 2011, section 3.4.1)
 always adapts it, doubling or halving within [``_RHO_MIN``, ``_RHO_MAX``]
@@ -92,23 +102,23 @@ _MAX_RESTARTS = 5  # restarts of the ADMM from a rejected polish, per solve
 class AdmmConfig:
     """Tolerances and iteration limit of the ADMM, and of the MLE refit.
 
-    When ``kkt_refine`` is set, the loop keeps iterating (within
-    ``max_outer``) after the residual criteria are met until the
-    coordinate-wise optimality residual drops below
-    ``_KKT_TOL_FACTOR * eps_abs``; the step size is adapted, not set (see
-    the module docstring).  The Newton polish on the identified face runs
-    with or without ``kkt_refine``: it ends a solve only with that same
-    certificate, at ``_KKT_TOL_FACTOR * eps_abs``, and within ``max_outer``
-    Newton steps.  ``eps_abs`` and ``max_outer`` also bound
-    :func:`pdglasso.model.mle`: its likelihood-equation residual must fall
-    to ``_KKT_TOL_FACTOR * eps_abs * max(1, max|S|)`` within ``max_outer``
+    A solve with a positive definite iterate ends only when the
+    coordinate-wise optimality certificate falls to
+    ``_KKT_TOL_FACTOR * eps_abs``, at an ADMM iterate or at a Newton polish
+    of its face, or when ``max_outer`` iterations are spent; the step size
+    is adapted, not set (see the module docstring).  ``eps_abs`` and
+    ``eps_rel`` bound the ADMM residuals, whose test decides when the
+    certificate of an iterate is computed and detects a singular one.  The
+    polish runs within ``max_outer`` Newton steps.  ``eps_abs`` and
+    ``max_outer`` also bound :func:`pdglasso.model.mle`: its
+    likelihood-equation residual must fall to
+    ``_KKT_TOL_FACTOR * eps_abs * max(1, max|S|)`` within ``max_outer``
     Newton steps.
     """
 
     eps_abs: float = 1e-8
     eps_rel: float = 1e-8
     max_outer: int = 5000
-    kkt_refine: bool = True
 
     def __post_init__(self):
         for name in ("eps_abs", "eps_rel"):
@@ -133,13 +143,13 @@ class SolveReport:
 
     ``stop_reason`` says why the loop ended: ``"kkt"`` (the optimality
     certificate met its tolerance, at an ADMM iterate or at a polished
-    one), ``"residuals"`` (the residuals were met and no certificate was
-    asked for, or none exists because the iterate is singular) or
-    ``"max_outer"`` (the iteration budget ran out, whatever the residuals).
-    ``primal_residual`` and ``dual_residual`` belong to the last ADMM
-    iterate, which a polished solve replaces before they meet their
-    tolerances.  ``kkt_residual`` is the certificate of the returned
-    estimate when one was computed.  ``polish_attempts`` counts the Newton
+    one), ``"residuals"`` (the residuals were met at a singular iterate,
+    for which no certificate exists) or ``"max_outer"`` (the iteration
+    budget ran out, whatever the residuals).  ``primal_residual`` and
+    ``dual_residual`` belong to the last ADMM iterate, which a polished
+    solve replaces before they meet their tolerances.  ``kkt_residual`` is
+    the certificate of the returned estimate when one was computed, None
+    when the iterate is singular.  ``polish_attempts`` counts the Newton
     polishes tried; at most the last one was accepted.  ``restarts`` counts
     the rejected polishes the ADMM restarted from, each with a certificate
     strictly below the earlier ones', at most ``_MAX_RESTARTS``.  ``state``
@@ -422,18 +432,6 @@ def _face_newton(
     return Theta, kkt_residual(Theta, S, idx, l1_coord, row_w)
 
 
-def _polish(
-    Z: np.ndarray, S: np.ndarray, idx: PairedIndex, l1_coord: np.ndarray,
-    row_w: np.ndarray, cfg: AdmmConfig,
-) -> Optional[tuple[np.ndarray, float]]:
-    """The face optimum of :func:`_face_newton` and its certificate when the
-    certificate meets ``_KKT_TOL_FACTOR * eps_abs``, otherwise None."""
-    candidate = _face_newton(Z, S, idx, l1_coord, row_w, cfg)
-    if candidate is None or candidate[1] > _KKT_TOL_FACTOR * cfg.eps_abs:
-        return None
-    return candidate
-
-
 def solve_weighted(
     S: np.ndarray, idx: PairedIndex, l1_coord: np.ndarray, row_w: np.ndarray,
     cfg: AdmmConfig, *, start: Optional[AdmmState] = None,
@@ -517,15 +515,13 @@ def solve_weighted(
         eps_dual = p * cfg.eps_abs + cfg.eps_rel * rho1 * float(np.linalg.norm(U))
         Z = Z_new
         if primal <= eps_pri and dual <= eps_dual:
-            if not cfg.kkt_refine:
-                stop_reason = "residuals"
-                break
             kkt = kkt_residual(Z, S, idx, l1_coord, row_w)
             if kkt <= _KKT_TOL_FACTOR * cfg.eps_abs:
                 stop_reason = "kkt"
                 break
             if not math.isfinite(kkt):
                 # no certificate exists for a singular iterate
+                kkt = None
                 stop_reason = "residuals"
                 break
         new_face = _face(z, a, b)

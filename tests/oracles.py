@@ -341,9 +341,6 @@ def admm_loop(S, idx, l1_coord, row_w, cfg):
         eps_dual = p * cfg.eps_abs + cfg.eps_rel * rho1 * float(np.linalg.norm(U))
         Z = Z_new
         if primal <= eps_pri and dual <= eps_dual:
-            if not cfg.kkt_refine:
-                stop_reason = "residuals"
-                break
             kkt = solver.kkt_residual(Z, S, idx, l1_coord, row_w)
             if kkt <= solver._KKT_TOL_FACTOR * cfg.eps_abs:
                 stop_reason = "kkt"

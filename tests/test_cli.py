@@ -174,7 +174,7 @@ class TestFit:
         out = tmp_path / "report.json"
         code = main([
             "fit", str(cov), "--cov", "--lambda1", "0.1", "--n", "10",
-            "--max-outer", "1", "--no-kkt-refine", "--output", str(out),
+            "--max-outer", "1", "--output", str(out),
         ])
         assert code == 2
         assert out.exists()  # report still written
@@ -210,7 +210,6 @@ class TestFit:
         args = build_parser().parse_args([
             "fit", str(tmp_path / "S.csv"), "--lambda1", "0.1",
             "--eps-abs", "1e-6", "--eps-rel", "1e-6", "--max-outer", "7",
-            "--no-kkt-refine",
         ])
         cfg, default = _admm_config(args), AdmmConfig()
         same = [f.name for f in fields(AdmmConfig)
@@ -264,6 +263,21 @@ class TestFit:
         assert code == 0
         err = capsys.readouterr().err
         assert "symmetries" in err and "rescaling" in err
+
+    def test_singular_solve_writes_its_report(self, tmp_path):
+        # the loose residual tests are met by a singular first iterate, which
+        # has no certificate: the report says so with a null, not an inf
+        S = 100 * random_pd(6, np.random.default_rng(0))
+        cov = write_cov(tmp_path / "S.csv", S)
+        out = tmp_path / "report.json"
+        code = main([
+            "fit", str(cov), "--cov", "--n", "50", "--lambda1", repr(0.3 * lambda1_diag_max(S)),
+            "--eps-abs", "1e-2", "--eps-rel", "1e-2", "--output", str(out),
+        ])
+        assert code == 0
+        rep = read_fit_report(str(out))["solver_report"]
+        assert rep["stop_reason"] == "residuals" and rep["z_not_pd"] is True
+        assert rep["kkt_residual"] is None
 
 
 class TestInputValidation:
@@ -417,7 +431,7 @@ class TestPath:
         code = main([
             "path", str(cov), "--cov", "--n", "50", "--m", "2",
             "--output", str(out),
-            "--eps-abs", "1e-7", "--eps-rel", "1e-7", "--no-kkt-refine",
+            "--eps-abs", "1e-7", "--eps-rel", "1e-7",
         ])
         assert code == 0
         doc = read_fit_report(str(out))
@@ -432,15 +446,14 @@ class TestPath:
         code = main([
             "path", str(cov), "--cov", "--n", "80", "--m", str(m),
             "--output", str(out), "--grid-csv", str(grid),
-            "--eps-abs", "1e-7", "--eps-rel", "1e-7", "--no-kkt-refine",
+            "--eps-abs", "1e-7", "--eps-rel", "1e-7",
         ])
         assert code == 0
         lines = grid.read_text().splitlines()
         assert lines[0] == "stage,lambda1,lambda2,ebic,d,converged,stop_reason,error"
         assert len(lines) - 1 == 2 * m  # stage-1 winner reused, not re-solved
         rows = list(csv.DictReader(io.StringIO(grid.read_text())))
-        # --no-kkt-refine stops on the residuals or on a certified face polish
-        assert all(r["stop_reason"] in ("residuals", "kkt") and r["error"] == "" for r in rows)
+        assert all(r["stop_reason"] == "kkt" and r["error"] == "" for r in rows)
 
     def test_grid_csv_shows_failure_text(self):
         points = [
@@ -501,7 +514,7 @@ class TestPath:
             code = main([
                 "path", str(cov), "--cov", "--n", "500", "--m", "5",
                 "--gamma", gamma, "--output", str(out),
-                "--eps-abs", "1e-7", "--eps-rel", "1e-7", "--no-kkt-refine",
+                "--eps-abs", "1e-7", "--eps-rel", "1e-7",
             ])
             assert code == 0
             winners[gamma] = read_fit_report(str(out))["d"]
@@ -512,7 +525,7 @@ class TestSimulateCommand:
     ARGS = [
         "simulate", "--p", "6", "--density", "0.3", "--symmetry-fraction", "1",
         "--n-list", "40", "--replications", "2", "--seed", "99", "--m", "3",
-        "--eps-abs", "1e-7", "--eps-rel", "1e-7", "--no-kkt-refine",
+        "--eps-abs", "1e-7", "--eps-rel", "1e-7",
     ]
 
     def test_writes_csv(self, tmp_path):
@@ -628,6 +641,53 @@ class TestSimulateCommand:
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 7)
         monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
         assert _simulate_threads(None) == 7
+
+
+class TestIgnoredRefineFlag:
+    """``--no-kkt-refine`` is accepted and ignored: every solve ends at its
+    certificate.  The loose tolerances make the residual tests pass before
+    the certificate does."""
+
+    LOOSE = ["--eps-abs", "1e-3", "--eps-rel", "1e-3"]
+
+    def outputs_with_and_without(self, tmp_path, args, output_flags):
+        """The bytes each output flag's file gets, with and without the flag."""
+        runs = []
+        for tag, extra in (("with", ["--no-kkt-refine"]), ("without", [])):
+            paths = [tmp_path / f"{tag}{k}" for k in range(len(output_flags))]
+            outputs = [x for flag, path in zip(output_flags, paths) for x in (flag, str(path))]
+            assert main(args + self.LOOSE + outputs + extra) == 0
+            runs.append([path.read_bytes() for path in paths])
+        return runs
+
+    def test_fit(self, tmp_path, rng):
+        cov = write_cov(tmp_path / "S.csv", random_pd(6, rng))
+        args = ["fit", str(cov), "--cov", "--n", "25", "--lambda1", "0.1",
+                "--lambda2-vertex", "0.05", "--lambda2-inside", "0.05",
+                "--lambda2-across", "0.05"]
+        with_flag, without = self.outputs_with_and_without(tmp_path, args, ["-o"])
+        assert with_flag == without
+        assert json.loads(without[0])["solver_report"]["stop_reason"] == "kkt"
+
+    def test_path(self, tmp_path, rng):
+        cov = write_cov(tmp_path / "S.csv", random_pd(6, rng))
+        args = ["path", str(cov), "--cov", "--n", "80", "--m", "3"]
+        with_flag, without = self.outputs_with_and_without(tmp_path, args, ["-o", "--grid-csv"])
+        assert with_flag == without
+
+    def test_simulate(self, tmp_path):
+        args = ["simulate", "--p", "6", "--density", "0.3", "--n-list", "40", "--m", "3",
+                "--seed", "99", "--threads", "1"]
+        with_flag, without = self.outputs_with_and_without(tmp_path, args, ["-o"])
+        assert with_flag == without
+
+    @pytest.mark.parametrize("command", ["fit", "path", "simulate"])
+    def test_not_listed_in_help(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert "--eps-rel" in out and "kkt-refine" not in out
 
 
 _BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")

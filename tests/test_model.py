@@ -223,7 +223,7 @@ class TestMle:
     def test_nonexistent_mle_raises(self, rng):
         y = rng.standard_normal(4)
         S = np.outer(y, y)  # rank one: complete-graph MLE does not exist
-        cfg = AdmmConfig(max_outer=300, kkt_refine=False)
+        cfg = AdmmConfig(max_outer=300)
         with pytest.raises(MleError):
             mle(S, PdColouredGraph.complete(2), cfg)
 
@@ -562,7 +562,7 @@ class TestModelSelect:
     def test_fully_symmetric_truth_prefers_stage_two(self, rng):
         from pdglasso.simulate import ScenarioSpec, pdrcon_covariance, mvn_sample_cov
 
-        cfg = AdmmConfig(eps_abs=1e-7, eps_rel=1e-7, kkt_refine=False)
+        cfg = AdmmConfig(eps_abs=1e-7, eps_rel=1e-7)
         wins = 0
         for seed in range(5):
             spec = ScenarioSpec(p=8, density=0.3, symmetry_fraction=1.0,
@@ -581,14 +581,14 @@ class TestModelSelect:
 
     def test_grid_accounting(self, rng):
         S = random_pd(6, rng)
-        cfg = AdmmConfig(eps_abs=1e-7, eps_rel=1e-7, kkt_refine=False)
+        cfg = AdmmConfig(eps_abs=1e-7, eps_rel=1e-7)
         _, points = selection_path(S, 100, 4, 0.0, SubmodelClass(), cfg)
         assert len(points) == 8  # m stage-1 rows plus m stage-2 rows
         assert sum(pt.stage == 1 for pt in points) == 4
 
     def test_no_grid_components_skips_stage_two(self, rng):
         S = random_pd(6, rng)
-        cfg = AdmmConfig(eps_abs=1e-7, eps_rel=1e-7, kkt_refine=False)
+        cfg = AdmmConfig(eps_abs=1e-7, eps_rel=1e-7)
         _, points = selection_path(
             S, 100, 4, 0.0, SubmodelClass("zero", "zero", "zero"), cfg
         )
@@ -701,7 +701,7 @@ class TestModelSelect:
 
     def test_serial_runs_are_deterministic(self, rng):
         S = random_pd(6, rng)
-        cfg = AdmmConfig(eps_abs=1e-7, eps_rel=1e-7, kkt_refine=False)
+        cfg = AdmmConfig(eps_abs=1e-7, eps_rel=1e-7)
         first, pts1 = selection_path(S, 120, 4, 0.0, SubmodelClass(), cfg)
         second, pts2 = selection_path(S, 120, 4, 0.0, SubmodelClass(), cfg)
         assert np.array_equal(first.theta_hat, second.theta_hat)

@@ -264,7 +264,7 @@ class TestKktViolation:
         S = random_pd(10, rng)
         idx = PairedIndex(5)
         spec = PenaltySpec(0.08, 0.05, 0.02, 0.1)
-        theta, _ = pdglasso_solve(S, spec, AdmmConfig(max_outer=60, kkt_refine=False))
+        theta, _ = pdglasso_solve(S, spec, AdmmConfig(max_outer=60))
         w = idx.component_rows(0.05, 0.02, 0.1)
         z = pd_vec(theta, idx)
         G = pd_vec(S - np.linalg.inv(theta), idx)
@@ -586,15 +586,13 @@ class TestFacePolish:
         _, warm_report = solve_weighted(S, idx, l1, w, cfg, start=report.state)
         assert warm_report.outer_iterations < report.outer_iterations
 
-    @pytest.mark.parametrize("kkt_refine, eps_rel, refines", [
-        pytest.param(True, 1e-8, False, id="True"),
-        pytest.param(False, 1e-8, False, id="False"),
+    @pytest.mark.parametrize("eps_rel, refines", [
+        pytest.param(1e-8, False, id="True"),
         # loose residuals are met before the certificate, so the loop
         # iterates on past failed certificates
-        pytest.param(True, 1e-3, True, id="True-past-failed-certificates"),
+        pytest.param(1e-3, True, id="True-past-failed-certificates"),
     ])
-    def test_rejected_polish_leaves_admm_unchanged(self, rng, monkeypatch, kkt_refine,
-                                                   eps_rel, refines):
+    def test_rejected_polish_leaves_admm_unchanged(self, rng, monkeypatch, eps_rel, refines):
         def fail(*args, **kwargs):
             raise MleError("face solver failed")
 
@@ -609,7 +607,7 @@ class TestFacePolish:
         monkeypatch.setattr(solver, "kkt_residual", recording_kkt)
         S = random_pd(8, rng)
         idx = PairedIndex(4)
-        cfg = AdmmConfig(kkt_refine=kkt_refine, eps_rel=eps_rel)
+        cfg = AdmmConfig(eps_rel=eps_rel)
         l1, w = _penalty_weights(PenaltySpec(0.1, INF, 0.05, 0.02), idx)
         theta, report = solve_weighted(S, idx, l1, w, cfg)
         solve_certificates = list(certificates)
@@ -770,7 +768,7 @@ class TestFacePolish:
         spec = PenaltySpec(0.1, INF, 0.05, 0.0)  # across entries are in no active row
         l1, w = _penalty_weights(spec, idx)
         theta, _ = solve_weighted(S, idx, l1, w, cfg)
-        theta_again, kkt = solver._polish(theta, S, idx, l1, w, cfg)
+        theta_again, kkt = solver._face_newton(theta, S, idx, l1, w, cfg)
         assert kkt <= 10 * cfg.eps_abs
         assert np.abs(theta_again - theta).max() <= 1e-8
         # the same face with one more zero: Newton solves it, the certificate
@@ -784,15 +782,19 @@ class TestFacePolish:
         i, j = idx.coords[0][k], idx.coords[1][k]
         wrong[i, j] = wrong[j, i] = 0.0
         assert is_positive_definite(wrong)
-        assert solver._polish(wrong, S, idx, l1, w, cfg) is None
+        _, kkt = solver._face_newton(wrong, S, idx, l1, w, cfg)
+        assert kkt > 10 * cfg.eps_abs
 
-    def test_residuals_stop_when_met_before_a_polish(self, rng):
-        S = random_pd(6, rng)
-        spec = PenaltySpec.uniform(0.1, 0.05)
-        cfg = AdmmConfig(eps_abs=1e-3, eps_rel=1e-3, kkt_refine=False)
-        _, report = pdglasso_solve(S, spec, cfg)
-        assert report.converged and report.stop_reason == "residuals"
-        assert report.polish_attempts == 0
+    def test_singular_iterate_stops_at_the_residuals(self, rng):
+        # at this scale the loose residual tests are met by a singular first
+        # iterate, which has no certificate
+        S = 100 * random_pd(6, rng)
+        cfg = AdmmConfig(eps_abs=1e-2, eps_rel=1e-2)
+        theta, report = pdglasso_solve(S, PenaltySpec(0.3 * lambda1_diag_max(S)), cfg)
+        assert report.stop_reason == "residuals" and report.z_not_pd and report.converged
+        assert report.kkt_residual is None
+        assert is_positive_definite(theta)
+        assert np.array_equal(theta, theta_step(S, *report.state))
 
 
 class TestAdmmConfig:
@@ -809,7 +811,7 @@ class TestAdmmConfig:
 
     def test_nonconvergence_reported(self, rng):
         S = random_pd(6, rng)
-        cfg = AdmmConfig(max_outer=2, kkt_refine=False)
+        cfg = AdmmConfig(max_outer=2)
         _, report = pdglasso_solve(S, PenaltySpec.uniform(0.3, 0.1), cfg)
         assert not report.converged
         assert report.outer_iterations == 2
@@ -828,17 +830,12 @@ class TestAdmmConfig:
     def test_stop_reasons(self, rng):
         S = random_pd(6, rng)
         spec = PenaltySpec.uniform(0.1, 0.05)
-        _, report = pdglasso_solve(S, spec, AdmmConfig(kkt_refine=False))
-        # the face polish runs without kkt_refine and certifies before the
-        # residuals are met
+        _, report = pdglasso_solve(S, spec, AdmmConfig())
+        # the face polish certifies before the residuals are met
         assert report.converged and report.stop_reason == "kkt"
         assert report.polish_attempts >= 1
-        _, report = pdglasso_solve(S, spec, AdmmConfig())
-        assert report.converged and report.stop_reason == "kkt"
 
-    def test_has_four_fields(self):
+    def test_has_three_fields(self):
         from dataclasses import fields
 
-        assert [f.name for f in fields(AdmmConfig)] == [
-            "eps_abs", "eps_rel", "max_outer", "kkt_refine",
-        ]
+        assert [f.name for f in fields(AdmmConfig)] == ["eps_abs", "eps_rel", "max_outer"]
