@@ -51,7 +51,6 @@ from .penalties import (
 )
 from .solver import (
     AdmmConfig,
-    AdmmState,
     SolveReport,
     optimality_residual,
     pdglasso_solve,

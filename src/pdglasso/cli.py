@@ -17,6 +17,7 @@ import json
 import math
 import os
 import sys
+from itertools import zip_longest
 
 import numpy as np
 
@@ -499,11 +500,18 @@ def cmd_compare(args) -> int:
         g_sub = _graph_from_json(sub_doc)
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed report: {exc!r}") from exc
+    S, names, n = _read_sample(args)
+    # both graphs are read by position: each report must list the input's
+    # columns in their order
+    for path, doc in ((args.full, full_doc), (args.sub, sub_doc)):
+        for k, (var, name) in enumerate(zip_longest(doc["variables"], names), start=1):
+            if var != name:
+                raise InputError(f"{path}: variable {k} of the report is {var!r}, "
+                                 f"column {k} of the input is {name!r}")
     violation = _nesting_violation(g_full, g_sub)
     if violation:
         raise InputError(f"models are not nested: {violation}")
 
-    S, _, n = _read_sample(args)
     cfg = AdmmConfig(eps_abs=args.eps_abs, max_outer=args.max_outer)
     theta_full = mle(S, g_full, cfg)
     theta_sub = mle(S, g_sub, cfg)

@@ -27,7 +27,7 @@ from .penalties import (
     lambda1_diag_max,
     lambda2_sym_max,
 )
-from .solver import _KKT_TOL_FACTOR, AdmmConfig, AdmmState, SolveReport, pdglasso_solve
+from .solver import _KKT_TOL_FACTOR, AdmmConfig, SolveReport, pdglasso_solve
 
 
 @dataclass(frozen=True)
@@ -459,14 +459,14 @@ def filter_extracted_colours(graph: PdColouredGraph, spec: PenaltySpec) -> PdCol
 
 def solve_point(
     S: np.ndarray, spec: PenaltySpec, cfg: AdmmConfig, diag_penalty: bool = True,
-    *, start: Optional[AdmmState] = None,
+    *, start: Optional[np.ndarray] = None,
 ) -> FitResult:
     """Solve at one penalty value and extract the model, without the refit.
 
     Colours are read off the estimate only for fused components that were
     active in the solve, so the fit stays within its submodel class.  The
-    solve starts from ``start`` (see :func:`pdglasso.solver.solve_weighted`),
-    cold when it is None.
+    solve starts from ``start``, an estimate at a nearby penalty (see
+    :func:`pdglasso.solver.solve_weighted`), cold when it is None.
     """
     theta_hat, report = pdglasso_solve(S, spec, cfg, diag_penalty=diag_penalty, start=start)
     idx = PairedIndex.from_p(S.shape[0])
@@ -490,7 +490,7 @@ def fit_point(
     spec: PenaltySpec,
     cfg: AdmmConfig,
     *,
-    start: Optional[AdmmState] = None,
+    start: Optional[np.ndarray] = None,
 ) -> FitResult:
     """Solve at one penalty value from ``start`` (cold when None), extract
     the model and refit its MLE."""
@@ -542,12 +542,11 @@ def selection_path(
     swept from its sparsest point down: stage 1 in descending l1 weight,
     from the diagonal threshold, and stage 2 in descending fused weight,
     from the full-symmetry threshold.  The top of stage 1 starts cold; each
-    later solve starts from the ADMM state (Z, U, rho1) that the solve
-    evaluated before it ended in, except that stage 2 starts from the
-    stage-1 winner's, whose l1 weight it keeps.  A point after one that
-    failed starts cold.  Each solve still ends only on its own certificate
-    (or, at a singular iterate, its residuals).  The returned points are in
-    ascending penalty order within each stage.
+    later solve starts from the estimate ``theta_hat`` of the solve
+    evaluated before it, except that stage 2 starts from the stage-1
+    winner's, whose l1 weight it keeps.  A point after one that failed
+    starts cold.  Each solve still ends only on its own certificate.  The
+    returned points are in ascending penalty order within each stage.
     """
     cfg = cfg or AdmmConfig()
     if m < 2:
@@ -557,13 +556,13 @@ def selection_path(
     idx = PairedIndex.from_p(S.shape[0])
 
     def sweep(stage: int, grid: list[tuple[float, float]],
-              start: Optional[AdmmState]) -> list[GridPoint]:
+              start: Optional[np.ndarray]) -> list[GridPoint]:
         """Evaluate (lambda1, lambda2) pairs from the last one down, the first
         from ``start``, and return the points in grid order."""
         swept = []
         for lam1, lam2 in reversed(grid):
             pt = _evaluate(stage, lam1, lam2, S, n, gamma, class_spec, cfg, start)
-            start = pt.fit.report.state if pt.valid else None
+            start = pt.fit.theta_hat if pt.valid else None
             swept.append(pt)
         return swept[::-1]
 
@@ -575,7 +574,7 @@ def selection_path(
     lam2_top = lambda2_sym_max(S, idx)
     if class_spec.any_gridded and lam2_top > 0:
         stage2 = sweep(2, [(winner1.lambda1, lam2) for lam2 in _log_grid(lam2_top, m)],
-                       winner1.fit.report.state)
+                       winner1.fit.theta_hat)
         points.extend(stage2)
         candidates.extend(stage2)
     winner = _best(candidates)

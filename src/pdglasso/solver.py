@@ -42,26 +42,25 @@ neighbouring faces.  After any other rejection the ADMM continues from
 where it was.  The ADMM converges from any start, so a restart changes
 where the loop goes on from, not what ends it: the certificate still does.
 
-A solve starts cold, at Z = U = 0 and rho1 = ``_RHO_INIT``, unless its
-caller hands it a start state (Z, U, rho1).  Every report carries the ADMM
-state its loop ended in.  The selection path sweeps each stage from its
-sparsest penalty down and starts each grid point from the state of the
-point solved before it, and stage 2 from the stage-1 winner's: the pathwise
-warm starts of glasso and glmnet (Friedman, Hastie & Tibshirani 2008,
-Biostatistics 9:432; 2010, J. Stat. Softw. 33(1)).  A start state changes
-where the loop begins, not what ends it: the residual tests and the
-certificate are the same, so a warm solve meets the same tolerances,
-usually in fewer iterations.
+A solve starts cold, at Z = U = 0, or at a positive definite Theta_0 by
+the restart rule: Z = Theta_0 and U = (Theta_0^{-1} - S) / rho1, so the
+first Theta step returns Theta_0.  Either way rho1 starts at ``_RHO_INIT``.
+The selection path sweeps each stage from its sparsest penalty down and
+starts each grid point from the estimate of the point solved before it,
+and stage 2 from the stage-1 winner's: the pathwise warm starts of glasso
+and glmnet (Friedman, Hastie & Tibshirani 2008, Biostatistics 9:432; 2010,
+J. Stat. Softw. 33(1)).  A start changes where the loop begins, not what
+ends it, so a warm solve meets the same certificate, usually sooner.
 
 One rule ends a solve: the certificate.  At each iteration whose ADMM
 residuals (Boyd et al. 2011, section 3.3) meet ``eps_abs`` and
 ``eps_rel``, the certificate of the iterate is computed, and the solve
 ends when it, or that of a polish, meets its tolerance.  A singular
-iterate has no certificate, so its solve ends at the residuals and
-returns the positive definite Theta step.  Any other solve ends when
-``max_outer`` is spent.  The residual test only gates the certificate, an
-inverse and a Cholesky factorization that every ADMM step would otherwise
-pay.
+iterate has no certificate, and the loop goes on from it.  A solve that
+does not certify within ``max_outer`` iterations ends there, and when its
+last Z is singular it returns the positive definite Theta step instead.
+The residual test only gates the certificate, an inverse and a Cholesky
+factorization that every ADMM step would otherwise pay.
 
 Two choices are constants, not settings.  The cold step size is
 ``_RHO_INIT`` and residual balancing (Boyd et al. 2011, section 3.4.1)
@@ -74,8 +73,8 @@ to the residual tolerance a caller already sets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -102,14 +101,13 @@ _MAX_RESTARTS = 5  # restarts of the ADMM from a rejected polish, per solve
 class AdmmConfig:
     """Tolerances and iteration limit of the ADMM, and of the MLE refit.
 
-    A solve with a positive definite iterate ends only when the
-    coordinate-wise optimality certificate falls to
-    ``_KKT_TOL_FACTOR * eps_abs``, at an ADMM iterate or at a Newton polish
-    of its face, or when ``max_outer`` iterations are spent; the step size
-    is adapted, not set (see the module docstring).  ``eps_abs`` and
+    A solve ends only when the coordinate-wise optimality certificate falls
+    to ``_KKT_TOL_FACTOR * eps_abs``, at an ADMM iterate or at a Newton
+    polish of its face, or when ``max_outer`` iterations are spent; the step
+    size is adapted, not set (see the module docstring).  ``eps_abs`` and
     ``eps_rel`` bound the ADMM residuals, whose test decides when the
-    certificate of an iterate is computed and detects a singular one.  The
-    polish runs within ``max_outer`` Newton steps.  ``eps_abs`` and
+    certificate of an iterate is computed.  The polish runs within
+    ``max_outer`` Newton steps.  ``eps_abs`` and
     ``max_outer`` also bound :func:`pdglasso.model.mle`: its
     likelihood-equation residual must fall to
     ``_KKT_TOL_FACTOR * eps_abs * max(1, max|S|)`` within ``max_outer``
@@ -128,34 +126,22 @@ class AdmmConfig:
             raise ValueError("iteration limit must be >= 1")
 
 
-class AdmmState(NamedTuple):
-    """The loop variables of the ADMM: the sparse/fused iterate Z, the
-    scaled dual U and the step size rho1."""
-
-    Z: np.ndarray
-    U: np.ndarray
-    rho1: float
-
-
 @dataclass(frozen=True)
 class SolveReport:
     """Outcome of one solve.
 
     ``stop_reason`` says why the loop ended: ``"kkt"`` (the optimality
     certificate met its tolerance, at an ADMM iterate or at a polished
-    one), ``"residuals"`` (the residuals were met at a singular iterate,
-    for which no certificate exists) or ``"max_outer"`` (the iteration
-    budget ran out, whatever the residuals).  ``primal_residual`` and
-    ``dual_residual`` belong to the last ADMM iterate, which a polished
-    solve replaces before they meet their tolerances.  ``kkt_residual`` is
-    the certificate of the returned estimate when one was computed, None
-    when the iterate is singular.  ``polish_attempts`` counts the Newton
-    polishes tried; at most the last one was accepted.  ``restarts`` counts
-    the rejected polishes the ADMM restarted from, each with a certificate
-    strictly below the earlier ones', at most ``_MAX_RESTARTS``.  ``state``
-    is the ADMM state the loop ended in, after any restart and before an
-    accepted polish replaced the estimate: a start state for a solve at a
-    nearby penalty.
+    one) or ``"max_outer"`` (the iteration budget ran out, whatever the
+    residuals).  ``primal_residual`` and ``dual_residual`` belong to the
+    last ADMM iterate, which a polished solve replaces before they meet
+    their tolerances.  ``kkt_residual`` is the certificate of the returned
+    estimate at a ``"kkt"`` stop; at a ``"max_outer"`` stop it is the last
+    certificate the loop computed, None when it computed none (a singular
+    iterate has none).  ``polish_attempts`` counts the Newton polishes
+    tried; at most the last one was accepted.  ``restarts`` counts the
+    rejected polishes the ADMM restarted from, each with a certificate
+    strictly below the earlier ones', at most ``_MAX_RESTARTS``.
     """
 
     outer_iterations: int
@@ -167,17 +153,16 @@ class SolveReport:
     stop_reason: str = "max_outer"
     polish_attempts: int = 0
     restarts: int = 0
-    state: Optional[AdmmState] = field(default=None, compare=False, repr=False)
 
     @property
     def converged(self) -> bool:
-        """The solve met a stopping criterion before its budget ran out."""
-        return self.stop_reason in ("kkt", "residuals")
+        """The optimality certificate met its tolerance within the budget."""
+        return self.stop_reason == "kkt"
 
     @property
     def kkt_ok(self) -> bool:
-        """The optimality certificate met its tolerance."""
-        return self.stop_reason == "kkt"
+        """The same as :attr:`converged`."""
+        return self.converged
 
 
 def soft_threshold(x, t):
@@ -432,9 +417,15 @@ def _face_newton(
     return Theta, kkt_residual(Theta, S, idx, l1_coord, row_w)
 
 
+def _dual_at(Theta: np.ndarray, S: np.ndarray, rho1: float) -> np.ndarray:
+    """The scaled dual U = (Theta^{-1} - S) / rho1 at which, with Z = Theta,
+    the next :func:`theta_step` returns the positive definite Theta."""
+    return (np.linalg.inv(Theta) - S) / rho1
+
+
 def solve_weighted(
     S: np.ndarray, idx: PairedIndex, l1_coord: np.ndarray, row_w: np.ndarray,
-    cfg: AdmmConfig, *, start: Optional[AdmmState] = None,
+    cfg: AdmmConfig, *, start: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, SolveReport]:
     """Run the ADMM with explicit per-coordinate l1 weights and one weight
     per row of :attr:`PairedIndex.fused_pairs` in ``row_w``.
@@ -454,16 +445,17 @@ def solve_weighted(
     Z = Theta_f, U = (Theta_f^{-1} - S) / rho1 and a new face hold, while
     the face last polished is kept, so it is not polished again at once.
     Any other rejection, or a face solver failure, leaves the ADMM state as
-    it was.
+    it was.  A singular iterate has no certificate; the loop goes on.
 
-    The loop starts from ``start``, the ``state`` of an earlier report,
-    or cold at Z = U = 0 and ``_RHO_INIT`` when it is None.  The face hold,
-    the polish and its certificate do not depend on the start.
+    ``start``, a positive definite p x p matrix such as an earlier estimate,
+    is where the loop starts, by the restart rule; it starts cold when
+    ``start`` is None (see the module docstring).  A start of the wrong
+    shape raises :class:`DimensionError`, one that fails Cholesky
+    :class:`NotPositiveDefiniteError`.
 
-    Returns the polished estimate, or the sparse/fused iterate Z (or the
-    positive definite iterate Theta when Z is not positive definite,
-    flagged in the report).  The report's ``state`` is the ADMM state at
-    the end of the loop, before any polish replaced the estimate.
+    Returns the polished estimate, or the sparse/fused iterate Z, or, when
+    ``max_outer`` is spent at a Z that is not positive definite, the
+    positive definite iterate Theta (flagged in the report).
     """
     S = np.asarray(S, dtype=float)
     if not np.all(np.isfinite(S)):
@@ -482,12 +474,16 @@ def solve_weighted(
     w2 = 2.0 * w
 
     p = idx.p
+    rho1 = _RHO_INIT
     if start is None:
-        Z, U, rho1 = np.zeros((p, p)), np.zeros((p, p)), _RHO_INIT
+        Z, U = np.zeros((p, p)), np.zeros((p, p))
     else:
-        Z, U, rho1 = start
-        if Z.shape != (p, p) or U.shape != (p, p):
-            raise DimensionError("start state has the wrong shape")
+        Z = np.asarray(start, dtype=float)
+        if Z.shape != (p, p):
+            raise DimensionError(f"start has shape {Z.shape}, expected {(p, p)}")
+        if not is_positive_definite(Z):
+            raise NotPositiveDefiniteError("start is not positive definite")
+        U = _dual_at(Z, S, rho1)
     primal = math.inf
     dual = math.inf
     kkt = None
@@ -515,15 +511,12 @@ def solve_weighted(
         eps_dual = p * cfg.eps_abs + cfg.eps_rel * rho1 * float(np.linalg.norm(U))
         Z = Z_new
         if primal <= eps_pri and dual <= eps_dual:
-            kkt = kkt_residual(Z, S, idx, l1_coord, row_w)
-            if kkt <= _KKT_TOL_FACTOR * cfg.eps_abs:
-                stop_reason = "kkt"
+            certificate = kkt_residual(Z, S, idx, l1_coord, row_w)
+            if certificate <= _KKT_TOL_FACTOR * cfg.eps_abs:
+                kkt, stop_reason = certificate, "kkt"
                 break
-            if not math.isfinite(kkt):
-                # no certificate exists for a singular iterate
-                kkt = None
-                stop_reason = "residuals"
-                break
+            if math.isfinite(certificate):  # a singular iterate has none
+                kkt = certificate
         new_face = _face(z, a, b)
         held = held + 1 if face is not None and np.array_equal(new_face, face) else 0
         face = new_face
@@ -541,7 +534,7 @@ def solve_weighted(
                 # returns; the residuals belong to the iterate it replaces,
                 # so they do not rebalance rho1
                 Z, best = candidate
-                U = (np.linalg.inv(Z) - S) / rho1
+                U = _dual_at(Z, S, rho1)
                 restarts += 1
                 face = None
                 held = 0
@@ -572,7 +565,6 @@ def solve_weighted(
         stop_reason=stop_reason,
         polish_attempts=polish_attempts,
         restarts=restarts,
-        state=AdmmState(Z, U, rho1),
     )
     return result, report
 
@@ -583,7 +575,7 @@ def pdglasso_solve(
     cfg: Optional[AdmmConfig] = None,
     diag_penalty: bool = True,
     *,
-    start: Optional[AdmmState] = None,
+    start: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, SolveReport]:
     """Minimize the paired-data fused graphical lasso objective.
 
@@ -592,7 +584,8 @@ def pdglasso_solve(
     report.  Infinite penalty components are passed to the solver as
     ``math.inf`` and act as hard equality constraints.  With
     ``diag_penalty`` unset the l1 weight is dropped on the diagonal entries.
-    ``start`` is passed to :func:`solve_weighted`: a cold solve when None.
+    ``start``, a positive definite matrix such as an earlier estimate, is
+    passed to :func:`solve_weighted`: a cold solve when None.
     """
     cfg = cfg or AdmmConfig()
     S = np.asarray(S, dtype=float)

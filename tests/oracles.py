@@ -345,9 +345,6 @@ def admm_loop(S, idx, l1_coord, row_w, cfg):
             if kkt <= solver._KKT_TOL_FACTOR * cfg.eps_abs:
                 stop_reason = "kkt"
                 break
-            if not math.isfinite(kkt):
-                stop_reason = "residuals"
-                break
         if primal > 10.0 * dual and rho1 * 2.0 <= solver._RHO_MAX:
             rho1 *= 2.0
             U = U / 2.0

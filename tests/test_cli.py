@@ -265,18 +265,18 @@ class TestFit:
         assert "symmetries" in err and "rescaling" in err
 
     def test_singular_solve_writes_its_report(self, tmp_path):
-        # the loose residual tests are met by a singular first iterate, which
-        # has no certificate: the report says so with a null, not an inf
-        S = 100 * random_pd(6, np.random.default_rng(0))
+        # one iteration above the threshold leaves Z singular and computes no
+        # certificate: the report says so with a null, not an inf
+        S = random_pd(6, np.random.default_rng(0))
         cov = write_cov(tmp_path / "S.csv", S)
         out = tmp_path / "report.json"
         code = main([
-            "fit", str(cov), "--cov", "--n", "50", "--lambda1", repr(0.3 * lambda1_diag_max(S)),
-            "--eps-abs", "1e-2", "--eps-rel", "1e-2", "--output", str(out),
+            "fit", str(cov), "--cov", "--n", "50", "--lambda1", repr(3 * lambda1_diag_max(S)),
+            "--max-outer", "1", "--output", str(out),
         ])
-        assert code == 0
+        assert code == 2
         rep = read_fit_report(str(out))["solver_report"]
-        assert rep["stop_reason"] == "residuals" and rep["z_not_pd"] is True
+        assert rep["stop_reason"] == "max_outer" and rep["z_not_pd"] is True
         assert rep["kkt_residual"] is None
 
 
@@ -827,6 +827,31 @@ class TestCompare:
         code = main(["compare", str(full), str(sub), "--input", str(cov), "--cov", *flags])
         assert code == 1 and calls == []
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("moved", ["input", "sub"])
+    def test_reordered_columns_are_an_input_error(self, tmp_path, rng, capsys, moved):
+        # the graphs are read by position, so a report whose variables are in
+        # another order than the input's columns would refit the wrong pairs
+        Y = rng.standard_normal((80, 6))
+        names = ["a_L", "b_L", "c_L", "a_R", "b_R", "c_R"]
+        order = [2, 0, 1, 5, 3, 4]
+        data = write_data(tmp_path / "Y.csv", Y, names)
+        other = write_data(tmp_path / "moved.csv", Y[:, order], [names[k] for k in order])
+        full, sub = tmp_path / "full.json", tmp_path / "sub.json"
+        assert main(["fit", str(data), "--lambda1", "0", "--output", str(full)]) == 0
+        sub_input = other if moved == "sub" else data
+        assert main(["fit", str(sub_input), "--lambda1", "1.0", "--output", str(sub)]) == 0
+        if moved == "input":
+            assert main(["compare", str(full), str(sub), "--input", str(data)]) == 0
+        capsys.readouterr()
+        compared = other if moved == "input" else data
+        code = main(["compare", str(full), str(sub), "--input", str(compared)])
+        assert code == 1
+        bad, got, want = (full, "a_L", "c_L") if moved == "input" else (sub, "c_L", "a_L")
+        assert capsys.readouterr().err.startswith(
+            f"error: {bad}: variable 1 of the report is {got!r}, "
+            f"column 1 of the input is {want!r}"
+        )
 
     def test_alpha_is_checked_before_any_report_is_read(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.json")

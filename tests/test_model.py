@@ -600,48 +600,47 @@ class TestModelSelect:
 
     @staticmethod
     def record_starts(monkeypatch):
-        """Lists of the start state each penalized solve receives and of the
-        end state it reports, filled as the solves run."""
+        """Lists of the start each penalized solve receives and of the
+        estimate it returns, filled as the solves run."""
         from pdglasso import solver
 
-        starts, states = [], []
+        starts, estimates = [], []
         solve = solver.solve_weighted
 
         def recording_solve(*args, **kwargs):
             starts.append(kwargs.get("start"))
             theta, report = solve(*args, **kwargs)
-            states.append(report.state)
+            estimates.append(theta)
             return theta, report
 
         monkeypatch.setattr(solver, "solve_weighted", recording_solve)
-        return starts, states
+        return starts, estimates
 
     @staticmethod
-    def solve_order(points, states):
+    def solve_order(points, estimates):
         """For each point, in the order returned, the index of its solve."""
-        return [next(k for k, state in enumerate(states) if state is pt.fit.report.state)
+        return [next(k for k, theta in enumerate(estimates) if theta is pt.fit.theta_hat)
                 for pt in points]
 
     def test_path_is_warm_started_in_grid_order(self, rng, monkeypatch):
         # each stage is swept from its largest penalty down; stage 2 starts
         # from the stage-1 winner, not from the last stage-1 solve
-        starts, states = self.record_starts(monkeypatch)
+        starts, estimates = self.record_starts(monkeypatch)
         S = random_pd(6, rng)
         _, points = selection_path(S, 100, 4, 0.0, SubmodelClass(), AdmmConfig())
         assert [pt.stage for pt in points] == [1] * 4 + [2] * 4
         assert all(pt.valid for pt in points) and len(starts) == 8
-        assert all(state is not None for state in states)
-        assert self.solve_order(points, states) == [3, 2, 1, 0, 7, 6, 5, 4]
+        assert self.solve_order(points, estimates) == [3, 2, 1, 0, 7, 6, 5, 4]
         assert starts[0] is None  # the stage-1 top starts cold
-        assert all(starts[k] is states[k - 1] for k in (1, 2, 3, 5, 6, 7))
+        assert all(starts[k] is estimates[k - 1] for k in (1, 2, 3, 5, 6, 7))
         winner1 = _best(points[:4])
         assert winner1 is not points[0]  # else the two stage-2 rules coincide
-        assert starts[4] is winner1.fit.report.state
+        assert starts[4] is winner1.fit.theta_hat
 
     def test_failed_point_does_not_seed_the_next(self, rng, monkeypatch):
         from pdglasso import model
 
-        starts, states = self.record_starts(monkeypatch)
+        starts, estimates = self.record_starts(monkeypatch)
         refit = model.mle
         refits = []
 
@@ -656,13 +655,12 @@ class TestModelSelect:
         _, points = selection_path(S, 100, 4, 0.0, SubmodelClass(), AdmmConfig())
         # the second solve is the second-largest stage-1 penalty
         assert [pt.valid for pt in points] == [True, True, False, True] + [True] * 4
-        # the failed point's solve ended normally, yet its state is dropped
-        assert states[1] is not None
-        assert starts[1] is states[0]
+        # the failed point's solve ended normally, yet its estimate is dropped
+        assert starts[1] is estimates[0]
         assert starts[2] is None
-        assert starts[3] is states[2]
-        assert starts[4] is _best(points[:4]).fit.report.state
-        assert all(starts[k] is states[k - 1] for k in (5, 6, 7))
+        assert starts[3] is estimates[2]
+        assert starts[4] is _best(points[:4]).fit.theta_hat
+        assert all(starts[k] is estimates[k - 1] for k in (5, 6, 7))
 
     def test_points_come_back_in_ascending_order(self, rng):
         S = random_pd(6, rng)

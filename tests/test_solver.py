@@ -562,9 +562,9 @@ class TestFacePolish:
         S, idx, first = random_instance(data)
         second = random_spec(data, S, idx)
         cfg = AdmmConfig(eps_abs=1e-10, eps_rel=1e-10)
-        _, report = solve_weighted(S, idx, *_penalty_weights(first, idx), cfg)
+        estimate, _ = solve_weighted(S, idx, *_penalty_weights(first, idx), cfg)
         l1, w = _penalty_weights(second, idx)
-        warm, warm_report = solve_weighted(S, idx, l1, w, cfg, start=report.state)
+        warm, warm_report = solve_weighted(S, idx, l1, w, cfg, start=estimate)
         cold, cold_report = solve_weighted(S, idx, l1, w, cfg)
         assert warm_report.stop_reason == cold_report.stop_reason == "kkt"
         for got, want in zip(face_masks(warm, idx, w), face_masks(cold, idx, w)):
@@ -572,19 +572,62 @@ class TestFacePolish:
         assert np.abs(warm - cold).max() <= 1e-6
         assert warm_report.kkt_residual <= 10 * cfg.eps_abs
 
-    def test_cold_start_is_the_default(self, rng):
+    @staticmethod
+    def record_steps(monkeypatch):
+        """The (Z, U, rho1) of every Theta step, filled as the solves run."""
+        steps = []
+        step = solver.theta_step
+
+        def recording_step(S, Z, U, rho1):
+            steps.append((Z.copy(), U.copy(), rho1))
+            return step(S, Z, U, rho1)
+
+        monkeypatch.setattr(solver, "theta_step", recording_step)
+        return steps
+
+    def test_cold_start_is_the_default(self, rng, monkeypatch):
+        steps = self.record_steps(monkeypatch)
         S = random_pd(6, rng)
         idx = PairedIndex(3)
         l1, w = _penalty_weights(PenaltySpec.uniform(0.1, 0.05), idx)
         cfg = AdmmConfig()
         theta, report = solve_weighted(S, idx, l1, w, cfg)
-        cold = solver.AdmmState(np.zeros((6, 6)), np.zeros((6, 6)), solver._RHO_INIT)
-        again, again_report = solve_weighted(S, idx, l1, w, cfg, start=cold)
+        Z, U, rho1 = steps[0]
+        assert not Z.any() and not U.any() and rho1 == solver._RHO_INIT
+        again, again_report = solve_weighted(S, idx, l1, w, cfg, start=None)
         assert np.array_equal(theta, again)
         assert again_report.outer_iterations == report.outer_iterations
-        # restarted from its own end state, a solve needs fewer iterations
-        _, warm_report = solve_weighted(S, idx, l1, w, cfg, start=report.state)
+        # restarted from its own estimate, a solve needs fewer iterations
+        _, warm_report = solve_weighted(S, idx, l1, w, cfg, start=theta)
         assert warm_report.outer_iterations < report.outer_iterations
+
+    def test_warm_start_is_the_restart_rule(self, rng, monkeypatch):
+        # the first Theta step of a warm solve returns its start, from the
+        # dual a restart would set, at the cold step size
+        steps = self.record_steps(monkeypatch)
+        S = random_pd(8, rng)
+        idx = PairedIndex(4)
+        l1, w = _penalty_weights(PenaltySpec(0.1, INF, 0.05, 0.02), idx)
+        start = random_pd(8, rng)
+        solve_weighted(S, idx, l1, w, AdmmConfig(), start=start)
+        Z, U, rho1 = steps[0]
+        assert np.array_equal(Z, start) and rho1 == solver._RHO_INIT
+        assert np.array_equal(U, solver._dual_at(start, S, rho1))
+        assert np.abs(theta_step(S, Z, U, rho1) - start).max() <= 1e-10
+
+    @pytest.mark.parametrize("start, error", [
+        (np.eye(6), DimensionError),
+        (np.diag([1.0] * 7 + [0.0]), NotPositiveDefiniteError),
+        (np.full((8, 8), np.nan), NotPositiveDefiniteError),
+    ], ids=["shape", "singular", "nan"])
+    def test_bad_start_raises_before_the_first_step(self, rng, monkeypatch, start, error):
+        steps = self.record_steps(monkeypatch)
+        S = random_pd(8, rng)
+        idx = PairedIndex(4)
+        l1, w = _penalty_weights(PenaltySpec.uniform(0.1, 0.05), idx)
+        with pytest.raises(error):
+            solve_weighted(S, idx, l1, w, AdmmConfig(), start=start)
+        assert steps == []
 
     @pytest.mark.parametrize("eps_rel, refines", [
         pytest.param(1e-8, False, id="True"),
@@ -683,8 +726,6 @@ class TestFacePolish:
         assert np.array_equal(theta, ref)
         assert report.outer_iterations == ref_report.outer_iterations
         assert report.stop_reason == ref_report.stop_reason
-        for got, want in zip(report.state, ref_report.state):
-            assert np.array_equal(got, want)
 
     def always_rejected_solve(self, rng, monkeypatch):
         """A solve whose every polish is rejected with a certificate strictly
@@ -785,16 +826,26 @@ class TestFacePolish:
         _, kkt = solver._face_newton(wrong, S, idx, l1, w, cfg)
         assert kkt > 10 * cfg.eps_abs
 
-    def test_singular_iterate_stops_at_the_residuals(self, rng):
-        # at this scale the loose residual tests are met by a singular first
-        # iterate, which has no certificate
-        S = 100 * random_pd(6, rng)
-        cfg = AdmmConfig(eps_abs=1e-2, eps_rel=1e-2)
-        theta, report = pdglasso_solve(S, PenaltySpec(0.3 * lambda1_diag_max(S)), cfg)
-        assert report.stop_reason == "residuals" and report.z_not_pd and report.converged
-        assert report.kkt_residual is None
-        assert is_positive_definite(theta)
-        assert np.array_equal(theta, theta_step(S, *report.state))
+    def test_singular_iterate_continues_to_the_certificate(self, monkeypatch):
+        # at this scale the loose residual tests are met by a singular
+        # iterate, which has no certificate, after 49 iterations; the loop
+        # goes on past it and certifies a sparse estimate
+        certificates = []
+        kkt = solver.kkt_residual
+
+        def recording_kkt(*args, **kwargs):
+            certificates.append(kkt(*args, **kwargs))
+            return certificates[-1]
+
+        monkeypatch.setattr(solver, "kkt_residual", recording_kkt)
+        S = 100 * random_pd(6, np.random.default_rng(20240817))
+        cfg = AdmmConfig(eps_abs=1e-3, eps_rel=1e-3)
+        theta, report = pdglasso_solve(S, PenaltySpec.uniform(10, 5), cfg)
+        assert math.inf in certificates
+        assert report.stop_reason == "kkt" and report.converged and not report.z_not_pd
+        assert report.kkt_residual <= 10 * cfg.eps_abs
+        assert report.outer_iterations > 49
+        assert (theta == 0).any()
 
 
 class TestAdmmConfig:
@@ -820,12 +871,14 @@ class TestAdmmConfig:
     def test_singular_iterate_returns_the_theta_step(self, rng):
         # one iteration at a penalty above the threshold leaves Z singular
         S = random_pd(6, rng)
-        theta, report = pdglasso_solve(
-            S, PenaltySpec(3 * lambda1_diag_max(S)), AdmmConfig(max_outer=1)
-        )
+        spec = PenaltySpec(3 * lambda1_diag_max(S))
+        cfg = AdmmConfig(max_outer=1)
+        theta, report = pdglasso_solve(S, spec, cfg)
         assert report.stop_reason == "max_outer" and report.z_not_pd
+        assert report.kkt_residual is None and not report.converged
         assert is_positive_definite(theta)
-        assert np.array_equal(theta, theta_step(S, *report.state))
+        ref, _, _ = admm_loop(S, PairedIndex(3), *_penalty_weights(spec, PairedIndex(3)), cfg)
+        assert np.array_equal(theta, ref)
 
     def test_stop_reasons(self, rng):
         S = random_pd(6, rng)
