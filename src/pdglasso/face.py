@@ -50,7 +50,7 @@ def _colour_classes(idx: PairedIndex, absent: np.ndarray, coloured: np.ndarray):
 def _rcon_newton(
     S: np.ndarray, idx: PairedIndex, absent: np.ndarray, coloured: np.ndarray,
     tol: float, max_steps: int, start: np.ndarray | None = None,
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Minimize -log det(Theta) + tr(S Theta) with the half-vectorized
     coordinates in ``absent`` held at zero and the pairs of the fused rows in
     ``coloured`` tied.
@@ -67,15 +67,15 @@ def _rcon_newton(
     condition in exact arithmetic, the full step is taken if it is positive
     definite.
 
-    Returns only with a certificate: the class sums of inv(Theta) - S are at
-    most ``tol`` in absolute value, and inv(Theta) with that residual spread
-    over each class is still positive definite, which proves the minimizer
-    exists rather than being approached by an estimate diverging to
-    infinity.  Every other exit raises :class:`MleError`: a zero diagonal
-    class sum of S, a Newton system that is not numerically positive
-    definite, a failed line search, Newton steps stalled at float precision,
-    or more than ``max_steps`` Newton steps.  Raises ValueError when S has
-    non-finite entries.
+    Returns (Theta, inv(Theta)) only with a certificate: the class sums of
+    inv(Theta) - S are at most ``tol`` in absolute value, and inv(Theta)
+    with that residual spread over each class is still positive definite,
+    which proves the minimizer exists rather than being approached by an
+    estimate diverging to infinity.  Every other exit raises
+    :class:`MleError`: a zero diagonal class sum of S, a Newton system that
+    is not numerically positive definite, a failed line search, Newton steps
+    stalled at float precision, or more than ``max_steps`` Newton steps.
+    Raises ValueError when S has non-finite entries.
     """
     S = np.asarray(S, dtype=float)
     if not np.all(np.isfinite(S)):
@@ -132,7 +132,7 @@ def _rcon_newton(
         if float(np.abs(resid).max()) <= tol and np.linalg.eigvalsh(Sigma)[0] > float(
             np.linalg.norm(expand(resid / size))
         ):
-            return Theta
+            return Theta, Sigma
         if steps == max_steps:
             break
         # Newton system H step = w * resid with H v = classsum(w Sigma V Sigma);

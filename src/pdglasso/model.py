@@ -204,7 +204,7 @@ def n_params(g: PdColouredGraph) -> int:
 def _refit(S: np.ndarray, idx: PairedIndex, absent, coloured, cfg: AdmmConfig) -> np.ndarray:
     """The face solver with the refit's certificate, scaled by max|S|."""
     tol = _KKT_TOL_FACTOR * cfg.eps_abs * max(1.0, float(np.abs(S).max()))
-    return _rcon_newton(S, idx, absent, coloured, tol, cfg.max_outer)
+    return _rcon_newton(S, idx, absent, coloured, tol, cfg.max_outer)[0]
 
 
 def mle(S: np.ndarray, g: PdColouredGraph, cfg: Optional[AdmmConfig] = None) -> np.ndarray:

@@ -44,7 +44,8 @@ where the loop goes on from, not what ends it: the certificate still does.
 
 A solve starts cold, at Z = U = 0, or at a positive definite Theta_0 by
 the restart rule: Z = Theta_0 and U = (Theta_0^{-1} - S) / rho1, so the
-first Theta step returns Theta_0.  Either way rho1 starts at ``_RHO_INIT``.
+first Theta step returns Theta_0.  Either way the first rho1 is the
+curvature of -log det where the solve starts (see :func:`_rho_start`).
 The selection path sweeps each stage from its sparsest penalty down and
 starts each grid point from the estimate of the point solved before it,
 and stage 2 from the stage-1 winner's: the pathwise warm starts of glasso
@@ -56,16 +57,21 @@ One rule ends a solve: the certificate.  At each iteration whose ADMM
 residuals (Boyd et al. 2011, section 3.3) meet ``eps_abs`` and
 ``eps_rel``, the certificate of the iterate is computed, and the solve
 ends when it, or that of a polish, meets its tolerance.  A singular
-iterate has no certificate, and the loop goes on from it.  A solve that
-does not certify within ``max_outer`` iterations ends there, and when its
-last Z is singular it returns the positive definite Theta step instead.
+iterate has no certificate, and the loop goes on from it.  A certified
+estimate has its fused pairs tied where the gap is below what the
+certificate resolves and the tied point is certified too (see
+:func:`_tie_unresolved`).  A solve that does not certify within
+``max_outer`` iterations ends there, and when its last Z is singular it
+returns the positive definite Theta step instead.
 The residual test only gates the certificate, an inverse and a Cholesky
 factorization that every ADMM step would otherwise pay.
 
-Two choices are constants, not settings.  The cold step size is
-``_RHO_INIT`` and residual balancing (Boyd et al. 2011, section 3.4.1)
-always adapts it, doubling or halving within [``_RHO_MIN``, ``_RHO_MAX``]
-when one residual exceeds ten times the other.
+Two choices are constants, not settings.  The step size starts at the
+curvature of the smooth term, the scale of the optimal ADMM step for
+quadratic problems (Ghadimi, Teixeira, Shames & Johansson 2015, IEEE TAC
+60:644), and residual balancing (Boyd et al. 2011, section 3.4.1) always
+adapts it, doubling or halving within [``_RHO_MIN``, ``_RHO_MAX``] when one
+residual exceeds ten times the other; every step size is a power of two.
 The optimality certificate must fall to ``_KKT_TOL_FACTOR * eps_abs``, tied
 to the residual tolerance a caller already sets.
 """
@@ -89,11 +95,10 @@ from .paired import (
 )
 from .penalties import PenaltySpec, is_inf
 
-_RHO_INIT = 1.0
-_RHO_MIN = 1e-6
-_RHO_MAX = 1e6
+_RHO_MIN = 2.0**-19
+_RHO_MAX = 2.0**19
 _KKT_TOL_FACTOR = 10.0
-_POLISH_AFTER = 10  # iterations a face must hold before it is polished
+_POLISH_AFTER = 3  # iterations a face must hold before it is polished
 _MAX_RESTARTS = 5  # restarts of the ADMM from a rejected polish, per solve
 
 
@@ -104,7 +109,8 @@ class AdmmConfig:
     A solve ends only when the coordinate-wise optimality certificate falls
     to ``_KKT_TOL_FACTOR * eps_abs``, at an ADMM iterate or at a Newton
     polish of its face, or when ``max_outer`` iterations are spent; the step
-    size is adapted, not set (see the module docstring).  ``eps_abs`` and
+    size starts at the problem's curvature and is adapted, not set (see the
+    module docstring).  ``eps_abs`` and
     ``eps_rel`` bound the ADMM residuals, whose test decides when the
     certificate of an iterate is computed.  The polish runs within
     ``max_outer`` Newton steps.  ``eps_abs`` and
@@ -310,8 +316,15 @@ def kkt_residual(
     """
     if not is_positive_definite(Z):
         return math.inf
-    G = pd_vec(S - np.linalg.inv(Z), idx)
-    return kkt_violation(pd_vec(Z, idx), G, idx, l1_coord, row_w, 0.0)
+    return _certificate(Z, np.linalg.inv(Z), S, idx, l1_coord, row_w)
+
+
+def _certificate(
+    Z: np.ndarray, Sigma: np.ndarray, S: np.ndarray, idx: PairedIndex,
+    l1_coord: np.ndarray, row_w: np.ndarray,
+) -> float:
+    """:func:`kkt_residual` of a positive definite Z, given Sigma = Z^{-1}."""
+    return kkt_violation(pd_vec(Z, idx), pd_vec(S - Sigma, idx), idx, l1_coord, row_w, 0.0)
 
 
 def kkt_violation(
@@ -392,8 +405,9 @@ def _face_newton(
     on b for each untied active row r.  So the face solver with S + Delta,
     the zeros of z absent and the tied rows coloured, minimizes the
     objective there.  Returns (Theta, certificate), the certificate being
-    :func:`kkt_residual` of Theta, whether or not it meets its tolerance;
-    None when the face solver fails.
+    :func:`kkt_residual` of Theta, whether or not it meets its tolerance,
+    computed from the inverse the face solver certified Theta with; None
+    when the face solver fails.
     """
     tol = _KKT_TOL_FACTOR * cfg.eps_abs
     z = pd_vec(Z, idx)
@@ -409,12 +423,56 @@ def _face_newton(
     coloured = row_w > 0
     coloured[coloured] = ~untied
     try:
-        Theta = _rcon_newton(
+        Theta, Sigma = _rcon_newton(
             S + pd_unvec(delta, idx), idx, ~nonzero, coloured, tol, cfg.max_outer, Z
         )
     except MleError:
         return None
-    return Theta, kkt_residual(Theta, S, idx, l1_coord, row_w)
+    return Theta, _certificate(Theta, Sigma, S, idx, l1_coord, row_w)
+
+
+def _tie_unresolved(
+    Z: np.ndarray, certificate: float, S: np.ndarray, idx: PairedIndex,
+    l1_coord: np.ndarray, row_w: np.ndarray, tol: float,
+) -> tuple[np.ndarray, float]:
+    """Tie the fused pairs of a certified Z whose gap its certificate cannot
+    resolve, when the tied point is certified too.
+
+    The inverse Hessian of -log det at Z has norm ||Z||_2^2 <= ||Z||_F^2, so
+    a point whose gradient is within ``tol`` of the optimum's can lie about
+    tol ||Z||_F^2 from it.  At a fused weight on its tie threshold, such as
+    the top of a selection path's stage 2, the optimum is tied, and a solve
+    that comes from the untied side stops at a smaller gap whose sign
+    rounding decides.  Those pairs are set to their means; the tied point is
+    returned with its certificate when that meets ``tol``, else Z and
+    ``certificate`` are.
+    """
+    a, b, _ = _active_rows(idx, row_w)
+    z = pd_vec(Z, idx)
+    gap = np.abs(z[a] - z[b])
+    unresolved = (gap > 0) & (gap <= tol * float(np.sum(Z * Z)))
+    if not unresolved.any():
+        return Z, certificate
+    a, b = a[unresolved], b[unresolved]
+    z[a] = z[b] = 0.5 * (z[a] + z[b])
+    tied = pd_unvec(z, idx)
+    tied_certificate = kkt_residual(tied, S, idx, l1_coord, row_w)
+    return (tied, tied_certificate) if tied_certificate <= tol else (Z, certificate)
+
+
+def _rho_start(S: np.ndarray, start: Optional[np.ndarray]) -> float:
+    """The first step size of a solve of S from ``start`` (None: cold).
+
+    The Hessian of -log det at Theta has eigenvalues 1/(x_i x_j) over the
+    eigenvalues x of Theta, so its scale is (p / tr Theta)^2 at a start
+    Theta_0, and (tr S / p)^2 cold, where Theta^{-1} is near S.  That value
+    is clamped to [``_RHO_MIN``, ``_RHO_MAX``], so a zero trace takes no
+    logarithm of 0, and rounded to a power of two.
+    """
+    p = S.shape[0]
+    scale = float(np.trace(S)) / p if start is None else p / float(np.trace(start))
+    rho = min(max(scale * scale, _RHO_MIN), _RHO_MAX)
+    return 2.0 ** round(math.log2(rho))
 
 
 def _dual_at(Theta: np.ndarray, S: np.ndarray, rho1: float) -> np.ndarray:
@@ -449,9 +507,12 @@ def solve_weighted(
 
     ``start``, a positive definite p x p matrix such as an earlier estimate,
     is where the loop starts, by the restart rule; it starts cold when
-    ``start`` is None (see the module docstring).  A start of the wrong
-    shape raises :class:`DimensionError`, one that fails Cholesky
-    :class:`NotPositiveDefiniteError`.
+    ``start`` is None (see the module docstring).  The first step size is
+    :func:`_rho_start` of S and ``start``.  A start of the wrong shape
+    raises :class:`DimensionError`, one that fails Cholesky
+    :class:`NotPositiveDefiniteError`, both before any step.
+
+    A certified estimate then passes through :func:`_tie_unresolved`.
 
     Returns the polished estimate, or the sparse/fused iterate Z, or, when
     ``max_outer`` is spent at a Z that is not positive definite, the
@@ -472,17 +533,19 @@ def solve_weighted(
     if np.any(l1_coord[a] != l1_coord[b]):
         raise ValueError("l1 weights must match within each active fused pair")
     w2 = 2.0 * w
+    tol = _KKT_TOL_FACTOR * cfg.eps_abs
 
     p = idx.p
-    rho1 = _RHO_INIT
     if start is None:
         Z, U = np.zeros((p, p)), np.zeros((p, p))
+        rho1 = _rho_start(S, None)
     else:
         Z = np.asarray(start, dtype=float)
         if Z.shape != (p, p):
             raise DimensionError(f"start has shape {Z.shape}, expected {(p, p)}")
         if not is_positive_definite(Z):
             raise NotPositiveDefiniteError("start is not positive definite")
+        rho1 = _rho_start(S, Z)
         U = _dual_at(Z, S, rho1)
     primal = math.inf
     dual = math.inf
@@ -512,7 +575,7 @@ def solve_weighted(
         Z = Z_new
         if primal <= eps_pri and dual <= eps_dual:
             certificate = kkt_residual(Z, S, idx, l1_coord, row_w)
-            if certificate <= _KKT_TOL_FACTOR * cfg.eps_abs:
+            if certificate <= tol:
                 kkt, stop_reason = certificate, "kkt"
                 break
             if math.isfinite(certificate):  # a singular iterate has none
@@ -525,7 +588,7 @@ def solve_weighted(
             tried = face
             polish_attempts += 1
             candidate = _face_newton(Z, S, idx, l1_coord, row_w, cfg)
-            if candidate is not None and candidate[1] <= _KKT_TOL_FACTOR * cfg.eps_abs:
+            if candidate is not None and candidate[1] <= tol:
                 polished = candidate
                 stop_reason = "kkt"
                 break
@@ -554,6 +617,8 @@ def solve_weighted(
     elif not is_positive_definite(Z):
         z_not_pd = True
         result = theta_step(S, Z, U, rho1)
+    if stop_reason == "kkt":
+        result, kkt = _tie_unresolved(result, kkt, S, idx, l1_coord, row_w, tol)
 
     report = SolveReport(
         outer_iterations=iterations,

@@ -323,7 +323,7 @@ def admm_loop(S, idx, l1_coord, row_w, cfg):
 
     S = np.asarray(S, dtype=float)
     p = idx.p
-    rho1 = solver._RHO_INIT
+    rho1 = solver._rho_start(S, None)
     Z = np.zeros((p, p))
     U = np.zeros((p, p))
     stop_reason = "max_outer"

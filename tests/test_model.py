@@ -594,6 +594,26 @@ class TestModelSelect:
         )
         assert all(pt.stage == 1 for pt in points)
 
+    def test_path_work_stays_under_its_ceiling(self, monkeypatch):
+        # a seeded p = 20 path takes 109 Theta steps; starting every solve's
+        # step size at 1 takes 153, a warm solve's alone 148, a polish hold
+        # of 10 iterations 273
+        from pdglasso import solver
+
+        calls = []
+        step = solver.theta_step
+
+        def counting_step(*args):
+            calls.append(None)
+            return step(*args)
+
+        monkeypatch.setattr(solver, "theta_step", counting_step)
+        theta = strong_ggm_truth(20, np.random.default_rng(20240817))
+        S = 20 * mvn_sample_cov(np.linalg.inv(theta), 200, 20240817)
+        _, points = selection_path(S, 200, 10, 0.5, SubmodelClass(), AdmmConfig())
+        assert [pt.fit.report.stop_reason for pt in points] == ["kkt"] * 20
+        assert len(calls) <= 130
+
     def test_requires_m_at_least_two(self, rng):
         with pytest.raises(ValueError):
             model_select(random_pd(4, rng), 10, 1, 0.0, SubmodelClass())

@@ -593,7 +593,7 @@ class TestFacePolish:
         cfg = AdmmConfig()
         theta, report = solve_weighted(S, idx, l1, w, cfg)
         Z, U, rho1 = steps[0]
-        assert not Z.any() and not U.any() and rho1 == solver._RHO_INIT
+        assert not Z.any() and not U.any() and rho1 == solver._rho_start(S, None)
         again, again_report = solve_weighted(S, idx, l1, w, cfg, start=None)
         assert np.array_equal(theta, again)
         assert again_report.outer_iterations == report.outer_iterations
@@ -603,7 +603,7 @@ class TestFacePolish:
 
     def test_warm_start_is_the_restart_rule(self, rng, monkeypatch):
         # the first Theta step of a warm solve returns its start, from the
-        # dual a restart would set, at the cold step size
+        # dual a restart would set, at the step size of the start's curvature
         steps = self.record_steps(monkeypatch)
         S = random_pd(8, rng)
         idx = PairedIndex(4)
@@ -611,7 +611,7 @@ class TestFacePolish:
         start = random_pd(8, rng)
         solve_weighted(S, idx, l1, w, AdmmConfig(), start=start)
         Z, U, rho1 = steps[0]
-        assert np.array_equal(Z, start) and rho1 == solver._RHO_INIT
+        assert np.array_equal(Z, start) and rho1 == solver._rho_start(S, start)
         assert np.array_equal(U, solver._dual_at(start, S, rho1))
         assert np.abs(theta_step(S, Z, U, rho1) - start).max() <= 1e-10
 
@@ -826,10 +826,33 @@ class TestFacePolish:
         _, kkt = solver._face_newton(wrong, S, idx, l1, w, cfg)
         assert kkt > 10 * cfg.eps_abs
 
+    def test_polish_certificate_is_kkt_residual_bit_for_bit(self, rng, monkeypatch):
+        # the certificate reuses the face solver's inverse; a one-iteration
+        # hold makes both accepted and rejected polishes
+        monkeypatch.setattr(solver, "_POLISH_AFTER", 1)
+        candidates = []
+        newton = solver._face_newton
+
+        def recording_newton(Z, S, idx, l1, w, cfg):
+            candidates.append((newton(Z, S, idx, l1, w, cfg), S, idx, l1, w))
+            return candidates[-1][0]
+
+        monkeypatch.setattr(solver, "_face_newton", recording_newton)
+        for q, spec in [(3, PenaltySpec.uniform(0.1, 0.05)), (4, PenaltySpec(0.1, INF, 0.05, 0.02)),
+                        (5, PenaltySpec(0.05, 0.02, INF, 0.0))]:
+            solve_weighted(random_pd(2 * q, rng), PairedIndex(q),
+                           *_penalty_weights(spec, PairedIndex(q)), AdmmConfig())
+        certificates = [c[0][1] for c in candidates if c[0] is not None]
+        assert min(certificates) <= 1e-7 < max(certificates)
+        for candidate, S, idx, l1, w in candidates:
+            if candidate is not None:
+                theta, certificate = candidate
+                assert certificate == kkt_residual(theta, S, idx, l1, w)
+
     def test_singular_iterate_continues_to_the_certificate(self, monkeypatch):
-        # at this scale the loose residual tests are met by a singular
-        # iterate, which has no certificate, after 49 iterations; the loop
-        # goes on past it and certifies a sparse estimate
+        # at this scale the loose residual tests are met by singular
+        # iterates, which have no certificate, from iteration 13 on; the
+        # loop goes on past them and certifies a sparse estimate after 116
         certificates = []
         kkt = solver.kkt_residual
 
@@ -838,14 +861,91 @@ class TestFacePolish:
             return certificates[-1]
 
         monkeypatch.setattr(solver, "kkt_residual", recording_kkt)
-        S = 100 * random_pd(6, np.random.default_rng(20240817))
+        S = 100 * random_pd(6, np.random.default_rng(23))
         cfg = AdmmConfig(eps_abs=1e-3, eps_rel=1e-3)
-        theta, report = pdglasso_solve(S, PenaltySpec.uniform(10, 5), cfg)
+        theta, report = pdglasso_solve(S, PenaltySpec.uniform(30, 10), cfg)
         assert math.inf in certificates
         assert report.stop_reason == "kkt" and report.converged and not report.z_not_pd
         assert report.kkt_residual <= 10 * cfg.eps_abs
         assert report.outer_iterations > 49
         assert (theta == 0).any()
+
+
+class TestUnresolvedTies:
+    @staticmethod
+    def threshold_instance(seed):
+        """A q = 1 problem whose vertex weight is exactly its tie threshold,
+        and the estimate at weight 0 to start from."""
+        S = random_pd(2, np.random.default_rng(seed))
+        idx = PairedIndex(1)
+        lam1 = 0.5 * lambda1_diag_max(S)
+        cfg = AdmmConfig(eps_abs=1e-10, eps_rel=1e-10)
+        start, _ = solve_weighted(S, idx, *_penalty_weights(PenaltySpec(lam1), idx), cfg)
+        l1, w = _penalty_weights(PenaltySpec(lam1, lambda2_sym_max(S, idx), 0.0, 0.0), idx)
+        return S, idx, l1, w, cfg, start
+
+    @pytest.mark.parametrize("seed", [0, 4, 5])
+    def test_warm_solve_at_the_tie_threshold_ties_like_a_cold_one(self, seed):
+        # from the untied side the solve stops at a gap of about 1e-10
+        S, idx, l1, w, cfg, start = self.threshold_instance(seed)
+        warm, report = solve_weighted(S, idx, l1, w, cfg, start=start)
+        cold, _ = solve_weighted(S, idx, l1, w, cfg)
+        assert report.stop_reason == "kkt"
+        assert warm[0, 0] == warm[1, 1] and cold[0, 0] == cold[1, 1]
+        assert report.kkt_residual == kkt_residual(warm, S, idx, l1, w) <= 10 * cfg.eps_abs
+
+    def test_only_a_certified_tie_replaces_the_estimate(self):
+        S, idx, l1, w, cfg, start = self.threshold_instance(0)
+        theta, _ = solve_weighted(S, idx, l1, w, cfg)
+        tol = 10 * cfg.eps_abs
+        bound = tol * float(np.sum(theta * theta))
+        for gap, tied in [(0.1 * bound, True), (2.0 * bound, False)]:
+            untied = theta.copy()
+            untied[0, 0] += gap
+            certificate = kkt_residual(untied, S, idx, l1, w)
+            got, got_certificate = solver._tie_unresolved(untied, certificate, S, idx, l1, w, tol)
+            if tied:
+                assert got[0, 0] == got[1, 1] and got_certificate <= tol
+                assert got_certificate == kkt_residual(got, S, idx, l1, w)
+            else:
+                assert got is untied and got_certificate == certificate
+        # a tie within the bound that the certificate rejects leaves the
+        # estimate as it was
+        untied = theta.copy()
+        untied[0, 0] += 0.9 * bound
+        certificate = kkt_residual(untied, S, idx, l1, w)
+        got, got_certificate = solver._tie_unresolved(untied, certificate, S, idx, l1, w, tol)
+        assert got is untied and got_certificate == certificate
+
+
+class TestStepSizeRule:
+    def test_curvature_rounded_to_a_power_of_two(self):
+        S = 3.0 * np.eye(6)
+        assert solver._rho_start(S, None) == 8.0  # (tr S / p)^2 = 9
+        assert solver._rho_start(S, 0.5 * np.eye(6)) == 4.0  # (p / tr start)^2 = 4
+        assert solver._rho_start(S, 3.0 * np.eye(6)) == 0.125  # 1/9
+
+    @pytest.mark.parametrize("scale, bound", [(1e-8, "_RHO_MIN"), (1e8, "_RHO_MAX")])
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_extreme_scales_start_at_a_bound(self, rng, monkeypatch, scale, bound, warm):
+        steps = TestFacePolish.record_steps(monkeypatch)
+        S = random_pd(6, rng)
+        # a warm start 1/scale times S^-1 has the curvature of S scaled by scale
+        start = np.linalg.inv(S) / scale if warm else None
+        spec = PenaltySpec.uniform(0.1 * scale, 0.05 * scale)
+        pdglasso_solve(scale * S, spec, AdmmConfig(max_outer=1), start=start)
+        rho1 = steps[0][2]
+        assert rho1 == getattr(solver, bound)
+        assert math.frexp(rho1)[0] == 0.5  # a power of two
+
+    def test_zero_covariance_certifies_without_warnings(self):
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            theta, report = pdglasso_solve(np.zeros((6, 6)), PenaltySpec.uniform(0.5, 0.1))
+        assert report.stop_reason == "kkt"
+        assert np.abs(theta - 2.0 * np.eye(6)).max() <= 1e-6  # 1 / lambda1 on the diagonal
 
 
 class TestAdmmConfig:
