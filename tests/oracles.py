@@ -313,7 +313,8 @@ def ips_ggm_mle(S, cliques, max_iter=2000, tol=1e-13):
 
 def admm_loop(S, idx, l1_coord, row_w, cfg):
     """Reference for ``solve_weighted``: the same ADMM loop, from the same
-    production steps, without the Newton polish on the identified face.
+    production steps and first step size, without the Newton polish on the
+    identified face and without tying unresolved gaps.
 
     Returns (estimate, outer iterations, stop reason), the estimate being Z,
     or the Theta step when Z is not positive definite.
