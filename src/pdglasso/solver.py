@@ -25,7 +25,11 @@ iterations, the loop polishes: on that face the penalized objective is the
 smooth likelihood of the face solver with S shifted by the penalty's
 gradient there, so Newton's method solves it exactly (the second-order step
 on a fixed free set of QUIC, Hsieh et al. 2014, and of proximal Newton
-methods, Lee, Sun & Saunders 2014).  The polished point is kept only if the
+methods, Lee, Sun & Saunders 2014).  A Newton point with an untied gap
+or a nonzero coordinate past zero, or nearer to it than the certificate
+can tell, lies on the boundary of its face: the gap is tied or the
+coordinate zeroed and the smaller face solved once more, the projection
+step of active-set methods.  The polished point is kept only if the
 optimality certificate, with exact ties, meets its tolerance; strict
 convexity then makes it the optimum.  A rejected polish is still the exact
 optimum on the face it tried.  When its certificate is strictly below that
@@ -57,12 +61,9 @@ One rule ends a solve: the certificate.  At each iteration whose ADMM
 residuals (Boyd et al. 2011, section 3.3) meet ``eps_abs`` and
 ``eps_rel``, the certificate of the iterate is computed, and the solve
 ends when it, or that of a polish, meets its tolerance.  A singular
-iterate has no certificate, and the loop goes on from it.  A certified
-estimate has its fused pairs tied where the gap is below what the
-certificate resolves and the tied point is certified too (see
-:func:`_tie_unresolved`).  A solve that does not certify within
-``max_outer`` iterations ends there, and when its last Z is singular it
-returns the positive definite Theta step instead.
+iterate has no certificate, and the loop goes on from it.  A solve that
+does not certify within ``max_outer`` iterations ends there, and when its
+last Z is singular it returns the positive definite Theta step instead.
 The residual test only gates the certificate, an inverse and a Cholesky
 factorization that every ADMM step would otherwise pay.
 
@@ -71,7 +72,12 @@ curvature of the smooth term, the scale of the optimal ADMM step for
 quadratic problems (Ghadimi, Teixeira, Shames & Johansson 2015, IEEE TAC
 60:644), and residual balancing (Boyd et al. 2011, section 3.4.1) always
 adapts it, doubling or halving within [``_RHO_MIN``, ``_RHO_MAX``] when one
-residual exceeds ten times the other; every step size is a power of two.
+residual, over its own tolerance, exceeds ten times the other; every step
+size is a power of two.  The normalized residuals (Wohlberg 2017,
+arXiv:1704.06209) make the balance independent of the units of S: the
+primal residual is in the units of Theta and the dual one in those of S,
+so raw residuals would pull rho1 toward a value that grows like the scale
+of S, while the curvature grows like its square.
 The optimality certificate must fall to ``_KKT_TOL_FACTOR * eps_abs``, tied
 to the residual tolerance a caller already sets.
 """
@@ -404,7 +410,13 @@ def _face_newton(
     on each nonzero coordinate, plus w_r sign(z_a - z_b) on a and minus it
     on b for each untied active row r.  So the face solver with S + Delta,
     the zeros of z absent and the tied rows coloured, minimizes the
-    objective there.  Returns (Theta, certificate), the certificate being
+    objective there.  When that optimum has an untied gap or a nonzero
+    coordinate past zero, or so near it that the certificate cannot tell
+    it from zero (the gradient of -log det moves by at most
+    ||Theta^{-1}||_2^2 times it), the optimum over the closed face is on
+    that boundary: those gaps are tied, those coordinates absent, and the
+    smaller face is solved once, from the first optimum.
+    Returns (Theta, certificate), the certificate being
     :func:`kkt_residual` of Theta, whether or not it meets its tolerance,
     computed from the inverse the face solver certified Theta with; None
     when the face solver fails.
@@ -415,49 +427,32 @@ def _face_newton(
     gap = z[a] - z[b]
     untied = gap != 0  # never an infinite row: the proximal step ties those
     nonzero = z != 0  # never an infinite l1 weight: those coordinates are zero
-    delta = np.zeros(len(z))
-    delta[nonzero] = l1_coord[nonzero] * np.sign(z[nonzero])
-    shift = w[untied] * np.sign(gap[untied])
-    delta[a[untied]] += shift
-    delta[b[untied]] -= shift
-    coloured = row_w > 0
-    coloured[coloured] = ~untied
-    try:
-        Theta, Sigma = _rcon_newton(
-            S + pd_unvec(delta, idx), idx, ~nonzero, coloured, tol, cfg.max_outer, Z
-        )
-    except MleError:
-        return None
+    Theta = Z
+    for _ in range(2):
+        delta = np.zeros(len(z))
+        delta[nonzero] = l1_coord[nonzero] * np.sign(z[nonzero])
+        shift = w[untied] * np.sign(gap[untied])
+        delta[a[untied]] += shift
+        delta[b[untied]] -= shift
+        coloured = row_w > 0
+        coloured[coloured] = ~untied
+        try:
+            Theta, Sigma = _rcon_newton(
+                S + pd_unvec(delta, idx), idx, ~nonzero, coloured, tol, cfg.max_outer, Theta
+            )
+        except MleError:
+            return None
+        # a gap or coordinate within noise of zero moves the gradient by at
+        # most tol, and extract_graph's default tolerance reads it as zero
+        t = pd_vec(Theta, idx)
+        noise = min(tol / float(np.sum(Sigma * Sigma)), 1e-5 * max(1.0, float(np.abs(t).max())))
+        tie = untied & ((t[a] - t[b]) * np.sign(gap) <= noise)
+        drop = nonzero & (t * np.sign(z) <= noise)
+        if not (tie.any() or drop.any()):
+            break
+        untied &= ~tie
+        nonzero &= ~drop
     return Theta, _certificate(Theta, Sigma, S, idx, l1_coord, row_w)
-
-
-def _tie_unresolved(
-    Z: np.ndarray, certificate: float, S: np.ndarray, idx: PairedIndex,
-    l1_coord: np.ndarray, row_w: np.ndarray, tol: float,
-) -> tuple[np.ndarray, float]:
-    """Tie the fused pairs of a certified Z whose gap its certificate cannot
-    resolve, when the tied point is certified too.
-
-    The inverse Hessian of -log det at Z has norm ||Z||_2^2 <= ||Z||_F^2, so
-    a point whose gradient is within ``tol`` of the optimum's can lie about
-    tol ||Z||_F^2 from it.  At a fused weight on its tie threshold, such as
-    the top of a selection path's stage 2, the optimum is tied, and a solve
-    that comes from the untied side stops at a smaller gap whose sign
-    rounding decides.  Those pairs are set to their means; the tied point is
-    returned with its certificate when that meets ``tol``, else Z and
-    ``certificate`` are.
-    """
-    a, b, _ = _active_rows(idx, row_w)
-    z = pd_vec(Z, idx)
-    gap = np.abs(z[a] - z[b])
-    unresolved = (gap > 0) & (gap <= tol * float(np.sum(Z * Z)))
-    if not unresolved.any():
-        return Z, certificate
-    a, b = a[unresolved], b[unresolved]
-    z[a] = z[b] = 0.5 * (z[a] + z[b])
-    tied = pd_unvec(z, idx)
-    tied_certificate = kkt_residual(tied, S, idx, l1_coord, row_w)
-    return (tied, tied_certificate) if tied_certificate <= tol else (Z, certificate)
 
 
 def _rho_start(S: np.ndarray, start: Optional[np.ndarray]) -> float:
@@ -512,8 +507,6 @@ def solve_weighted(
     raises :class:`DimensionError`, one that fails Cholesky
     :class:`NotPositiveDefiniteError`, both before any step.
 
-    A certified estimate then passes through :func:`_tie_unresolved`.
-
     Returns the polished estimate, or the sparse/fused iterate Z, or, when
     ``max_outer`` is spent at a Z that is not positive definite, the
     positive definite iterate Theta (flagged in the report).
@@ -533,7 +526,6 @@ def solve_weighted(
     if np.any(l1_coord[a] != l1_coord[b]):
         raise ValueError("l1 weights must match within each active fused pair")
     w2 = 2.0 * w
-    tol = _KKT_TOL_FACTOR * cfg.eps_abs
 
     p = idx.p
     if start is None:
@@ -575,7 +567,7 @@ def solve_weighted(
         Z = Z_new
         if primal <= eps_pri and dual <= eps_dual:
             certificate = kkt_residual(Z, S, idx, l1_coord, row_w)
-            if certificate <= tol:
+            if certificate <= _KKT_TOL_FACTOR * cfg.eps_abs:
                 kkt, stop_reason = certificate, "kkt"
                 break
             if math.isfinite(certificate):  # a singular iterate has none
@@ -588,7 +580,7 @@ def solve_weighted(
             tried = face
             polish_attempts += 1
             candidate = _face_newton(Z, S, idx, l1_coord, row_w, cfg)
-            if candidate is not None and candidate[1] <= tol:
+            if candidate is not None and candidate[1] <= _KKT_TOL_FACTOR * cfg.eps_abs:
                 polished = candidate
                 stop_reason = "kkt"
                 break
@@ -602,11 +594,11 @@ def solve_weighted(
                 face = None
                 held = 0
                 continue
-        # residual balancing
-        if primal > 10.0 * dual and rho1 * 2.0 <= _RHO_MAX:
+        # residual balancing, each residual over its tolerance
+        if primal * eps_dual > 10.0 * dual * eps_pri and rho1 * 2.0 <= _RHO_MAX:
             rho1 *= 2.0
             U = U / 2.0
-        elif dual > 10.0 * primal and rho1 / 2.0 >= _RHO_MIN:
+        elif dual * eps_pri > 10.0 * primal * eps_dual and rho1 / 2.0 >= _RHO_MIN:
             rho1 /= 2.0
             U = U * 2.0
 
@@ -617,8 +609,6 @@ def solve_weighted(
     elif not is_positive_definite(Z):
         z_not_pd = True
         result = theta_step(S, Z, U, rho1)
-    if stop_reason == "kkt":
-        result, kkt = _tie_unresolved(result, kkt, S, idx, l1_coord, row_w, tol)
 
     report = SolveReport(
         outer_iterations=iterations,

@@ -313,8 +313,8 @@ def ips_ggm_mle(S, cliques, max_iter=2000, tol=1e-13):
 
 def admm_loop(S, idx, l1_coord, row_w, cfg):
     """Reference for ``solve_weighted``: the same ADMM loop, from the same
-    production steps and first step size, without the Newton polish on the
-    identified face and without tying unresolved gaps.
+    production steps, first step size and residual balancing, without the
+    Newton polish on the identified face.
 
     Returns (estimate, outer iterations, stop reason), the estimate being Z,
     or the Theta step when Z is not positive definite.
@@ -346,10 +346,10 @@ def admm_loop(S, idx, l1_coord, row_w, cfg):
             if kkt <= solver._KKT_TOL_FACTOR * cfg.eps_abs:
                 stop_reason = "kkt"
                 break
-        if primal > 10.0 * dual and rho1 * 2.0 <= solver._RHO_MAX:
+        if primal * eps_dual > 10.0 * dual * eps_pri and rho1 * 2.0 <= solver._RHO_MAX:
             rho1 *= 2.0
             U = U / 2.0
-        elif dual > 10.0 * primal and rho1 / 2.0 >= solver._RHO_MIN:
+        elif dual * eps_pri > 10.0 * primal * eps_dual and rho1 / 2.0 >= solver._RHO_MIN:
             rho1 /= 2.0
             U = U * 2.0
     if not is_positive_definite(Z):

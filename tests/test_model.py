@@ -596,9 +596,9 @@ class TestModelSelect:
 
     def test_path_work_stays_under_its_ceiling(self, monkeypatch):
         # a seeded p = 20 path, its S scaled to tr S / p of about 9, takes
-        # 109 Theta steps; starting every solve's step size at 1 takes 153,
-        # starting only the warm solves' at 1 takes 148, and a polish hold
-        # of 10 iterations 273
+        # 100 Theta steps; starting every solve's step size at 1 takes 143,
+        # starting only the warm solves' at 1 takes 138, and a polish hold
+        # of 10 iterations 251
         from pdglasso import solver
 
         calls = []

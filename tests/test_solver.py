@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -851,8 +852,8 @@ class TestFacePolish:
 
     def test_singular_iterate_continues_to_the_certificate(self, monkeypatch):
         # at this scale the loose residual tests are met by singular
-        # iterates, which have no certificate, from iteration 13 on; the
-        # loop goes on past them and certifies a sparse estimate after 116
+        # iterates, which have no certificate, from iteration 11 on; the
+        # loop goes on past them and certifies a sparse estimate after 155
         certificates = []
         kkt = solver.kkt_residual
 
@@ -861,9 +862,9 @@ class TestFacePolish:
             return certificates[-1]
 
         monkeypatch.setattr(solver, "kkt_residual", recording_kkt)
-        S = 100 * random_pd(6, np.random.default_rng(23))
+        S = 1000 * random_pd(6, np.random.default_rng(20))
         cfg = AdmmConfig(eps_abs=1e-3, eps_rel=1e-3)
-        theta, report = pdglasso_solve(S, PenaltySpec.uniform(30, 10), cfg)
+        theta, report = pdglasso_solve(S, PenaltySpec.uniform(100, 50), cfg)
         assert math.inf in certificates
         assert report.stop_reason == "kkt" and report.converged and not report.z_not_pd
         assert report.kkt_residual <= 10 * cfg.eps_abs
@@ -871,7 +872,7 @@ class TestFacePolish:
         assert (theta == 0).any()
 
 
-class TestUnresolvedTies:
+class TestFaceBoundary:
     @staticmethod
     def threshold_instance(seed):
         """A q = 1 problem whose vertex weight is exactly its tie threshold,
@@ -884,9 +885,24 @@ class TestUnresolvedTies:
         l1, w = _penalty_weights(PenaltySpec(lam1, lambda2_sym_max(S, idx), 0.0, 0.0), idx)
         return S, idx, l1, w, cfg, start
 
-    @pytest.mark.parametrize("seed", [0, 4, 5])
+    @staticmethod
+    def record_faces(monkeypatch):
+        """The (absent, coloured) masks of every face solve, filled as the
+        polishes run."""
+        faces = []
+        newton = solver._rcon_newton
+
+        def recording_newton(S, idx, absent, coloured, *args):
+            faces.append((absent.copy(), coloured.copy()))
+            return newton(S, idx, absent, coloured, *args)
+
+        monkeypatch.setattr(solver, "_rcon_newton", recording_newton)
+        return faces
+
+    @pytest.mark.parametrize("seed", [0, 4, 5, 12])
     def test_warm_solve_at_the_tie_threshold_ties_like_a_cold_one(self, seed):
-        # from the untied side the solve stops at a gap of about 1e-10
+        # the untied face's optimum has its vertex gap within noise of zero
+        # (seed 12) or past it (seeds 0, 4, 5), so the polish ties it
         S, idx, l1, w, cfg, start = self.threshold_instance(seed)
         warm, report = solve_weighted(S, idx, l1, w, cfg, start=start)
         cold, _ = solve_weighted(S, idx, l1, w, cfg)
@@ -894,28 +910,45 @@ class TestUnresolvedTies:
         assert warm[0, 0] == warm[1, 1] and cold[0, 0] == cold[1, 1]
         assert report.kkt_residual == kkt_residual(warm, S, idx, l1, w) <= 10 * cfg.eps_abs
 
-    def test_only_a_certified_tie_replaces_the_estimate(self):
-        S, idx, l1, w, cfg, start = self.threshold_instance(0)
+    def test_gap_at_the_boundary_is_tied_and_the_face_solved_again(self, monkeypatch):
+        faces = self.record_faces(monkeypatch)
+        S, idx, l1, w, cfg, _ = self.threshold_instance(0)
+        tied, _ = solve_weighted(S, idx, l1, w, cfg)
+        untied = tied.copy()
+        untied[0, 0] += 1e-3
+        faces.clear()
+        theta, certificate = solver._face_newton(untied, S, idx, l1, w, cfg)
+        [(_, first), (_, second)] = faces
+        assert not first.any() and second[w > 0].all()  # the vertex row
+        assert theta[0, 0] == theta[1, 1]
+        assert certificate == kkt_residual(theta, S, idx, l1, w) <= 10 * cfg.eps_abs
+
+    def test_coordinate_past_zero_is_dropped_and_the_face_solved_again(self, rng, monkeypatch):
+        # an l1 weight above lambda1_diag_max zeroes every off-diagonal entry
+        faces = self.record_faces(monkeypatch)
+        S = random_pd(4, rng)
+        idx = PairedIndex(2)
+        l1, w = _penalty_weights(PenaltySpec(2.0 * lambda1_diag_max(S)), idx)
+        cfg = AdmmConfig()
+        Z = np.diag(1.0 / np.diag(S))
+        Z[0, 1] = Z[1, 0] = 1e-3 * min(Z[0, 0], Z[1, 1])
+        theta, certificate = solver._face_newton(Z, S, idx, l1, w, cfg)
+        [(first, _), (second, _)] = faces
+        assert first.sum() + 1 == second.sum()
+        assert np.array_equal(theta, np.diag(np.diag(theta)))
+        assert certificate <= 10 * cfg.eps_abs
+
+    def test_face_inside_its_boundary_is_solved_once(self, rng, monkeypatch):
+        faces = self.record_faces(monkeypatch)
+        S = random_pd(8, rng)
+        idx = PairedIndex(4)
+        l1, w = _penalty_weights(PenaltySpec.uniform(0.1, 0.05), idx)
+        cfg = AdmmConfig()
         theta, _ = solve_weighted(S, idx, l1, w, cfg)
-        tol = 10 * cfg.eps_abs
-        bound = tol * float(np.sum(theta * theta))
-        for gap, tied in [(0.1 * bound, True), (2.0 * bound, False)]:
-            untied = theta.copy()
-            untied[0, 0] += gap
-            certificate = kkt_residual(untied, S, idx, l1, w)
-            got, got_certificate = solver._tie_unresolved(untied, certificate, S, idx, l1, w, tol)
-            if tied:
-                assert got[0, 0] == got[1, 1] and got_certificate <= tol
-                assert got_certificate == kkt_residual(got, S, idx, l1, w)
-            else:
-                assert got is untied and got_certificate == certificate
-        # a tie within the bound that the certificate rejects leaves the
-        # estimate as it was
-        untied = theta.copy()
-        untied[0, 0] += 0.9 * bound
-        certificate = kkt_residual(untied, S, idx, l1, w)
-        got, got_certificate = solver._tie_unresolved(untied, certificate, S, idx, l1, w, tol)
-        assert got is untied and got_certificate == certificate
+        faces.clear()
+        again, certificate = solver._face_newton(theta, S, idx, l1, w, cfg)
+        assert len(faces) == 1
+        assert np.abs(again - theta).max() <= 1e-8 and certificate <= 10 * cfg.eps_abs
 
 
 class TestStepSizeRule:
@@ -937,6 +970,18 @@ class TestStepSizeRule:
         rho1 = steps[0][2]
         assert rho1 == getattr(solver, bound)
         assert math.frexp(rho1)[0] == 0.5  # a power of two
+
+    @pytest.mark.parametrize("scale", [1e-3, 1e3])
+    def test_raw_unit_scales_certify(self, scale):
+        # the instances of a scale sweep slowest to certify: with residual
+        # balancing on the raw residuals, some ran out of iterations
+        for seed, fused, inf in itertools.product(range(4), [0.1, 0.5], [False, True]):
+            S = scale * random_pd(20, np.random.default_rng(seed))
+            idx = PairedIndex(10)
+            l2 = fused * lambda2_sym_max(S, idx)
+            spec = PenaltySpec(0.05 * lambda1_diag_max(S), INF if inf else l2, l2, l2)
+            _, report = pdglasso_solve(S, spec, AdmmConfig())
+            assert report.stop_reason == "kkt"
 
     def test_zero_covariance_certifies_without_warnings(self):
         import warnings
