@@ -466,7 +466,8 @@ def solve_point(
     Colours are read off the estimate only for fused components that were
     active in the solve, so the fit stays within its submodel class.  The
     solve starts from ``start``, an estimate at a nearby penalty (see
-    :func:`pdglasso.solver.solve_weighted`), cold when it is None.
+    :func:`pdglasso.solver.solve_weighted`), cold, at the diagonal optimum,
+    when it is None.
     """
     theta_hat, report = pdglasso_solve(S, spec, cfg, diag_penalty=diag_penalty, start=start)
     idx = PairedIndex.from_p(S.shape[0])
@@ -541,7 +542,8 @@ def selection_path(
     2008, Biostatistics 9:432; 2010, J. Stat. Softw. 33(1)).  Each stage is
     swept from its sparsest point down: stage 1 in descending l1 weight,
     from the diagonal threshold, and stage 2 in descending fused weight,
-    from the full-symmetry threshold.  The top of stage 1 starts cold; each
+    from the full-symmetry threshold.  The top of stage 1 starts cold, at
+    the diagonal optimum, which solves it; each
     later solve starts from the estimate ``theta_hat`` of the solve
     evaluated before it, except that stage 2 starts from the stage-1
     winner's, whose l1 weight it keeps.  A point after one that failed

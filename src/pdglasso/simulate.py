@@ -19,7 +19,6 @@ bit for bit regardless of execution order or thread count.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import Optional
@@ -356,6 +355,9 @@ def run_scenario(
     worker = partial(_run_cell, spec, cfg)
     workers = min(threads, len(cells))
     if workers > 1:
+        # imported here, so that commands that run no pool do not load it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(worker, cells))
     else:

@@ -46,10 +46,13 @@ neighbouring faces.  After any other rejection the ADMM continues from
 where it was.  The ADMM converges from any start, so a restart changes
 where the loop goes on from, not what ends it: the certificate still does.
 
-A solve starts cold, at Z = U = 0, or at a positive definite Theta_0 by
-the restart rule: Z = Theta_0 and U = (Theta_0^{-1} - S) / rho1, so the
-first Theta step returns Theta_0.  Either way the first rho1 is the
-curvature of -log det where the solve starts (see :func:`_rho_start`).
+Every solve starts at a positive definite Theta_0 by the restart rule:
+Z = Theta_0 and U = (Theta_0^{-1} - S) / rho1, so the first Theta step
+returns Theta_0, and the first rho1 is the curvature of -log det there (see
+:func:`_rho_start`).  Without a given start, Theta_0 is the minimizer over
+diagonal matrices (see :func:`_diagonal_start`), which is the solution
+itself once lambda1 reaches the diagonal threshold of the paper; a problem
+without that minimizer is unbounded below and raises before any step.
 The selection path sweeps each stage from its sparsest penalty down and
 starts each grid point from the estimate of the point solved before it,
 and stage 2 from the stage-1 winner's: the pathwise warm starts of glasso
@@ -455,19 +458,47 @@ def _face_newton(
     return Theta, _certificate(Theta, Sigma, S, idx, l1_coord, row_w)
 
 
-def _rho_start(S: np.ndarray, start: Optional[np.ndarray]) -> float:
-    """The first step size of a solve of S from ``start`` (None: cold).
+def _rho_start(start: np.ndarray) -> float:
+    """The first step size of a solve that starts at ``start``.
 
     The Hessian of -log det at Theta has eigenvalues 1/(x_i x_j) over the
-    eigenvalues x of Theta, so its scale is (p / tr Theta)^2 at a start
-    Theta_0, and (tr S / p)^2 cold, where Theta^{-1} is near S.  That value
-    is clamped to [``_RHO_MIN``, ``_RHO_MAX``], so a zero trace takes no
-    logarithm of 0, and rounded to a power of two.
+    eigenvalues x of Theta, so its scale at the start Theta_0 is
+    (p / tr Theta_0)^2.  That value is clamped to [``_RHO_MIN``,
+    ``_RHO_MAX``] and rounded to a power of two.
     """
-    p = S.shape[0]
-    scale = float(np.trace(S)) / p if start is None else p / float(np.trace(start))
+    scale = start.shape[0] / float(np.trace(start))
     rho = min(max(scale * scale, _RHO_MIN), _RHO_MAX)
     return 2.0 ** round(math.log2(rho))
+
+
+def _diagonal_start(
+    S: np.ndarray, idx: PairedIndex, l1_coord: np.ndarray, a: np.ndarray, b: np.ndarray,
+    w2: np.ndarray,
+) -> np.ndarray:
+    """The minimizer diag(1/u) of the objective over diagonal matrices, given
+    the active fused rows (a, b) and twice their weights ``w2``.
+
+    Over diagonal matrices the objective is sum_i (-log theta_i + c_i
+    theta_i) plus the vertex rows' w |theta_a - theta_b|, with c = diag(S)
+    plus the diagonal l1 weights.  Its optimality conditions make u =
+    1/theta the fused step of c at gap threshold 2 w: each vertex pair keeps
+    its mean and soft-thresholds its gap, and an infinite weight ties it.  A
+    u that is not finite and positive leaves no minimizer, so the problem is
+    unbounded below (or, under an infinite diagonal l1 weight, infeasible):
+    that raises :class:`NotPositiveDefiniteError`.
+    """
+    v = np.zeros(idx.vec_length)
+    v[idx.diagonal] = np.diag(S) + l1_coord[idx.diagonal]
+    with np.errstate(divide="ignore", invalid="ignore"):  # u = 0, or inf - inf
+        theta = 1.0 / _prox(v, a, b, w2, np.zeros(idx.vec_length))[idx.diagonal]
+    if not np.all(np.isfinite(theta) & (theta > 0)):
+        raise NotPositiveDefiniteError(
+            "the problem has no minimizer: the objective is unbounded below on the "
+            "diagonal, where an entry of S plus its l1 weight, after the vertex "
+            "fusion, is not positive (a zero column without a diagonal penalty, "
+            "for example)"
+        )
+    return np.diag(theta)
 
 
 def _dual_at(Theta: np.ndarray, S: np.ndarray, rho1: float) -> np.ndarray:
@@ -500,12 +531,13 @@ def solve_weighted(
     Any other rejection, or a face solver failure, leaves the ADMM state as
     it was.  A singular iterate has no certificate; the loop goes on.
 
-    ``start``, a positive definite p x p matrix such as an earlier estimate,
-    is where the loop starts, by the restart rule; it starts cold when
-    ``start`` is None (see the module docstring).  The first step size is
-    :func:`_rho_start` of S and ``start``.  A start of the wrong shape
-    raises :class:`DimensionError`, one that fails Cholesky
-    :class:`NotPositiveDefiniteError`, both before any step.
+    The loop starts at ``start``, a positive definite p x p matrix such as
+    an earlier estimate, or, when it is None, at the minimizer over
+    diagonal matrices (:func:`_diagonal_start`), by the restart rule, at the
+    step size :func:`_rho_start` of that start (see the module docstring).
+    A start of the wrong shape raises :class:`DimensionError`, one that
+    fails Cholesky :class:`NotPositiveDefiniteError`, and so does a problem
+    without a diagonal minimizer, all before any step.
 
     Returns the polished estimate, or the sparse/fused iterate Z, or, when
     ``max_outer`` is spent at a Z that is not positive definite, the
@@ -529,16 +561,15 @@ def solve_weighted(
 
     p = idx.p
     if start is None:
-        Z, U = np.zeros((p, p)), np.zeros((p, p))
-        rho1 = _rho_start(S, None)
+        Z = _diagonal_start(S, idx, l1_coord, a, b, w2)
     else:
         Z = np.asarray(start, dtype=float)
         if Z.shape != (p, p):
             raise DimensionError(f"start has shape {Z.shape}, expected {(p, p)}")
         if not is_positive_definite(Z):
             raise NotPositiveDefiniteError("start is not positive definite")
-        rho1 = _rho_start(S, Z)
-        U = _dual_at(Z, S, rho1)
+    rho1 = _rho_start(Z)
+    U = _dual_at(Z, S, rho1)
     primal = math.inf
     dual = math.inf
     kkt = None
@@ -640,7 +671,8 @@ def pdglasso_solve(
     ``math.inf`` and act as hard equality constraints.  With
     ``diag_penalty`` unset the l1 weight is dropped on the diagonal entries.
     ``start``, a positive definite matrix such as an earlier estimate, is
-    passed to :func:`solve_weighted`: a cold solve when None.
+    passed to :func:`solve_weighted`: a cold solve, from the diagonal
+    optimum, when None.
     """
     cfg = cfg or AdmmConfig()
     S = np.asarray(S, dtype=float)

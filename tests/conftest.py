@@ -14,6 +14,11 @@ def random_pd(p, rng, ridge=0.5):
     return A @ A.T / (2 * p) + ridge * np.eye(p)
 
 
+def equicorrelated(p, r=0.9):
+    """Unit variances and every correlation r."""
+    return np.full((p, p), r) + (1.0 - r) * np.eye(p)
+
+
 def random_sym(p, rng):
     A = rng.standard_normal((p, p))
     return A + A.T

@@ -311,10 +311,51 @@ def ips_ggm_mle(S, cliques, max_iter=2000, tol=1e-13):
     return K
 
 
-def admm_loop(S, idx, l1_coord, row_w, cfg):
+def diagonal_start(S, idx, l1_coord, row_w):
+    """Reference for the solver's cold start: the minimizer over diagonal
+    matrices, vertex pair by vertex pair, in the production's arithmetic so
+    that the two agree bit for bit.
+
+    With u = 1/diag(Theta) and c = diag(S) plus the diagonal l1 weights, a
+    vertex pair (k, k + q) of weight w > 0 keeps its mean and shrinks its gap
+    by 2 w, tying at a gap of at most 2 w; every other u_i is c_i.
+    """
+    q = idx.q
+    u = [float(S[i, i]) + float(l1_coord[idx.coord_of[i, i]]) for i in range(idx.p)]
+    for k in range(q):
+        w = float(row_w[k])  # the vertex rows come first
+        if w > 0:
+            ca, cb = u[k], u[k + q]
+            gap = ca - cb
+            half = 0.5 * math.copysign(max(abs(gap) - 2.0 * w, 0.0), gap)
+            mean = 0.5 * (ca + cb)
+            u[k], u[k + q] = mean + half, mean - half
+    return np.diag([1.0 / x for x in u])
+
+
+def two_variable_minimizer(ca: float, cb: float, w: float, rounds: int = 30):
+    """Brute-force minimizer of -log x - log y + ca x + cb y + w |x - y| over
+    x, y > 0: a grid search in log coordinates that zooms in on its best
+    point, the problem being convex there."""
+    s = np.linspace(-1.0, 1.0, 201)
+    center = np.zeros(2)
+    half = 8.0
+    for _ in range(rounds):
+        lx, ly = np.meshgrid(center[0] + half * s, center[1] + half * s, indexing="ij")
+        x, y = np.exp(lx), np.exp(ly)
+        f = -lx - ly + ca * x + cb * y + w * np.abs(x - y)
+        i, j = np.unravel_index(np.argmin(f), f.shape)
+        center = np.array([lx[i, j], ly[i, j]])
+        half /= 4.0
+    return float(np.exp(center[0])), float(np.exp(center[1]))
+
+
+def admm_loop(S, idx, l1_coord, row_w, cfg, start=None):
     """Reference for ``solve_weighted``: the same ADMM loop, from the same
     production steps, first step size and residual balancing, without the
-    Newton polish on the identified face.
+    Newton polish on the identified face, started at ``start`` or, when it
+    is None, at :func:`diagonal_start`, with the dual that makes the first
+    Theta step return it.
 
     Returns (estimate, outer iterations, stop reason), the estimate being Z,
     or the Theta step when Z is not positive definite.
@@ -324,9 +365,9 @@ def admm_loop(S, idx, l1_coord, row_w, cfg):
 
     S = np.asarray(S, dtype=float)
     p = idx.p
-    rho1 = solver._rho_start(S, None)
-    Z = np.zeros((p, p))
-    U = np.zeros((p, p))
+    Z = diagonal_start(S, idx, l1_coord, row_w) if start is None else start
+    rho1 = solver._rho_start(Z)
+    U = (np.linalg.inv(Z) - S) / rho1
     stop_reason = "max_outer"
     iterations = 0
     for l in range(cfg.max_outer):

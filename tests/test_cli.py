@@ -30,7 +30,13 @@ from pdglasso.paired import PairedIndex, swap_blocks
 from pdglasso.penalties import lambda1_diag_max
 from pdglasso.solver import AdmmConfig
 
-from conftest import example_structures, random_coloured_graph, random_pd, strong_ggm_truth
+from conftest import (
+    equicorrelated,
+    example_structures,
+    random_coloured_graph,
+    random_pd,
+    strong_ggm_truth,
+)
 
 
 def write_cov(path, S, names=None):
@@ -265,19 +271,35 @@ class TestFit:
         assert "symmetries" in err and "rescaling" in err
 
     def test_singular_solve_writes_its_report(self, tmp_path):
-        # one iteration above the threshold leaves Z singular and computes no
-        # certificate: the report says so with a null, not an inf
-        S = random_pd(6, np.random.default_rng(0))
+        # one iteration from the diagonal start of an equicorrelated S at a
+        # small penalty leaves Z singular and computes no certificate: the
+        # report says so with a null, not an inf
+        S = equicorrelated(6)
         cov = write_cov(tmp_path / "S.csv", S)
         out = tmp_path / "report.json"
         code = main([
-            "fit", str(cov), "--cov", "--n", "50", "--lambda1", repr(3 * lambda1_diag_max(S)),
+            "fit", str(cov), "--cov", "--n", "50", "--lambda1", repr(0.1 * lambda1_diag_max(S)),
             "--max-outer", "1", "--output", str(out),
         ])
         assert code == 2
         rep = read_fit_report(str(out))["solver_report"]
         assert rep["stop_reason"] == "max_outer" and rep["z_not_pd"] is True
         assert rep["kkt_residual"] is None
+
+    def test_zero_column_without_diagonal_penalty_has_no_minimizer(self, tmp_path, capsys):
+        # theta_00 has no price: the objective falls without bound, so the
+        # fit stops before any step instead of returning a large finite value
+        S = random_pd(4, np.random.default_rng(0))
+        S[0, :] = S[:, 0] = 0.0
+        cov = write_cov(tmp_path / "S.csv", S)
+        out = tmp_path / "report.json"
+        code = main([
+            "fit", str(cov), "--cov", "--n", "50", "--lambda1", "0.1", "--no-diag-penalty",
+            "--output", str(out),
+        ])
+        assert code == 1 and not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "no minimizer" in err and "unbounded" in err
 
 
 class TestInputValidation:

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 
 import numpy as np
@@ -331,7 +332,7 @@ class TestRunScenario:
             def map(self, fn, cells):
                 return map(fn, cells)
 
-        monkeypatch.setattr(simulate, "ProcessPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
         monkeypatch.setattr(simulate, "_run_cell", lambda spec, cfg, cell: [cell])
         rows = run_scenario(_spec(p=6, n_list=n_list, select_m=3), FAST, threads=threads)
         assert rows == [(0, n) for n in n_list]

@@ -32,14 +32,16 @@ from pdglasso.solver import (
     z_step,
 )
 
-from conftest import random_pd, random_sym
+from conftest import equicorrelated, random_pd, random_sym
 from oracles import (
     admm_loop,
     dense_F,
+    diagonal_start,
     kkt_violation_loop,
     pair_prox,
     projected_subgradient_glasso,
     subgradient_prox,
+    two_variable_minimizer,
 )
 
 
@@ -543,6 +545,16 @@ def random_spec(data, S, idx):
     )
 
 
+def correlated_problem(rng, q=4):
+    """A strongly correlated S (ridge 0.01) at 3% of its diagonal threshold,
+    with every kind of fused weight: from the diagonal start its face
+    changes several times before it settles."""
+    S = random_pd(2 * q, rng, ridge=0.01)
+    lam = 0.03 * lambda1_diag_max(S)
+    idx = PairedIndex(q)
+    return (S, idx, *_penalty_weights(PenaltySpec(lam, INF, lam / 2, lam / 5), idx))
+
+
 class TestFacePolish:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -587,6 +599,8 @@ class TestFacePolish:
         return steps
 
     def test_cold_start_is_the_default(self, rng, monkeypatch):
+        # without a start, the first Theta step returns the diagonal optimum,
+        # from the dual a restart would set, at the step size of its curvature
         steps = self.record_steps(monkeypatch)
         S = random_pd(6, rng)
         idx = PairedIndex(3)
@@ -594,7 +608,10 @@ class TestFacePolish:
         cfg = AdmmConfig()
         theta, report = solve_weighted(S, idx, l1, w, cfg)
         Z, U, rho1 = steps[0]
-        assert not Z.any() and not U.any() and rho1 == solver._rho_start(S, None)
+        start = diagonal_start(S, idx, l1, w)
+        assert np.array_equal(Z, start) and rho1 == solver._rho_start(start)
+        assert np.array_equal(U, solver._dual_at(start, S, rho1))
+        assert np.abs(theta_step(S, Z, U, rho1) - start).max() <= 1e-10
         again, again_report = solve_weighted(S, idx, l1, w, cfg, start=None)
         assert np.array_equal(theta, again)
         assert again_report.outer_iterations == report.outer_iterations
@@ -612,7 +629,7 @@ class TestFacePolish:
         start = random_pd(8, rng)
         solve_weighted(S, idx, l1, w, AdmmConfig(), start=start)
         Z, U, rho1 = steps[0]
-        assert np.array_equal(Z, start) and rho1 == solver._rho_start(S, start)
+        assert np.array_equal(Z, start) and rho1 == solver._rho_start(start)
         assert np.array_equal(U, solver._dual_at(start, S, rho1))
         assert np.abs(theta_step(S, Z, U, rho1) - start).max() <= 1e-10
 
@@ -704,10 +721,8 @@ class TestFacePolish:
         # solve does
         monkeypatch.setattr(solver, "_POLISH_AFTER", 1)
         newton = solver._face_newton
-        S = random_pd(8, rng)
-        idx = PairedIndex(4)
+        S, idx, l1, w = correlated_problem(rng)
         cfg = AdmmConfig()
-        l1, w = _penalty_weights(PenaltySpec(0.1, INF, 0.05, 0.02), idx)
 
         def solve(later):
             calls = []
@@ -740,10 +755,8 @@ class TestFacePolish:
             return newton(*args, **kwargs)[0], 1.0 / len(calls)
 
         monkeypatch.setattr(solver, "_face_newton", fake)
-        S = random_pd(8, rng)
-        idx = PairedIndex(4)
+        S, idx, l1, w = correlated_problem(rng)
         cfg = AdmmConfig()
-        l1, w = _penalty_weights(PenaltySpec(0.1, INF, 0.05, 0.02), idx)
         theta, report = solve_weighted(S, idx, l1, w, cfg)
         return S, idx, l1, w, cfg, theta, report
 
@@ -776,12 +789,14 @@ class TestFacePolish:
         S, idx, spec = random_instance(data)
         cfg = AdmmConfig(eps_abs=1e-10, eps_rel=1e-10)
         l1, w = _penalty_weights(spec, idx)
-        # a one-iteration hold makes most of these solves restart
+        # a one-iteration hold from the dense unpenalized estimate makes about
+        # half of these solves restart
+        start = np.linalg.inv(S)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(solver, "_POLISH_AFTER", 1)
-            theta, report = solve_weighted(S, idx, l1, w, cfg)
+            theta, report = solve_weighted(S, idx, l1, w, cfg, start=start)
         assume(report.restarts >= 1)
-        ref, _, ref_stop = admm_loop(S, idx, l1, w, cfg)
+        ref, _, ref_stop = admm_loop(S, idx, l1, w, cfg, start=start)
         assert report.stop_reason == ref_stop == "kkt"
         for got, want in zip(face_masks(theta, idx, w), face_masks(ref, idx, w)):
             assert np.array_equal(got, want)
@@ -843,6 +858,7 @@ class TestFacePolish:
                         (5, PenaltySpec(0.05, 0.02, INF, 0.0))]:
             solve_weighted(random_pd(2 * q, rng), PairedIndex(q),
                            *_penalty_weights(spec, PairedIndex(q)), AdmmConfig())
+        solve_weighted(*correlated_problem(rng), AdmmConfig())  # rejects a polish
         certificates = [c[0][1] for c in candidates if c[0] is not None]
         assert min(certificates) <= 1e-7 < max(certificates)
         for candidate, S, idx, l1, w in candidates:
@@ -851,9 +867,10 @@ class TestFacePolish:
                 assert certificate == kkt_residual(theta, S, idx, l1, w)
 
     def test_singular_iterate_continues_to_the_certificate(self, monkeypatch):
-        # at this scale the loose residual tests are met by singular
-        # iterates, which have no certificate, from iteration 11 on; the
-        # loop goes on past them and certifies a sparse estimate after 155
+        # at this scale the loose residual tests are met by a singular
+        # iterate, which has no certificate, at the second certificate the
+        # loop computes; it goes on past it and certifies a sparse estimate
+        # after 72 iterations
         certificates = []
         kkt = solver.kkt_residual
 
@@ -862,9 +879,9 @@ class TestFacePolish:
             return certificates[-1]
 
         monkeypatch.setattr(solver, "kkt_residual", recording_kkt)
-        S = 1000 * random_pd(6, np.random.default_rng(20))
+        S = 1000 * random_pd(6, np.random.default_rng(26))
         cfg = AdmmConfig(eps_abs=1e-3, eps_rel=1e-3)
-        theta, report = pdglasso_solve(S, PenaltySpec.uniform(100, 50), cfg)
+        theta, report = pdglasso_solve(S, PenaltySpec.uniform(85, 40), cfg)
         assert math.inf in certificates
         assert report.stop_reason == "kkt" and report.converged and not report.z_not_pd
         assert report.kkt_residual <= 10 * cfg.eps_abs
@@ -951,12 +968,62 @@ class TestFaceBoundary:
         assert np.abs(again - theta).max() <= 1e-8 and certificate <= 10 * cfg.eps_abs
 
 
+class TestDiagonalStart:
+    @pytest.mark.parametrize("sb, w, tied", [(3.0, 2.0, True), (3.0, 0.25, False)],
+                             ids=["tied", "shrunk"])
+    def test_vertex_pair_matches_brute_force(self, monkeypatch, sb, w, tied):
+        # c = diag(S) + lambda1 = (1.1, 3.1): a gap of 2, tied at 2 w >= 2
+        steps = TestFacePolish.record_steps(monkeypatch)
+        S = np.array([[1.0, 0.3], [0.3, sb]])
+        pdglasso_solve(S, PenaltySpec(0.1, w, 0.0, 0.0), AdmmConfig(max_outer=1))
+        start = steps[0][0]
+        assert np.array_equal(start, np.diag(np.diag(start)))
+        assert (start[0, 0] == start[1, 1]) == tied
+        want = two_variable_minimizer(1.1, sb + 0.1, w)
+        assert np.allclose(np.diag(start), want, rtol=1e-6, atol=0)
+
+    @pytest.mark.parametrize("factor", [1.0, 2.0])
+    def test_above_the_diagonal_threshold_certifies_at_once(self, rng, factor):
+        # the diagonal optimum is the solution, and the first iterate is it
+        S = random_pd(8, rng)
+        idx = PairedIndex(4)
+        spec = PenaltySpec(factor * lambda1_diag_max(S), 0.05, INF, 0.02)
+        l1, w = _penalty_weights(spec, idx)
+        theta, report = solve_weighted(S, idx, l1, w, AdmmConfig())
+        assert report.stop_reason == "kkt" and report.outer_iterations == 1
+        assert np.array_equal(theta, np.diag(np.diag(theta)))
+        assert np.abs(theta - diagonal_start(S, idx, l1, w)).max() <= 1e-10
+
+    @staticmethod
+    def zero_column(rng):
+        """A covariance whose first variable is constant at zero."""
+        S = random_pd(4, rng)
+        S[0, :] = S[:, 0] = 0.0
+        return S
+
+    def test_unbounded_diagonal_raises_before_the_first_step(self, rng, monkeypatch):
+        # with no diagonal penalty, -log theta_00 falls without bound
+        steps = TestFacePolish.record_steps(monkeypatch)
+        with pytest.raises(NotPositiveDefiniteError, match="no minimizer"):
+            pdglasso_solve(self.zero_column(rng), PenaltySpec(0.1), diag_penalty=False)
+        assert steps == []
+
+    def test_vertex_weight_bounds_a_zero_column(self, rng):
+        # the fusion with its partner gives theta_00 a positive price
+        S = self.zero_column(rng)
+        spec = PenaltySpec(0.1, 0.2, 0.0, 0.0)
+        cfg = AdmmConfig()
+        theta, report = pdglasso_solve(S, spec, cfg, diag_penalty=False)
+        assert report.stop_reason == "kkt"
+        assert optimality_residual(theta, S, spec, diag_penalty=False) <= 10 * cfg.eps_abs
+
+
 class TestStepSizeRule:
     def test_curvature_rounded_to_a_power_of_two(self):
-        S = 3.0 * np.eye(6)
-        assert solver._rho_start(S, None) == 8.0  # (tr S / p)^2 = 9
-        assert solver._rho_start(S, 0.5 * np.eye(6)) == 4.0  # (p / tr start)^2 = 4
-        assert solver._rho_start(S, 3.0 * np.eye(6)) == 0.125  # 1/9
+        # an unpenalized cold solve of 3 I starts at I / 3: (p / tr start)^2 = 9
+        assert solver._rho_start(np.eye(6) / 3.0) == 8.0
+        assert solver._rho_start(0.5 * np.eye(6)) == 4.0  # 4
+        assert solver._rho_start(3.0 * np.eye(6)) == 0.125  # 1/9
 
     @pytest.mark.parametrize("scale, bound", [(1e-8, "_RHO_MIN"), (1e8, "_RHO_MAX")])
     @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
@@ -1013,10 +1080,12 @@ class TestAdmmConfig:
         assert report.outer_iterations == 2
         assert report.stop_reason == "max_outer"
 
-    def test_singular_iterate_returns_the_theta_step(self, rng):
-        # one iteration at a penalty above the threshold leaves Z singular
-        S = random_pd(6, rng)
-        spec = PenaltySpec(3 * lambda1_diag_max(S))
+    def test_singular_iterate_returns_the_theta_step(self):
+        # from the diagonal start of an equicorrelated S at a small penalty,
+        # the first Z step pulls the off-diagonal entries so far that Z is
+        # indefinite
+        S = equicorrelated(6)
+        spec = PenaltySpec(0.1 * lambda1_diag_max(S))
         cfg = AdmmConfig(max_outer=1)
         theta, report = pdglasso_solve(S, spec, cfg)
         assert report.stop_reason == "max_outer" and report.z_not_pd
