@@ -352,10 +352,10 @@ def two_variable_minimizer(ca: float, cb: float, w: float, rounds: int = 30):
 
 def admm_loop(S, idx, l1_coord, row_w, cfg, start=None):
     """Reference for ``solve_weighted``: the same ADMM loop, from the same
-    production steps, first step size and residual balancing, without the
-    Newton polish on the identified face, started at ``start`` or, when it
-    is None, at :func:`diagonal_start`, with the dual that makes the first
-    Theta step return it.
+    production steps and step size, without the Newton polish on the
+    identified face, started at ``start`` or, when it is None, at
+    :func:`diagonal_start`, with the dual that makes the first Theta step
+    return it.
 
     Returns (estimate, outer iterations, stop reason), the estimate being Z,
     or the Theta step when Z is not positive definite.
@@ -387,12 +387,6 @@ def admm_loop(S, idx, l1_coord, row_w, cfg, start=None):
             if kkt <= solver._KKT_TOL_FACTOR * cfg.eps_abs:
                 stop_reason = "kkt"
                 break
-        if primal * eps_dual > 10.0 * dual * eps_pri and rho1 * 2.0 <= solver._RHO_MAX:
-            rho1 *= 2.0
-            U = U / 2.0
-        elif dual * eps_pri > 10.0 * primal * eps_dual and rho1 / 2.0 >= solver._RHO_MIN:
-            rho1 /= 2.0
-            U = U * 2.0
     if not is_positive_definite(Z):
         Z = solver.theta_step(S, Z, U, rho1)
     return Z, iterations, stop_reason

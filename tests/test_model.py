@@ -287,9 +287,10 @@ class TestMleNewton:
 
     def test_wishart_design_certified_where_admm_exhausts_budget(self):
         # an unscaled Wishart design as in the simulations: the p=20 truth of
-        # scenario seed 0 and a sample of n=200
+        # scenario seed 4 and a sample of n=200, on which the plain ADMM
+        # needs 1,228 iterations
         spec = ScenarioSpec(p=20, density=0.2, symmetry_fraction=0.5,
-                            n_list=(200,), replications=1, seed=0)
+                            n_list=(200,), replications=1, seed=4)
         Sigma, g = pdrcon_covariance(spec)
         S = mvn_sample_cov(Sigma, 200, 0)
         cfg = AdmmConfig(max_outer=200)
