@@ -7,8 +7,8 @@ points (``python -m pdglasso`` and the ``pdglasso`` script) do, it sets
 ``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS`` is already set and non-empty.
 The solver's p x p eigendecompositions, inverses and products gain nothing
 from a second BLAS thread at the sizes this package is used for, and the
-idle threads busy-wait and cost start-up time.  Parallel work comes from the
-``simulate`` process pool instead.  Imported after numpy, the package changes
+idle threads busy-wait and cost start-up time.  Parallel work comes from
+``simulate``'s forked workers instead.  Imported after numpy, the package changes
 no environment variable: numpy's BLAS has already started and the variable
 would only leak into child processes.
 """
@@ -54,9 +54,7 @@ from .solver import (
     SolveReport,
     optimality_residual,
     pdglasso_solve,
-    soft_threshold,
     theta_step,
-    z_step,
 )
 from .model import (
     FitResult,
@@ -70,7 +68,6 @@ from .model import (
     lrt,
     mle,
     mle_fully_symmetric,
-    model_select,
     n_params,
     partial_correlations,
     partial_variances,

@@ -57,7 +57,7 @@ _STANDARDIZE_CAVEAT = (
 
 
 def _simulate_threads(flag: str | None) -> int:
-    """Worker processes for simulate: ``--threads``, else a non-empty
+    """Workers for simulate, this process included: ``--threads``, else a non-empty
     ``PDGLASSO_THREADS``, else the CPUs in this process's affinity mask (the
     CPU count where the platform has no mask).  A value that is not an
     integer >= 1 is an :class:`InputError` naming where it came from."""
@@ -621,9 +621,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--gamma", type=float, default=0.0)
     p_sim.add_argument("--output", "-o", default=None, help="CSV path (default stdout)")
     p_sim.add_argument("--threads", default=None,
-                       help="worker processes for the simulation cells, at most "
-                            "one per cell (default: PDGLASSO_THREADS, else the "
-                            "CPUs this process may run on)")
+                       help="worker processes for the simulation cells, this one "
+                            "included, at most one per cell (default: "
+                            "PDGLASSO_THREADS, else the CPUs this process may run on)")
     _add_solver_flags(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
 

@@ -583,15 +583,3 @@ def selection_path(
     assert winner.fit is not None
     return winner.fit, points
 
-
-def model_select(
-    S: np.ndarray,
-    n: int,
-    m: int,
-    gamma: float,
-    class_spec: SubmodelClass,
-    cfg: Optional[AdmmConfig] = None,
-) -> FitResult:
-    """Two-stage eBIC model selection; see :func:`selection_path`."""
-    winner, _ = selection_path(S, n, m, gamma, class_spec, cfg)
-    return winner

@@ -7,9 +7,13 @@ adjustable share of vertex, inside and across positions is converted into
 parametric symmetries to produce paired coloured truths.
 
 :func:`run_scenario` scores pdglasso against the plain graphical lasso in
-each (replication, n) cell.  Both selections come from one pdglasso
-selection path: the glasso baseline is the best point of its stage 1,
-which is the glasso path itself, so each cell solves its path once.
+each (replication, n) cell.  Each replication's truth is drawn once, before
+any cell runs, and shared by the cells of that replication.  Both
+selections come from one pdglasso selection path: the glasso baseline is
+the best point of its stage 1, which is the glasso path itself, so each
+cell solves its path once.  The cells are shared out between this process
+and plain forked children (Linux only; elsewhere they all run here), which
+send their rows back through pipes.
 
 All randomness flows through numpy's default PCG64 generator; child streams
 are derived from the master seed and integer tags, so runs are reproducible
@@ -19,8 +23,11 @@ bit for bit regardless of execution order or thread count.
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
+import sys
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -283,22 +290,30 @@ _METHODS = ("pdglasso", "glasso")
 _PDGLASSO = SubmodelClass("grid", "grid", "grid")
 
 
-def _run_cell(spec: ScenarioSpec, cfg: AdmmConfig, cell: tuple[int, int]) -> list[CellResult]:
-    """Draw one cell's truth and sample, and score both methods' selections.
+def _draw_truth(spec: ScenarioSpec, cfg: AdmmConfig, rep: int):
+    """Replication ``rep``'s truth: (Sigma, its graph, its inverse)."""
+    Sigma, truth = pdrcon_covariance(spec, cfg, seed=child_rng(spec.seed, _TRUTH_TAG, rep))
+    return Sigma, truth, np.linalg.inv(Sigma)
 
-    Both come from one pdglasso selection path.  The glasso baseline is the
-    eBIC winner of the l1 path with every fused component at zero, and that
-    path is stage 1 of pdglasso's, point for point: the same penalties,
-    grid, sweep order and warm starts.  So its winner is the best stage-1
-    point under the tie-break rule of every selection
+
+def _run_cell(
+    spec: ScenarioSpec, cfg: AdmmConfig, truth, cell: tuple[int, int]
+) -> list[CellResult]:
+    """Draw one cell's sample from its replication's truth, and score both
+    methods' selections.
+
+    ``truth`` is :func:`_draw_truth` of the cell's replication.  Both
+    selections come from one pdglasso selection path.  The glasso baseline
+    is the eBIC winner of the l1 path with every fused component at zero,
+    and that path is stage 1 of pdglasso's, point for point: the same
+    penalties, grid, sweep order and warm starts.  So its winner is the best
+    stage-1 point under the tie-break rule of every selection
     (:func:`pdglasso.model._best`), and the path is solved once per cell.
     The path fails only when every stage-1 point fails; then both rows
     record the same error.
     """
     rep, n = cell
-    truth_rng = child_rng(spec.seed, _TRUTH_TAG, rep)
-    Sigma, truth = pdrcon_covariance(spec, cfg, seed=truth_rng)
-    theta_true = np.linalg.inv(Sigma)
+    Sigma, graph, theta_true = truth
     S = mvn_sample_cov(Sigma, n, child_rng(spec.seed, _SAMPLE_TAG, rep, n))
     try:
         winner, points = selection_path(
@@ -310,7 +325,7 @@ def _run_cell(spec: ScenarioSpec, cfg: AdmmConfig, cell: tuple[int, int]) -> lis
     out = []
     for method, fit in zip(_METHODS, fits):
         try:
-            scores = edge_metrics(truth, fit.graph)
+            scores = edge_metrics(graph, fit.graph)
             losses = matrix_losses(fit.theta_mle, theta_true)
         except (PdglassoError, np.linalg.LinAlgError) as exc:
             out.append(_failed_row(spec, n, rep, method, exc))
@@ -339,30 +354,103 @@ def run_scenario(
 ) -> list[CellResult]:
     """Simulate every (replication, n) cell and score both selection methods.
 
-    Each cell draws its truth and sample from child streams of the scenario
-    seed, so the output depends only on (spec, cfg).  The cells run in
-    min(``threads``, number of cells) worker processes, no more, since a
-    pool may start all its workers up front; with one worker they run in
-    this process.  The reduction is deterministic and order-preserving, so
-    parallel and serial runs agree bit for bit.  Per-cell failures are
-    recorded in the table and the run continues.  Raises ValueError when
-    ``threads`` < 1.
+    Each replication's truth is drawn once, in this process, and each cell
+    draws its sample from it; truths and samples come from child streams of
+    the scenario seed, so the output depends only on (spec, cfg).  The cells
+    run on W = min(``threads``, number of cells) workers, this process
+    included: on Linux it forks W - 1 children, child k computes the cells
+    ``cells[k::W]`` and this process computes share 0.  On other platforms,
+    where fork is unsafe (macOS) or missing (Windows), every cell runs in
+    this process.  The rows come back in cell order, so
+    the table is the same bit for bit for any W.  Per-cell failures are
+    recorded in the table and the run continues.  An exception that escapes
+    a cell is raised here with its type, after every child has ended; a
+    child that ends without a result raises :class:`PdglassoError` naming
+    its exit status.  Raises ValueError when ``threads`` < 1.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     cfg = cfg or AdmmConfig()
+    truths = [_draw_truth(spec, cfg, rep) for rep in range(spec.replications)]
     cells = [(rep, n) for rep in range(spec.replications) for n in spec.n_list]
-    worker = partial(_run_cell, spec, cfg)
-    workers = min(threads, len(cells))
-    if workers > 1:
-        # imported here, so that commands that run no pool do not load it
-        from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(worker, cells))
-    else:
-        chunks = [worker(cell) for cell in cells]
+    def run(cell):
+        return _run_cell(spec, cfg, truths[cell[0]], cell)
+
+    workers = min(threads, len(cells)) if sys.platform.startswith("linux") else 1
+    chunks = _run_forked(run, cells, workers)
     return [row for chunk in chunks for row in chunk]
+
+
+def _run_forked(run, cells: list, workers: int) -> list:
+    """``[run(cell) for cell in cells]`` on ``workers`` processes, this one
+    included; forked children send their share back pickled through a pipe.
+
+    If this process's own share fails, or a child's result is an exception,
+    the children still running are killed, and every child is reaped before
+    the error is raised.
+    """
+    children: dict[int, int] = {}  # pid -> read end of its pipe
+    try:
+        for k in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(read_fd)
+                for fd in children.values():
+                    os.close(fd)
+                _child_main(run, cells[k::workers], write_fd)
+            os.close(write_fd)
+            children[pid] = read_fd
+        shares = [[run(cell) for cell in cells[0::workers]]]
+        for pid in list(children):
+            shares.append(_child_result(pid, children.pop(pid)))
+    finally:
+        for pid, fd in children.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(fd)
+    chunks = [None] * len(cells)
+    for k, share in enumerate(shares):
+        chunks[k::workers] = share
+    return chunks
+
+
+def _child_main(run, share: list, write_fd: int) -> None:
+    """Body of a forked child: compute ``share``, send (ok, rows or
+    exception) pickled, and leave without running the parent's exit code."""
+    status = 1
+    try:
+        try:
+            payload = pickle.dumps((True, [run(cell) for cell in share]))
+        except BaseException as exc:  # the parent raises it; never unwind into its code
+            try:
+                payload = pickle.dumps((False, exc))
+            except Exception:  # an exception that does not pickle
+                payload = pickle.dumps((False, PdglassoError(f"{type(exc).__name__}: {exc}")))
+        with os.fdopen(write_fd, "wb") as pipe:
+            pipe.write(payload)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _child_result(pid: int, read_fd: int) -> list:
+    """Read a child's result to EOF, reap the child, and return its rows or
+    raise its exception."""
+    try:
+        with os.fdopen(read_fd, "rb") as pipe:
+            data = pipe.read()
+    finally:
+        _, status = os.waitpid(pid, 0)
+    code = os.waitstatus_to_exitcode(status)
+    if code != 0 or not data:
+        how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+        raise PdglassoError(f"simulate worker process {pid} ended without a result ({how})")
+    ok, value = pickle.loads(data)
+    if not ok:
+        raise value
+    return value
 
 
 def results_to_csv(rows: list[CellResult]) -> str:

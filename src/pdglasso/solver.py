@@ -103,7 +103,9 @@ from .paired import (
 from .penalties import PenaltySpec, is_inf
 
 _RHO_MIN = 2.0**-19
-_RHO_MAX = 2.0**19
+# only an overflow guard: (p / tr Theta_0)^2 is inf once tr Theta_0 < 1e-154 p,
+# and below 2^500 the Theta step's d^2 + 4 rho1 stays far from overflowing
+_RHO_MAX = 2.0**500
 _KKT_TOL_FACTOR = 10.0
 _POLISH_AFTER = 3  # iterations a face must hold before it is polished
 _MAX_RESTARTS = 5  # restarts of the ADMM from a rejected polish, per solve
@@ -177,23 +179,9 @@ class SolveReport:
         return self.converged
 
 
-def soft_threshold(x, t):
-    """Shrink toward zero: 0 where |x| <= t, otherwise x - sign(x) t.
-
-    Accepts scalars or arrays for both arguments; thresholds must be >= 0.
-    """
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0):
-        raise ValueError("threshold must be >= 0")
-    x_arr = np.asarray(x, dtype=float)
-    out = _shrink(x_arr, t_arr)
-    if np.isscalar(x) or x_arr.ndim == 0:
-        return float(out)
-    return out
-
-
 def _shrink(x: np.ndarray, t) -> np.ndarray:
-    """:func:`soft_threshold` of an array, with thresholds known to be >= 0."""
+    """Shrink toward zero: 0 where |x| <= t, otherwise x - sign(x) t; the
+    thresholds t are known to be >= 0."""
     return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
 
 
@@ -272,17 +260,6 @@ def _penalty_weights(
         l1_coord[idx.diagonal] = 0.0
     weights = [math.inf if is_inf(c) else float(c) for c in spec.components]
     return l1_coord, idx.component_rows(*weights)
-
-
-def z_step(A: np.ndarray, spec: PenaltySpec, rho1: float) -> np.ndarray:
-    """Fused/l1 proximal step in half-vectorized coordinates.
-
-    Minimizes (rho1/2) ||Z - A||_F^2 plus the penalty of ``spec`` through
-    :func:`fused_l1_prox`; ``INF`` components give exact ties.
-    """
-    idx = PairedIndex.from_p(A.shape[0])
-    l1_coord, row_w = _penalty_weights(spec, idx)
-    return pd_unvec(fused_l1_prox(pd_vec(A, idx), idx, l1_coord, row_w, rho1), idx)
 
 
 def _weighted_abs_sum(weights: np.ndarray, values: np.ndarray) -> float:
@@ -461,7 +438,9 @@ def _rho_start(start: np.ndarray) -> float:
     The Hessian of -log det at Theta has eigenvalues 1/(x_i x_j) over the
     eigenvalues x of Theta, so its scale at the start Theta_0 is
     (p / tr Theta_0)^2.  That value is clamped to [``_RHO_MIN``,
-    ``_RHO_MAX``] and rounded to a power of two: division by it is then
+    ``_RHO_MAX``] and rounded to a power of two.  The upper bound only keeps
+    it finite; a lower one such as 2^19 bound from S x 1e4 up, where
+    solves then ran to ``max_outer``.  Division by a power of two is
     exact in floating point, so the Z step's thresholds l1 / rho1 and
     2 w / rho1 carry no rounding of their own, and nearby starts, such as
     the warm starts along a path, share one step size.

@@ -393,16 +393,17 @@ def admm_loop(S, idx, l1_coord, row_w, cfg, start=None):
 
 
 def two_path_rows(spec, cfg):
-    """Reference for ``simulate.run_scenario``: every cell scored from two
-    independent ``model_select`` calls, one per submodel class (grid on
-    every fused component for pdglasso, zero on every one for glasso).
+    """Reference for ``simulate.run_scenario``: every cell draws its own truth
+    and is scored from the winners of two independent ``selection_path``
+    calls, one per submodel class (grid on every fused component for
+    pdglasso, zero on every one for glasso).
 
     Returns the rows in ``run_scenario``'s order.  A failed selection gives
     that method's row NaN scores and the error message.
     """
     from pdglasso import simulate
     from pdglasso.errors import PdglassoError
-    from pdglasso.model import SubmodelClass, model_select
+    from pdglasso.model import SubmodelClass, selection_path
 
     methods = (("pdglasso", SubmodelClass("grid", "grid", "grid")),
                ("glasso", SubmodelClass("zero", "zero", "zero")))
@@ -417,7 +418,8 @@ def two_path_rows(spec, cfg):
             )
             for method, class_spec in methods:
                 try:
-                    fit = model_select(S, n, spec.select_m, spec.select_gamma, class_spec, cfg)
+                    fit, _ = selection_path(S, n, spec.select_m, spec.select_gamma,
+                                            class_spec, cfg)
                 except (PdglassoError, np.linalg.LinAlgError) as exc:
                     rows.append(simulate.CellResult(
                         spec.label, n, rep, method, *[math.nan] * 6, 0, math.nan, False,

@@ -18,7 +18,6 @@ from pdglasso.model import (
     lrt,
     mle,
     mle_fully_symmetric,
-    model_select,
     n_params,
     partial_correlations,
     partial_variances,
@@ -545,7 +544,7 @@ class TestGraphSummary:
 class TestModelSelect:
     def test_identity_selects_empty_model(self):
         S = np.eye(6)
-        fit = model_select(S, n=50, m=4, gamma=0.0, class_spec=SubmodelClass())
+        fit, _ = selection_path(S, n=50, m=4, gamma=0.0, class_spec=SubmodelClass())
         assert fit.graph.n_edges == 0
         assert fit.d == 6
 
@@ -555,7 +554,7 @@ class TestModelSelect:
         theta = strong_ggm_truth(8, rng, n_edges=8)
         Sigma = np.linalg.inv(theta)
         S = mvn_sample_cov(Sigma, 2000, 77)
-        fit = model_select(S, n=2000, m=10, gamma=0.0, class_spec=SubmodelClass())
+        fit, _ = selection_path(S, n=2000, m=10, gamma=0.0, class_spec=SubmodelClass())
         truth = extract_graph(theta, PairedIndex(4))
         m = edge_metrics(truth, fit.graph)
         assert m.f1 >= 0.8
@@ -618,7 +617,7 @@ class TestModelSelect:
 
     def test_requires_m_at_least_two(self, rng):
         with pytest.raises(ValueError):
-            model_select(random_pd(4, rng), 10, 1, 0.0, SubmodelClass())
+            selection_path(random_pd(4, rng), 10, 1, 0.0, SubmodelClass())
 
     @staticmethod
     def record_starts(monkeypatch):

@@ -1,10 +1,15 @@
-import concurrent.futures
 import math
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pdglasso.errors import DimensionError, MleError
+from pdglasso.errors import DimensionError, MleError, PdglassoError
 from pdglasso.model import PdColouredGraph, extract_graph
 from pdglasso.paired import PairedIndex, swap_blocks
 from pdglasso.simulate import (
@@ -289,11 +294,12 @@ class TestRunScenario:
         assert a.splitlines()[0].startswith("scenario,n,rep,method,ppv")
 
     def test_thread_count_does_not_change_results(self):
-        spec = _spec(p=6, density=0.3, frac=0.0, seed=13, n_list=(50, 80),
+        # 6 cells: 2, 3 and 4 workers get shares of 3/3, 2/2/2 and 2/2/1/1
+        spec = _spec(p=6, density=0.3, frac=0.0, seed=13, n_list=(50, 80, 120),
                      replications=2, select_m=3)
         serial = results_to_csv(run_scenario(spec, FAST, threads=1))
-        parallel = results_to_csv(run_scenario(spec, FAST, threads=4))
-        assert serial == parallel
+        for threads in (2, 3, 4):
+            assert results_to_csv(run_scenario(spec, FAST, threads=threads)) == serial
 
     @pytest.mark.parametrize("threads", [0, -2])
     def test_thread_count_below_one_raises_before_any_truth(self, monkeypatch, threads):
@@ -306,37 +312,152 @@ class TestRunScenario:
         assert calls == []
 
     @pytest.mark.parametrize("threads, n_list, expected", [
-        (64, (40, 60), [2]),
-        (2, (40, 60, 80), [2]),
-        (4, (40,), []),
-        (1, (40, 60), []),
+        (64, (40, 60), 1),
+        (2, (40, 60, 80), 1),
+        (4, (40,), 0),
+        (1, (40, 60), 0),
     ], ids=["64-for-2-cells", "2-for-3-cells", "1-cell", "1-thread"])
     def test_pool_starts_at_most_one_worker_per_cell(self, monkeypatch, threads, n_list,
                                                      expected):
+        # this process is one of the workers, so it forks one child fewer
         import pdglasso.simulate as simulate
 
-        started = []
+        children = []
+        fork = os.fork
 
-        class RecordingExecutor:
-            """Records the pool size and runs the cells here; starts no process."""
+        def recording_fork():
+            pid = fork()
+            if pid:
+                children.append(pid)
+            return pid
 
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, cells):
-                return map(fn, cells)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
-        monkeypatch.setattr(simulate, "_run_cell", lambda spec, cfg, cell: [cell])
+        monkeypatch.setattr(os, "fork", recording_fork)
+        monkeypatch.setattr(simulate, "_run_cell", lambda spec, cfg, truth, cell: [cell])
         rows = run_scenario(_spec(p=6, n_list=n_list, select_m=3), FAST, threads=threads)
         assert rows == [(0, n) for n in n_list]
-        assert started == expected
+        assert len(children) == expected
+
+    def test_each_truth_is_drawn_once(self, monkeypatch):
+        import pdglasso.simulate as simulate
+
+        calls = []
+        draw = simulate.pdrcon_covariance
+
+        def counting_draw(*args, **kwargs):
+            calls.append(1)
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(simulate, "pdrcon_covariance", counting_draw)
+        monkeypatch.setattr(simulate, "_run_cell", lambda spec, cfg, truth, cell: [cell])
+        run_scenario(_spec(p=6, n_list=(40, 60, 80), replications=2, select_m=3), FAST,
+                     threads=1)
+        assert len(calls) == 2
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestForkedWorkers:
+    """Failures in the forked children and in this process's own share.
+
+    With 2 workers and the cells (0, 40), (0, 80), this process computes
+    (0, 40) and one child computes (0, 80).
+    """
+
+    SPEC = _spec(p=6, n_list=(40, 80), select_m=3)
+
+    @staticmethod
+    def cell_in_child(monkeypatch, action):
+        """Make the cell (0, 80) run ``action()``; every other cell returns [cell]."""
+        import pdglasso.simulate as simulate
+
+        def run_cell(spec, cfg, truth, cell):
+            if cell == (0, 80):
+                action()
+            return [cell]
+
+        monkeypatch.setattr(simulate, "_run_cell", run_cell)
+
+    def test_child_exception_keeps_its_type(self, monkeypatch):
+        def fail():
+            raise MleError("no MLE in the child")
+
+        self.cell_in_child(monkeypatch, fail)
+        with pytest.raises(MleError, match="no MLE in the child") as info:
+            run_scenario(self.SPEC, FAST, threads=2)
+        assert type(info.value) is MleError
+        _no_child_left()
+
+    def test_unpicklable_exception_is_named(self, monkeypatch):
+        class Local(Exception):  # a local class does not pickle
+            pass
+
+        def fail():
+            raise Local("odd")
+
+        self.cell_in_child(monkeypatch, fail)
+        with pytest.raises(PdglassoError, match="Local: odd"):
+            run_scenario(self.SPEC, FAST, threads=2)
+        _no_child_left()
+
+    def test_child_killed_by_a_signal_raises_the_typed_error(self, monkeypatch):
+        self.cell_in_child(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
+        with pytest.raises(PdglassoError, match=f"killed by signal {int(signal.SIGKILL)}"):
+            run_scenario(self.SPEC, FAST, threads=2)
+        _no_child_left()
+
+    def test_child_exit_without_result_fails_the_cli(self, monkeypatch, tmp_path, capsys):
+        from pdglasso import cli
+
+        self.cell_in_child(monkeypatch, lambda: os._exit(3))
+        out = tmp_path / "sim.csv"
+        rc = cli.main(["simulate", "--p", "6", "--n-list", "40,80", "--m", "3",
+                       "--threads", "2", "-o", str(out)])
+        assert rc == 1
+        assert "ended without a result (exit status 3)" in capsys.readouterr().err
+        assert not out.exists()
+        _no_child_left()
+
+    def test_failure_in_own_share_kills_and_reaps_the_children(self, monkeypatch):
+        import pdglasso.simulate as simulate
+
+        parent = os.getpid()
+
+        def run_cell(spec, cfg, truth, cell):
+            if os.getpid() == parent:
+                raise RuntimeError("own share failed")
+            time.sleep(60)  # killed long before this ends
+            return [cell]
+
+        monkeypatch.setattr(simulate, "_run_cell", run_cell)
+        t0 = time.perf_counter()
+        with pytest.raises(RuntimeError, match="own share failed"):
+            run_scenario(_spec(p=6, n_list=(40, 80, 120), select_m=3), FAST, threads=3)
+        assert time.perf_counter() - t0 < 30
+        _no_child_left()
+
+
+def test_simulate_loads_no_process_pool_module(tmp_path):
+    """A two-worker simulate run in a fresh interpreter forks its workers
+    without importing ``multiprocessing`` or ``concurrent.futures``."""
+    code = (
+        "import sys\n"
+        "from pdglasso import cli\n"
+        f"rc = cli.main(['simulate', '--p', '6', '--n-list', '40,60', '--m', '3',"
+        f" '--threads', '2', '-o', {str(tmp_path / 'sim.csv')!r}])\n"
+        "print(rc)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'"
+        " or m == 'concurrent.futures' or m.startswith('concurrent.futures.')))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["0", "[]"]
+    assert len((tmp_path / "sim.csv").read_text().splitlines()) == 5
 
 
 class TestSharedSelectionPath:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from pdglasso import solver
 from pdglasso.errors import DimensionError, MleError, NotPositiveDefiniteError
-from pdglasso.paired import PairedIndex, is_positive_definite, pd_vec, swap_blocks
+from pdglasso.paired import PairedIndex, is_positive_definite, pd_unvec, pd_vec, swap_blocks
 from pdglasso.penalties import (
     INF,
     PenaltySpec,
@@ -25,11 +25,10 @@ from pdglasso.solver import (
     kkt_residual,
     kkt_violation,
     optimality_residual,
+    _shrink,
     pdglasso_solve,
-    soft_threshold,
     solve_weighted,
     theta_step,
-    z_step,
 )
 
 from conftest import equicorrelated, random_pd, random_sym
@@ -46,22 +45,27 @@ from oracles import (
 
 
 class TestSoftThreshold:
+    """``_shrink``, the soft-threshold of the fused/l1 proximal step."""
+
     def test_shrinks(self):
-        assert soft_threshold(1.5, 1.0) == 0.5
+        assert _shrink(np.float64(1.5), 1.0) == 0.5
 
     def test_zeroes_small_values(self):
-        assert soft_threshold(-0.3, 1.0) == 0.0
+        assert _shrink(np.float64(-0.3), 1.0) == 0.0
 
     def test_zero_threshold_is_identity(self, rng):
         x = rng.standard_normal(20)
-        assert np.array_equal(soft_threshold(x, 0.0), x)
+        assert np.array_equal(_shrink(x, 0.0), x)
 
     def test_negative_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            soft_threshold(1.0, -0.1)
+        # _shrink trusts its thresholds; the proximal step checks them
+        idx = PairedIndex(1)
+        with pytest.raises(ValueError, match="threshold must be >= 0"):
+            fused_l1_prox(np.ones(idx.vec_length), idx, np.full(idx.vec_length, -0.1),
+                          idx.component_rows(0.0, 0.0, 0.0), 1.0)
 
     def test_elementwise_thresholds(self):
-        out = soft_threshold(np.array([2.0, -2.0, 0.5]), np.array([1.0, 0.5, 1.0]))
+        out = _shrink(np.array([2.0, -2.0, 0.5]), np.array([1.0, 0.5, 1.0]))
         assert out.tolist() == [1.0, -1.5, 0.0]
 
     @settings(max_examples=100, deadline=None)
@@ -70,7 +74,7 @@ class TestSoftThreshold:
         t=st.floats(0, 1e6, allow_nan=False),
     )
     def test_shrinkage_properties(self, x, t):
-        out = soft_threshold(x, t)
+        out = float(_shrink(np.float64(x), t))
         ulp = 1e-9 * max(1.0, abs(x), t)
         assert abs(out) <= max(abs(x) - t, 0.0) + ulp
         assert out == 0.0 or np.sign(out) == np.sign(x)
@@ -205,10 +209,10 @@ class TestInnerGeneralizedLasso:
         a, c, w_on = a[w > 0], c[w > 0], w[w > 0]
         ref = b.copy()
         mean = 0.5 * (ref[a] + ref[c])
-        half_gap = 0.5 * soft_threshold(ref[a] - ref[c], 2.0 * w_on / rho)
+        half_gap = 0.5 * _shrink(ref[a] - ref[c], 2.0 * w_on / rho)
         ref[a] = mean + half_gap
         ref[c] = mean - half_gap
-        ref = soft_threshold(ref, l1 / rho)
+        ref = _shrink(ref, l1 / rho)
         before = b.copy()
         assert fused_l1_prox(b, idx, l1, w, rho).tobytes() == ref.tobytes()
         assert b.tobytes() == before.tobytes()
@@ -334,7 +338,16 @@ class TestWeightedObjective:
         assert _weighted_objective(M, np.eye(2), idx, np.zeros(3), w) == math.inf
 
 
+def z_step(A, spec, rho1):
+    """The fused/l1 proximal step of ``spec`` applied to a symmetric matrix."""
+    idx = PairedIndex.from_p(A.shape[0])
+    l1_coord, row_w = _penalty_weights(spec, idx)
+    return pd_unvec(fused_l1_prox(pd_vec(A, idx), idx, l1_coord, row_w, rho1), idx)
+
+
 class TestZStep:
+    """``fused_l1_prox`` on the half-vectorized coordinates of a matrix."""
+
     def test_zero_spec_returns_input(self, rng):
         A = random_sym(6, rng)
         out = z_step(A, PenaltySpec(0.0), 1.0)
@@ -882,10 +895,12 @@ class TestFacePolish:
                 assert certificate == kkt_residual(theta, S, idx, l1, w)
 
     def test_singular_iterate_continues_to_the_certificate(self, monkeypatch):
-        # at this scale the first step size is at _RHO_MAX, and the loose
-        # residual tests are met by a singular iterate, which has no
-        # certificate, at the fourth certificate the loop computes; it goes on
-        # past it and certifies a sparse estimate after 91 iterations
+        # a start 20 times the solution's diagonal (about 5e-4) keeps a step
+        # size of 2^13, about 370 times below the curvature at the solution,
+        # and the loose residual tests are met by singular iterates, which
+        # have no certificate, from the first certificate the loop computes
+        # on (35 of 124); it goes on past them and certifies after 139
+        # iterations
         certificates = []
         kkt = solver.kkt_residual
 
@@ -894,11 +909,10 @@ class TestFacePolish:
             return certificates[-1]
 
         monkeypatch.setattr(solver, "kkt_residual", recording_kkt)
-        S = 1e4 * random_pd(6, np.random.default_rng(14))
-        spec = PenaltySpec.uniform(0.2 * lambda1_diag_max(S),
-                                   0.1 * lambda2_sym_max(S, PairedIndex(3)))
+        S = 1000 * random_pd(6, np.random.default_rng(26))
+        spec = PenaltySpec.uniform(85.0, 40.0)
         cfg = AdmmConfig(eps_abs=1e-3, eps_rel=1e-3)
-        theta, report = pdglasso_solve(S, spec, cfg)
+        theta, report = pdglasso_solve(S, spec, cfg, start=0.01 * np.eye(6))
         assert math.inf in certificates
         assert report.stop_reason == "kkt" and report.converged and not report.z_not_pd
         assert report.kkt_residual <= 10 * cfg.eps_abs
@@ -1042,7 +1056,7 @@ class TestStepSizeRule:
         assert solver._rho_start(0.5 * np.eye(6)) == 4.0  # 4
         assert solver._rho_start(3.0 * np.eye(6)) == 0.125  # 1/9
 
-    @pytest.mark.parametrize("scale, bound", [(1e-8, "_RHO_MIN"), (1e8, "_RHO_MAX")])
+    @pytest.mark.parametrize("scale, bound", [(1e-8, "_RHO_MIN")])
     @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
     def test_extreme_scales_start_at_a_bound(self, rng, monkeypatch, scale, bound, warm):
         steps = TestFacePolish.record_steps(monkeypatch)
@@ -1054,6 +1068,38 @@ class TestStepSizeRule:
         rho1 = steps[0][2]
         assert rho1 == getattr(solver, bound)
         assert math.frexp(rho1)[0] == 0.5  # a power of two
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_large_scales_start_at_the_curvature(self, rng, monkeypatch, warm):
+        # the upper bound only guards against overflow; at S x 1e8 the old
+        # clamp, 2^19, set the step size about 2^27 times too small
+        steps = TestFacePolish.record_steps(monkeypatch)
+        scale = 1e8
+        S = scale * random_pd(6, rng)
+        idx = PairedIndex(3)
+        spec = PenaltySpec.uniform(0.1 * scale, 0.05 * scale)
+        l1, w = _penalty_weights(spec, idx)
+        start = np.linalg.inv(S) if warm else None
+        pdglasso_solve(S, spec, AdmmConfig(max_outer=1), start=start)
+        theta0 = start if warm else diagonal_start(S, idx, l1, w)
+        curvature = (6 / np.trace(theta0)) ** 2
+        rho1 = steps[0][2]
+        assert rho1 == 2.0 ** round(math.log2(curvature)) > 2.0**40
+        assert math.frexp(rho1)[0] == 0.5  # a power of two
+
+    @pytest.mark.parametrize("scale", [1e4, 1e5, 1e6])
+    def test_large_unit_scales_certify(self, scale):
+        # a slice of a sweep on which the old clamp of the step size at 2^19
+        # left 7 of 24 solves at max_outer at S x 1e5 and 17 of 24 at S x 1e6;
+        # the sweep's slowest solve from S x 1e3 to S x 1e6 now takes 14
+        cfg = AdmmConfig(eps_abs=1e-3, eps_rel=1e-3)
+        for p, seed in itertools.product([6, 8], range(6)):
+            S = scale * random_pd(p, np.random.default_rng(seed))
+            l2 = 0.1 * lambda2_sym_max(S, PairedIndex(p // 2))
+            spec = PenaltySpec.uniform(0.1 * lambda1_diag_max(S), l2)
+            _, report = pdglasso_solve(S, spec, cfg)
+            assert report.stop_reason == "kkt"
+            assert report.outer_iterations <= 20
 
     @pytest.mark.parametrize("scale", [1e-3, 1e3])
     def test_raw_unit_scales_certify(self, scale):
