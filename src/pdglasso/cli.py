@@ -274,11 +274,9 @@ def fit_report_doc(
             "converged": fit.report.converged,
             "objective_value": fit.report.objective_value,
             "kkt_residual": fit.report.kkt_residual,
-            "kkt_ok": fit.report.kkt_ok,
             "z_not_pd": fit.report.z_not_pd,
             "stop_reason": fit.report.stop_reason,
             "polish_attempts": fit.report.polish_attempts,
-            "restarts": fit.report.restarts,
         },
         "theta_hat": [[float(x) for x in row] for row in fit.theta_hat],
         "theta_mle": None

@@ -186,7 +186,7 @@ def extract_graph(
     default = 1e-5 * max(1.0, float(np.abs(theta).max()))
     zero_tol = default if zero_tol is None else zero_tol
     eq_tol = default if eq_tol is None else eq_tol
-    if zero_tol <= 0 or eq_tol <= 0:
+    if not (zero_tol > 0 and eq_tol > 0):  # NaN fails too
         raise ValueError("tolerances must be > 0")
 
     z = pd_vec(theta, idx)

@@ -31,22 +31,11 @@ can tell, lies on the boundary of its face: the gap is tied or the
 coordinate zeroed and the smaller face solved once more, the projection
 step of active-set methods.  The polished point is kept only if the
 optimality certificate, with exact ties, meets its tolerance; strict
-convexity then makes it the optimum.  A rejected polish is still the exact
-optimum on the face it tried.  When its certificate is strictly below that
-of every polish rejected before it in the solve, the ADMM restarts there,
-at most ``_MAX_RESTARTS`` times per solve: Z becomes the polished point and
-U the dual that makes the next Theta step return it, so the next Z step is
-a proximal-gradient step from the Newton point that moves the face toward
-the coordinates it violates.  This alternation of a Newton solve on a face
-with a step that updates the face is the orthant-based Newton method of
-Oztoprak, Nocedal, Rennie & Olsen (2012, NIPS) and the free-set update of
-QUIC (Hsieh et al. 2014, JMLR 15:2911).  Restarts need a strict gain and
-are capped, because restarting on every rejection can cycle between
-neighbouring faces.  After any other rejection the ADMM continues from
-where it was.  The ADMM converges from any start, so a restart changes
-where the loop goes on from, not what ends it: the certificate still does.
+convexity then makes it the optimum.  A rejected polish, or a failed one,
+leaves the ADMM state as it was, and no face is polished twice in a row,
+so a solve is the plain ADMM plus at most one accepted polish.
 
-Every solve starts at a positive definite Theta_0 by the restart rule:
+Every solve starts at a positive definite Theta_0 by the start rule:
 Z = Theta_0 and U = (Theta_0^{-1} - S) / rho1, so the first Theta step
 returns Theta_0, and the first rho1 is the curvature of -log det there (see
 :func:`_rho_start`).  Without a given start, Theta_0 is the minimizer over
@@ -73,14 +62,14 @@ factorization that every ADMM step would otherwise pay.
 Two choices are constants, not settings.  The step size rho1 is the
 curvature of the smooth term at the start, the scale of the optimal ADMM
 step for quadratic problems (Ghadimi, Teixeira, Shames & Johansson 2015,
-IEEE TAC 60:644), and it stays there for the whole solve, restarts
-included.  Residual balancing (Boyd et al. 2011, section 3.4.1) is not
-used: from the diagonal start, over 1,512 solves with S scaled by 1e-3 to
-1e3, it took 18,639 iterations in all against 10,493 without it, and its
-slowest solve 499 against 19.  A given start far from the scale of the
-solution keeps a step size to match, and its solve can be slow.  The
-optimality certificate must fall to ``_KKT_TOL_FACTOR * eps_abs``, tied to
-the residual tolerance a caller already sets.
+IEEE TAC 60:644), and it stays there for the whole solve.  Residual
+balancing (Boyd et al. 2011, section 3.4.1) is not used: from the diagonal
+start, over 1,512 solves with S scaled by 1e-3 to 1e3, it took 18,639
+iterations in all against 10,493 without it, and its slowest solve 499
+against 19.  A given start far from the scale of the solution keeps a step
+size to match, and its solve can be slow.  The optimality certificate
+must fall to ``_KKT_TOL_FACTOR * eps_abs``, tied to the residual tolerance
+a caller already sets.
 """
 
 from __future__ import annotations
@@ -108,7 +97,6 @@ _RHO_MIN = 2.0**-19
 _RHO_MAX = 2.0**500
 _KKT_TOL_FACTOR = 10.0
 _POLISH_AFTER = 3  # iterations a face must hold before it is polished
-_MAX_RESTARTS = 5  # restarts of the ADMM from a rejected polish, per solve
 
 
 @dataclass(frozen=True)
@@ -153,9 +141,7 @@ class SolveReport:
     estimate at a ``"kkt"`` stop; at a ``"max_outer"`` stop it is the last
     certificate the loop computed, None when it computed none (a singular
     iterate has none).  ``polish_attempts`` counts the Newton polishes
-    tried; at most the last one was accepted.  ``restarts`` counts the
-    rejected polishes the ADMM restarted from, each with a certificate
-    strictly below the earlier ones', at most ``_MAX_RESTARTS``.
+    tried; at most the last one was accepted.
     """
 
     outer_iterations: int
@@ -166,7 +152,6 @@ class SolveReport:
     z_not_pd: bool = False
     stop_reason: str = "max_outer"
     polish_attempts: int = 0
-    restarts: int = 0
 
     @property
     def converged(self) -> bool:
@@ -175,7 +160,7 @@ class SolveReport:
 
     @property
     def kkt_ok(self) -> bool:
-        """The same as :attr:`converged`."""
+        """The same as :attr:`converged`; ``perfbench/tracehooks.py`` reads it."""
         return self.converged
 
 
@@ -502,17 +487,13 @@ def solve_weighted(
     Once the face of Z (see :func:`_face`) has held for ``_POLISH_AFTER``
     iterations, is not the face last polished, and Z is positive definite,
     the face is solved by :func:`_face_newton`.  A certified face optimum
-    ends the solve with ``stop_reason`` ``"kkt"``.  A rejected one whose
-    certificate is strictly below that of every earlier rejected polish of
-    this solve restarts the ADMM from it, at most ``_MAX_RESTARTS`` times:
-    Z = Theta_f, U = (Theta_f^{-1} - S) / rho1 and a new face hold, while
-    the face last polished is kept, so it is not polished again at once.
-    Any other rejection, or a face solver failure, leaves the ADMM state as
-    it was.  A singular iterate has no certificate; the loop goes on.
+    ends the solve with ``stop_reason`` ``"kkt"``.  A rejected one, or a
+    face solver failure, leaves the ADMM state as it was.  A singular
+    iterate has no certificate; the loop goes on.
 
     The loop starts at ``start``, a positive definite p x p matrix such as
     an earlier estimate, or, when it is None, at the minimizer over
-    diagonal matrices (:func:`_diagonal_start`), by the restart rule, at the
+    diagonal matrices (:func:`_diagonal_start`), by the start rule, at the
     step size :func:`_rho_start` of that start, which the whole solve keeps
     (see the module docstring).
     A start of the wrong shape raises :class:`DimensionError`, one that
@@ -558,8 +539,6 @@ def solve_weighted(
     face = tried = None
     held = 0
     polish_attempts = 0
-    restarts = 0
-    best = math.inf  # the best certificate of a rejected polish so far
     polished = None
 
     for l in range(cfg.max_outer):
@@ -595,13 +574,6 @@ def solve_weighted(
                 polished = candidate
                 stop_reason = "kkt"
                 break
-            if candidate is not None and candidate[1] < best and restarts < _MAX_RESTARTS:
-                # restart at the face optimum, which the next theta_step returns
-                Z, best = candidate
-                U = _dual_at(Z, S, rho1)
-                restarts += 1
-                face = None
-                held = 0
 
     z_not_pd = False
     result = Z
@@ -620,7 +592,6 @@ def solve_weighted(
         z_not_pd=bool(z_not_pd),
         stop_reason=stop_reason,
         polish_attempts=polish_attempts,
-        restarts=restarts,
     )
     return result, report
 

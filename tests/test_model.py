@@ -78,8 +78,9 @@ class TestExtractGraph:
 
     def test_tolerances_must_be_positive(self):
         idx = PairedIndex(2)
-        with pytest.raises(ValueError):
-            extract_graph(np.eye(4), idx, zero_tol=0.0)
+        for tols in ({"zero_tol": 0.0}, {"zero_tol": math.nan}, {"eq_tol": math.nan}):
+            with pytest.raises(ValueError):
+                extract_graph(np.eye(4), idx, **tols)
 
 
 def _adjacency(g):

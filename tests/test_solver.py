@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdglasso import solver
@@ -632,7 +632,7 @@ class TestFacePolish:
 
     def test_cold_start_is_the_default(self, rng, monkeypatch):
         # without a start, the first Theta step returns the diagonal optimum,
-        # from the dual a restart would set, at the step size of its curvature
+        # from the dual of the start rule, at the step size of its curvature
         steps = self.record_steps(monkeypatch)
         S = random_pd(6, rng)
         idx = PairedIndex(3)
@@ -647,13 +647,13 @@ class TestFacePolish:
         again, again_report = solve_weighted(S, idx, l1, w, cfg, start=None)
         assert np.array_equal(theta, again)
         assert again_report.outer_iterations == report.outer_iterations
-        # restarted from its own estimate, a solve needs fewer iterations
+        # started again from its own estimate, a solve needs fewer iterations
         _, warm_report = solve_weighted(S, idx, l1, w, cfg, start=theta)
         assert warm_report.outer_iterations < report.outer_iterations
 
     def test_warm_start_is_the_restart_rule(self, rng, monkeypatch):
         # the first Theta step of a warm solve returns its start, from the
-        # dual a restart would set, at the step size of the start's curvature
+        # dual of the start rule, at the step size of the start's curvature
         steps = self.record_steps(monkeypatch)
         S = random_pd(8, rng)
         idx = PairedIndex(4)
@@ -711,45 +711,9 @@ class TestFacePolish:
         assert report.outer_iterations == iterations
         assert report.stop_reason == stop_reason
 
-    def test_restart_state_reproduces_the_rejected_polish(self, rng, monkeypatch):
-        # a one-iteration hold polishes faces before they are final, so some
-        # polishes are rejected and restart the ADMM
-        monkeypatch.setattr(solver, "_POLISH_AFTER", 1)
-        events = []
-        step, newton = solver.theta_step, solver._face_newton
-
-        def recording_step(S, Z, U, rho1):
-            events.append(("step", Z.copy(), U.copy(), rho1))
-            return step(S, Z, U, rho1)
-
-        def recording_newton(*args, **kwargs):
-            candidate = newton(*args, **kwargs)
-            events.append(("polish", candidate))
-            return candidate
-
-        monkeypatch.setattr(solver, "theta_step", recording_step)
-        monkeypatch.setattr(solver, "_face_newton", recording_newton)
-        S = random_pd(8, rng)
-        idx = PairedIndex(4)
-        cfg = AdmmConfig()
-        l1, w = _penalty_weights(PenaltySpec(0.1, INF, 0.05, 0.02), idx)
-        _, report = solve_weighted(S, idx, l1, w, cfg)
-        assert report.restarts >= 1 and report.stop_reason == "kkt"
-        # the first rejected polish always restarts: the next Theta step
-        # starts from it
-        first = next(i for i, (kind, *rest) in enumerate(events)
-                     if kind == "polish" and rest[0] is not None
-                     and rest[0][1] > 10 * cfg.eps_abs)
-        theta_f = events[first][1][0]
-        kind, Z, U, rho1 = events[first + 1]
-        assert kind == "step"
-        assert np.array_equal(Z, theta_f)
-        assert np.allclose(U, (np.linalg.inv(theta_f) - S) / rho1, rtol=0, atol=1e-12)
-        assert np.abs(step(S, Z, U, rho1) - theta_f).max() <= 1e-10
-
-    def test_restart_needs_a_strictly_better_certificate(self, rng, monkeypatch):
-        # after a first rejected polish at certificate 1, equal (1) and worse
-        # (2) certificates must leave the ADMM exactly as a failed face
+    def test_rejected_polish_at_any_certificate_leaves_admm_unchanged(self, rng, monkeypatch):
+        # after a first rejected polish at certificate 1, better, equal and
+        # worse certificates must leave the ADMM exactly as a failed face
         # solve does
         monkeypatch.setattr(solver, "_POLISH_AFTER", 1)
         newton = solver._face_newton
@@ -767,68 +731,43 @@ class TestFacePolish:
             monkeypatch.setattr(solver, "_face_newton", fake)
             return solve_weighted(S, idx, l1, w, cfg)
 
-        theta, report = solve(lambda theta_f, k: (theta_f, 1.0 + k % 2))
         ref, ref_report = solve(lambda theta_f, k: None)
-        assert report.restarts == ref_report.restarts == 1
-        assert report.polish_attempts == ref_report.polish_attempts >= 3
-        assert np.array_equal(theta, ref)
-        assert report.outer_iterations == ref_report.outer_iterations
-        assert report.stop_reason == ref_report.stop_reason
+        assert ref_report.polish_attempts >= 3
+        for later in (lambda theta_f, k: (theta_f, 1.0 / k),
+                      lambda theta_f, k: (theta_f, 1.0),
+                      lambda theta_f, k: (theta_f, 1.0 + k % 2)):
+            theta, report = solve(later)
+            assert np.array_equal(theta, ref)
+            assert report.polish_attempts == ref_report.polish_attempts
+            assert report.outer_iterations == ref_report.outer_iterations
+            assert report.stop_reason == ref_report.stop_reason
 
-    def always_rejected_solve(self, rng, monkeypatch):
-        """A solve whose every polish is rejected with a certificate strictly
-        below the one before, so each rejection may restart the ADMM."""
+    def test_always_rejected_solve_ends_on_the_admm_stop(self, rng, monkeypatch):
+        # a one-iteration hold polishes faces before they are final; every
+        # polish is rejected, each at a certificate below the one before
         monkeypatch.setattr(solver, "_POLISH_AFTER", 1)
         newton = solver._face_newton
-        calls = []
+        faces = []
 
-        def fake(*args, **kwargs):
-            calls.append(None)
-            return newton(*args, **kwargs)[0], 1.0 / len(calls)
+        def fake(Z, S, idx, l1_coord, row_w, cfg):
+            a, b, _ = solver._active_rows(idx, row_w)
+            faces.append(solver._face(pd_vec(Z, idx), a, b))
+            return newton(Z, S, idx, l1_coord, row_w, cfg)[0], 1.0 / len(faces)
 
         monkeypatch.setattr(solver, "_face_newton", fake)
         S, idx, l1, w = correlated_problem(rng)
         cfg = AdmmConfig()
         theta, report = solve_weighted(S, idx, l1, w, cfg)
-        return S, idx, l1, w, cfg, theta, report
-
-    def test_every_strictly_better_rejection_restarts(self, rng, monkeypatch):
-        *_, report = self.always_rejected_solve(rng, monkeypatch)
-        assert report.restarts == report.polish_attempts <= solver._MAX_RESTARTS
-
-    @pytest.mark.parametrize("cap", [1, 2])
-    def test_restarts_stop_at_the_cap(self, rng, monkeypatch, cap):
-        # a lower cap, so that this small solve has more rejections than it
-        monkeypatch.setattr(solver, "_MAX_RESTARTS", cap)
-        *_, report = self.always_rejected_solve(rng, monkeypatch)
-        assert report.polish_attempts > cap
-        assert report.restarts == cap
-
-    def test_always_rejected_solve_ends_on_the_admm_stop(self, rng, monkeypatch):
-        S, idx, l1, w, cfg, theta, report = self.always_rejected_solve(rng, monkeypatch)
-        assert report.stop_reason == "kkt"
-        assert report.outer_iterations < cfg.max_outer
+        ref, iterations, stop_reason = admm_loop(S, idx, l1, w, cfg)
+        assert np.array_equal(theta, ref)
+        assert report.outer_iterations == iterations < cfg.max_outer
+        assert report.stop_reason == stop_reason == "kkt"
         # the ADMM's own certificate, at its own iterate
         assert report.kkt_residual == kkt_residual(theta, S, idx, l1, w) <= 10 * cfg.eps_abs
-        ref, _, _ = admm_loop(S, idx, l1, w, cfg)
-        assert_matches_plain_admm(theta, ref, idx, w, cfg)
-
-    @settings(max_examples=60, deadline=None)
-    @given(data=st.data())
-    def test_restarted_solve_matches_plain_admm(self, data):
-        S, idx, spec = random_instance(data)
-        cfg = AdmmConfig(eps_abs=1e-10, eps_rel=1e-10)
-        l1, w = _penalty_weights(spec, idx)
-        # a one-iteration hold from the dense unpenalized estimate makes about
-        # half of these solves restart
-        start = np.linalg.inv(S)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(solver, "_POLISH_AFTER", 1)
-            theta, report = solve_weighted(S, idx, l1, w, cfg, start=start)
-        assume(report.restarts >= 1)
-        ref, _, ref_stop = admm_loop(S, idx, l1, w, cfg, start=start)
-        assert report.stop_reason == ref_stop == "kkt"
-        assert_matches_plain_admm(theta, ref, idx, w, cfg)
+        # the face last polished is not polished again at once
+        assert report.polish_attempts == len(faces) >= 2
+        for before, after in zip(faces, faces[1:]):
+            assert not np.array_equal(before, after)
 
     def test_polished_estimate_is_certified_with_exact_zeros_and_ties(self, rng):
         cfg = AdmmConfig()
