@@ -242,6 +242,11 @@ def _penalty_json(value):
     return "Inf" if is_inf(value) else value
 
 
+def _finite_or_none(value: float) -> float | None:
+    """JSON has no inf or NaN: a non-finite value is written as null."""
+    return value if math.isfinite(value) else None
+
+
 def fit_report_doc(
     fit: FitResult, S: np.ndarray, names: list[str], n: int | None, gamma: float,
     cfg: AdmmConfig,
@@ -250,6 +255,9 @@ def fit_report_doc(
 
     ``rcon_residual`` is the likelihood-equation residual of ``theta_mle``
     against S (see :func:`pdglasso.model.rcon_residual`), null without a refit.
+    The solver report's ``objective_value`` and ``kkt_residual`` are null
+    where they are +inf: at a Theta step returned for a singular Z, which
+    breaks the constraints of infinite weights.
     """
     g = fit.graph
     return {
@@ -269,11 +277,9 @@ def fit_report_doc(
         "vertex_symmetries": [names[i] for i in range(g.q) if g.vertex_coloured[i]],
         "solver_report": {
             "outer_iterations": fit.report.outer_iterations,
-            "primal_residual": fit.report.primal_residual,
-            "dual_residual": fit.report.dual_residual,
             "converged": fit.report.converged,
-            "objective_value": fit.report.objective_value,
-            "kkt_residual": fit.report.kkt_residual,
+            "objective_value": _finite_or_none(fit.report.objective_value),
+            "kkt_residual": _finite_or_none(fit.report.kkt_residual),
             "z_not_pd": fit.report.z_not_pd,
             "stop_reason": fit.report.stop_reason,
             "polish_attempts": fit.report.polish_attempts,
@@ -287,7 +293,6 @@ def fit_report_doc(
         else rcon_residual(fit.theta_mle, S, g),
         "config": {
             "eps_abs": cfg.eps_abs,
-            "eps_rel": cfg.eps_rel,
             "max_outer": cfg.max_outer,
         },
     }
@@ -315,11 +320,7 @@ def read_fit_report(path: str) -> dict:
 
 
 def _admm_config(args) -> AdmmConfig:
-    return AdmmConfig(
-        eps_abs=args.eps_abs,
-        eps_rel=args.eps_rel,
-        max_outer=args.max_outer,
-    )
+    return AdmmConfig(eps_abs=args.eps_abs, max_outer=args.max_outer)
 
 
 def _add_refit_flags(parser):
@@ -330,9 +331,9 @@ def _add_refit_flags(parser):
 
 def _add_solver_flags(parser):
     _add_refit_flags(parser)
-    parser.add_argument("--eps-rel", type=float, default=1e-8)
-    # accepted and ignored, so that command lines passing it still parse:
-    # every solve ends at its certificate
+    # accepted and ignored, so that command lines passing them still parse:
+    # every solve ends at its certificate, and no residual test is left
+    parser.add_argument("--eps-rel", help=argparse.SUPPRESS)
     parser.add_argument("--no-kkt-refine", action="store_true", help=argparse.SUPPRESS)
 
 
@@ -521,7 +522,7 @@ def cmd_compare(args) -> int:
         print(json.dumps({
             "degenerate": True, "stat": 0.0, "df": 0,
             "deviance_full": dev_full, "deviance_sub": dev_sub,
-        }, indent=2, sort_keys=True))
+        }, indent=2, sort_keys=True, allow_nan=False))
         return 0
     result = lrt(dev_full, d_full, dev_sub, d_sub, args.alpha)
     _print_lrt(result, dev_full, dev_sub)
@@ -537,7 +538,7 @@ def _print_lrt(result, dev_full, dev_sub):
         "df": result.df,
         "critical": result.critical,
         "reject": result.reject,
-    }, indent=2, sort_keys=True))
+    }, indent=2, sort_keys=True, allow_nan=False))
 
 
 def _nesting_violation(g_full: PdColouredGraph, g_sub: PdColouredGraph) -> str | None:

@@ -311,7 +311,14 @@ def lrt(
     d_sub: int,
     alpha: float,
 ) -> LrtResult:
-    """Likelihood ratio test of a nested submodel against a fuller model."""
+    """Likelihood ratio test of a nested submodel against a fuller model.
+
+    Raises ValueError for a non-finite deviance, a negative parameter count
+    or a pair that is not nested."""
+    if not (math.isfinite(deviance_full) and math.isfinite(deviance_sub)):
+        raise ValueError(f"deviances must be finite, got {deviance_full} and {deviance_sub}")
+    if d_sub < 0:
+        raise ValueError(f"parameter counts must be >= 0, got {d_sub}")
     if d_sub >= d_full:
         raise ValueError(
             f"submodel must have fewer parameters ({d_sub} >= {d_full})"

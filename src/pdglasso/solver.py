@@ -33,7 +33,8 @@ step of active-set methods.  The polished point is kept only if the
 optimality certificate, with exact ties, meets its tolerance; strict
 convexity then makes it the optimum.  A rejected polish, or a failed one,
 leaves the ADMM state as it was, and no face is polished twice in a row,
-so a solve is the plain ADMM plus at most one accepted polish.
+so a solve is a certificate of its start, then the plain ADMM plus at most
+one accepted polish.
 
 Every solve starts at a positive definite Theta_0 by the start rule:
 Z = Theta_0 and U = (Theta_0^{-1} - S) / rho1, so the first Theta step
@@ -49,15 +50,16 @@ and glmnet (Friedman, Hastie & Tibshirani 2008, Biostatistics 9:432; 2010,
 J. Stat. Softw. 33(1)).  A start changes where the loop begins, not what
 ends it, so a warm solve meets the same certificate, usually sooner.
 
-One rule ends a solve: the certificate.  At each iteration whose ADMM
-residuals (Boyd et al. 2011, section 3.3) meet ``eps_abs`` and
-``eps_rel``, the certificate of the iterate is computed, and the solve
-ends when it, or that of a polish, meets its tolerance.  A singular
-iterate has no certificate, and the loop goes on from it.  A solve that
+One rule ends a solve: the certificate.  It is computed once at the
+start, from the inverse the start rule needs anyway, and a certified start
+is returned as it is, after no step: the cold start at or above the
+diagonal threshold, or a warm start at an optimum.  After that only an
+accepted polish ends the loop.  The ADMM residuals of Boyd et al. (2011,
+section 3.3) are not tested: they gated a certificate of the iterate, which
+at the default tolerance ended no solve after its first step.  A solve that
 does not certify within ``max_outer`` iterations ends there, and when its
-last Z is singular it returns the positive definite Theta step instead.
-The residual test only gates the certificate, an inverse and a Cholesky
-factorization that every ADMM step would otherwise pay.
+last Z is singular it returns the positive definite Theta step instead;
+its certificate is computed once, on what it returns.
 
 Two choices are constants, not settings.  The step size rho1 is the
 curvature of the smooth term at the start, the scale of the optimal ADMM
@@ -68,8 +70,8 @@ start, over 1,512 solves with S scaled by 1e-3 to 1e3, it took 18,639
 iterations in all against 10,493 without it, and its slowest solve 499
 against 19.  A given start far from the scale of the solution keeps a step
 size to match, and its solve can be slow.  The optimality certificate
-must fall to ``_KKT_TOL_FACTOR * eps_abs``, tied to the residual tolerance
-a caller already sets.
+must fall to ``_KKT_TOL_FACTOR * eps_abs``, where ``eps_abs`` is the one
+tolerance a caller sets.
 """
 
 from __future__ import annotations
@@ -101,15 +103,13 @@ _POLISH_AFTER = 3  # iterations a face must hold before it is polished
 
 @dataclass(frozen=True)
 class AdmmConfig:
-    """Tolerances and iteration limit of the ADMM, and of the MLE refit.
+    """Tolerance and iteration limit of the ADMM, and of the MLE refit.
 
-    A solve ends only when the coordinate-wise optimality certificate falls
-    to ``_KKT_TOL_FACTOR * eps_abs``, at an ADMM iterate or at a Newton
-    polish of its face, or when ``max_outer`` iterations are spent; the step
-    size is the problem's curvature at the start, not a setting (see the
-    module docstring).  ``eps_abs`` and ``eps_rel`` bound the ADMM
-    residuals, whose test decides when the certificate of an iterate is
-    computed.  The polish runs within ``max_outer`` Newton steps.
+    A solve ends when the coordinate-wise optimality certificate falls to
+    ``_KKT_TOL_FACTOR * eps_abs``, at its start or at a Newton polish of a
+    face, or when ``max_outer`` iterations are spent; the step size is the
+    problem's curvature at the start, not a setting (see the module
+    docstring).  The polish runs within ``max_outer`` Newton steps.
     ``eps_abs`` and ``max_outer`` also bound :func:`pdglasso.model.mle`: its
     likelihood-equation residual must fall to
     ``_KKT_TOL_FACTOR * eps_abs * max(1, max|S|)`` within ``max_outer``
@@ -117,13 +117,11 @@ class AdmmConfig:
     """
 
     eps_abs: float = 1e-8
-    eps_rel: float = 1e-8
     max_outer: int = 5000
 
     def __post_init__(self):
-        for name in ("eps_abs", "eps_rel"):
-            if not 0 < getattr(self, name) <= 1e-2:  # NaN fails too
-                raise ValueError(f"{name} must be in (0, 1e-2], got {getattr(self, name)}")
+        if not 0 < self.eps_abs <= 1e-2:  # NaN fails too
+            raise ValueError(f"eps_abs must be in (0, 1e-2], got {self.eps_abs}")
         if self.max_outer < 1:
             raise ValueError("iteration limit must be >= 1")
 
@@ -132,25 +130,20 @@ class AdmmConfig:
 class SolveReport:
     """Outcome of one solve.
 
-    ``stop_reason`` says why the loop ended: ``"kkt"`` (the optimality
-    certificate met its tolerance, at an ADMM iterate or at a polished
-    one) or ``"max_outer"`` (the iteration budget ran out, whatever the
-    residuals).  ``primal_residual`` and ``dual_residual`` belong to the
-    last ADMM iterate, which a polished solve replaces before they meet
-    their tolerances.  ``kkt_residual`` is the certificate of the returned
-    estimate at a ``"kkt"`` stop; at a ``"max_outer"`` stop it is the last
-    certificate the loop computed, None when it computed none (a singular
-    iterate has none).  ``polish_attempts`` counts the Newton polishes
-    tried; at most the last one was accepted.
+    ``stop_reason`` says why the solve ended: ``"kkt"`` (the optimality
+    certificate met its tolerance, at the start or at a polished iterate)
+    or ``"max_outer"`` (the iteration budget ran out).  ``kkt_residual`` is
+    the certificate (:func:`kkt_residual`) of the returned estimate, +inf
+    when that breaks an infinite weight's constraint (a Theta step
+    returned for a singular Z can).  ``polish_attempts`` counts the Newton
+    polishes tried; at most the last one was accepted.
     """
 
     outer_iterations: int
-    primal_residual: float
-    dual_residual: float
     objective_value: float
-    kkt_residual: Optional[float] = None
+    kkt_residual: float
+    stop_reason: str
     z_not_pd: bool = False
-    stop_reason: str = "max_outer"
     polish_attempts: int = 0
 
     @property
@@ -465,12 +458,6 @@ def _diagonal_start(
     return np.diag(theta)
 
 
-def _dual_at(Theta: np.ndarray, S: np.ndarray, rho1: float) -> np.ndarray:
-    """The scaled dual U = (Theta^{-1} - S) / rho1 at which, with Z = Theta,
-    the next :func:`theta_step` returns the positive definite Theta."""
-    return (np.linalg.inv(Theta) - S) / rho1
-
-
 def solve_weighted(
     S: np.ndarray, idx: PairedIndex, l1_coord: np.ndarray, row_w: np.ndarray,
     cfg: AdmmConfig, *, start: Optional[np.ndarray] = None,
@@ -484,13 +471,6 @@ def solve_weighted(
     fuse-then-shrink proximal step is invalid, and no l1 weight may be
     negative.  Rows of zero or negative weight are inactive.
 
-    Once the face of Z (see :func:`_face`) has held for ``_POLISH_AFTER``
-    iterations, is not the face last polished, and Z is positive definite,
-    the face is solved by :func:`_face_newton`.  A certified face optimum
-    ends the solve with ``stop_reason`` ``"kkt"``.  A rejected one, or a
-    face solver failure, leaves the ADMM state as it was.  A singular
-    iterate has no certificate; the loop goes on.
-
     The loop starts at ``start``, a positive definite p x p matrix such as
     an earlier estimate, or, when it is None, at the minimizer over
     diagonal matrices (:func:`_diagonal_start`), by the start rule, at the
@@ -500,9 +480,18 @@ def solve_weighted(
     fails Cholesky :class:`NotPositiveDefiniteError`, and so does a problem
     without a diagonal minimizer, all before any step.
 
-    Returns the polished estimate, or the sparse/fused iterate Z, or, when
-    ``max_outer`` is spent at a Z that is not positive definite, the
-    positive definite iterate Theta (flagged in the report).
+    The start's certificate is computed once, from the inverse the start
+    rule needs anyway; a certified start is returned as it is, after 0
+    iterations.  Otherwise, once the face of Z (see :func:`_face`) has held
+    for ``_POLISH_AFTER`` iterations, is not the face last polished, and Z
+    is positive definite, the face is solved by :func:`_face_newton`.  A
+    certified face optimum ends the solve with ``stop_reason`` ``"kkt"``.
+    A rejected one, or a face solver failure, leaves the ADMM state as it
+    was.
+
+    Returns the certified start, or the polished estimate, or, at a
+    ``max_outer`` stop, the sparse/fused iterate Z, or the positive definite
+    iterate Theta when Z is not positive definite (flagged in the report).
     """
     S = np.asarray(S, dtype=float)
     if not np.all(np.isfinite(S)):
@@ -524,17 +513,21 @@ def solve_weighted(
     if start is None:
         Z = _diagonal_start(S, idx, l1_coord, a, b, w2)
     else:
-        Z = np.asarray(start, dtype=float)
+        Z = np.array(start, dtype=float)  # a copy: a certified start is returned
         if Z.shape != (p, p):
             raise DimensionError(f"start has shape {Z.shape}, expected {(p, p)}")
         if not is_positive_definite(Z):
             raise NotPositiveDefiniteError("start is not positive definite")
+    tol = _KKT_TOL_FACTOR * cfg.eps_abs
+    Sigma = np.linalg.inv(Z)
+    kkt = _certificate(Z, Sigma, S, idx, l1_coord, row_w)
+    if kkt <= tol:
+        return Z, SolveReport(
+            outer_iterations=0, objective_value=_weighted_objective(Z, S, idx, l1_coord, row_w),
+            kkt_residual=kkt, stop_reason="kkt",
+        )
     rho1 = _rho_start(Z)
-    U = _dual_at(Z, S, rho1)
-    primal = math.inf
-    dual = math.inf
-    kkt = None
-    stop_reason = "max_outer"
+    U = (Sigma - S) / rho1  # so the first Theta step returns the start
     iterations = 0
     face = tried = None
     held = 0
@@ -545,23 +538,8 @@ def solve_weighted(
         iterations = l + 1
         Theta = theta_step(S, Z, U, rho1)
         z = _prox((Theta + U).take(idx.coord_flat), a, b, w2 / rho1, l1_coord / rho1)
-        Z_new = z.take(idx.entry_coord).reshape(p, p)
-        U = U + Theta - Z_new
-
-        primal = float(np.linalg.norm(Theta - Z_new))
-        dual = rho1 * float(np.linalg.norm(Z_new - Z))
-        eps_pri = p * cfg.eps_abs + cfg.eps_rel * max(
-            float(np.linalg.norm(Theta)), float(np.linalg.norm(Z_new))
-        )
-        eps_dual = p * cfg.eps_abs + cfg.eps_rel * rho1 * float(np.linalg.norm(U))
-        Z = Z_new
-        if primal <= eps_pri and dual <= eps_dual:
-            certificate = kkt_residual(Z, S, idx, l1_coord, row_w)
-            if certificate <= _KKT_TOL_FACTOR * cfg.eps_abs:
-                kkt, stop_reason = certificate, "kkt"
-                break
-            if math.isfinite(certificate):  # a singular iterate has none
-                kkt = certificate
+        Z = z.take(idx.entry_coord).reshape(p, p)
+        U = U + Theta - Z
         new_face = _face(z, a, b)
         held = held + 1 if face is not None and np.array_equal(new_face, face) else 0
         face = new_face
@@ -570,27 +548,24 @@ def solve_weighted(
             tried = face
             polish_attempts += 1
             candidate = _face_newton(Z, S, idx, l1_coord, row_w, cfg)
-            if candidate is not None and candidate[1] <= _KKT_TOL_FACTOR * cfg.eps_abs:
+            if candidate is not None and candidate[1] <= tol:
                 polished = candidate
-                stop_reason = "kkt"
                 break
 
     z_not_pd = False
-    result = Z
     if polished is not None:
         result, kkt = polished
-    elif not is_positive_definite(Z):
-        z_not_pd = True
-        result = theta_step(S, Z, U, rho1)
+    else:
+        z_not_pd = not is_positive_definite(Z)
+        result = theta_step(S, Z, U, rho1) if z_not_pd else Z
+        kkt = kkt_residual(result, S, idx, l1_coord, row_w)
 
     report = SolveReport(
         outer_iterations=iterations,
-        primal_residual=primal,
-        dual_residual=dual,
         objective_value=_weighted_objective(result, S, idx, l1_coord, row_w),
-        kkt_residual=None if kkt is None else float(kkt),
-        z_not_pd=bool(z_not_pd),
-        stop_reason=stop_reason,
+        kkt_residual=float(kkt),
+        z_not_pd=z_not_pd,
+        stop_reason="max_outer" if polished is None else "kkt",
         polish_attempts=polish_attempts,
     )
     return result, report

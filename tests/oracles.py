@@ -357,6 +357,13 @@ def admm_loop(S, idx, l1_coord, row_w, cfg, start=None):
     :func:`diagonal_start`, with the dual that makes the first Theta step
     return it.
 
+    It stops as the textbook ADMM does: once the primal and dual residuals
+    (Boyd et al. 2011, section 3.3) meet their tolerances, with ``eps_abs``
+    as both the absolute and the relative one, and the certificate of the
+    iterate meets ``solver._KKT_TOL_FACTOR * eps_abs``; or after
+    ``max_outer`` iterations.  Its start is never certified on its own, so
+    it takes at least one step.
+
     Returns (estimate, outer iterations, stop reason), the estimate being Z,
     or the Theta step when Z is not positive definite.
     """
@@ -377,10 +384,10 @@ def admm_loop(S, idx, l1_coord, row_w, cfg, start=None):
         U = U + Theta - Z_new
         primal = float(np.linalg.norm(Theta - Z_new))
         dual = rho1 * float(np.linalg.norm(Z_new - Z))
-        eps_pri = p * cfg.eps_abs + cfg.eps_rel * max(
+        eps_pri = p * cfg.eps_abs + cfg.eps_abs * max(
             float(np.linalg.norm(Theta)), float(np.linalg.norm(Z_new))
         )
-        eps_dual = p * cfg.eps_abs + cfg.eps_rel * rho1 * float(np.linalg.norm(U))
+        eps_dual = p * cfg.eps_abs + cfg.eps_abs * rho1 * float(np.linalg.norm(U))
         Z = Z_new
         if primal <= eps_pri and dual <= eps_dual:
             kkt = solver.kkt_residual(Z, S, idx, l1_coord, row_w)

@@ -36,7 +36,7 @@ from conftest import (
 )
 from oracles import ips_ggm_mle, projected_subgradient_glasso
 
-SIM_CFG = AdmmConfig(eps_abs=1e-7, eps_rel=1e-7)
+SIM_CFG = AdmmConfig(eps_abs=1e-7)
 
 
 def _report(capfd, k, text):

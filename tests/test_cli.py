@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -27,8 +28,8 @@ from pdglasso.cli import (
 from pdglasso.errors import MleError
 from pdglasso.model import GridPoint, PdColouredGraph, n_params, rcon_residual
 from pdglasso.paired import PairedIndex, swap_blocks
-from pdglasso.penalties import lambda1_diag_max
-from pdglasso.solver import AdmmConfig
+from pdglasso.penalties import PenaltySpec, lambda1_diag_max
+from pdglasso.solver import AdmmConfig, _penalty_weights, kkt_residual
 
 from conftest import (
     equicorrelated,
@@ -215,7 +216,7 @@ class TestFit:
     def test_every_config_field_reachable_from_flags(self, tmp_path):
         args = build_parser().parse_args([
             "fit", str(tmp_path / "S.csv"), "--lambda1", "0.1",
-            "--eps-abs", "1e-6", "--eps-rel", "1e-6", "--max-outer", "7",
+            "--eps-abs", "1e-6", "--max-outer", "7",
         ])
         cfg, default = _admm_config(args), AdmmConfig()
         same = [f.name for f in fields(AdmmConfig)
@@ -244,8 +245,8 @@ class TestFit:
         rep = doc["solver_report"]
         assert rep["polish_attempts"] >= 1 and rep["stop_reason"] == "kkt"
         assert set(rep) == {
-            "outer_iterations", "primal_residual", "dual_residual", "converged",
-            "objective_value", "kkt_residual", "z_not_pd", "stop_reason", "polish_attempts",
+            "outer_iterations", "converged", "objective_value", "kkt_residual", "z_not_pd",
+            "stop_reason", "polish_attempts",
         }
         assert rep["converged"] is True
 
@@ -273,21 +274,39 @@ class TestFit:
         err = capsys.readouterr().err
         assert "symmetries" in err and "rescaling" in err
 
-    def test_singular_solve_writes_its_report(self, tmp_path):
-        # one iteration from the diagonal start of an equicorrelated S at a
-        # small penalty leaves Z singular and computes no certificate: the
-        # report says so with a null, not an inf
+    @staticmethod
+    def singular_solve(tmp_path, *flags):
+        """Exit code, S and report of a fit whose one iteration from the
+        diagonal start of an equicorrelated S at a small penalty leaves Z
+        singular, so that the Theta step is returned."""
         S = equicorrelated(6)
         cov = write_cov(tmp_path / "S.csv", S)
         out = tmp_path / "report.json"
         code = main([
             "fit", str(cov), "--cov", "--n", "50", "--lambda1", repr(0.1 * lambda1_diag_max(S)),
-            "--max-outer", "1", "--output", str(out),
+            "--max-outer", "1", "--output", str(out), *flags,
         ])
+        return code, S, read_fit_report(str(out))
+
+    def test_singular_solve_writes_its_report(self, tmp_path):
+        # the report carries the certificate of the Theta step it returns
+        code, S, doc = self.singular_solve(tmp_path)
         assert code == 2
-        rep = read_fit_report(str(out))["solver_report"]
+        rep = doc["solver_report"]
         assert rep["stop_reason"] == "max_outer" and rep["z_not_pd"] is True
-        assert rep["kkt_residual"] is None
+        idx = PairedIndex(3)
+        l1, w = _penalty_weights(PenaltySpec(doc["penalties"]["lambda1"]), idx)
+        assert rep["kkt_residual"] == kkt_residual(np.array(doc["theta_hat"]), S, idx, l1, w)
+        assert 0 < rep["kkt_residual"] < math.inf
+
+    def test_singular_solve_under_an_infinite_weight_writes_nulls(self, tmp_path, capsys):
+        # the Theta step breaks the vertex ties, so its objective and its
+        # certificate are +inf, which JSON cannot hold: both are written as null
+        code, _, doc = self.singular_solve(tmp_path, "--lambda2-vertex", "Inf")
+        assert code == 2 and "error" not in capsys.readouterr().err
+        rep = doc["solver_report"]
+        assert rep["z_not_pd"] is True
+        assert rep["objective_value"] is None and rep["kkt_residual"] is None
 
     def test_zero_column_without_diagonal_penalty_has_no_minimizer(self, tmp_path, capsys):
         # theta_00 has no price: the objective falls without bound, so the
@@ -339,7 +358,6 @@ class TestNonFiniteSettings:
         ["--lambda1", "nan"],
         ["--lambda1", "0.1", "--lambda2-inside", "nan"],
         ["--lambda1", "0.1", "--eps-abs", "nan"],
-        ["--lambda1", "0.1", "--eps-rel", "nan"],
     ])
     def test_fit_exits_1_before_any_solve(self, tmp_path, monkeypatch, capsys, flags):
         from pdglasso import solver
@@ -456,7 +474,7 @@ class TestPath:
         code = main([
             "path", str(cov), "--cov", "--n", "50", "--m", "2",
             "--output", str(out),
-            "--eps-abs", "1e-7", "--eps-rel", "1e-7",
+            "--eps-abs", "1e-7",
         ])
         assert code == 0
         doc = read_fit_report(str(out))
@@ -471,7 +489,7 @@ class TestPath:
         code = main([
             "path", str(cov), "--cov", "--n", "80", "--m", str(m),
             "--output", str(out), "--grid-csv", str(grid),
-            "--eps-abs", "1e-7", "--eps-rel", "1e-7",
+            "--eps-abs", "1e-7",
         ])
         assert code == 0
         lines = grid.read_text().splitlines()
@@ -539,7 +557,7 @@ class TestPath:
             code = main([
                 "path", str(cov), "--cov", "--n", "500", "--m", "5",
                 "--gamma", gamma, "--output", str(out),
-                "--eps-abs", "1e-7", "--eps-rel", "1e-7",
+                "--eps-abs", "1e-7",
             ])
             assert code == 0
             winners[gamma] = read_fit_report(str(out))["d"]
@@ -550,7 +568,7 @@ class TestSimulateCommand:
     ARGS = [
         "simulate", "--p", "6", "--density", "0.3", "--symmetry-fraction", "1",
         "--n-list", "40", "--replications", "2", "--seed", "99", "--m", "3",
-        "--eps-abs", "1e-7", "--eps-rel", "1e-7",
+        "--eps-abs", "1e-7",
     ]
 
     def test_writes_csv(self, tmp_path):
@@ -669,42 +687,46 @@ class TestSimulateCommand:
 
 
 class TestIgnoredRefineFlag:
-    """``--no-kkt-refine`` is accepted and ignored: every solve ends at its
-    certificate.  The loose tolerances make the residual tests pass before
-    the certificate does."""
+    """``--no-kkt-refine`` and ``--eps-rel`` are accepted and ignored, so that
+    command lines written for older versions still parse: every solve ends at
+    its certificate, and no ADMM residual test is left for ``--eps-rel`` to
+    set.  Even an ``--eps-rel`` that no tolerance could take, such as nan,
+    changes no output byte."""
 
-    LOOSE = ["--eps-abs", "1e-3", "--eps-rel", "1e-3"]
+    LOOSE = ["--eps-abs", "1e-3"]
+    IGNORED = (["--no-kkt-refine"], ["--eps-rel", "1e-3"], ["--eps-rel", "nan"])
 
     def outputs_with_and_without(self, tmp_path, args, output_flags):
-        """The bytes each output flag's file gets, with and without the flag."""
+        """The bytes each output flag's file gets with each ignored flag, and
+        those it gets without any."""
         runs = []
-        for tag, extra in (("with", ["--no-kkt-refine"]), ("without", [])):
-            paths = [tmp_path / f"{tag}{k}" for k in range(len(output_flags))]
+        for k, extra in enumerate(self.IGNORED + ([],)):
+            paths = [tmp_path / f"run{k}-{j}" for j in range(len(output_flags))]
             outputs = [x for flag, path in zip(output_flags, paths) for x in (flag, str(path))]
             assert main(args + self.LOOSE + outputs + extra) == 0
             runs.append([path.read_bytes() for path in paths])
-        return runs
+        return runs[:-1], runs[-1]
 
     def test_fit(self, tmp_path, rng):
         cov = write_cov(tmp_path / "S.csv", random_pd(6, rng))
         args = ["fit", str(cov), "--cov", "--n", "25", "--lambda1", "0.1",
                 "--lambda2-vertex", "0.05", "--lambda2-inside", "0.05",
                 "--lambda2-across", "0.05"]
-        with_flag, without = self.outputs_with_and_without(tmp_path, args, ["-o"])
-        assert with_flag == without
+        with_flags, without = self.outputs_with_and_without(tmp_path, args, ["-o"])
+        assert all(with_flag == without for with_flag in with_flags)
         assert json.loads(without[0])["solver_report"]["stop_reason"] == "kkt"
 
     def test_path(self, tmp_path, rng):
         cov = write_cov(tmp_path / "S.csv", random_pd(6, rng))
         args = ["path", str(cov), "--cov", "--n", "80", "--m", "3"]
-        with_flag, without = self.outputs_with_and_without(tmp_path, args, ["-o", "--grid-csv"])
-        assert with_flag == without
+        with_flags, without = self.outputs_with_and_without(tmp_path, args, ["-o", "--grid-csv"])
+        assert all(with_flag == without for with_flag in with_flags)
 
     def test_simulate(self, tmp_path):
         args = ["simulate", "--p", "6", "--density", "0.3", "--n-list", "40", "--m", "3",
                 "--seed", "99", "--threads", "1"]
-        with_flag, without = self.outputs_with_and_without(tmp_path, args, ["-o"])
-        assert with_flag == without
+        with_flags, without = self.outputs_with_and_without(tmp_path, args, ["-o"])
+        assert all(with_flag == without for with_flag in with_flags)
 
     @pytest.mark.parametrize("command", ["fit", "path", "simulate"])
     def test_not_listed_in_help(self, command, capsys):
@@ -712,7 +734,8 @@ class TestIgnoredRefineFlag:
             main([command, "--help"])
         assert exc.value.code == 0
         out = capsys.readouterr().out
-        assert "--eps-rel" in out and "kkt-refine" not in out
+        assert "--eps-abs" in out
+        assert "eps-rel" not in out and "kkt-refine" not in out
 
 
 _BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
@@ -788,6 +811,18 @@ class TestCompare:
 
     def test_precomputed_missing_flag(self, capsys):
         assert main(["compare", "--precomputed", "--d-full", "10"]) == 1
+
+    @pytest.mark.parametrize("flags", [
+        ["--deviance-full", "nan", "--deviance-sub", "12"],
+        ["--deviance-full", "7", "--deviance-sub", "inf"],
+        ["--deviance-full", "7", "--deviance-sub", "12", "--d-sub", "-3"],
+    ], ids=["nan-deviance", "inf-deviance", "negative-count"])
+    def test_precomputed_bad_value_exits_1_without_output(self, capsys, flags):
+        # the last --d-sub wins, so the negative count replaces the valid one
+        code = main(["compare", "--precomputed", "--d-full", "7", "--d-sub", "5", *flags])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
 
     def _fit(self, tmp_path, cov, out, lam1, lam2="0"):
         return main([

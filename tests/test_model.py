@@ -423,6 +423,18 @@ class TestLrt:
         with pytest.raises(ValueError):
             lrt(110.0, 10, 100.0, 8, alpha=0.05)  # sub fits better
 
+    @pytest.mark.parametrize("deviance_full, deviance_sub", [
+        (math.nan, 12.0), (100.0, math.nan), (100.0, math.inf), (-math.inf, 12.0),
+    ], ids=["nan-full", "nan-sub", "inf-sub", "minus-inf-full"])
+    def test_non_finite_deviance_raises(self, deviance_full, deviance_sub):
+        with pytest.raises(ValueError, match="finite"):
+            lrt(deviance_full, 7, deviance_sub, 5, alpha=0.05)
+
+    @pytest.mark.parametrize("d_full, d_sub", [(7, -3), (-1, -3)])
+    def test_negative_parameter_count_raises(self, d_full, d_sub):
+        with pytest.raises(ValueError, match=">= 0"):
+            lrt(100.0, d_full, 110.0, d_sub, alpha=0.05)
+
     @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, math.nan])
     def test_alpha_must_be_inside_the_unit_interval(self, alpha):
         with pytest.raises(ValueError, match="alpha"):
@@ -563,7 +575,7 @@ class TestModelSelect:
     def test_fully_symmetric_truth_prefers_stage_two(self, rng):
         from pdglasso.simulate import ScenarioSpec, pdrcon_covariance, mvn_sample_cov
 
-        cfg = AdmmConfig(eps_abs=1e-7, eps_rel=1e-7)
+        cfg = AdmmConfig(eps_abs=1e-7)
         wins = 0
         for seed in range(5):
             spec = ScenarioSpec(p=8, density=0.3, symmetry_fraction=1.0,
@@ -582,14 +594,14 @@ class TestModelSelect:
 
     def test_grid_accounting(self, rng):
         S = random_pd(6, rng)
-        cfg = AdmmConfig(eps_abs=1e-7, eps_rel=1e-7)
+        cfg = AdmmConfig(eps_abs=1e-7)
         _, points = selection_path(S, 100, 4, 0.0, SubmodelClass(), cfg)
         assert len(points) == 8  # m stage-1 rows plus m stage-2 rows
         assert sum(pt.stage == 1 for pt in points) == 4
 
     def test_no_grid_components_skips_stage_two(self, rng):
         S = random_pd(6, rng)
-        cfg = AdmmConfig(eps_abs=1e-7, eps_rel=1e-7)
+        cfg = AdmmConfig(eps_abs=1e-7)
         _, points = selection_path(
             S, 100, 4, 0.0, SubmodelClass("zero", "zero", "zero"), cfg
         )
@@ -721,7 +733,7 @@ class TestModelSelect:
 
     def test_serial_runs_are_deterministic(self, rng):
         S = random_pd(6, rng)
-        cfg = AdmmConfig(eps_abs=1e-7, eps_rel=1e-7)
+        cfg = AdmmConfig(eps_abs=1e-7)
         first, pts1 = selection_path(S, 120, 4, 0.0, SubmodelClass(), cfg)
         second, pts2 = selection_path(S, 120, 4, 0.0, SubmodelClass(), cfg)
         assert np.array_equal(first.theta_hat, second.theta_hat)

@@ -30,7 +30,7 @@ from pdglasso.solver import AdmmConfig
 from conftest import random_pd
 from oracles import two_path_rows
 
-FAST = AdmmConfig(eps_abs=1e-7, eps_rel=1e-7)
+FAST = AdmmConfig(eps_abs=1e-7)
 
 
 class TestWishart:
