@@ -710,7 +710,13 @@ class TestFacePolish:
         assert stop_reason == "kkt"
         return AdmmConfig(max_outer=iterations)
 
-    def test_rejected_polish_leaves_admm_unchanged(self, rng, monkeypatch):
+    @pytest.mark.parametrize("fraction, certified", [
+        pytest.param(1, True, id="True"),
+        # half the plain ADMM's iterations: the solve steps past iterates
+        # whose certificates fail, checking none of them, and returns one
+        pytest.param(2, False, id="True-past-failed-certificates"),
+    ])
+    def test_rejected_polish_leaves_admm_unchanged(self, rng, monkeypatch, fraction, certified):
         # with every face solve failing, only max_outer ends the solve, and
         # it returns the plain ADMM's iterate after as many steps
         def fail(*args, **kwargs):
@@ -720,7 +726,8 @@ class TestFacePolish:
         S = random_pd(8, rng)
         idx = PairedIndex(4)
         l1, w = _penalty_weights(PenaltySpec(0.1, INF, 0.05, 0.02), idx)
-        cfg = self.at_the_plain_admm_stop(S, idx, l1, w)
+        at_stop = self.at_the_plain_admm_stop(S, idx, l1, w)
+        cfg = AdmmConfig(max_outer=at_stop.max_outer // fraction)
         theta, report = solve_weighted(S, idx, l1, w, cfg)
         ref, iterations, _ = admm_loop(S, idx, l1, w, cfg)
         assert report.polish_attempts >= 1
@@ -728,7 +735,9 @@ class TestFacePolish:
         assert report.outer_iterations == iterations == cfg.max_outer
         assert report.stop_reason == "max_outer" and not report.z_not_pd
         # the certificate of what is returned, met at the plain ADMM's stop
-        assert report.kkt_residual == kkt_residual(theta, S, idx, l1, w) <= 10 * cfg.eps_abs
+        # and failed half way to it
+        assert report.kkt_residual == kkt_residual(theta, S, idx, l1, w)
+        assert (report.kkt_residual <= 10 * cfg.eps_abs) == certified
 
     def test_rejected_polish_at_any_certificate_leaves_admm_unchanged(self, rng, monkeypatch):
         # after a first rejected polish at certificate 1, better, equal and
