@@ -39,14 +39,7 @@ from .model import (
     solve_point,
 )
 from .paired import PairedIndex
-from .penalties import (
-    PenaltySpec,
-    is_inf,
-    lambda1_block_max,
-    lambda1_diag_max,
-    lambda2_sym_max,
-    parse_penalty_value,
-)
+from .penalties import PenaltySpec, lambda1_block_max, lambda1_diag_max, lambda2_sym_max
 from .simulate import ScenarioSpec, results_to_csv, run_scenario
 from .solver import AdmmConfig
 
@@ -239,7 +232,7 @@ def _graph_from_json(doc: dict) -> PdColouredGraph:
 
 
 def _penalty_json(value):
-    return "Inf" if is_inf(value) else value
+    return "Inf" if value == math.inf else value
 
 
 def _finite_or_none(value: float) -> float | None:
@@ -350,9 +343,9 @@ def cmd_fit(args) -> int:
     S, names, n = _read_sample(args)
     spec = PenaltySpec(
         args.lambda1,
-        parse_penalty_value(args.lambda2_vertex),
-        parse_penalty_value(args.lambda2_inside),
-        parse_penalty_value(args.lambda2_across),
+        float(args.lambda2_vertex),
+        float(args.lambda2_inside),
+        float(args.lambda2_across),
     )
     cfg = _admm_config(args)
     fit = solve_point(S, spec, cfg, diag_penalty=not args.no_diag_penalty)
@@ -511,7 +504,7 @@ def cmd_compare(args) -> int:
     if violation:
         raise InputError(f"models are not nested: {violation}")
 
-    cfg = AdmmConfig(eps_abs=args.eps_abs, max_outer=args.max_outer)
+    cfg = _admm_config(args)
     theta_full = mle(S, g_full, cfg)
     theta_sub = mle(S, g_sub, cfg)
     dev_full = deviance(theta_full, S, n)

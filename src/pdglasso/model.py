@@ -20,14 +20,8 @@ from .paired import (
     pd_vec,
     symmetrize_paired,
 )
-from .penalties import (
-    INF,
-    PenaltySpec,
-    is_inf,
-    lambda1_diag_max,
-    lambda2_sym_max,
-)
-from .solver import _KKT_TOL_FACTOR, AdmmConfig, SolveReport, pdglasso_solve
+from .penalties import PenaltySpec, lambda1_diag_max, lambda2_sym_max
+from .solver import _KKT_TOL_FACTOR, AdmmConfig, SolveReport, check_count, pdglasso_solve
 
 
 @dataclass(frozen=True)
@@ -406,12 +400,12 @@ class SubmodelClass:
             if getattr(self, name) not in self._MODES:
                 raise ValueError(f"{name} mode must be one of {self._MODES}")
 
-    def component(self, name: str, grid_value: float):
+    def component(self, name: str, grid_value: float) -> float:
         mode = getattr(self, name)
         if mode == "zero":
             return 0.0
         if mode == "inf":
-            return INF
+            return math.inf
         return grid_value
 
     def spec(self, lambda1: float, lambda2: float) -> PenaltySpec:
@@ -456,7 +450,7 @@ def filter_extracted_colours(graph: PdColouredGraph, spec: PenaltySpec) -> PdCol
     (e.g. perfectly symmetric input), not a fusion selected by the penalty,
     so the extracted model stays within the searched submodel class.
     """
-    active = [is_inf(c) or c > 0 for c in spec.components]
+    active = [c > 0 for c in spec.components]
     return PdColouredGraph.from_masks(
         graph.q,
         ~graph.absent_coord_mask(),
@@ -558,8 +552,7 @@ def selection_path(
     returned points are in ascending penalty order within each stage.
     """
     cfg = cfg or AdmmConfig()
-    if m < 2:
-        raise ValueError(f"grid length must be >= 2, got {m}")
+    check_count(m, "grid length m", 2)
     check_gamma(gamma)
     S = np.asarray(S, dtype=float)
     idx = PairedIndex.from_p(S.shape[0])

@@ -4,57 +4,21 @@ The objective combines an l1 penalty on all entries of the concentration
 matrix with a fused penalty on the three families of corresponding-entry
 differences: vertex (diagonal LL vs RR), inside-block (off-diagonal LL vs RR)
 and across-block (LR vs RL).  Each fused component can be switched off, set
-to a finite weight, or forced to an exact equality constraint.
+to a finite weight, or forced to an exact equality constraint by the
+infinite weight ``INF``, which is ``math.inf``: ``float("inf")`` does the same.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
 from .errors import DimensionError
 from .paired import PairedIndex, _check_square, log_likelihood
 
-
-class _Infinite:
-    """Symbolic infinite penalty component (hard equality constraint).
-
-    Kept distinct from float('inf') in specifications; the solver passes it
-    on as ``math.inf``, which its closed-form proximal step turns into an
-    exact tie.
-    """
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "Inf"
-
-
-INF = _Infinite()
-
-PenaltyValue = Union[float, _Infinite]
-
-
-def is_inf(value: PenaltyValue) -> bool:
-    return isinstance(value, _Infinite)
-
-
-def parse_penalty_value(text: str) -> PenaltyValue:
-    """Parse a penalty component from CLI text: a number or the word 'Inf'."""
-    if text.strip().lower() in ("inf", "infinite"):
-        return INF
-    value = float(text)
-    if value < 0:
-        raise ValueError(f"penalty component must be >= 0, got {value}")
-    return value
+INF = math.inf
 
 
 @dataclass(frozen=True)
@@ -62,23 +26,23 @@ class PenaltySpec:
     """l1 weight plus the three fused penalty components.
 
     ``lambda1`` is a finite nonnegative weight.  Each lambda2 component is
-    0.0 (off), a finite nonnegative weight, or the symbolic ``INF`` enforcing
-    exact equality of the corresponding entries.
+    0.0 (off), a finite nonnegative weight, or ``INF`` (``math.inf``),
+    which enforces exact equality of the corresponding entries.
     """
 
     lambda1: float
-    lambda2_vertex: PenaltyValue = 0.0
-    lambda2_inside: PenaltyValue = 0.0
-    lambda2_across: PenaltyValue = 0.0
+    lambda2_vertex: float = 0.0
+    lambda2_inside: float = 0.0
+    lambda2_across: float = 0.0
 
     def __post_init__(self):
-        # written so that NaN fails; a float inf is not the symbol INF
+        # written so that NaN fails
         if not 0 <= self.lambda1 < math.inf:
             raise ValueError(f"lambda1 must be finite and >= 0, got {self.lambda1}")
         for name in ("lambda2_vertex", "lambda2_inside", "lambda2_across"):
             value = getattr(self, name)
-            if not (is_inf(value) or 0 <= value < math.inf):
-                raise ValueError(f"{name} must be finite and >= 0, or Inf, got {value}")
+            if not 0 <= value <= math.inf:
+                raise ValueError(f"{name} must be >= 0 or Inf, got {value}")
 
     @classmethod
     def uniform(cls, lambda1: float, lambda2: float) -> "PenaltySpec":
@@ -88,10 +52,6 @@ class PenaltySpec:
     @property
     def components(self):
         return (self.lambda2_vertex, self.lambda2_inside, self.lambda2_across)
-
-    @property
-    def has_infinite(self) -> bool:
-        return any(is_inf(c) for c in self.components)
 
 
 def l1_penalty(theta: np.ndarray, lambda1: float) -> float:
@@ -124,14 +84,8 @@ def fused_penalty(theta: np.ndarray, spec: PenaltySpec, idx: PairedIndex) -> flo
     """
     _check_square(theta, idx, "theta")
     diffs = _block_diffs(theta, idx)
-    total = 0.0
-    for weight, diff in zip(spec.components, diffs):
-        if is_inf(weight):
-            if diff != 0.0:
-                return math.inf
-        else:
-            total += weight * diff
-    return total
+    # an exact zero difference adds 0 even under an infinite weight (never inf * 0)
+    return float(sum(w * d for w, d in zip(spec.components, diffs) if d != 0.0))
 
 
 def objective(theta: np.ndarray, S: np.ndarray, spec: PenaltySpec) -> float:

@@ -42,7 +42,7 @@ from .model import (
     selection_path,
 )
 from .paired import PairedIndex, logdet_pd
-from .solver import AdmmConfig
+from .solver import AdmmConfig, check_count
 
 _TRUTH_TAG = 1
 _SAMPLE_TAG = 2
@@ -67,22 +67,21 @@ class ScenarioSpec:
     select_gamma: float = 0.0
 
     def __post_init__(self):
-        if self.p < 2 or self.p % 2 != 0:
-            raise ValueError(f"p must be even and >= 2, got {self.p}")
+        check_count(self.p, "p", 2)
+        if self.p % 2 != 0:
+            raise ValueError(f"p must be even, got {self.p}")
         if not 0.0 < self.density <= 1.0:
             raise ValueError(f"density must be in (0, 1], got {self.density}")
         if not 0.0 <= self.symmetry_fraction <= 1.0:
             raise ValueError(
                 f"symmetry_fraction must be in [0, 1], got {self.symmetry_fraction}"
             )
-        if self.replications < 1:
-            raise ValueError("replications must be >= 1")
+        check_count(self.replications, "replications", 1)
         check_gamma(self.select_gamma, "select_gamma")
         object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
         if not self.n_list or min(self.n_list) < 1:
             raise ValueError(f"n_list must be nonempty with every n >= 1, got {self.n_list}")
-        if self.select_m < 2:
-            raise ValueError(f"select_m must be >= 2, got {self.select_m}")
+        check_count(self.select_m, "select_m", 2)
 
     @property
     def label(self) -> str:

@@ -77,6 +77,7 @@ tolerance a caller sets.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -91,7 +92,7 @@ from .paired import (
     pd_unvec,
     pd_vec,
 )
-from .penalties import PenaltySpec, is_inf
+from .penalties import PenaltySpec
 
 _RHO_MIN = 2.0**-19
 # only an overflow guard: (p / tr Theta_0)^2 is inf once tr Theta_0 < 1e-154 p,
@@ -99,6 +100,14 @@ _RHO_MIN = 2.0**-19
 _RHO_MAX = 2.0**500
 _KKT_TOL_FACTOR = 10.0
 _POLISH_AFTER = 3  # iterations a face must hold before it is polished
+
+
+def check_count(value, name: str, minimum: int) -> None:
+    """Raise ValueError unless ``value`` is an integer (a numpy one too) >= ``minimum``."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -122,8 +131,7 @@ class AdmmConfig:
     def __post_init__(self):
         if not 0 < self.eps_abs <= 1e-2:  # NaN fails too
             raise ValueError(f"eps_abs must be in (0, 1e-2], got {self.eps_abs}")
-        if self.max_outer < 1:
-            raise ValueError("iteration limit must be >= 1")
+        check_count(self.max_outer, "max_outer", 1)
 
 
 @dataclass(frozen=True)
@@ -230,14 +238,14 @@ def _penalty_weights(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-coordinate l1 weights and per-row fused weights of ``spec``.
 
-    ``INF`` components become ``math.inf`` row weights; with ``diag_penalty``
-    unset the l1 weight is dropped on the diagonal entries.
+    Each component weights all its fused rows, an infinite one included;
+    with ``diag_penalty`` unset the l1 weight is dropped on the diagonal
+    entries.
     """
     l1_coord = np.full(idx.vec_length, float(spec.lambda1))
     if not diag_penalty:
         l1_coord[idx.diagonal] = 0.0
-    weights = [math.inf if is_inf(c) else float(c) for c in spec.components]
-    return l1_coord, idx.component_rows(*weights)
+    return l1_coord, idx.component_rows(*map(float, spec.components))
 
 
 def _weighted_abs_sum(weights: np.ndarray, values: np.ndarray) -> float:
@@ -583,9 +591,9 @@ def pdglasso_solve(
 
     Returns the final Z iterate, which carries exact zeros from the l1
     shrinkage and exact ties from the fused step, together with a solve
-    report.  Infinite penalty components are passed to the solver as
-    ``math.inf`` and act as hard equality constraints.  With
-    ``diag_penalty`` unset the l1 weight is dropped on the diagonal entries.
+    report.  Infinite penalty components act as hard equality constraints.
+    With ``diag_penalty`` unset the l1 weight is dropped on the diagonal
+    entries.
     ``start``, a positive definite matrix such as an earlier estimate, is
     passed to :func:`solve_weighted`: a cold solve, from the diagonal
     optimum, when None.
@@ -596,9 +604,7 @@ def pdglasso_solve(
     if not np.all(np.isfinite(S)):
         raise ValueError("S contains non-finite entries")
 
-    unpenalized = spec.lambda1 == 0 and all(
-        (not is_inf(c)) and c == 0 for c in spec.components
-    )
+    unpenalized = spec.lambda1 == 0 and not any(spec.components)
     if unpenalized and not is_positive_definite(S):
         raise NotPositiveDefiniteError(
             "with all penalties zero the problem is unbounded unless S is positive definite"
@@ -615,7 +621,7 @@ def optimality_residual(
 
     As :func:`kkt_residual`, but for a matrix that need not come from the
     solver: pairs within 1e-7 max(1, max|theta|) of each other count as
-    tied.  ``INF`` components are constraints (see :func:`kkt_violation`):
+    tied.  Infinite components are constraints (see :func:`kkt_violation`):
     +inf when ``theta`` breaks one.
     """
     idx = PairedIndex.from_p(theta.shape[0])

@@ -164,6 +164,18 @@ class TestFit:
         assert np.array_equal(swap_blocks(theta_hat, PairedIndex(3)), theta_hat)
         assert _graph_from_json(doc).is_fully_symmetric()
 
+    def test_every_float_spelling_of_infinity_writes_the_same_report(self, tmp_path, rng):
+        cov = write_cov(tmp_path / "S.csv", random_pd(6, rng))
+        reports = []
+        for text in ("Inf", "infinity", "inf", "1e999"):
+            out = tmp_path / f"{text}.json"
+            code = main(["fit", str(cov), "--cov", "--lambda1", "0.05", "--n", "40",
+                         "--lambda2-vertex", text, "--lambda2-inside", "0.02", "-o", str(out)])
+            assert code == 0
+            reports.append(out.read_bytes())
+        assert reports[1:] == reports[:1] * 3
+        assert json.loads(reports[0])["penalties"]["lambda2_vertex"] == "Inf"
+
     def test_data_input_counts_rows(self, tmp_path, rng):
         Y = rng.standard_normal((30, 4))
         data = write_data(tmp_path / "Y.csv", Y)
@@ -358,6 +370,8 @@ class TestNonFiniteSettings:
         ["--lambda1", "nan"],
         ["--lambda1", "0.1", "--lambda2-inside", "nan"],
         ["--lambda1", "0.1", "--eps-abs", "nan"],
+        ["--lambda1", "0.1", "--lambda2-vertex=-inf"],
+        ["--lambda1", "0.1", "--lambda2-across", "infinite"],
     ])
     def test_fit_exits_1_before_any_solve(self, tmp_path, monkeypatch, capsys, flags):
         from pdglasso import solver

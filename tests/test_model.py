@@ -631,6 +631,8 @@ class TestModelSelect:
     def test_requires_m_at_least_two(self, rng):
         with pytest.raises(ValueError):
             selection_path(random_pd(4, rng), 10, 1, 0.0, SubmodelClass())
+        with pytest.raises(ValueError, match="must be an integer"):
+            selection_path(random_pd(4, rng), 10, 2.5, 0.0, SubmodelClass())
 
     @staticmethod
     def record_starts(monkeypatch):

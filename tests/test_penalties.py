@@ -9,13 +9,11 @@ from pdglasso.penalties import (
     INF,
     PenaltySpec,
     fused_penalty,
-    is_inf,
     l1_penalty,
     lambda1_block_max,
     lambda1_diag_max,
     lambda2_sym_max,
     objective,
-    parse_penalty_value,
 )
 
 from pdglasso.solver import optimality_residual
@@ -43,7 +41,7 @@ class TestPenaltySpec:
     def test_uniform_is_three_finite_copies(self):
         spec = PenaltySpec.uniform(0.1, 0.3)
         assert spec.components == (0.3, 0.3, 0.3)
-        assert not spec.has_infinite
+        assert all(math.isfinite(c) for c in spec.components)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -56,24 +54,35 @@ class TestPenaltySpec:
         {"lambda1": math.inf},
         {"lambda1": 0.1, "lambda2_vertex": math.nan},
         {"lambda1": 0.1, "lambda2_inside": math.nan},
-        {"lambda1": 0.1, "lambda2_across": math.inf},  # the symbol INF is meant
+        {"lambda1": 0.1, "lambda2_across": -math.inf},
+        {"lambda1": -math.inf},
+        {"lambda1": 0.1, "lambda2_across": math.nan},
+        {"lambda1": 0.1, "lambda2_vertex": -math.inf},
+        {"lambda1": 0.1, "lambda2_inside": -math.inf},
     ])
     def test_rejects_non_finite(self, kwargs):
+        """lambda1 must be finite; a component may be +inf but not -inf or NaN."""
         with pytest.raises(ValueError):
             PenaltySpec(**kwargs)
 
-    def test_inf_is_symbolic(self):
-        spec = PenaltySpec(0.1, lambda2_vertex=INF)
-        assert is_inf(spec.lambda2_vertex)
-        assert spec.lambda2_vertex is not float("inf")
-        assert repr(spec.lambda2_vertex) == "Inf"
+    def test_inf_is_math_inf(self):
+        assert INF is math.inf
+
+    @pytest.mark.parametrize("name", ["lambda2_vertex", "lambda2_inside", "lambda2_across"])
+    @pytest.mark.parametrize("value", [INF, float("inf"), np.float64(np.inf)],
+                             ids=["INF", "float", "numpy"])
+    def test_accepts_infinite_components(self, name, value):
+        spec = PenaltySpec(0.1, **{name: value})
+        assert getattr(spec, name) == math.inf
+        assert spec == PenaltySpec(0.1, **{name: INF})
 
     def test_parse(self):
-        assert parse_penalty_value("0.25") == 0.25
-        assert is_inf(parse_penalty_value("Inf"))
-        assert is_inf(parse_penalty_value("inf"))
+        """Command-line text becomes a component through float: "Inf" and
+        "infinity" in any case are INF, and a negative value is rejected."""
+        for text, value in [("0.25", 0.25), ("Inf", INF), ("inf", INF), ("Infinity", INF)]:
+            assert PenaltySpec(0.1, float(text)).lambda2_vertex == value
         with pytest.raises(ValueError):
-            parse_penalty_value("-1")
+            PenaltySpec(0.1, float("-1"))
 
 
 class TestL1Penalty:

@@ -534,3 +534,13 @@ class TestScenarioSpecValidation:
     def test_rejects_a_grid_below_two_points(self):
         with pytest.raises(ValueError, match="select_m"):
             _spec(select_m=1)
+
+    @pytest.mark.parametrize("kwargs", [{"p": 6.0}, {"replications": 1.5}, {"select_m": 2.5}],
+                             ids=["p", "replications", "select_m"])
+    def test_rejects_a_count_that_is_not_an_integer(self, kwargs):
+        with pytest.raises(ValueError, match="must be an integer"):
+            _spec(**kwargs)
+
+    def test_accepts_numpy_integer_counts(self):
+        spec = _spec(p=np.int64(6), replications=np.int32(2), select_m=np.int64(3))
+        assert (spec.p, spec.replications, spec.select_m) == (6, 2, 3)

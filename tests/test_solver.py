@@ -1103,6 +1103,10 @@ class TestAdmmConfig:
             AdmmConfig(eps_abs=0.5)
         with pytest.raises(ValueError):
             AdmmConfig(max_outer=0)
+        for max_outer in (math.nan, 2.5, 5000.0):
+            with pytest.raises(ValueError, match="max_outer must be an integer"):
+                AdmmConfig(max_outer=max_outer)
+        assert AdmmConfig(max_outer=np.int64(3)).max_outer == 3
 
     @pytest.mark.parametrize("name", ["eps_abs"])
     def test_nan_tolerance_rejected(self, name):
