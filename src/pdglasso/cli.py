@@ -179,11 +179,11 @@ def _graph_edges_json(g: PdColouredGraph, names: list[str]) -> list[dict]:
     """Present edges in report order: for each pair i < j of the left group
     the entries (i, j), (i', j'), (i, j') and (i', j), then every (i, i')."""
     idx = g.index
-    present = ~g.absent_coord_mask()
+    present = g.present
     a, b = idx.fused_pairs
     symmetry = np.full(idx.vec_length, "none", dtype=object)
     symmetry[a] = symmetry[b] = np.where(
-        g.coloured_row_mask(),
+        g.coloured,
         "parametric",
         np.where(present[a] & present[b], "structural", "none"),
     )
@@ -228,7 +228,7 @@ def _graph_from_json(doc: dict) -> PdColouredGraph:
         present[k] = True
         tied[k] |= e["symmetry"] == "parametric"
     a, b = idx.fused_pairs
-    return PdColouredGraph.from_masks(idx.q, present, tied[a] | tied[b])
+    return PdColouredGraph(idx.q, present, tied[a] | tied[b])
 
 
 def _penalty_json(value):
@@ -253,6 +253,9 @@ def fit_report_doc(
     breaks the constraints of infinite weights.
     """
     g = fit.graph
+    idx = g.index
+    # the first entry of a vertex row is the left variable's diagonal
+    vertex_tied = idx.fused_pairs[0][g.coloured & idx.component_rows(True, False, False)]
     return {
         "version": __version__,
         "variables": list(names),
@@ -267,7 +270,7 @@ def fit_report_doc(
         "d": fit.d,
         "ebic": None if fit.ebic is None or math.isnan(fit.ebic) else fit.ebic,
         "edges": _graph_edges_json(g, names),
-        "vertex_symmetries": [names[i] for i in range(g.q) if g.vertex_coloured[i]],
+        "vertex_symmetries": [names[i] for i in idx.coords[0][vertex_tied]],
         "solver_report": {
             "outer_iterations": fit.report.outer_iterations,
             "converged": fit.report.converged,
@@ -538,23 +541,25 @@ def _nesting_violation(g_full: PdColouredGraph, g_sub: PdColouredGraph) -> str |
     """First constraint of the full model the submodel fails to imply."""
     if g_full.q != g_sub.q:
         return "different dimensions"
-    # every absence in full must persist in sub; every colour in full must be
-    # a colour (or a shared absence) in sub
-    for name in ("inside_present", "across_present"):
-        extra = getattr(g_sub, name) & ~getattr(g_full, name)
-        if extra.any():
-            return f"submodel adds edges in {name.split('_')[0]} block"
-    if (g_sub.across_diag & ~g_full.across_diag).any():
-        return "submodel adds across-diagonal edges"
-    if (g_full.vertex_coloured & ~g_sub.vertex_coloured).any():
-        return "full-model vertex symmetry missing in submodel"
-    for fam in ("inside", "across"):
-        col_full = getattr(g_full, f"{fam}_coloured")
-        col_sub = getattr(g_sub, f"{fam}_coloured")
-        present_sub = getattr(g_sub, f"{fam}_present")
-        ok = col_sub | ~present_sub.any(axis=1)
-        if (col_full & ~ok).any():
-            return f"full-model {fam} symmetry missing in submodel"
+    idx = g_full.index
+    # every absence in full must persist in sub; coordinates run inside,
+    # across, across diagonal, so the first extra edge names the first block
+    extra = np.flatnonzero(g_sub.present & ~g_full.present)
+    if extra.size:
+        rows, cols = idx.coords
+        kind = _edge_kind(idx, rows[extra[0]], cols[extra[0]])
+        if kind == "across-diagonal":
+            return "submodel adds across-diagonal edges"
+        return f"submodel adds edges in {kind.split('-')[0]} block"
+    # every colour in full must be a colour (or a shared absence) in sub;
+    # rows run vertex, inside, across
+    a, b = idx.fused_pairs
+    missing = np.flatnonzero(
+        g_full.coloured & ~g_sub.coloured & (g_sub.present[a] | g_sub.present[b])
+    )
+    if missing.size:
+        family = idx.component_rows("vertex", "inside", "across")[missing[0]]
+        return f"full-model {family} symmetry missing in submodel"
     return None
 
 

@@ -26,56 +26,43 @@ from .solver import _KKT_TOL_FACTOR, AdmmConfig, SolveReport, check_count, pdgla
 
 @dataclass(frozen=True)
 class PdColouredGraph:
-    """Paired coloured graph: edge presence plus equality (colour) flags.
+    """Paired coloured graph: two masks over :class:`PairedIndex`'s layout.
 
-    ``inside_present[k]`` holds presence of the pair of inside edges
-    ({i,j} in L, {i',j'} in R) for the k-th unordered pair i < j;
-    ``across_present[k]`` does the same for the across pair ({i,j'}, {i',j}).
-    A coloured pair is constrained to equal concentrations and must have both
-    edges present.  Across-diagonal edges {i,i'} are never coloured.
+    ``present`` has one flag per half-vectorized coordinate (see
+    :func:`pdglasso.paired.pd_vec`): the entry is an edge, or a diagonal
+    entry, which is always present.  ``coloured`` has one flag per row of
+    :attr:`PairedIndex.fused_pairs`: a coloured row ties its two entries to
+    equal concentrations, and both must be present.  Across-diagonal edges
+    {i,i'} lie in no row and are never coloured.  Entry (i, j) is present
+    when ``g.present[g.index.coord_of[i, j]]``.
 
-    Over :class:`PairedIndex`'s layout the graph is two masks: the present
-    half-vectorized coordinates and the coloured fused rows;
-    :meth:`from_masks` and the two ``*_mask`` methods convert between them.
+    The masks are copied from the caller's arrays and stored read-only.
     """
 
     q: int
-    vertex_coloured: np.ndarray
-    inside_present: np.ndarray
-    inside_coloured: np.ndarray
-    across_present: np.ndarray
-    across_coloured: np.ndarray
-    across_diag: np.ndarray
+    present: np.ndarray
+    coloured: np.ndarray
 
     def __post_init__(self):
-        s = self.s
-        shapes = {
-            "vertex_coloured": (self.q,),
-            "inside_present": (s, 2),
-            "inside_coloured": (s,),
-            "across_present": (s, 2),
-            "across_coloured": (s,),
-            "across_diag": (self.q,),
-        }
-        for name, shape in shapes.items():
-            # copy so freezing never makes a caller's array read-only
-            arr = np.array(getattr(self, name), dtype=bool)
-            if arr.shape != shape:
-                raise DimensionError(f"{name} has shape {arr.shape}, expected {shape}")
-            object.__setattr__(self, name, arr)
+        idx = self.index
+        # copy so freezing never makes a caller's array read-only
+        present = np.array(self.present, dtype=bool)
+        coloured = np.array(self.coloured, dtype=bool)
+        if present.shape != (idx.vec_length,) or coloured.shape != (idx.n_rows,):
+            raise DimensionError(
+                f"expected masks of lengths {idx.vec_length} and {idx.n_rows} for q={self.q}"
+            )
+        present[idx.diagonal] = True
+        a, b = idx.fused_pairs
+        if np.any(coloured & ~(present[a] & present[b])):
+            raise ValueError("a coloured row must have both of its entries present")
+        for name, arr in (("present", present), ("coloured", coloured)):
             arr.setflags(write=False)
-        if np.any(self.inside_coloured & ~self.inside_present.all(axis=1)):
-            raise ValueError("a coloured inside pair must have both edges present")
-        if np.any(self.across_coloured & ~self.across_present.all(axis=1)):
-            raise ValueError("a coloured across pair must have both edges present")
+            object.__setattr__(self, name, arr)
 
     @property
     def p(self) -> int:
         return 2 * self.q
-
-    @property
-    def s(self) -> int:
-        return self.q * (self.q - 1) // 2
 
     @cached_property
     def index(self) -> PairedIndex:
@@ -83,66 +70,23 @@ class PdColouredGraph:
 
     @property
     def n_edges(self) -> int:
-        return int(np.count_nonzero(~self.absent_coord_mask())) - self.p
+        return int(np.count_nonzero(self.present)) - self.p
 
     def is_fully_symmetric(self) -> bool:
         """All vertices coloured, every present pair colour-matched on both sides."""
         a, b = self.index.fused_pairs
-        present = ~self.absent_coord_mask()
-        return bool(np.array_equal(present[a], present[b])
-                    and np.array_equal(self.coloured_row_mask(), present[a]))
+        return bool(np.array_equal(self.present[a], self.present[b])
+                    and np.array_equal(self.coloured, self.present[a]))
 
     @classmethod
     def empty(cls, q: int) -> "PdColouredGraph":
         idx = PairedIndex.of(q)
-        return cls.from_masks(q, np.zeros(idx.vec_length, dtype=bool),
-                              np.zeros(idx.n_rows, dtype=bool))
+        return cls(q, np.zeros(idx.vec_length, dtype=bool), np.zeros(idx.n_rows, dtype=bool))
 
     @classmethod
     def complete(cls, q: int, coloured: bool = False) -> "PdColouredGraph":
         idx = PairedIndex.of(q)
-        return cls.from_masks(q, np.ones(idx.vec_length, dtype=bool),
-                              np.full(idx.n_rows, coloured))
-
-    @classmethod
-    def from_masks(cls, q: int, present: np.ndarray, coloured: np.ndarray) -> "PdColouredGraph":
-        """The graph with the given present coordinates and coloured fused
-        rows; the inverse of ``~absent_coord_mask()`` and
-        ``coloured_row_mask()``.  Diagonal coordinates are always present and
-        their entries of ``present`` are ignored."""
-        idx = PairedIndex.of(q)
-        present = np.asarray(present, dtype=bool)
-        coloured = np.asarray(coloured, dtype=bool)
-        if present.shape != (idx.vec_length,) or coloured.shape != (idx.n_rows,):
-            raise DimensionError(
-                f"expected masks of lengths {idx.vec_length} and {idx.n_rows} for q={q}"
-            )
-        s = idx.s
-        edges = present[2 * q :]
-        return cls(
-            q,
-            coloured[:q],
-            edges[: 2 * s].reshape(2, s).T,
-            coloured[q : q + s],
-            edges[2 * s : 4 * s].reshape(2, s).T,
-            coloured[q + s :],
-            edges[4 * s :],
-        )
-
-    def absent_coord_mask(self) -> np.ndarray:
-        """Half-vectorized coordinates constrained to zero by missing edges."""
-        return ~np.concatenate([
-            np.ones(2 * self.q, dtype=bool),
-            self.inside_present.T.ravel(),
-            self.across_present.T.ravel(),
-            self.across_diag,
-        ])
-
-    def coloured_row_mask(self) -> np.ndarray:
-        """Rows of :attr:`PairedIndex.fused_pairs` tied exactly by colours."""
-        return np.concatenate(
-            [self.vertex_coloured, self.inside_coloured, self.across_coloured]
-        )
+        return cls(q, np.ones(idx.vec_length, dtype=bool), np.full(idx.n_rows, coloured))
 
 
 @dataclass(frozen=True)
@@ -187,12 +131,12 @@ def extract_graph(
     a, b = idx.fused_pairs
     present = (np.abs(z) > zero_tol) | idx.diagonal
     coloured = present[a] & present[b] & (np.abs(z[a] - z[b]) <= eq_tol)
-    return PdColouredGraph.from_masks(idx.q, present, coloured)
+    return PdColouredGraph(idx.q, present, coloured)
 
 
 def n_params(g: PdColouredGraph) -> int:
     """Free parameters: saturated count minus zero and equality constraints."""
-    return int((~g.absent_coord_mask()).sum() - g.coloured_row_mask().sum())
+    return int(g.present.sum() - g.coloured.sum())
 
 
 def _refit(S: np.ndarray, idx: PairedIndex, absent, coloured, cfg: AdmmConfig) -> np.ndarray:
@@ -224,7 +168,7 @@ def mle(S: np.ndarray, g: PdColouredGraph, cfg: Optional[AdmmConfig] = None) -> 
     cfg = cfg or AdmmConfig()
     idx = g.index
     _check_square(S, idx, "S")
-    return _refit(S, idx, g.absent_coord_mask(), g.coloured_row_mask(), cfg)
+    return _refit(S, idx, ~g.present, g.coloured, cfg)
 
 
 def mle_fully_symmetric(
@@ -243,7 +187,7 @@ def mle_fully_symmetric(
     _check_square(S, idx, "S")
     S_bar = symmetrize_paired(S, idx)
     no_ties = np.zeros(idx.n_rows, dtype=bool)
-    return symmetrize_paired(_refit(S_bar, idx, g.absent_coord_mask(), no_ties, cfg), idx)
+    return symmetrize_paired(_refit(S_bar, idx, ~g.present, no_ties, cfg), idx)
 
 
 def rcon_residual(theta: np.ndarray, S: np.ndarray, g: PdColouredGraph) -> float:
@@ -254,8 +198,8 @@ def rcon_residual(theta: np.ndarray, S: np.ndarray, g: PdColouredGraph) -> float
     exactly zero.
     """
     idx = g.index
-    absent = g.absent_coord_mask()
-    owner, cls = _colour_classes(idx, absent, g.coloured_row_mask())
+    absent = ~g.present
+    owner, cls = _colour_classes(idx, absent, g.coloured)
     z = pd_vec(theta, idx)
     d_hat = pd_vec(np.linalg.inv(theta), idx) - pd_vec(S, idx)
     parts = (z[absent], z - z[owner], np.bincount(cls, weights=d_hat[~absent]))
@@ -366,22 +310,24 @@ def graph_summary(g: PdColouredGraph) -> GraphSummary:
     Symmetric-pair counts are in edges (two per pair); structural counts
     cover present pairs that are not coloured.
     """
-    p = g.p
-    inside_edges = int(g.inside_present.sum())
-    across_edges = int(g.across_present.sum() + g.across_diag.sum())
-    total = inside_edges + across_edges
-    inside_both = g.inside_present.all(axis=1)
-    across_both = g.across_present.all(axis=1)
+    idx, p, total = g.index, g.p, g.n_edges
+    a, b = idx.fused_pairs
+    row_edges = g.present[a].astype(int) + g.present[b]
+    structural = (row_edges == 2) & ~g.coloured
+    inside = idx.component_rows(False, True, False)
+    across = idx.component_rows(False, False, True)
+    inside_edges = int(row_edges[inside].sum())
     return GraphSummary(
         p=p,
         total_edges=total,
         density=total / (p * (p - 1) / 2),
         inside_edges=inside_edges,
-        inside_structural_edges=2 * int((inside_both & ~g.inside_coloured).sum()),
-        inside_parametric_edges=2 * int(g.inside_coloured.sum()),
-        across_edges=across_edges,
-        across_structural_edges=2 * int((across_both & ~g.across_coloured).sum()),
-        across_parametric_edges=2 * int(g.across_coloured.sum()),
+        inside_structural_edges=2 * int(structural[inside].sum()),
+        inside_parametric_edges=2 * int(g.coloured[inside].sum()),
+        # the across diagonal lies in no fused row
+        across_edges=total - inside_edges,
+        across_structural_edges=2 * int(structural[across].sum()),
+        across_parametric_edges=2 * int(g.coloured[across].sum()),
     )
 
 
@@ -451,10 +397,8 @@ def filter_extracted_colours(graph: PdColouredGraph, spec: PenaltySpec) -> PdCol
     so the extracted model stays within the searched submodel class.
     """
     active = [c > 0 for c in spec.components]
-    return PdColouredGraph.from_masks(
-        graph.q,
-        ~graph.absent_coord_mask(),
-        graph.coloured_row_mask() & graph.index.component_rows(*active),
+    return PdColouredGraph(
+        graph.q, graph.present, graph.coloured & graph.index.component_rows(*active)
     )
 
 

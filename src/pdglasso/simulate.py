@@ -78,9 +78,11 @@ class ScenarioSpec:
             )
         check_count(self.replications, "replications", 1)
         check_gamma(self.select_gamma, "select_gamma")
-        object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
         if not self.n_list or min(self.n_list) < 1:
             raise ValueError(f"n_list must be nonempty with every n >= 1, got {self.n_list}")
+        for n in self.n_list:
+            check_count(n, "every n in n_list", 1)
+        object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
         check_count(self.select_m, "select_m", 2)
 
     @property
@@ -114,7 +116,7 @@ def graph_from_threshold(K: np.ndarray, density: float) -> PdColouredGraph:
     keep = np.argsort(-values, kind="stable")[:n_edges]
     present = np.zeros(idx.vec_length, dtype=bool)
     present[idx.coord_of[rows[keep], cols[keep]]] = True
-    return PdColouredGraph.from_masks(idx.q, present, np.zeros(idx.n_rows, dtype=bool))
+    return PdColouredGraph(idx.q, present, np.zeros(idx.n_rows, dtype=bool))
 
 
 def _ggm_truth(p: int, density: float, rng: np.random.Generator):
@@ -144,8 +146,8 @@ def _inject_symmetries(
     zero) and stay absent.  Vertex pairs are always present.
     """
     idx = graph.index
-    present = ~graph.absent_coord_mask()
-    coloured = graph.coloured_row_mask()
+    present = graph.present.copy()
+    coloured = graph.coloured.copy()
     a, b = idx.fused_pairs
     component = idx.component_rows(0, 1, 2)
     for c in range(3):
@@ -157,7 +159,7 @@ def _inject_symmetries(
         chosen = chosen[present[a[chosen]] | present[b[chosen]]]
         present[a[chosen]] = present[b[chosen]] = True
         coloured[chosen] = True
-    return PdColouredGraph.from_masks(graph.q, present, coloured)
+    return PdColouredGraph(graph.q, present, coloured)
 
 
 def pdrcon_covariance(
@@ -195,7 +197,7 @@ def mvn_sample_cov(Sigma: np.ndarray, n: int, seed) -> np.ndarray:
 
 
 def _edge_vector(g: PdColouredGraph) -> np.ndarray:
-    return ~g.absent_coord_mask()[~g.index.diagonal]
+    return g.present[~g.index.diagonal]
 
 
 @dataclass(frozen=True)
@@ -365,10 +367,9 @@ def run_scenario(
     recorded in the table and the run continues.  An exception that escapes
     a cell is raised here with its type, after every child has ended; a
     child that ends without a result raises :class:`PdglassoError` naming
-    its exit status.  Raises ValueError when ``threads`` < 1.
+    its exit status.  Raises ValueError unless ``threads`` is an integer >= 1.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+    check_count(threads, "threads", 1)
     cfg = cfg or AdmmConfig()
     truths = [_draw_truth(spec, cfg, rep) for rep in range(spec.replications)]
     cells = [(rep, n) for rep in range(spec.replications) for n in spec.n_list]

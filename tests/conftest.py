@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pdglasso.model import PdColouredGraph
+from pdglasso.paired import PairedIndex
 
 
 @pytest.fixture
@@ -24,95 +25,80 @@ def random_sym(p, rng):
     return A + A.T
 
 
-def graph_q3(vertex, inside_present, inside_col, across_present, across_col, diag):
-    return PdColouredGraph(
-        3,
-        np.array(vertex, dtype=bool),
-        np.array(inside_present, dtype=bool),
-        np.array(inside_col, dtype=bool),
-        np.array(across_present, dtype=bool),
-        np.array(across_col, dtype=bool),
-        np.array(diag, dtype=bool),
-    )
+def graph_of(q, edges=(), tied=()):
+    """Graph on p = 2q variables from lists of matrix entries (i, j), where i
+    and j may be index arrays: the ``edges`` are present, and the fused row
+    holding each ``tied`` entry is coloured, a vertex i through (i, i).  A
+    tied row's two entries must both be listed as edges."""
+    idx = PairedIndex.of(q)
+    present = np.zeros(idx.vec_length, dtype=bool)
+    tie = np.zeros(idx.vec_length, dtype=bool)
+    for mask, entries in ((present, edges), (tie, tied)):
+        for i, j in entries:
+            mask[idx.coord_of[i, j]] = True
+    a, b = idx.fused_pairs
+    return PdColouredGraph(q, present, tie[a] | tie[b])
+
+
+def tied_mask(g):
+    """Coordinate mask of the entries in the coloured fused rows of g."""
+    a, b = g.index.fused_pairs
+    tied = np.zeros(g.index.vec_length, dtype=bool)
+    tied[a[g.coloured]] = tied[b[g.coloured]] = True
+    return tied
 
 
 def example_structures():
     """Four q=3 coloured structures covering every symmetry type.
 
-    Pair order is (1,2), (1,3), (2,3).  The first mixes a vertex symmetry
-    with one coloured and one structural-only inside pair; the second has an
-    empty left subgraph, a complete right subgraph and both kinds of across
-    symmetry; the third has full vertex symmetry, coloured across pairs and
-    structural-only inside pairs; the fourth is the same skeleton made fully
-    symmetric (across-diagonal edges stay uncolourable).
+    Variables 0, 1, 2 are the left group and 3, 4, 5 their partners.  The
+    first mixes a vertex symmetry with one coloured and one structural-only
+    inside pair; the second has an empty left subgraph, a complete right
+    subgraph and both kinds of across symmetry; the third has full vertex
+    symmetry, coloured across pairs and structural-only inside pairs; the
+    fourth is the same skeleton made fully symmetric (across-diagonal edges
+    stay uncolourable).
     """
-    ex1 = graph_q3(
-        [True, False, False],
-        [[True, True], [False, False], [True, True]],
-        [False, False, True],
-        [[False, False]] * 3,
-        [False] * 3,
-        [False] * 3,
-    )
-    ex2 = graph_q3(
-        [False] * 3,
-        [[False, True], [False, True], [False, True]],
-        [False] * 3,
-        [[True, True], [False, False], [True, True]],
-        [True, False, False],
-        [False] * 3,
-    )
-    ex3 = graph_q3(
-        [True] * 3,
-        [[True, True], [False, False], [True, True]],
-        [False] * 3,
-        [[True, True], [False, False], [True, True]],
-        [True, False, True],
-        [False] * 3,
-    )
-    ex4 = graph_q3(
-        [True] * 3,
-        [[True, True], [False, False], [True, True]],
-        [True, False, True],
-        [[True, True], [False, False], [True, True]],
-        [True, False, True],
-        [True, True, False],
-    )
+    inside = [(0, 1), (3, 4), (1, 2), (4, 5)]
+    across = [(0, 4), (3, 1), (1, 5), (4, 2)]
+    vertices = [(0, 0), (1, 1), (2, 2)]
+    ex1 = graph_of(3, inside, [(0, 0), (1, 2)])
+    ex2 = graph_of(3, [(3, 4), (3, 5), (4, 5)] + across, [(0, 4)])
+    ex3 = graph_of(3, inside + across, vertices + [(0, 4), (1, 5)])
+    ex4 = graph_of(3, inside + across + [(0, 3), (1, 4)],
+                   vertices + [(0, 4), (1, 5), (0, 1), (1, 2)])
     return [ex1, ex2, ex3, ex4]
 
 
 def random_coloured_graph(q, rng, p_edge=0.55, p_colour=0.5, p_vertex=0.4):
     """Random valid coloured structure for constrained-MLE tests."""
-    s = q * (q - 1) // 2
-    inside_present = rng.random((s, 2)) < p_edge
-    across_present = rng.random((s, 2)) < p_edge
-    inside_col = inside_present.all(axis=1) & (rng.random(s) < p_colour)
-    across_col = across_present.all(axis=1) & (rng.random(s) < p_colour)
-    return PdColouredGraph(
-        q,
-        rng.random(q) < p_vertex,
-        inside_present,
-        inside_col,
-        across_present,
-        across_col,
-        rng.random(q) < p_edge,
-    )
+    idx = PairedIndex.of(q)
+    (i, j), d, c = idx.pairs, np.arange(q), idx.coord_of
+    # per pair i < j: entries (i, j), (i', j'), then (i, j'), (i', j)
+    inside = rng.random((idx.s, 2)) < p_edge
+    across = rng.random((idx.s, 2)) < p_edge
+    present = idx.diagonal.copy()
+    present[c[i, j]], present[c[i + q, j + q]] = inside.T
+    present[c[i, j + q]], present[c[i + q, j]] = across.T
+    tie = np.zeros(idx.vec_length, dtype=bool)
+    tie[c[i, j]] = rng.random(idx.s) < p_colour
+    tie[c[i, j + q]] = rng.random(idx.s) < p_colour
+    tie[c[d, d]] = rng.random(q) < p_vertex
+    present[c[d, d + q]] = rng.random(q) < p_edge
+    a, b = idx.fused_pairs
+    return PdColouredGraph(q, present, tie[a] & present[a] & present[b])
 
 
 def random_fully_symmetric_graph(q, rng, p_edge=0.5):
     """Random structure invariant under the block swap, all pairs coloured."""
-    s = q * (q - 1) // 2
-    inside = rng.random(s) < p_edge
-    across = rng.random(s) < p_edge
-    return PdColouredGraph(
-        q,
-        np.ones(q, dtype=bool),
-        np.stack([inside, inside], axis=1),
-        inside.copy(),
-        np.stack([across, across], axis=1),
-        across.copy(),
-        rng.random(q) < p_edge,
-    )
+    idx = PairedIndex.of(q)
+    (i, j), d, c = idx.pairs, np.arange(q), idx.coord_of
+    present = idx.diagonal.copy()
+    present[c[i, j]] = present[c[i + q, j + q]] = rng.random(idx.s) < p_edge
+    present[c[i, j + q]] = present[c[i + q, j]] = rng.random(idx.s) < p_edge
+    present[c[d, d + q]] = rng.random(q) < p_edge
+    a, _ = idx.fused_pairs
+    return PdColouredGraph(q, present, present[a])
 
 
 def strong_ggm_truth(p, rng, n_edges=None, weight=0.35):

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from pdglasso.model import (
-    PdColouredGraph,
     lrt,
     mle,
     mle_fully_symmetric,
@@ -29,6 +28,7 @@ from pdglasso.simulate import ScenarioSpec, run_scenario
 from pdglasso.solver import AdmmConfig, optimality_residual, pdglasso_solve
 
 from conftest import (
+    graph_of,
     random_coloured_graph,
     random_fully_symmetric_graph,
     random_pd,
@@ -98,15 +98,7 @@ def test_criterion_2_penalty_threshold_theorems(capfd):
 def test_criterion_3_mle_correctness(capfd):
     rng = np.random.default_rng(303)
     # decomposable four-variable chain vs iterative proportional scaling
-    chain = PdColouredGraph(
-        2,
-        np.zeros(2, dtype=bool),
-        np.array([[True, True]]),
-        np.zeros(1, dtype=bool),
-        np.array([[False, True]]),
-        np.zeros(1, dtype=bool),
-        np.zeros(2, dtype=bool),
-    )
+    chain = graph_of(2, [(0, 1), (1, 2), (2, 3)])
     S = random_pd(4, rng)
     theta = mle(S, chain)
     gap = float(np.abs(theta - ips_ggm_mle(S, [(0, 1), (1, 2), (2, 3)])).max())

@@ -18,6 +18,7 @@ from pdglasso.cli import (
     _admm_config,
     _graph_edges_json,
     _graph_from_json,
+    _nesting_violation,
     _simulate_threads,
     build_parser,
     dump_report,
@@ -34,6 +35,7 @@ from pdglasso.solver import AdmmConfig, _penalty_weights, kkt_residual
 from conftest import (
     equicorrelated,
     example_structures,
+    graph_of,
     random_coloured_graph,
     random_pd,
     strong_ggm_truth,
@@ -76,14 +78,13 @@ class TestReportGraph:
     @given(q=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
     def test_round_trips(self, q, seed):
         g = random_coloured_graph(q, np.random.default_rng(seed))
-        _assert_same_graph(
-            PdColouredGraph.from_masks(q, ~g.absent_coord_mask(), g.coloured_row_mask()), g
-        )
+        _assert_same_graph(PdColouredGraph(q, g.present, g.coloured), g)
         names = _names(q)
+        tied = g.index.fused_pairs[0][g.coloured]
         doc = {
             "variables": names,
             "edges": _graph_edges_json(g, names),
-            "vertex_symmetries": [names[i] for i in np.flatnonzero(g.vertex_coloured)],
+            "vertex_symmetries": [names[i] for i in range(q) if g.index.coord_of[i, i] in tied],
         }
         _assert_same_graph(_graph_from_json(doc), g)
 
@@ -808,6 +809,11 @@ def _add_edge(i, j, kind):
     return edit
 
 
+# q = 2: variables 0, 1 on the left and 2, 3 their partners on the right
+_INSIDE = [(0, 1), (2, 3)]
+_ACROSS = [(0, 3), (2, 1)]
+
+
 class TestCompare:
     def test_precomputed_reference_row(self, capsys):
         code = main([
@@ -971,3 +977,22 @@ class TestCompare:
         ])
         assert code == 1
         assert "not nested" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("full, sub, expected", [
+        (graph_of(2), graph_of(3), "different dimensions"),
+        (graph_of(2), graph_of(2, [(2, 3), (0, 2)]), "submodel adds edges in inside block"),
+        (graph_of(2), graph_of(2, [(2, 1), (1, 3)]), "submodel adds edges in across block"),
+        (graph_of(2), graph_of(2, [(1, 3)]), "submodel adds across-diagonal edges"),
+        (graph_of(2, _INSIDE, [(1, 1), (0, 1)]), graph_of(2, _INSIDE),
+         "full-model vertex symmetry missing in submodel"),
+        (graph_of(2, _INSIDE + _ACROSS, [(0, 1), (0, 3)]), graph_of(2, [(0, 1)] + _ACROSS),
+         "full-model inside symmetry missing in submodel"),
+        (graph_of(2, _ACROSS, [(0, 3)]), graph_of(2, [(2, 1)]),
+         "full-model across symmetry missing in submodel"),
+        # a shared absence implies a colour, and the submodel may add colours
+        (graph_of(2, _INSIDE + _ACROSS + [(0, 2)], [(0, 0), (0, 1)]),
+         graph_of(2, _ACROSS, [(0, 0), (1, 1), (0, 3)]), None),
+    ], ids=["dimensions", "inside-edges", "across-edges", "across-diagonal-edges",
+            "vertex-symmetry", "inside-symmetry", "across-symmetry", "nested"])
+    def test_nesting_violation_names_the_first_failed_constraint(self, full, sub, expected):
+        assert _nesting_violation(full, sub) == expected

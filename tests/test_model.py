@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from pdglasso.chisq import chi2_quantile
 from pdglasso.errors import DimensionError, MleError
 from pdglasso.model import (
+    GraphSummary,
     PdColouredGraph,
     SubmodelClass,
     _best,
@@ -30,10 +31,13 @@ from pdglasso.simulate import ScenarioSpec, mvn_sample_cov, pdrcon_covariance
 from pdglasso.solver import AdmmConfig, pdglasso_solve, solve_weighted
 
 from conftest import (
+    example_structures,
+    graph_of,
     random_coloured_graph,
     random_fully_symmetric_graph,
     random_pd,
     strong_ggm_truth,
+    tied_mask,
 )
 from oracles import admm_loop, ips_ggm_mle
 
@@ -44,7 +48,7 @@ class TestExtractGraph:
         theta = np.diag([1.0, 2.0, 3.0, 4.0])
         g = extract_graph(theta, idx)
         assert g.n_edges == 0
-        assert not g.vertex_coloured.any()
+        assert not g.coloured.any()
         assert n_params(g) == 4
 
     def test_exact_equality_is_coloured(self):
@@ -53,16 +57,16 @@ class TestExtractGraph:
         theta[0, 1] = theta[1, 0] = 0.5
         theta[2, 3] = theta[3, 2] = 0.5
         g = extract_graph(theta, idx)
-        assert g.inside_present[0].all()
-        assert g.inside_coloured[0]
+        assert g.present[idx.coord_of[0, 1]] and g.present[idx.coord_of[2, 3]]
+        assert tied_mask(g)[idx.coord_of[0, 1]]
 
     def test_one_sided_edge(self):
         idx = PairedIndex(2)
         theta = np.eye(4)
         theta[0, 1] = theta[1, 0] = 0.5
         g = extract_graph(theta, idx)
-        assert g.inside_present[0, 0] and not g.inside_present[0, 1]
-        assert not g.inside_coloured[0]
+        assert g.present[idx.coord_of[0, 1]] and not g.present[idx.coord_of[2, 3]]
+        assert not tied_mask(g)[idx.coord_of[0, 1]]
 
     def test_symmetric_solve_extracts_all_coloured(self, rng):
         idx = PairedIndex(3)
@@ -70,11 +74,11 @@ class TestExtractGraph:
         lam2 = 1.0001 * lambda2_sym_max(S, idx)
         theta, _ = pdglasso_solve(S, PenaltySpec.uniform(0.02, lam2))
         g = extract_graph(theta, idx)
-        assert g.vertex_coloured.all()
-        both_inside = g.inside_present.all(axis=1)
-        assert np.array_equal(g.inside_present[:, 0], g.inside_present[:, 1])
-        assert np.array_equal(g.inside_coloured, both_inside)
-        assert np.array_equal(g.across_coloured, g.across_present.all(axis=1))
+        a, b = idx.fused_pairs
+        inside = idx.component_rows(False, True, False)
+        assert np.array_equal(g.present[a[inside]], g.present[b[inside]])
+        # every vertex, and every pair with both entries present, is coloured
+        assert np.array_equal(g.coloured, g.present[a] & g.present[b])
 
     def test_tolerances_must_be_positive(self):
         idx = PairedIndex(2)
@@ -84,45 +88,63 @@ class TestExtractGraph:
 
 
 def _adjacency(g):
-    """Edge entries of a graph, set from its fields index by index."""
-    q = g.q
-    A = np.eye(2 * q, dtype=bool)
-    for k, (i, j) in enumerate(zip(*np.triu_indices(q, k=1))):
-        A[i, j], A[i + q, j + q] = g.inside_present[k]
-        A[i, j + q], A[i + q, j] = g.across_present[k]
-    for i in range(q):
-        A[i, i + q] = g.across_diag[i]
+    """Edge entries of a graph, read from its present mask entry by entry."""
+    p = g.p
+    A = np.eye(p, dtype=bool)
+    for i in range(p):
+        for j in range(i + 1, p):
+            A[i, j] = g.present[g.index.coord_of[i, j]]
     return A | A.T
 
 
 class TestGraphMasks:
     @settings(max_examples=60, deadline=None)
     @given(q=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
-    def test_absent_mask_matches_the_fields(self, q, seed):
+    def test_present_mask_matches_the_adjacency(self, q, seed):
         g = random_coloured_graph(q, np.random.default_rng(seed))
         present = pd_vec(_adjacency(g).astype(float), g.index) != 0
-        assert np.array_equal(~g.absent_coord_mask(), present)
+        assert np.array_equal(g.present, present)
         assert g.n_edges == int(_adjacency(g).sum() - 2 * q) // 2
 
     def test_diagonal_of_present_is_ignored(self):
         idx = PairedIndex(2)
-        g = PdColouredGraph.from_masks(2, np.zeros(idx.vec_length, dtype=bool),
-                                       np.zeros(idx.n_rows, dtype=bool))
+        g = PdColouredGraph(2, np.zeros(idx.vec_length, dtype=bool),
+                            np.zeros(idx.n_rows, dtype=bool))
+        assert g.present[idx.diagonal].all()
         assert g.n_edges == 0
         assert n_params(g) == 4
 
-    def test_from_masks_checks_lengths_and_colours(self):
+    def test_constructor_checks_lengths_and_colours(self):
         idx = PairedIndex(2)
         with pytest.raises(DimensionError):
-            PdColouredGraph.from_masks(2, np.ones(idx.vec_length - 1, dtype=bool),
-                                       np.zeros(idx.n_rows, dtype=bool))
+            PdColouredGraph(2, np.ones(idx.vec_length - 1, dtype=bool),
+                            np.zeros(idx.n_rows, dtype=bool))
         with pytest.raises(DimensionError):
-            PdColouredGraph.from_masks(2, np.ones(idx.vec_length, dtype=bool),
-                                       np.zeros(idx.n_rows + 1, dtype=bool))
+            PdColouredGraph(2, np.ones(idx.vec_length, dtype=bool),
+                            np.zeros(idx.n_rows + 1, dtype=bool))
         # a coloured inside row needs both of its entries present
         with pytest.raises(ValueError):
-            PdColouredGraph.from_masks(2, np.zeros(idx.vec_length, dtype=bool),
-                                       np.array([False, False, True, False]))
+            PdColouredGraph(2, np.zeros(idx.vec_length, dtype=bool),
+                            np.array([False, False, True, False]))
+        with pytest.raises(ValueError, match="both of its entries"):
+            graph_of(2, [(0, 3)], [(0, 3)])
+
+    def test_masks_are_read_only_copies(self):
+        idx = PairedIndex(2)
+        present = np.zeros(idx.vec_length, dtype=bool)
+        present[[idx.coord_of[0, 1], idx.coord_of[2, 3]]] = True
+        coloured = idx.component_rows(False, True, False)
+        given = present.copy(), coloured.copy()
+        g = PdColouredGraph(2, present, coloured)
+        # the caller's arrays stay writable and unchanged, diagonal included
+        assert present.flags.writeable and coloured.flags.writeable
+        assert np.array_equal(present, given[0]) and np.array_equal(coloured, given[1])
+        assert not g.present.flags.writeable and not g.coloured.flags.writeable
+        assert np.array_equal(g.present, given[0] | idx.diagonal)
+        present[idx.coord_of[0, 1]] = False
+        assert g.present[idx.coord_of[0, 1]]
+        with pytest.raises(ValueError, match="read-only"):
+            g.coloured[0] = True
 
 
 class TestNParams:
@@ -139,31 +161,17 @@ class TestNParams:
         assert n_params(g) == 10 - 0 - (2 + 1 + 1)
 
     def test_monotone_in_edges_and_colours(self):
-        g = PdColouredGraph.empty(2)
-        d0 = n_params(g)
-        present = g.inside_present.copy()
-        present[0, 0] = True
-        g1 = PdColouredGraph(2, g.vertex_coloured, present, g.inside_coloured,
-                             g.across_present, g.across_coloured, g.across_diag)
+        d0 = n_params(PdColouredGraph.empty(2))
+        g1 = graph_of(2, [(0, 1)])
         assert n_params(g1) == d0 + 1
-        present2 = present.copy()
-        present2[0, 1] = True
-        g2 = PdColouredGraph(2, g.vertex_coloured, present2, g.inside_coloured,
-                             g.across_present, g.across_coloured, g.across_diag)
+        g2 = graph_of(2, [(0, 1), (2, 3)])
         assert n_params(g2) == d0 + 2
-        coloured = g.inside_coloured.copy()
-        coloured[0] = True
-        g3 = PdColouredGraph(2, g.vertex_coloured, present2, coloured,
-                             g.across_present, g.across_coloured, g.across_diag)
+        g3 = graph_of(2, [(0, 1), (2, 3)], [(0, 1)])
         assert n_params(g3) == n_params(g2) - 1
 
     def test_colour_requires_presence(self):
-        g = PdColouredGraph.empty(2)
-        coloured = g.inside_coloured.copy()
-        coloured[0] = True
         with pytest.raises(ValueError):
-            PdColouredGraph(2, g.vertex_coloured, g.inside_present, coloured,
-                            g.across_present, g.across_coloured, g.across_diag)
+            graph_of(2, tied=[(0, 1)])
 
 
 class TestMle:
@@ -174,15 +182,7 @@ class TestMle:
 
     def test_chain_matches_ips(self, rng):
         # chain 1-2-3-4: one inside pair on both sides plus one across edge
-        g = PdColouredGraph(
-            2,
-            np.zeros(2, dtype=bool),
-            np.array([[True, True]]),
-            np.zeros(1, dtype=bool),
-            np.array([[False, True]]),
-            np.zeros(1, dtype=bool),
-            np.zeros(2, dtype=bool),
-        )
+        g = graph_of(2, [(0, 1), (1, 2), (2, 3)])
         S = random_pd(4, rng)
         theta = mle(S, g)
         ref = ips_ggm_mle(S, [(0, 1), (1, 2), (2, 3)])
@@ -195,11 +195,9 @@ class TestMle:
             theta = mle(S, g)
             assert rcon_residual(theta, S, g) < 1e-5
             back = extract_graph(theta, PairedIndex(3))
-            assert np.array_equal(back.inside_present, g.inside_present)
-            assert np.array_equal(back.across_present, g.across_present)
-            assert np.array_equal(back.across_diag, g.across_diag)
-            assert np.array_equal(back.inside_coloured, g.inside_coloured)
-            assert np.array_equal(back.across_coloured, g.across_coloured)
+            assert np.array_equal(back.present, g.present)
+            pairs = g.index.component_rows(False, True, True)
+            assert np.array_equal(back.coloured[pairs], g.coloured[pairs])
 
     def test_infinite_constraints_give_exact_ties_and_zeros(self, rng):
         idx = PairedIndex(3)
@@ -207,9 +205,9 @@ class TestMle:
             g = random_coloured_graph(3, rng)
             theta = mle(random_pd(6, rng), g)
             z = pd_vec(theta, idx)
-            assert np.all(z[g.absent_coord_mask()] == 0.0)
+            assert np.all(z[~g.present] == 0.0)
             first, second = idx.fused_pairs
-            tied = g.coloured_row_mask()
+            tied = g.coloured
             assert np.array_equal(z[first[tied]], z[second[tied]])
 
     def test_fully_symmetric_complete_is_averaged_inverse(self, rng):
@@ -230,17 +228,18 @@ class TestMle:
 
 def swap_graph(g):
     """The coloured graph of the block-swapped model: L and R trade places."""
-    return PdColouredGraph(g.q, g.vertex_coloured, g.inside_present[:, ::-1],
-                           g.inside_coloured, g.across_present[:, ::-1],
-                           g.across_coloured, g.across_diag)
+    idx = g.index
+    rows, cols = idx.coords
+    perm = idx.swap_perm
+    return PdColouredGraph(g.q, g.present[idx.coord_of[perm[rows], perm[cols]]], g.coloured)
 
 
 def assert_exact_constraints(theta, g):
     idx = g.index
     z = pd_vec(theta, idx)
-    assert np.all(z[g.absent_coord_mask()] == 0.0)
+    assert np.all(z[~g.present] == 0.0)
     first, second = idx.fused_pairs
-    tied = g.coloured_row_mask()
+    tied = g.coloured
     assert np.array_equal(z[first[tied]], z[second[tied]])
 
 
@@ -252,8 +251,8 @@ class TestMleNewton:
         g = random_coloured_graph(q, r)
         S = random_pd(2 * q, r)
         idx = g.index
-        l1 = np.where(g.absent_coord_mask(), math.inf, 0.0)
-        w = np.where(g.coloured_row_mask(), math.inf, 0.0)
+        l1 = np.where(g.present, 0.0, math.inf)
+        w = np.where(g.coloured, math.inf, 0.0)
         # the plain loop: solve_weighted's polish would use the face solver
         # under test
         ref, _, stop_reason = admm_loop(S, idx, l1, w, AdmmConfig())
@@ -295,8 +294,8 @@ class TestMleNewton:
         S = mvn_sample_cov(Sigma, 200, 0)
         cfg = AdmmConfig(max_outer=200)
         idx = g.index
-        l1 = np.where(g.absent_coord_mask(), math.inf, 0.0)
-        w = np.where(g.coloured_row_mask(), math.inf, 0.0)
+        l1 = np.where(g.present, 0.0, math.inf)
+        w = np.where(g.coloured, math.inf, 0.0)
         # the plain Inf ADMM exhausts its budget; the polished solve certifies
         # on the same face solver as the refit
         assert admm_loop(S, idx, l1, w, cfg)[2] == "max_outer"
@@ -332,10 +331,7 @@ class TestMleFullySymmetric:
     def test_empty(self, rng):
         idx = PairedIndex(3)
         S = random_pd(6, rng)
-        g_empty = PdColouredGraph.empty(3)
-        g = PdColouredGraph(3, np.ones(3, dtype=bool), g_empty.inside_present,
-                            g_empty.inside_coloured, g_empty.across_present,
-                            g_empty.across_coloured, g_empty.across_diag)
+        g = graph_of(3, tied=[(0, 0), (1, 1), (2, 2)])
         theta = mle_fully_symmetric(S, g)
         s_bar = symmetrize_paired(S, idx)
         assert np.abs(theta - np.diag(1.0 / np.diag(s_bar))).max() < 1e-6
@@ -449,15 +445,16 @@ class TestLrt:
             theta = strong_ggm_truth(6, r, n_edges=5)
             full = extract_graph(theta, PairedIndex(3))
             S = mvn_sample_cov(np.linalg.inv(theta), 400, seed)
-            # drop the first present inside edge from the full model
-            present = full.inside_present.copy()
-            k = int(np.argmax(present.any(axis=1)))
-            side = 0 if present[k, 0] else 1
-            present[k, side] = False
-            sub = PdColouredGraph(3, full.vertex_coloured, present,
-                                  full.inside_coloured & present.all(axis=1),
-                                  full.across_present, full.across_coloured,
-                                  full.across_diag)
+            # drop the first present inside edge, pair by pair, left side
+            # first, from the full model
+            idx = full.index
+            i, j = idx.pairs
+            left, right = idx.coord_of[i, j], idx.coord_of[i + 3, j + 3]
+            k = int(np.argmax(full.present[left] | full.present[right]))
+            present = full.present.copy()
+            present[left[k] if present[left[k]] else right[k]] = False
+            a, b = idx.fused_pairs
+            sub = PdColouredGraph(3, present, full.coloured & present[a] & present[b])
             dev_full = deviance(mle(S, full), S, 400)
             dev_sub = deviance(mle(S, sub), S, 400)
             r_ = lrt(dev_full, n_params(full), dev_sub, n_params(sub), alpha=0.05)
@@ -510,21 +507,23 @@ class TestGraphSummary:
         assert s.density == 0.0
         assert s.inside_parametric_edges == 0
 
+    def test_example_structures_counted_by_hand(self):
+        # (total, inside, inside structural, inside parametric, across,
+        # across structural, across parametric) edges of each q = 3 example
+        counts = [(4, 4, 2, 2, 0, 0, 0), (7, 3, 0, 0, 4, 2, 2),
+                  (8, 4, 4, 0, 4, 0, 4), (10, 4, 0, 4, 6, 0, 4)]
+        for g, (total, *rest) in zip(example_structures(), counts):
+            assert graph_summary(g) == GraphSummary(6, total, total / 15, *rest)
+
     def test_sparse_reference_density(self):
         # 117 edges at p = 178 -> density 0.74 %
         q = 89
-        s_pairs = q * (q - 1) // 2
-        inside_present = np.zeros((s_pairs, 2), dtype=bool)
-        inside_present[:55] = True
-        inside_coloured = np.zeros(s_pairs, dtype=bool)
-        inside_coloured[:12] = True
-        across_present = np.zeros((s_pairs, 2), dtype=bool)
-        across_present[:3, 0] = True
-        across_diag = np.zeros(q, dtype=bool)
-        across_diag[:4] = True
-        g = PdColouredGraph(q, np.ones(q, dtype=bool), inside_present,
-                            inside_coloured, across_present,
-                            np.zeros(s_pairs, dtype=bool), across_diag)
+        (i, j), v = PairedIndex.of(q).pairs, np.arange(q)
+        # both sides of the first 55 pairs, 12 of them coloured; the (i, j')
+        # entry of the first 3 pairs; the first 4 across-diagonal edges
+        g = graph_of(q, [(i[:55], j[:55]), (i[:55] + q, j[:55] + q),
+                         (i[:3], j[:3] + q), (v[:4], v[:4] + q)],
+                     [(v, v), (i[:12], j[:12])])
         s = graph_summary(g)
         assert s.total_edges == 117
         assert round(100 * s.density, 2) == 0.74
@@ -536,16 +535,13 @@ class TestGraphSummary:
     def test_dense_reference_density(self):
         # 300 edges at p = 178 -> density 1.90 %, fully symmetric
         q = 89
-        s_pairs = q * (q - 1) // 2
-        inside_present = np.zeros((s_pairs, 2), dtype=bool)
-        inside_present[:143] = True
-        across_present = np.zeros((s_pairs, 2), dtype=bool)
-        across_present[:5] = True
-        across_diag = np.zeros(q, dtype=bool)
-        across_diag[:4] = True
-        g = PdColouredGraph(q, np.ones(q, dtype=bool), inside_present,
-                            inside_present[:, 0].copy(), across_present,
-                            across_present[:, 0].copy(), across_diag)
+        (i, j), v = PairedIndex.of(q).pairs, np.arange(q)
+        # both sides of the first 143 inside and 5 across pairs, all
+        # coloured; the first 4 across-diagonal edges
+        inside, across = (i[:143], j[:143]), (i[:5], j[:5] + q)
+        g = graph_of(q, [inside, (i[:143] + q, j[:143] + q), across,
+                         (i[:5] + q, j[:5]), (v[:4], v[:4] + q)],
+                     [(v, v), inside, across])
         s = graph_summary(g)
         assert s.total_edges == 300
         assert round(100 * s.density, 2) == 1.90
@@ -727,10 +723,8 @@ class TestModelSelect:
         assert len(warm_pts) == len(cold_pts)
         for w, c in zip(warm_pts, cold_pts):
             assert (w.stage, w.lambda1, w.lambda2, w.d) == (c.stage, c.lambda1, c.lambda2, c.d)
-            assert np.array_equal(w.fit.graph.absent_coord_mask(),
-                                  c.fit.graph.absent_coord_mask())
-            assert np.array_equal(w.fit.graph.coloured_row_mask(),
-                                  c.fit.graph.coloured_row_mask())
+            assert np.array_equal(w.fit.graph.present, c.fit.graph.present)
+            assert np.array_equal(w.fit.graph.coloured, c.fit.graph.coloured)
             assert w.ebic == pytest.approx(c.ebic, rel=1e-8)
 
     def test_serial_runs_are_deterministic(self, rng):

@@ -70,7 +70,7 @@ class TestGraphFromThreshold:
         K[0, 1] = K[1, 0] = 5.0
         g = graph_from_threshold(K, 1.0 / 6.0)  # exactly one edge
         assert g.n_edges == 1
-        assert g.inside_present[0, 0]  # pair (0, 1) on the left side
+        assert g.present[g.index.coord_of[0, 1]]  # pair (0, 1) on the left side
 
     def test_edge_count_matches_ceiling(self, rng):
         for density in (0.1, 0.25, 0.6):
@@ -80,9 +80,7 @@ class TestGraphFromThreshold:
 
     def test_no_colours(self, rng):
         g = graph_from_threshold(random_pd(6, rng), 0.4)
-        assert not g.vertex_coloured.any()
-        assert not g.inside_coloured.any()
-        assert not g.across_coloured.any()
+        assert not g.coloured.any()
 
 
 class TestGgmCovariance:
@@ -95,9 +93,7 @@ class TestGgmCovariance:
         Sigma, g = ggm_covariance(8, 0.25, 11, FAST)
         theta = np.linalg.inv(Sigma)
         back = extract_graph(theta, PairedIndex(4))
-        assert np.array_equal(back.inside_present, g.inside_present)
-        assert np.array_equal(back.across_present, g.across_present)
-        assert np.array_equal(back.across_diag, g.across_diag)
+        assert np.array_equal(back.present, g.present)
 
     def test_reproducible(self):
         a, _ = ggm_covariance(6, 0.3, 17, FAST)
@@ -117,7 +113,10 @@ class TestPdrconCovariance:
         Sigma_pd, g_pd = pdrcon_covariance(_spec(frac=0.0, seed=3), FAST)
         Sigma_gg, g_gg = ggm_covariance(8, 0.3, 3, FAST)
         assert np.array_equal(Sigma_pd, Sigma_gg)
-        assert np.array_equal(g_pd.inside_present, g_gg.inside_present)
+        inside = g_gg.index.component_rows(False, True, False)
+        a, b = g_gg.index.fused_pairs
+        for side in (a[inside], b[inside]):
+            assert np.array_equal(g_pd.present[side], g_gg.present[side])
 
     def test_fits_one_mle(self, monkeypatch):
         import pdglasso.simulate as simulate
@@ -146,9 +145,9 @@ class TestPdrconCovariance:
         theta = np.linalg.inv(Sigma)
         back = extract_graph(theta, PairedIndex(5))
         # every selected vertex pair is coloured in the refit
-        assert abs(int(back.vertex_coloured.sum()) - round(0.5 * q)) <= 1
-        assert np.array_equal(back.inside_coloured, g.inside_coloured)
-        assert np.array_equal(back.across_coloured, g.across_coloured)
+        vertex = back.index.component_rows(True, False, False)
+        assert abs(int(back.coloured[vertex].sum()) - round(0.5 * q)) <= 1
+        assert np.array_equal(back.coloured[~vertex], g.coloured[~vertex])
 
     def test_constraints_hold(self):
         Sigma, g = pdrcon_covariance(_spec(frac=0.7, seed=2), FAST)
@@ -160,10 +159,9 @@ class TestPdrconCovariance:
 
         idx = PairedIndex(4)
         z = pd_vec(theta, idx)
-        absent = g.absent_coord_mask()
-        assert np.abs(z[absent]).max() < 1e-10
+        assert np.abs(z[~g.present]).max() < 1e-10
         first, second = idx.fused_pairs
-        coloured = g.coloured_row_mask()
+        coloured = g.coloured
         diffs = z[first[coloured]] - z[second[coloured]]
         assert np.abs(diffs).max() < 1e-10
 
@@ -207,17 +205,12 @@ class TestEdgeMetrics:
         est_edges = np.zeros(4 * s + q, dtype=bool)
         truth_edges[:10] = True
         est_edges[2:12] = True
+        idx = PairedIndex.of(q)
 
         def build(vec):
-            return PdColouredGraph(
-                q,
-                np.zeros(q, dtype=bool),
-                np.stack([vec[:s], vec[s:2 * s]], axis=1),
-                np.zeros(s, dtype=bool),
-                np.stack([vec[2 * s:3 * s], vec[3 * s:4 * s]], axis=1),
-                np.zeros(s, dtype=bool),
-                vec[4 * s:],
-            )
+            present = idx.diagonal.copy()
+            present[~idx.diagonal] = vec  # the edge coordinates, in order
+            return PdColouredGraph(q, present, np.zeros(idx.n_rows, dtype=bool))
 
         m = edge_metrics(build(truth_edges), build(est_edges))
         assert m.ppv == pytest.approx(0.8)
@@ -308,6 +301,18 @@ class TestRunScenario:
         calls = []
         monkeypatch.setattr(simulate, "pdrcon_covariance", lambda *a, **k: calls.append(a))
         with pytest.raises(ValueError, match="threads must be >= 1"):
+            run_scenario(_spec(p=6, n_list=(40,), select_m=3), FAST, threads=threads)
+        assert calls == []
+
+    @pytest.mark.parametrize("threads", [1.5, math.nan])
+    def test_thread_count_that_is_not_an_integer_raises_before_any_truth(
+        self, monkeypatch, threads
+    ):
+        import pdglasso.simulate as simulate
+
+        calls = []
+        monkeypatch.setattr(simulate, "pdrcon_covariance", lambda *a, **k: calls.append(a))
+        with pytest.raises(ValueError, match="threads must be an integer"):
             run_scenario(_spec(p=6, n_list=(40,), select_m=3), FAST, threads=threads)
         assert calls == []
 
@@ -535,12 +540,15 @@ class TestScenarioSpecValidation:
         with pytest.raises(ValueError, match="select_m"):
             _spec(select_m=1)
 
-    @pytest.mark.parametrize("kwargs", [{"p": 6.0}, {"replications": 1.5}, {"select_m": 2.5}],
-                             ids=["p", "replications", "select_m"])
+    @pytest.mark.parametrize("kwargs", [{"p": 6.0}, {"replications": 1.5}, {"select_m": 2.5},
+                                        {"n_list": (50.7,)}, {"n_list": (40, math.nan)}],
+                             ids=["p", "replications", "select_m", "n_list", "n_list-nan"])
     def test_rejects_a_count_that_is_not_an_integer(self, kwargs):
         with pytest.raises(ValueError, match="must be an integer"):
             _spec(**kwargs)
 
     def test_accepts_numpy_integer_counts(self):
-        spec = _spec(p=np.int64(6), replications=np.int32(2), select_m=np.int64(3))
-        assert (spec.p, spec.replications, spec.select_m) == (6, 2, 3)
+        spec = _spec(p=np.int64(6), replications=np.int32(2), select_m=np.int64(3),
+                     n_list=(np.int64(40), np.int32(80)))
+        assert (spec.p, spec.replications, spec.select_m, spec.n_list) == (6, 2, 3, (40, 80))
+        assert all(type(n) is int for n in spec.n_list)
