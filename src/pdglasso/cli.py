@@ -379,7 +379,7 @@ def cmd_thresholds(args) -> int:
         "lambda2_sym": lambda2_sym_max(S, idx),
     }
     if args.json:
-        sys.stdout.write(json.dumps(values, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(json.dumps(values, indent=2, sort_keys=True, allow_nan=False) + "\n")
     else:
         for key, value in values.items():
             print(f"{key} {value!r}")

@@ -20,11 +20,11 @@ from .paired import (
     pd_vec,
     symmetrize_paired,
 )
-from .penalties import PenaltySpec, lambda1_diag_max, lambda2_sym_max
+from .penalties import PenaltySpec, lambda1_diag_max, lambda2_sym_max, penalty_weights
 from .solver import _KKT_TOL_FACTOR, AdmmConfig, SolveReport, check_count, pdglasso_solve
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PdColouredGraph:
     """Paired coloured graph: two masks over :class:`PairedIndex`'s layout.
 
@@ -36,7 +36,8 @@ class PdColouredGraph:
     {i,i'} lie in no row and are never coloured.  Entry (i, j) is present
     when ``g.present[g.index.coord_of[i, j]]``.
 
-    The masks are copied from the caller's arrays and stored read-only.
+    The masks are copied from the caller's arrays and stored read-only;
+    graphs compare, and hash, by q and the masks.
     """
 
     q: int
@@ -59,6 +60,14 @@ class PdColouredGraph:
         for name, arr in (("present", present), ("coloured", coloured)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+    def __eq__(self, other):
+        return (isinstance(other, PdColouredGraph) and self.q == other.q
+                and np.array_equal(self.present, other.present)
+                and np.array_equal(self.coloured, other.coloured))
+
+    def __hash__(self):
+        return hash((self.q, self.present.tobytes(), self.coloured.tobytes()))
 
     @property
     def p(self) -> int:
@@ -89,9 +98,10 @@ class PdColouredGraph:
         return cls(q, np.ones(idx.vec_length, dtype=bool), np.full(idx.n_rows, coloured))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FitResult:
-    """A fitted model: penalized estimate, extracted graph and its MLE refit.
+    """A fitted model: penalized estimate, extracted graph and its MLE refit,
+    compared by identity.
 
     ``theta_mle`` is None (with ``ebic`` NaN) before the refit, or when a
     caller tolerates a failed one; everything produced by the selection path
@@ -389,34 +399,23 @@ def _log_grid(top: float, m: int) -> list[float]:
     return [float(x) for x in np.geomspace(top / m, top, m)]
 
 
-def filter_extracted_colours(graph: PdColouredGraph, spec: PenaltySpec) -> PdColouredGraph:
-    """Drop colours of penalty families that were not active in the solve.
-
-    With a zero fused weight any exact equality in the estimate is accidental
-    (e.g. perfectly symmetric input), not a fusion selected by the penalty,
-    so the extracted model stays within the searched submodel class.
-    """
-    active = [c > 0 for c in spec.components]
-    return PdColouredGraph(
-        graph.q, graph.present, graph.coloured & graph.index.component_rows(*active)
-    )
-
-
 def solve_point(
     S: np.ndarray, spec: PenaltySpec, cfg: AdmmConfig, diag_penalty: bool = True,
     *, start: Optional[np.ndarray] = None,
 ) -> FitResult:
     """Solve at one penalty value and extract the model, without the refit.
 
-    Colours are read off the estimate only for fused components that were
-    active in the solve, so the fit stays within its submodel class.  The
+    Colours are kept only on the fused rows that ``spec`` weights
+    positively: under a zero weight a tie is accidental (symmetric input,
+    say), and the fit stays within its submodel class.  The
     solve starts from ``start``, an estimate at a nearby penalty (see
     :func:`pdglasso.solver.solve_weighted`), cold, at the diagonal optimum,
     when it is None.
     """
     theta_hat, report = pdglasso_solve(S, spec, cfg, diag_penalty=diag_penalty, start=start)
     idx = PairedIndex.from_p(S.shape[0])
-    graph = filter_extracted_colours(extract_graph(theta_hat, idx), spec)
+    g = extract_graph(theta_hat, idx)
+    graph = PdColouredGraph(idx.q, g.present, g.coloured & (penalty_weights(spec, idx)[1] > 0))
     return FitResult(theta_hat, graph, n_params(graph), math.nan, spec, report,
                      theta_mle=None)
 

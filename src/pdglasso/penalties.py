@@ -6,6 +6,9 @@ differences: vertex (diagonal LL vs RR), inside-block (off-diagonal LL vs RR)
 and across-block (LR vs RL).  Each fused component can be switched off, set
 to a finite weight, or forced to an exact equality constraint by the
 infinite weight ``INF``, which is ``math.inf``: ``float("inf")`` does the same.
+The layout is :class:`PairedIndex`'s: S and theta are read through
+:func:`pd_vec`, that is, by their upper triangle, and each difference is a
+row of :attr:`PairedIndex.fused_pairs`, weighted by :func:`penalty_weights`.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .paired import PairedIndex, _check_square, log_likelihood
+from .paired import PairedIndex, _check_square, log_likelihood, pd_vec
 
 INF = math.inf
 
@@ -61,75 +64,91 @@ def l1_penalty(theta: np.ndarray, lambda1: float) -> float:
     return float(lambda1 * np.abs(theta).sum())
 
 
-def _block_diffs(theta: np.ndarray, idx: PairedIndex):
-    """The three l1 block norms of the fused penalty: vertex, inside, across."""
-    q = idx.q
-    theta = np.asarray(theta, dtype=float)
-    LL = theta[:q, :q]
-    RR = theta[q:, q:]
-    LR = theta[:q, q:]
-    RL = theta[q:, :q]
-    diag_diff = np.abs(np.diag(LL) - np.diag(RR)).sum()
-    off = LL - RR
-    inside_diff = np.abs(off).sum() - np.abs(np.diag(off)).sum()
-    across_diff = np.abs(LR - RL).sum()
-    return float(diag_diff), float(inside_diff), float(across_diff)
+def penalty_weights(
+    spec: PenaltySpec, idx: PairedIndex, diag_penalty: bool = True
+) -> tuple[np.ndarray, np.ndarray]:
+    """One l1 weight per coordinate of :func:`pd_vec` and one fused weight
+    per row of :attr:`PairedIndex.fused_pairs`, infinite ones included; with
+    ``diag_penalty`` unset the l1 weight is dropped on the diagonal entries.
+    """
+    l1_coord = np.full(idx.vec_length, float(spec.lambda1))
+    if not diag_penalty:
+        l1_coord[idx.diagonal] = 0.0
+    return l1_coord, idx.component_rows(*map(float, spec.components))
+
+
+def penalty_terms(
+    z: np.ndarray, idx: PairedIndex, l1_coord: np.ndarray, row_w: np.ndarray
+) -> tuple[float, float]:
+    """The l1 and fused terms at z = ``pd_vec(theta)`` under the weights of
+    :func:`penalty_weights`, summed over all matrix entries: an off-diagonal
+    coordinate, or a row of them, counts twice.  An exact zero adds 0 even
+    under an infinite weight (never inf * 0); a nonzero one makes it +inf.
+    """
+    first, second = idx.fused_pairs
+    mult = np.where(idx.diagonal, 1.0, 2.0)  # matrix entries per coordinate
+    terms = ((mult * l1_coord, z), (mult[first] * row_w, z[first] - z[second]))
+    return tuple(float(np.sum(w[v != 0] * np.abs(v[v != 0]))) for w, v in terms)
 
 
 def fused_penalty(theta: np.ndarray, spec: PenaltySpec, idx: PairedIndex) -> float:
-    """Evaluate the fused penalty as its three l1 block norms.
-
-    Infinite components contribute zero when the corresponding differences
-    vanish exactly and make the value +inf otherwise.
-    """
-    _check_square(theta, idx, "theta")
-    diffs = _block_diffs(theta, idx)
-    # an exact zero difference adds 0 even under an infinite weight (never inf * 0)
-    return float(sum(w * d for w, d in zip(spec.components, diffs) if d != 0.0))
+    """The fused term of :func:`penalty_terms` for ``spec``: theta is read by
+    its upper triangle, and an infinite component adds 0 where its
+    differences vanish exactly and makes the value +inf otherwise."""
+    return penalty_terms(pd_vec(theta, idx), idx, *penalty_weights(spec, idx))[1]
 
 
 def objective(theta: np.ndarray, S: np.ndarray, spec: PenaltySpec) -> float:
-    """Penalized negative log-likelihood being minimized."""
+    """Penalized negative log-likelihood being minimized, nll + l1 + fused,
+    the penalty read through :func:`penalty_terms` (theta by its upper
+    triangle).  Raises :class:`NotPositiveDefiniteError` off the cone."""
     idx = PairedIndex.from_p(theta.shape[0])
-    return (
-        -log_likelihood(theta, S)
-        + l1_penalty(theta, spec.lambda1)
-        + fused_penalty(theta, spec, idx)
-    )
+    nll = -log_likelihood(theta, S)
+    l1, fused = penalty_terms(pd_vec(theta, idx), idx, *penalty_weights(spec, idx))
+    return nll + l1 + fused
+
+
+def _finite(S: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(S)):
+        raise ValueError("S contains non-finite entries")
+    return np.asarray(S, dtype=float)
 
 
 def lambda1_diag_max(S: np.ndarray) -> float:
     """Smallest l1 weight at which the estimate is diagonal for any lambda2.
 
-    Equals the largest off-diagonal absolute value of S.
+    Equals the largest off-diagonal absolute value of S; ValueError when S
+    has a non-finite entry.
     """
     S = np.asarray(S, dtype=float)
     p = S.shape[0]
     if S.ndim != 2 or S.shape[1] != p or p < 2:
         raise DimensionError(f"S must be square with p >= 2, got shape {S.shape}")
-    off = np.abs(S - np.diag(np.diag(S)))
+    off = np.abs(_finite(S) - np.diag(np.diag(S)))
     return float(off.max())
 
 
 def lambda1_block_max(S: np.ndarray, idx: PairedIndex) -> float:
     """Smallest l1 weight zeroing the whole LR block for any lambda2.
 
-    Equals the largest absolute value of the LR block of S.
+    Equals the largest absolute value of the LR block of S; ValueError when
+    S has a non-finite entry.
     """
     _check_square(S, idx, "S")
     q = idx.q
-    return float(np.abs(np.asarray(S)[:q, q:]).max())
+    return float(np.abs(_finite(S)[:q, q:]).max())
 
 
 def lambda2_sym_max(S: np.ndarray, idx: PairedIndex) -> float:
     """Smallest uniform fused weight forcing a fully symmetric estimate.
 
-    Equals the largest of |s_ij - s_i'j'| / 2 and |s_i'j - s_ij'| / 2 over
-    i, j in the left block.  Stated for the uniform penalty only.
+    Half the largest gap |s_a - s_b| over the rows (a, b) of
+    :attr:`PairedIndex.fused_pairs`, S read by its upper triangle: on a
+    symmetric S, the largest of |s_ij - s_i'j'| / 2 and |s_i'j - s_ij'| / 2
+    over i, j in the left block.  Stated for the uniform penalty only.
+    Raises ValueError when S has a non-finite entry.
     """
     _check_square(S, idx, "S")
-    q = idx.q
-    S = np.asarray(S, dtype=float)
-    inside = np.abs(S[:q, :q] - S[q:, q:]) / 2.0
-    across = np.abs(S[q:, :q] - S[:q, q:]) / 2.0
-    return float(max(inside.max(), across.max()))
+    s = pd_vec(_finite(S), idx)
+    a, b = idx.fused_pairs
+    return float(np.abs(s[a] - s[b]).max() / 2.0)

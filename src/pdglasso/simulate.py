@@ -41,7 +41,7 @@ from .model import (
     mle,
     selection_path,
 )
-from .paired import PairedIndex, logdet_pd
+from .paired import PairedIndex, is_positive_definite, logdet_pd
 from .solver import AdmmConfig, check_count
 
 _TRUTH_TAG = 1
@@ -183,13 +183,14 @@ def pdrcon_covariance(
 
 
 def mvn_sample_cov(Sigma: np.ndarray, n: int, seed) -> np.ndarray:
-    """Second-moment matrix of n zero-mean normal draws with covariance Sigma."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    """Second-moment matrix of n zero-mean normal draws with covariance Sigma,
+    an integer n >= 1 (else ValueError) and a Sigma that passes Cholesky
+    (else :class:`NotPositiveDefiniteError`)."""
+    check_count(n, "n", 1)
     Sigma = np.asarray(Sigma, dtype=float)
+    if not is_positive_definite(Sigma):
+        raise NotPositiveDefiniteError("Sigma must be positive definite")
     d, Q = np.linalg.eigh(Sigma)
-    if d.min() <= 0:
-        raise DimensionError("Sigma must be positive definite")
     root = (Q * np.sqrt(d)) @ Q.T
     rng = seed if isinstance(seed, np.random.Generator) else child_rng(seed)
     Y = rng.standard_normal((n, Sigma.shape[0])) @ root

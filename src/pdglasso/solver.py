@@ -88,11 +88,11 @@ from .face import _rcon_newton
 from .paired import (
     PairedIndex,
     is_positive_definite,
-    logdet_pd,
+    log_likelihood,
     pd_unvec,
     pd_vec,
 )
-from .penalties import PenaltySpec
+from .penalties import PenaltySpec, penalty_terms, penalty_weights
 
 _RHO_MIN = 2.0**-19
 # only an overflow guard: (p / tr Theta_0)^2 is inf once tr Theta_0 < 1e-154 p,
@@ -233,42 +233,17 @@ def _prox(z: np.ndarray, a: np.ndarray, c: np.ndarray, gap_t: np.ndarray,
     return _shrink(z, l1_t)
 
 
-def _penalty_weights(
-    spec: PenaltySpec, idx: PairedIndex, diag_penalty: bool = True
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-coordinate l1 weights and per-row fused weights of ``spec``.
-
-    Each component weights all its fused rows, an infinite one included;
-    with ``diag_penalty`` unset the l1 weight is dropped on the diagonal
-    entries.
-    """
-    l1_coord = np.full(idx.vec_length, float(spec.lambda1))
-    if not diag_penalty:
-        l1_coord[idx.diagonal] = 0.0
-    return l1_coord, idx.component_rows(*map(float, spec.components))
-
-
-def _weighted_abs_sum(weights: np.ndarray, values: np.ndarray) -> float:
-    """sum_i weights_i |values_i|; an exact zero adds 0 even under an infinite
-    weight (never inf * 0), a nonzero value under one makes the sum +inf."""
-    nz = values != 0
-    return float(np.sum(weights[nz] * np.abs(values[nz])))
-
-
 def _weighted_objective(
     Z: np.ndarray, S: np.ndarray, idx: PairedIndex, l1_coord: np.ndarray, row_w: np.ndarray
 ) -> float:
-    """Penalized negative log-likelihood with per-coordinate/per-row weights."""
+    """Penalized negative log-likelihood with per-coordinate/per-row weights,
+    nll + l1 + fused as in :func:`pdglasso.penalties.objective`; +inf when Z
+    is not positive definite."""
     try:
-        logdet = logdet_pd(Z)
+        nll = -log_likelihood(Z, S)
     except NotPositiveDefiniteError:
         return math.inf
-    z = pd_vec(Z, idx)
-    nll = -(logdet - float(np.sum(S * Z)))
-    mult = np.where(idx.diagonal, 1.0, 2.0)  # matrix entries per coordinate
-    l1 = _weighted_abs_sum(mult * l1_coord, z)
-    first, second = idx.fused_pairs
-    fused = _weighted_abs_sum(mult[first] * row_w, z[first] - z[second])
+    l1, fused = penalty_terms(pd_vec(Z, idx), idx, l1_coord, row_w)
     return nll + l1 + fused
 
 
@@ -610,7 +585,7 @@ def pdglasso_solve(
             "with all penalties zero the problem is unbounded unless S is positive definite"
         )
 
-    l1_coord, row_w = _penalty_weights(spec, idx, diag_penalty)
+    l1_coord, row_w = penalty_weights(spec, idx, diag_penalty)
     return solve_weighted(S, idx, l1_coord, row_w, cfg, start=start)
 
 
@@ -627,7 +602,7 @@ def optimality_residual(
     idx = PairedIndex.from_p(theta.shape[0])
     if not is_positive_definite(theta):
         return math.inf
-    l1_coord, row_w = _penalty_weights(spec, idx, diag_penalty)
+    l1_coord, row_w = penalty_weights(spec, idx, diag_penalty)
     z = pd_vec(theta, idx)
     G = pd_vec(S - np.linalg.inv(theta), idx)
     return kkt_violation(z, G, idx, l1_coord, row_w, 1e-7 * max(1.0, float(np.abs(z).max())))

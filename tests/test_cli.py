@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -29,8 +30,8 @@ from pdglasso.cli import (
 from pdglasso.errors import MleError
 from pdglasso.model import GridPoint, PdColouredGraph, n_params, rcon_residual
 from pdglasso.paired import PairedIndex, swap_blocks
-from pdglasso.penalties import PenaltySpec, lambda1_diag_max
-from pdglasso.solver import AdmmConfig, _penalty_weights, kkt_residual
+from pdglasso.penalties import PenaltySpec, lambda1_diag_max, penalty_weights
+from pdglasso.solver import AdmmConfig, kkt_residual
 
 from conftest import (
     equicorrelated,
@@ -68,17 +69,12 @@ def _names(q):
     return [f"g{i + 1}_L" for i in range(q)] + [f"g{i + 1}_R" for i in range(q)]
 
 
-def _assert_same_graph(h, g):
-    for f in fields(PdColouredGraph):
-        assert np.array_equal(getattr(h, f.name), getattr(g, f.name)), f.name
-
-
 class TestReportGraph:
     @settings(max_examples=60, deadline=None)
     @given(q=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
     def test_round_trips(self, q, seed):
         g = random_coloured_graph(q, np.random.default_rng(seed))
-        _assert_same_graph(PdColouredGraph(q, g.present, g.coloured), g)
+        assert PdColouredGraph(q, g.present, g.coloured) == g
         names = _names(q)
         tied = g.index.fused_pairs[0][g.coloured]
         doc = {
@@ -86,7 +82,7 @@ class TestReportGraph:
             "edges": _graph_edges_json(g, names),
             "vertex_symmetries": [names[i] for i in range(q) if g.index.coord_of[i, i] in tied],
         }
-        _assert_same_graph(_graph_from_json(doc), g)
+        assert _graph_from_json(doc) == g
 
     def test_edge_order_and_symmetry_labels(self):
         names = ["a1", "a2", "a3", "b1", "b2", "b3"]
@@ -308,7 +304,7 @@ class TestFit:
         rep = doc["solver_report"]
         assert rep["stop_reason"] == "max_outer" and rep["z_not_pd"] is True
         idx = PairedIndex(3)
-        l1, w = _penalty_weights(PenaltySpec(doc["penalties"]["lambda1"]), idx)
+        l1, w = penalty_weights(PenaltySpec(doc["penalties"]["lambda1"]), idx)
         assert rep["kkt_residual"] == kkt_residual(np.array(doc["theta_hat"]), S, idx, l1, w)
         assert 0 < rep["kkt_residual"] < math.inf
 
@@ -363,6 +359,20 @@ class TestInputValidation:
 
     def test_missing_file(self):
         assert main(["thresholds", "no-such-file.csv"]) == 1
+
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    def test_thresholds_of_non_finite_data_exit_1_without_output(
+        self, tmp_path, capsys, cell, as_json
+    ):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"a_L,a_R\n1.0,2.0\n{cell},0.5\n0.3,1.0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["thresholds", str(bad), *(["--json"] if as_json else [])]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "non-finite" in captured.err
 
 
 class TestNonFiniteSettings:

@@ -24,6 +24,7 @@ from pdglasso.model import (
     partial_variances,
     rcon_residual,
     selection_path,
+    solve_point,
 )
 from pdglasso.paired import PairedIndex, pd_vec, swap_blocks, symmetrize_paired
 from pdglasso.penalties import PenaltySpec, lambda2_sym_max
@@ -145,6 +146,20 @@ class TestGraphMasks:
         assert g.present[idx.coord_of[0, 1]]
         with pytest.raises(ValueError, match="read-only"):
             g.coloured[0] = True
+
+    def test_equal_graphs_compare_and_hash_alike(self):
+        assert PdColouredGraph.empty(2) == PdColouredGraph.empty(2)
+        assert hash(PdColouredGraph.empty(2)) == hash(PdColouredGraph.empty(2))
+        g = graph_of(2, [(0, 1), (2, 3)], [(0, 1)])
+        h = PdColouredGraph(2, g.present.copy(), g.coloured.copy())
+        assert g == h and hash(g) == hash(h) and len({g, h}) == 1
+        # one mask flag apart: an extra edge, or the same edges uncoloured
+        present = g.present.copy()
+        present[g.index.coord_of[0, 2]] = True
+        assert PdColouredGraph(2, present, g.coloured) != g
+        assert PdColouredGraph(2, g.present, np.zeros(g.index.n_rows, dtype=bool)) != g
+        assert PdColouredGraph.empty(2) != PdColouredGraph.empty(3)
+        assert PdColouredGraph.empty(1) != "graph"
 
 
 class TestNParams:
@@ -548,6 +563,24 @@ class TestGraphSummary:
         assert s.inside_parametric_edges == 286
         assert s.across_parametric_edges == 10
         assert s.across_edges == 14
+
+
+class TestSolvePoint:
+    def test_colours_only_the_rows_the_spec_weights(self, rng):
+        """On a swap-symmetric S every pair of the estimate ties, yet only
+        the rows of a positively weighted component are coloured."""
+        idx = PairedIndex(3)
+        S = symmetrize_paired(random_pd(6, rng), idx)
+        fit = solve_point(S, PenaltySpec(0.05, 0.0, 0.2, 0.0), AdmmConfig())
+        extracted = extract_graph(fit.theta_hat, idx).coloured
+        assert extracted[:idx.q].all()  # the unweighted vertex rows tie too
+        assert np.array_equal(fit.graph.coloured,
+                              extracted & idx.component_rows(False, True, False))
+
+    def test_fits_compare_by_identity(self):
+        fit, points = selection_path(np.eye(4), n=50, m=2, gamma=0.0, class_spec=SubmodelClass())
+        assert fit == fit and fit in [pt.fit for pt in points]
+        assert sum(fit != pt.fit for pt in points) == len(points) - 1
 
 
 class TestModelSelect:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdglasso.errors import DimensionError, NotPositiveDefiniteError
 from pdglasso.paired import PairedIndex, swap_blocks, symmetrize_paired
@@ -14,11 +16,20 @@ from pdglasso.penalties import (
     lambda1_diag_max,
     lambda2_sym_max,
     objective,
+    penalty_weights,
 )
 
 from pdglasso.solver import optimality_residual
 
 from conftest import random_pd, random_sym
+
+
+def block_lambda2_sym_max(S, idx):
+    """The fused threshold as LL/RR and LR/RL block slices of S."""
+    q = idx.q
+    inside = np.abs(S[:q, :q] - S[q:, q:]) / 2.0
+    across = np.abs(S[q:, :q] - S[:q, q:]) / 2.0
+    return float(max(inside.max(), across.max()))
 
 
 def brute_fused(theta, idx, lv, li, la):
@@ -270,3 +281,43 @@ class TestThresholds:
         idx = PairedIndex(5)
         S = random_sym(10, rng)
         assert lambda2_sym_max(symmetrize_paired(S, idx), idx) == 0.0
+
+    @settings(max_examples=80, deadline=None)
+    @given(q=st.integers(1, 7), seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([1e-300, 1e-3, 1.0, 1e3, 1e300]))
+    def test_lambda2_sym_equals_the_block_formula_exactly(self, q, seed, scale):
+        """The fused rows of pd_vec(S) cover every entry the block slices
+        read, vertex rows included, so the two agree bit for bit."""
+        idx = PairedIndex(q)
+        S = scale * random_sym(2 * q, np.random.default_rng(seed))
+        assert lambda2_sym_max(S, idx) == block_lambda2_sym_max(S, idx)
+
+    def test_lambda2_sym_reads_the_upper_triangle(self, rng):
+        idx = PairedIndex(3)
+        S = random_sym(6, rng)
+        lower = np.tril(rng.standard_normal((6, 6)), -1)
+        assert lambda2_sym_max(S + lower, idx) == lambda2_sym_max(S, idx)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("entry", [(0, 0), (1, 4), (4, 1)], ids=["diag", "upper", "lower"])
+    def test_thresholds_reject_non_finite_entries(self, bad, entry):
+        idx = PairedIndex(3)
+        S = np.eye(6)
+        S[entry] = bad
+        for threshold in (lambda1_diag_max, lambda1_block_max, lambda2_sym_max):
+            args = (S,) if threshold is lambda1_diag_max else (S, idx)
+            with pytest.raises(ValueError, match="non-finite"):
+                threshold(*args)
+
+
+class TestPenaltyWeights:
+    def test_one_weight_per_coordinate_and_row(self):
+        idx = PairedIndex(3)
+        l1, w = penalty_weights(PenaltySpec(0.3, 0.1, INF, 0.0), idx)
+        assert l1.shape == (idx.vec_length,) and np.all(l1 == 0.3)
+        assert np.array_equal(w, idx.component_rows(0.1, INF, 0.0))
+
+    def test_diag_penalty_unset_drops_the_diagonal_l1_weight(self):
+        idx = PairedIndex(2)
+        l1, _ = penalty_weights(PenaltySpec(0.3), idx, diag_penalty=False)
+        assert np.all(l1[idx.diagonal] == 0.0) and np.all(l1[~idx.diagonal] == 0.3)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pdglasso.errors import DimensionError, MleError, PdglassoError
+from pdglasso.errors import DimensionError, MleError, NotPositiveDefiniteError, PdglassoError
 from pdglasso.model import PdColouredGraph, extract_graph
 from pdglasso.paired import PairedIndex, swap_blocks
 from pdglasso.simulate import (
@@ -182,8 +182,23 @@ class TestMvnSampleCov:
         assert np.array_equal(mvn_sample_cov(Sigma, 7, 5), mvn_sample_cov(Sigma, 7, 5))
 
     def test_requires_pd(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(NotPositiveDefiniteError):
             mvn_sample_cov(np.zeros((3, 3)), 5, 0)
+
+    def test_nan_sigma_raises(self):
+        Sigma = np.eye(3)
+        Sigma[0, 1] = Sigma[1, 0] = math.nan
+        with pytest.raises(NotPositiveDefiniteError):
+            mvn_sample_cov(Sigma, 5, 0)
+
+    def test_indefinite_sigma_raises(self):
+        with pytest.raises(NotPositiveDefiniteError):
+            mvn_sample_cov(np.array([[1.0, 2.0], [2.0, 1.0]]), 5, 0)
+
+    @pytest.mark.parametrize("n", [2.5, 0, math.nan])
+    def test_n_must_be_a_positive_integer(self, n):
+        with pytest.raises(ValueError, match="n must be"):
+            mvn_sample_cov(np.eye(2), n, 0)
 
 
 class TestEdgeMetrics:

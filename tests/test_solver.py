@@ -16,10 +16,10 @@ from pdglasso.penalties import (
     lambda1_diag_max,
     lambda2_sym_max,
     objective,
+    penalty_weights,
 )
 from pdglasso.solver import (
     AdmmConfig,
-    _penalty_weights,
     _weighted_objective,
     fused_l1_prox,
     kkt_residual,
@@ -337,11 +337,20 @@ class TestWeightedObjective:
         M = np.diag([-1.0, -2.0])
         assert _weighted_objective(M, np.eye(2), idx, np.zeros(3), w) == math.inf
 
+    def test_report_objective_is_the_penalties_objective_bit_for_bit(self, rng):
+        """One evaluator: a certified solve under a mixed finite/Inf spec
+        reports exactly what :func:`objective` gives for its estimate."""
+        S = random_pd(8, rng)
+        spec = PenaltySpec(0.1 * lambda1_diag_max(S), INF, 0.05, 0.02)
+        theta, report = pdglasso_solve(S, spec, AdmmConfig(), diag_penalty=True)
+        assert report.kkt_ok and math.isfinite(report.objective_value)
+        assert report.objective_value == objective(theta, S, spec)
+
 
 def z_step(A, spec, rho1):
     """The fused/l1 proximal step of ``spec`` applied to a symmetric matrix."""
     idx = PairedIndex.from_p(A.shape[0])
-    l1_coord, row_w = _penalty_weights(spec, idx)
+    l1_coord, row_w = penalty_weights(spec, idx)
     return pd_unvec(fused_l1_prox(pd_vec(A, idx), idx, l1_coord, row_w, rho1), idx)
 
 
@@ -586,7 +595,7 @@ def correlated_problem(rng, q=4):
     S = random_pd(2 * q, rng, ridge=0.01)
     lam = 0.03 * lambda1_diag_max(S)
     idx = PairedIndex(q)
-    return (S, idx, *_penalty_weights(PenaltySpec(lam, INF, lam / 2, lam / 5), idx))
+    return (S, idx, *penalty_weights(PenaltySpec(lam, INF, lam / 2, lam / 5), idx))
 
 
 class TestFacePolish:
@@ -595,7 +604,7 @@ class TestFacePolish:
     def test_matches_plain_admm(self, data):
         S, idx, spec = random_instance(data)
         cfg = AdmmConfig(eps_abs=1e-10)
-        l1, w = _penalty_weights(spec, idx)
+        l1, w = penalty_weights(spec, idx)
         theta, report = solve_weighted(S, idx, l1, w, cfg)
         ref, _, ref_stop = admm_loop(S, idx, l1, w, cfg)
         assert report.stop_reason == ref_stop == "kkt"
@@ -607,8 +616,8 @@ class TestFacePolish:
         S, idx, first = random_instance(data)
         second = random_spec(data, S, idx)
         cfg = AdmmConfig(eps_abs=1e-10)
-        estimate, _ = solve_weighted(S, idx, *_penalty_weights(first, idx), cfg)
-        l1, w = _penalty_weights(second, idx)
+        estimate, _ = solve_weighted(S, idx, *penalty_weights(first, idx), cfg)
+        l1, w = penalty_weights(second, idx)
         warm, warm_report = solve_weighted(S, idx, l1, w, cfg, start=estimate)
         cold, cold_report = solve_weighted(S, idx, l1, w, cfg)
         assert warm_report.stop_reason == cold_report.stop_reason == "kkt"
@@ -636,7 +645,7 @@ class TestFacePolish:
         steps = self.record_steps(monkeypatch)
         S = random_pd(6, rng)
         idx = PairedIndex(3)
-        l1, w = _penalty_weights(PenaltySpec.uniform(0.1, 0.05), idx)
+        l1, w = penalty_weights(PenaltySpec.uniform(0.1, 0.05), idx)
         cfg = AdmmConfig()
         theta, report = solve_weighted(S, idx, l1, w, cfg)
         Z, U, rho1 = steps[0]
@@ -657,7 +666,7 @@ class TestFacePolish:
         steps = self.record_steps(monkeypatch)
         S = random_pd(8, rng)
         idx = PairedIndex(4)
-        l1, w = _penalty_weights(PenaltySpec(0.1, INF, 0.05, 0.02), idx)
+        l1, w = penalty_weights(PenaltySpec(0.1, INF, 0.05, 0.02), idx)
         start = random_pd(8, rng)
         solve_weighted(S, idx, l1, w, AdmmConfig(), start=start)
         Z, U, rho1 = steps[0]
@@ -672,7 +681,7 @@ class TestFacePolish:
         S = random_pd(8, rng)
         idx = PairedIndex(4)
         lam1 = 0.1 if warm else lambda1_diag_max(S)
-        l1, w = _penalty_weights(PenaltySpec(lam1, INF, 0.05, 0.02), idx)
+        l1, w = penalty_weights(PenaltySpec(lam1, INF, 0.05, 0.02), idx)
         cfg = AdmmConfig()
         if warm:
             start, first = solve_weighted(S, idx, l1, w, cfg)
@@ -697,7 +706,7 @@ class TestFacePolish:
         steps = self.record_steps(monkeypatch)
         S = random_pd(8, rng)
         idx = PairedIndex(4)
-        l1, w = _penalty_weights(PenaltySpec.uniform(0.1, 0.05), idx)
+        l1, w = penalty_weights(PenaltySpec.uniform(0.1, 0.05), idx)
         with pytest.raises(error):
             solve_weighted(S, idx, l1, w, AdmmConfig(), start=start)
         assert steps == []
@@ -725,7 +734,7 @@ class TestFacePolish:
         monkeypatch.setattr(solver, "_rcon_newton", fail)
         S = random_pd(8, rng)
         idx = PairedIndex(4)
-        l1, w = _penalty_weights(PenaltySpec(0.1, INF, 0.05, 0.02), idx)
+        l1, w = penalty_weights(PenaltySpec(0.1, INF, 0.05, 0.02), idx)
         at_stop = self.at_the_plain_admm_stop(S, idx, l1, w)
         cfg = AdmmConfig(max_outer=at_stop.max_outer // fraction)
         theta, report = solve_weighted(S, idx, l1, w, cfg)
@@ -806,7 +815,7 @@ class TestFacePolish:
         theta, report = pdglasso_solve(S, spec, cfg)
         assert report.stop_reason == "kkt" and report.polish_attempts >= 1
         assert optimality_residual(theta, S, spec) <= 10 * cfg.eps_abs
-        l1, w = _penalty_weights(spec, idx)
+        l1, w = penalty_weights(spec, idx)
         assert admm_loop(S, idx, l1, w, cfg)[1] > report.outer_iterations
         zeros, ties, _, _ = face_masks(theta, idx, w)
         assert zeros.any() and ties[idx.q:].any()  # zeros and finite-weight ties
@@ -819,7 +828,7 @@ class TestFacePolish:
         S = random_pd(8, rng)
         idx = PairedIndex(4)
         spec = PenaltySpec(0.1, INF, 0.05, 0.0)  # across entries are in no active row
-        l1, w = _penalty_weights(spec, idx)
+        l1, w = penalty_weights(spec, idx)
         theta, _ = solve_weighted(S, idx, l1, w, cfg)
         theta_again, kkt = solver._face_newton(theta, S, idx, l1, w, cfg)
         assert kkt <= 10 * cfg.eps_abs
@@ -853,7 +862,7 @@ class TestFacePolish:
         for q, spec in [(3, PenaltySpec.uniform(0.1, 0.05)), (4, PenaltySpec(0.1, INF, 0.05, 0.02)),
                         (5, PenaltySpec(0.05, 0.02, INF, 0.0))]:
             solve_weighted(random_pd(2 * q, rng), PairedIndex(q),
-                           *_penalty_weights(spec, PairedIndex(q)), AdmmConfig())
+                           *penalty_weights(spec, PairedIndex(q)), AdmmConfig())
         solve_weighted(*correlated_problem(rng), AdmmConfig())  # rejects a polish
         certificates = [c[0][1] for c in candidates if c[0] is not None]
         assert min(certificates) <= 1e-7 < max(certificates)
@@ -888,8 +897,8 @@ class TestFaceBoundary:
         idx = PairedIndex(1)
         lam1 = 0.5 * lambda1_diag_max(S)
         cfg = AdmmConfig(eps_abs=1e-10)
-        start, _ = solve_weighted(S, idx, *_penalty_weights(PenaltySpec(lam1), idx), cfg)
-        l1, w = _penalty_weights(PenaltySpec(lam1, lambda2_sym_max(S, idx), 0.0, 0.0), idx)
+        start, _ = solve_weighted(S, idx, *penalty_weights(PenaltySpec(lam1), idx), cfg)
+        l1, w = penalty_weights(PenaltySpec(lam1, lambda2_sym_max(S, idx), 0.0, 0.0), idx)
         return S, idx, l1, w, cfg, start
 
     @staticmethod
@@ -935,7 +944,7 @@ class TestFaceBoundary:
         faces = self.record_faces(monkeypatch)
         S = random_pd(4, rng)
         idx = PairedIndex(2)
-        l1, w = _penalty_weights(PenaltySpec(2.0 * lambda1_diag_max(S)), idx)
+        l1, w = penalty_weights(PenaltySpec(2.0 * lambda1_diag_max(S)), idx)
         cfg = AdmmConfig()
         Z = np.diag(1.0 / np.diag(S))
         Z[0, 1] = Z[1, 0] = 1e-3 * min(Z[0, 0], Z[1, 1])
@@ -949,7 +958,7 @@ class TestFaceBoundary:
         faces = self.record_faces(monkeypatch)
         S = random_pd(8, rng)
         idx = PairedIndex(4)
-        l1, w = _penalty_weights(PenaltySpec.uniform(0.1, 0.05), idx)
+        l1, w = penalty_weights(PenaltySpec.uniform(0.1, 0.05), idx)
         cfg = AdmmConfig()
         theta, _ = solve_weighted(S, idx, l1, w, cfg)
         faces.clear()
@@ -978,7 +987,7 @@ class TestDiagonalStart:
         S = random_pd(8, rng)
         idx = PairedIndex(4)
         spec = PenaltySpec(factor * lambda1_diag_max(S), 0.05, INF, 0.02)
-        l1, w = _penalty_weights(spec, idx)
+        l1, w = penalty_weights(spec, idx)
         theta, report = solve_weighted(S, idx, l1, w, AdmmConfig())
         assert report.stop_reason == "kkt" and report.outer_iterations == 0
         assert np.array_equal(theta, np.diag(np.diag(theta)))
@@ -1022,7 +1031,7 @@ class TestStepSizeRule:
         idx = PairedIndex(3)
         # a warm start 1/scale times S^-1 has the curvature of S scaled by scale
         spec = PenaltySpec.uniform(0.1 * scale, 0.05 * scale)
-        l1, w = _penalty_weights(spec, idx)
+        l1, w = penalty_weights(spec, idx)
         start = np.linalg.inv(S) / scale if warm else diagonal_start(scale * S, idx, l1, w)
         rho1 = solver._rho_start(start)
         assert rho1 == getattr(solver, bound)
@@ -1037,7 +1046,7 @@ class TestStepSizeRule:
         S = scale * random_pd(6, rng)
         idx = PairedIndex(3)
         spec = PenaltySpec.uniform(0.1 * scale, 0.05 * scale)
-        l1, w = _penalty_weights(spec, idx)
+        l1, w = penalty_weights(spec, idx)
         start = np.linalg.inv(S) if warm else None
         pdglasso_solve(S, spec, AdmmConfig(max_outer=1), start=start)
         theta0 = start if warm else diagonal_start(S, idx, l1, w)
@@ -1122,7 +1131,7 @@ class TestAdmmConfig:
         assert report.outer_iterations == 2
         assert report.stop_reason == "max_outer"
         # computed once, on exactly the matrix returned
-        l1, w = _penalty_weights(spec, PairedIndex(3))
+        l1, w = penalty_weights(spec, PairedIndex(3))
         assert report.kkt_residual == kkt_residual(theta, S, PairedIndex(3), l1, w)
         assert report.kkt_residual > 10 * cfg.eps_abs
 
@@ -1137,7 +1146,7 @@ class TestAdmmConfig:
         assert report.stop_reason == "max_outer" and report.z_not_pd
         assert not report.converged
         assert is_positive_definite(theta)
-        l1, w = _penalty_weights(spec, PairedIndex(3))
+        l1, w = penalty_weights(spec, PairedIndex(3))
         ref, _, _ = admm_loop(S, PairedIndex(3), l1, w, cfg)
         assert np.array_equal(theta, ref)
         # the certificate of the Theta step returned, not of the singular Z

@@ -20,7 +20,7 @@ import pdglasso.model as model
 import pdglasso.simulate as simulate
 import pdglasso.solver as solver
 from pdglasso.paired import PairedIndex
-from pdglasso.penalties import PenaltySpec
+from pdglasso.penalties import PenaltySpec, penalty_weights
 
 from conftest import random_pd
 
@@ -88,7 +88,7 @@ def tracehooks(monkeypatch):
 def test_solve_counts_read_a_real_report(tracehooks, rng, max_outer, kkt_ok, cfg_keyword):
     S = random_pd(6, rng)
     idx = PairedIndex(3)
-    l1, w = solver._penalty_weights(PenaltySpec.uniform(0.1, 0.05), idx)
+    l1, w = penalty_weights(PenaltySpec.uniform(0.1, 0.05), idx)
     cfg = solver.AdmmConfig(max_outer=max_outer)
     args, kwargs = ((S, idx, l1, w), {"cfg": cfg}) if cfg_keyword else ((S, idx, l1, w, cfg), {})
     result = solver.solve_weighted(*args, **kwargs)
