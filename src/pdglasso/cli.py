@@ -17,6 +17,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from itertools import zip_longest
 
 import numpy as np
@@ -246,13 +247,17 @@ def fit_report_doc(
 ) -> dict:
     """JSON-ready document for a fitted model.
 
-    ``rcon_residual`` is the likelihood-equation residual of ``theta_mle``
-    against S (see :func:`pdglasso.model.rcon_residual`), null without a refit.
+    The ``penalties``, ``solver_report`` and ``config`` blocks are the
+    fields of :class:`PenaltySpec`, :class:`SolveReport` (plus
+    ``converged``) and :class:`AdmmConfig`, so a field added there is a
+    change of the report format.  ``rcon_residual`` is the
+    likelihood-equation residual of ``theta_mle`` against S (see
+    :func:`pdglasso.model.rcon_residual`), null without a refit.
     The solver report's ``objective_value`` and ``kkt_residual`` are null
     where they are +inf: at a Theta step returned for a singular Z, which
     breaks the constraints of infinite weights.
     """
-    g = fit.graph
+    g, report = fit.graph, fit.report
     idx = g.index
     # the first entry of a vertex row is the left variable's diagonal
     vertex_tied = idx.fused_pairs[0][g.coloured & idx.component_rows(True, False, False)]
@@ -261,36 +266,23 @@ def fit_report_doc(
         "variables": list(names),
         "n": n,
         "gamma": gamma,
-        "penalties": {
-            "lambda1": fit.spec.lambda1,
-            "lambda2_vertex": _penalty_json(fit.spec.lambda2_vertex),
-            "lambda2_inside": _penalty_json(fit.spec.lambda2_inside),
-            "lambda2_across": _penalty_json(fit.spec.lambda2_across),
-        },
+        "penalties": {name: _penalty_json(v) for name, v in asdict(fit.spec).items()},
         "d": fit.d,
         "ebic": None if fit.ebic is None or math.isnan(fit.ebic) else fit.ebic,
         "edges": _graph_edges_json(g, names),
         "vertex_symmetries": [names[i] for i in idx.coords[0][vertex_tied]],
         "solver_report": {
-            "outer_iterations": fit.report.outer_iterations,
-            "converged": fit.report.converged,
-            "objective_value": _finite_or_none(fit.report.objective_value),
-            "kkt_residual": _finite_or_none(fit.report.kkt_residual),
-            "z_not_pd": fit.report.z_not_pd,
-            "stop_reason": fit.report.stop_reason,
-            "polish_attempts": fit.report.polish_attempts,
+            **asdict(report),
+            "converged": report.converged,
+            "objective_value": _finite_or_none(report.objective_value),
+            "kkt_residual": _finite_or_none(report.kkt_residual),
         },
-        "theta_hat": [[float(x) for x in row] for row in fit.theta_hat],
-        "theta_mle": None
-        if fit.theta_mle is None
-        else [[float(x) for x in row] for row in fit.theta_mle],
+        "theta_hat": fit.theta_hat.tolist(),
+        "theta_mle": None if fit.theta_mle is None else fit.theta_mle.tolist(),
         "rcon_residual": None
         if fit.theta_mle is None
         else rcon_residual(fit.theta_mle, S, g),
-        "config": {
-            "eps_abs": cfg.eps_abs,
-            "max_outer": cfg.max_outer,
-        },
+        "config": asdict(cfg),
     }
 
 

@@ -92,14 +92,13 @@ def _rcon_newton(
     # and the flat positions of the free coordinates' entries
     slot = np.full(idx.vec_length, d)
     slot[free] = cls
-    entry_cls = slot.take(idx.entry_coord)
+    entry_cls = slot.take(idx.coord_of)
     free_flat = idx.coord_flat[free]
     padded = np.zeros(d + 1)
-    p = idx.p
 
     def expand(v):
         padded[:d] = v
-        return padded.take(entry_cls).reshape(p, p)
+        return padded.take(entry_cls)
 
     def classsum(M):
         return np.bincount(cls, weights=M.take(free_flat), minlength=d)

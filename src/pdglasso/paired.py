@@ -82,7 +82,8 @@ class PairedIndex:
 
     @cached_property
     def coord_of(self) -> np.ndarray:
-        """p x p lookup: the coordinate of entry (i, j), equal to that of (j, i)."""
+        """p x p lookup: the coordinate of entry (i, j), equal to that of (j, i);
+        ``v.take(coord_of)`` is :func:`pd_unvec` of ``v``."""
         rows, cols = self.coords
         lookup = np.empty((self.p, self.p), dtype=np.intp)
         lookup[rows, cols] = lookup[cols, rows] = np.arange(self.vec_length)
@@ -94,12 +95,6 @@ class PairedIndex:
         entry: ``M.take(coord_flat)`` is :func:`pd_vec` of ``M``."""
         rows, cols = self.coords
         return _readonly(rows * self.p + cols)
-
-    @cached_property
-    def entry_coord(self) -> np.ndarray:
-        """:attr:`coord_of` flattened row-major: ``v.take(entry_coord)`` is
-        :func:`pd_unvec` of ``v``, flattened."""
-        return _readonly(self.coord_of.ravel())
 
     @cached_property
     def diagonal(self) -> np.ndarray:
@@ -166,7 +161,7 @@ def pd_unvec(v: np.ndarray, idx: PairedIndex) -> np.ndarray:
         raise DimensionError(
             f"vector has shape {v.shape}, expected ({idx.vec_length},) for q={idx.q}"
         )
-    return v.take(idx.entry_coord).reshape(idx.p, idx.p)
+    return v.take(idx.coord_of)
 
 
 def swap_blocks(M: np.ndarray, idx: PairedIndex) -> np.ndarray:

@@ -7,8 +7,9 @@ and across-block (LR vs RL).  Each fused component can be switched off, set
 to a finite weight, or forced to an exact equality constraint by the
 infinite weight ``INF``, which is ``math.inf``: ``float("inf")`` does the same.
 The layout is :class:`PairedIndex`'s: S and theta are read through
-:func:`pd_vec`, that is, by their upper triangle, and each difference is a
-row of :attr:`PairedIndex.fused_pairs`, weighted by :func:`penalty_weights`.
+:func:`pd_vec`, one entry of each symmetric pair (the upper one within each
+q x q block), and each difference is a row of
+:attr:`PairedIndex.fused_pairs`, weighted by :func:`penalty_weights`.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .paired import PairedIndex, _check_square, log_likelihood, pd_vec
+from .paired import PairedIndex, _check_square, log_likelihood, pd_unvec, pd_vec
 
 INF = math.inf
 
@@ -92,19 +93,21 @@ def penalty_terms(
 
 
 def fused_penalty(theta: np.ndarray, spec: PenaltySpec, idx: PairedIndex) -> float:
-    """The fused term of :func:`penalty_terms` for ``spec``: theta is read by
-    its upper triangle, and an infinite component adds 0 where its
+    """The fused term of :func:`penalty_terms` for ``spec``: theta is read
+    through :func:`pd_vec`, and an infinite component adds 0 where its
     differences vanish exactly and makes the value +inf otherwise."""
     return penalty_terms(pd_vec(theta, idx), idx, *penalty_weights(spec, idx))[1]
 
 
 def objective(theta: np.ndarray, S: np.ndarray, spec: PenaltySpec) -> float:
     """Penalized negative log-likelihood being minimized, nll + l1 + fused,
-    the penalty read through :func:`penalty_terms` (theta by its upper
-    triangle).  Raises :class:`NotPositiveDefiniteError` off the cone."""
+    the penalty read through :func:`penalty_terms`.  Theta is read once,
+    through :func:`pd_vec`, for all three terms.  Raises
+    :class:`NotPositiveDefiniteError` off the cone."""
     idx = PairedIndex.from_p(theta.shape[0])
-    nll = -log_likelihood(theta, S)
-    l1, fused = penalty_terms(pd_vec(theta, idx), idx, *penalty_weights(spec, idx))
+    z = pd_vec(theta, idx)
+    nll = -log_likelihood(pd_unvec(z, idx), S)
+    l1, fused = penalty_terms(z, idx, *penalty_weights(spec, idx))
     return nll + l1 + fused
 
 
@@ -143,7 +146,7 @@ def lambda2_sym_max(S: np.ndarray, idx: PairedIndex) -> float:
     """Smallest uniform fused weight forcing a fully symmetric estimate.
 
     Half the largest gap |s_a - s_b| over the rows (a, b) of
-    :attr:`PairedIndex.fused_pairs`, S read by its upper triangle: on a
+    :attr:`PairedIndex.fused_pairs`, S read through :func:`pd_vec`: on a
     symmetric S, the largest of |s_ij - s_i'j'| / 2 and |s_i'j - s_ij'| / 2
     over i, j in the left block.  Stated for the uniform penalty only.
     Raises ValueError when S has a non-finite entry.

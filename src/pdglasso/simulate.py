@@ -27,7 +27,7 @@ import os
 import pickle
 import signal
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -253,23 +253,6 @@ def matrix_losses(theta_hat: np.ndarray, theta_true: np.ndarray) -> MatrixLosses
     return MatrixLosses(frobenius=frob, entropy=entropy)
 
 
-_CSV_COLUMNS = (
-    "scenario",
-    "n",
-    "rep",
-    "method",
-    "ppv",
-    "tpr",
-    "f1",
-    "mcc",
-    "frob",
-    "entropy",
-    "d",
-    "ebic",
-    "converged",
-)
-
-
 @dataclass(frozen=True)
 class CellResult:
     scenario: str
@@ -455,7 +438,8 @@ def _child_result(pid: int, read_fd: int) -> list:
 
 
 def results_to_csv(rows: list[CellResult]) -> str:
-    """Flat CSV with one row per (scenario, n, rep, method)."""
+    """Flat CSV with one row per (scenario, n, rep, method); the columns are
+    the fields of :class:`CellResult` but ``error``."""
 
     def fmt(value):
         if isinstance(value, bool):
@@ -464,7 +448,8 @@ def results_to_csv(rows: list[CellResult]) -> str:
             return repr(float(value))  # plain shortest round-trip form
         return str(value)
 
-    lines = [",".join(_CSV_COLUMNS)]
+    columns = [f.name for f in fields(CellResult) if f.name != "error"]
+    lines = [",".join(columns)]
     for row in rows:
-        lines.append(",".join(fmt(getattr(row, col)) for col in _CSV_COLUMNS))
+        lines.append(",".join(fmt(getattr(row, col)) for col in columns))
     return "\n".join(lines) + "\n"

@@ -237,13 +237,14 @@ def _weighted_objective(
     Z: np.ndarray, S: np.ndarray, idx: PairedIndex, l1_coord: np.ndarray, row_w: np.ndarray
 ) -> float:
     """Penalized negative log-likelihood with per-coordinate/per-row weights,
-    nll + l1 + fused as in :func:`pdglasso.penalties.objective`; +inf when Z
-    is not positive definite."""
+    nll + l1 + fused as in :func:`pdglasso.penalties.objective`, Z read once
+    through :func:`pd_vec`; +inf when Z is not positive definite."""
+    z = pd_vec(Z, idx)
     try:
-        nll = -log_likelihood(Z, S)
+        nll = -log_likelihood(pd_unvec(z, idx), S)
     except NotPositiveDefiniteError:
         return math.inf
-    l1, fused = penalty_terms(pd_vec(Z, idx), idx, l1_coord, row_w)
+    l1, fused = penalty_terms(z, idx, l1_coord, row_w)
     return nll + l1 + fused
 
 
@@ -521,7 +522,7 @@ def solve_weighted(
         iterations = l + 1
         Theta = theta_step(S, Z, U, rho1)
         z = _prox((Theta + U).take(idx.coord_flat), a, b, w2 / rho1, l1_coord / rho1)
-        Z = z.take(idx.entry_coord).reshape(p, p)
+        Z = z.take(idx.coord_of)
         U = U + Theta - Z
         new_face = _face(z, a, b)
         held = held + 1 if face is not None and np.array_equal(new_face, face) else 0

@@ -360,6 +360,33 @@ class TestInputValidation:
     def test_missing_file(self):
         assert main(["thresholds", "no-such-file.csv"]) == 1
 
+    @pytest.mark.parametrize("text, flags, message", [
+        ("", [], "empty file"),
+        ("a_L,a_R\n\n", [], "no data rows"),
+        ("a_L,b_L,a_R,b_R\n1,0,0,0\n0,1,0,0\n", ["--cov"], "covariance must be 4 x 4, got 2 x 4"),
+        ("a_L,a_R\n0.0,1.0\n0.0,2.0\n", ["--standardize"], "zero variance column"),
+    ], ids=["empty", "header-only", "covariance-shape", "zero-variance"])
+    def test_unusable_input_exits_1(self, tmp_path, capsys, text, flags, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        assert main(["thresholds", str(bad), *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+
+    def test_small_covariance_asymmetry_is_symmetrized_with_a_warning(self, tmp_path, capsys):
+        M = np.eye(4)
+        M[0, 1] = 5e-11  # within the 1e-10 tolerance, above the 1e-12 one
+        cov = write_cov(tmp_path / "S.csv", M)
+        assert main(["thresholds", str(cov), "--cov", "--json"]) == 0
+        captured = capsys.readouterr()
+        assert "warning: symmetrizing covariance (asymmetry 5.000e-11)" in captured.err
+        assert json.loads(captured.out)["lambda1_diag"] == 2.5e-11
+
+    def test_unknown_path_penalty_mode(self, tmp_path, capsys):
+        cov = write_cov(tmp_path / "S.csv", np.eye(4))
+        assert main(["path", str(cov), "--cov", "--n", "10", "--lambda2-vertex", "foo"]) == 1
+        assert "penalty mode must be 0, grid or Inf, got 'foo'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("cell", ["nan", "inf"])
     @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
     def test_thresholds_of_non_finite_data_exit_1_without_output(
@@ -711,6 +738,24 @@ class TestSimulateCommand:
         assert _simulate_threads(None) == 7
 
 
+class TestStandardOutput:
+    @pytest.mark.parametrize("command", ["fit", "path", "simulate"])
+    def test_without_output_flag_writes_the_same_bytes_to_stdout(
+        self, tmp_path, rng, capsys, command
+    ):
+        cov = str(write_cov(tmp_path / "S.csv", random_pd(4, rng)))
+        args = {
+            "fit": ["fit", cov, "--cov", "--n", "40", "--lambda1", "0.1"],
+            "path": ["path", cov, "--cov", "--n", "40", "--m", "2"],
+            "simulate": TestSimulateCommand.ARGS + ["--threads", "1"],
+        }[command]
+        out = tmp_path / "out"
+        assert main(args + ["--output", str(out)]) == 0
+        capsys.readouterr()
+        assert main(args) == 0
+        assert capsys.readouterr().out == out.read_text(encoding="utf-8")
+
+
 class TestIgnoredRefineFlag:
     """``--no-kkt-refine`` and ``--eps-rel`` are accepted and ignored, so that
     command lines written for older versions still parse: every solve ends at
@@ -882,8 +927,9 @@ class TestCompare:
         (_add_edge("g1_L", "g9_L", "inside-L"), "unknown variable 'g9_L'"),
         (lambda doc: doc["vertex_symmetries"].append("g9_L"), "unknown variable 'g9_L'"),
         (lambda doc: doc.pop("edges"), "malformed report: KeyError('edges')"),
+        (_add_edge("g1_L", "g2_L", "diagonal"), "unknown edge kind 'diagonal'"),
     ], ids=["across-as-inside", "self-loop", "diagonal-as-across", "across-as-inside-R",
-            "unknown-variable", "unknown-vertex-symmetry", "missing-key"])
+            "unknown-variable", "unknown-vertex-symmetry", "missing-key", "unknown-kind"])
     def test_malformed_report_is_an_input_error(self, tmp_path, rng, capsys, edit, message):
         cov = write_cov(tmp_path / "S.csv", random_pd(4, rng))
         rep = tmp_path / "m.json"
@@ -947,6 +993,32 @@ class TestCompare:
         missing = str(tmp_path / "missing.json")
         assert main(["compare", missing, missing, "--input", missing, "--alpha", "2"]) == 1
         assert "alpha must be in (0, 1)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, message", [
+        (["r.json"], "compare needs two report files (or --precomputed)"),
+        (["r.json", "r.json"], "--input is required unless --precomputed is used"),
+    ], ids=["one-report", "no-input"])
+    def test_missing_operand_exits_1(self, capsys, args, message):
+        assert main(["compare", *args]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_unreadable_report_exits_1(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json")
+        cov = write_cov(tmp_path / "S.csv", np.eye(4))
+        assert main(["compare", str(bad), str(bad), "--input", str(cov), "--cov"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot read report {bad}: ")
+
+    def test_precomputed_critical_value_far_in_the_lower_tail(self, capsys):
+        # 1 - alpha = 1e-9 at df 9 once underflowed the chi-square density
+        code = main([
+            "compare", "--precomputed", "--deviance-full", "100", "--d-full", "20",
+            "--deviance-sub", "110", "--d-sub", "11", "--alpha", "0.999999999",
+        ])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["df"] == 9 and doc["reject"] is True
+        assert doc["critical"] == pytest.approx(0.04840705813071332, rel=1e-10)
 
     @pytest.mark.parametrize("flag", [["--eps-rel", "1e-6"], ["--no-kkt-refine"]])
     def test_takes_only_the_refit_settings(self, flag, capsys):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdglasso.chisq import chi2_quantile
+from pdglasso.chisq import chi2_quantile, gamma_p
 from pdglasso.errors import DimensionError, MleError
 from pdglasso.model import (
     GraphSummary,
@@ -486,11 +486,26 @@ class TestChiSquareQuantile:
                     float(scipy_stats.chi2.ppf(prob, df)), abs=1e-8
                 )
 
+    def test_both_tails_against_scipy(self):
+        scipy_stats = pytest.importorskip("scipy.stats")
+        probs = [10.0**-k for k in range(1, 16)] + [1.0 - 10.0**-k for k in range(1, 16)]
+        for df in range(1, 200):
+            got = np.array([chi2_quantile(prob, df) for prob in probs])
+            want = scipy_stats.chi2.ppf(probs, df)
+            assert np.all(np.abs(got - want) <= 1e-10 * want), df
+
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
             chi2_quantile(0.0, 3)
         with pytest.raises(ValueError):
             chi2_quantile(0.5, 0)
+
+    def test_gamma_p_argument_checks(self):
+        with pytest.raises(ValueError, match="shape parameter"):
+            gamma_p(0.0, 1.0)
+        with pytest.raises(ValueError, match="argument"):
+            gamma_p(1.0, -1e-300)
+        assert gamma_p(1.0, 0.0) == 0.0
 
 
 class TestPartialCorrelations:
@@ -513,6 +528,16 @@ class TestPartialCorrelations:
         assert partial_variances(theta).tolist() == [0.5, 0.25]
         with pytest.raises(ValueError):
             partial_variances(np.diag([1.0, -1.0]))
+
+    def test_rejects_a_non_positive_diagonal(self):
+        with pytest.raises(ValueError, match="diagonal"):
+            partial_correlations(np.diag([1.0, 0.0]))
+
+
+class TestSubmodelClass:
+    def test_rejects_an_unknown_mode(self):
+        with pytest.raises(ValueError, match="inside mode"):
+            SubmodelClass("grid", "foo", "grid")
 
 
 class TestGraphSummary:

@@ -63,7 +63,7 @@ class TestPairedIndex:
     def test_cached_index_arrays_are_read_only(self):
         idx = PairedIndex(2)
         for arr in (*idx.fused_pairs, *idx.coords, idx.coord_of, idx.diagonal, idx.swap_perm,
-                    idx.coord_flat, idx.entry_coord):
+                    idx.coord_flat):
             with pytest.raises(ValueError):
                 arr[0] = 0
 
@@ -88,7 +88,7 @@ class TestPairedIndex:
         idx = PairedIndex(3)
         rows, cols = idx.coords
         assert np.array_equal(idx.coord_flat, np.ravel_multi_index((rows, cols), (6, 6)))
-        assert np.array_equal(idx.entry_coord.reshape(6, 6), idx.coord_of)
+        assert np.array_equal(pd_unvec(np.arange(idx.vec_length), idx), idx.coord_of)
 
 
 class TestVec:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdglasso.errors import DimensionError, NotPositiveDefiniteError
-from pdglasso.paired import PairedIndex, swap_blocks, symmetrize_paired
+from pdglasso.paired import PairedIndex, pd_unvec, pd_vec, swap_blocks, symmetrize_paired
 from pdglasso.penalties import (
     INF,
     PenaltySpec,
@@ -19,7 +19,7 @@ from pdglasso.penalties import (
     penalty_weights,
 )
 
-from pdglasso.solver import optimality_residual
+from pdglasso.solver import _weighted_objective, optimality_residual
 
 from conftest import random_pd, random_sym
 
@@ -207,6 +207,22 @@ class TestObjective:
             PenaltySpec(0.1, 0.1, 0.1, 0.2),
         ):
             assert objective(theta, S, bumped) >= lo
+
+
+    def test_reads_theta_once_through_pd_vec(self):
+        # theta[0, 1] is read by the penalty, so log det and trace read it too;
+        # theta.T holds it at (1, 0), which pd_vec does not read
+        idx = PairedIndex(2)
+        theta = 2 * np.eye(4)
+        theta[0, 1] = 0.3
+        S, spec = np.eye(4), PenaltySpec(0.5)
+        symmetric = pd_unvec(pd_vec(theta, idx), idx)
+        assert symmetric[1, 0] == 0.3
+        assert objective(theta, S, spec) == objective(symmetric, S, spec)
+        assert objective(theta.T, S, spec) == objective(2 * np.eye(4), S, spec)
+        l1_coord, row_w = penalty_weights(spec, idx)
+        for M in (theta, theta.T):
+            assert _weighted_objective(M, S, idx, l1_coord, row_w) == objective(M, S, spec)
 
 
 class TestObjectiveNotPositiveDefinite:

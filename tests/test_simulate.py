@@ -82,6 +82,11 @@ class TestGraphFromThreshold:
         g = graph_from_threshold(random_pd(6, rng), 0.4)
         assert not g.coloured.any()
 
+    @pytest.mark.parametrize("density", [0.0, 1.5, math.nan])
+    def test_rejects_density_outside_the_unit_interval(self, density):
+        with pytest.raises(ValueError, match="density"):
+            graph_from_threshold(np.eye(4), density)
+
 
 class TestGgmCovariance:
     def test_density_one_returns_wishart_draw(self):
@@ -268,6 +273,10 @@ class TestMatrixLosses:
             matrix_losses(-np.eye(2), np.eye(2))
         with pytest.raises(ValueError):
             matrix_losses(np.eye(2), np.diag([-1.0, -2.0]))
+
+    def test_rejects_different_shapes(self):
+        with pytest.raises(DimensionError):
+            matrix_losses(np.eye(2), np.eye(4))
 
     def test_entropy_nonnegative(self, rng):
         for _ in range(100):

@@ -150,6 +150,12 @@ class TestThetaStep:
         with pytest.raises(ValueError):
             theta_step(np.eye(2), np.eye(2), np.eye(2), 0.0)
 
+    def test_rejects_non_finite_input(self):
+        Z = np.eye(2)
+        Z[0, 1] = Z[1, 0] = math.nan
+        with pytest.raises(NotPositiveDefiniteError, match="non-finite"):
+            theta_step(np.eye(2), Z, np.zeros((2, 2)), 1.0)
+
 
 class TestInnerGeneralizedLasso:
     """The fused step as a generalized lasso over the difference operator,
@@ -407,6 +413,31 @@ class TestZStep:
         A = random_sym(4, rng)
         out = z_step(A, PenaltySpec(0.1, lambda2_inside=INF), 1.0)
         assert out[0, 1] == out[2, 3]
+
+
+class TestSolveWeightedInputChecks:
+    def _args(self, q=2):
+        idx = PairedIndex(q)
+        l1_coord, row_w = penalty_weights(PenaltySpec(0.1, 0.2, 0.2, 0.2), idx)
+        return np.eye(idx.p), idx, l1_coord, row_w, AdmmConfig()
+
+    def test_non_finite_S(self):
+        S, idx, l1_coord, row_w, cfg = self._args()
+        S[0, 0] = math.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            solve_weighted(S, idx, l1_coord, row_w, cfg)
+
+    def test_l1_weights_of_wrong_length(self):
+        S, idx, l1_coord, row_w, cfg = self._args()
+        with pytest.raises(DimensionError, match="l1 weight vector"):
+            solve_weighted(S, idx, l1_coord[:-1], row_w, cfg)
+
+    def test_unequal_l1_weights_in_an_active_pair(self):
+        S, idx, l1_coord, row_w, cfg = self._args()
+        first, _ = idx.fused_pairs
+        l1_coord[first[0]] = 0.5
+        with pytest.raises(ValueError, match="active fused pair"):
+            solve_weighted(S, idx, l1_coord, row_w, cfg)
 
 
 class TestPdglassoSolve:
