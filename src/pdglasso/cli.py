@@ -287,12 +287,21 @@ def fit_report_doc(
 
 
 def dump_report(doc: dict) -> str:
+    """The canonical JSON text of every document the CLI writes."""
     return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def write_fit_report(path: str, doc: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_report(doc))
+def write_output(path: str | None, text: str) -> None:
+    """Write text to the file at path, or to stdout when path is not given."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
+def write_fit_report(path: str | None, doc: dict) -> None:
+    write_output(path, dump_report(doc))
 
 
 def read_fit_report(path: str) -> dict:
@@ -349,11 +358,7 @@ def cmd_fit(args) -> int:
     except MleError as exc:
         # the refit failed: report the penalized solve alone and exit 2
         print(f"warning: MLE refit failed ({exc})", file=sys.stderr)
-    doc = fit_report_doc(fit, S, names, n, args.gamma, cfg)
-    if args.output:
-        write_fit_report(args.output, doc)
-    else:
-        sys.stdout.write(dump_report(doc))
+    write_fit_report(args.output, fit_report_doc(fit, S, names, n, args.gamma, cfg))
     print(
         f"fit: {fit.graph.n_edges} edges, d={fit.d}, eBIC={fit.ebic:.4f}, "
         f"converged={fit.report.converged}",
@@ -371,7 +376,7 @@ def cmd_thresholds(args) -> int:
         "lambda2_sym": lambda2_sym_max(S, idx),
     }
     if args.json:
-        sys.stdout.write(json.dumps(values, indent=2, sort_keys=True, allow_nan=False) + "\n")
+        sys.stdout.write(dump_report(values))
     else:
         for key, value in values.items():
             print(f"{key} {value!r}")
@@ -386,11 +391,7 @@ def cmd_path(args) -> int:
     )
     cfg = _admm_config(args)
     winner, points = selection_path(S, n, args.m, args.gamma, class_spec, cfg)
-    doc = fit_report_doc(winner, S, names, n, args.gamma, cfg)
-    if args.output:
-        write_fit_report(args.output, doc)
-    else:
-        sys.stdout.write(dump_report(doc))
+    write_fit_report(args.output, fit_report_doc(winner, S, names, n, args.gamma, cfg))
     if args.grid_csv:
         with open(args.grid_csv, "w", encoding="utf-8", newline="") as fh:
             write_grid_csv(fh, points)
@@ -421,12 +422,18 @@ def write_grid_csv(fh, points) -> None:
         ])
 
 
-def _mode(text: str) -> str:
-    mapping = {"0": "zero", "zero": "zero", "grid": "grid", "inf": "inf"}
-    key = text.strip().lower()
-    if key not in mapping:
+def _mode(text: str) -> float | str:
+    """A component of a path's submodel class: ``grid``, or a float that
+    ``fit`` reads from its ``--lambda2-*`` flags and that is 0 or +inf."""
+    if text.strip().lower() == "grid":
+        return "grid"
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if value not in (0.0, math.inf):
         raise InputError(f"penalty mode must be 0, grid or Inf, got {text!r}")
-    return mapping[key]
+    return value
 
 
 def cmd_simulate(args) -> int:
@@ -443,12 +450,7 @@ def cmd_simulate(args) -> int:
     )
     cfg = _admm_config(args)
     rows = run_scenario(spec, cfg, threads=threads)
-    text = results_to_csv(rows)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    write_output(args.output, results_to_csv(rows))
     for r in rows:
         if r.error:
             print(f"simulate: cell n={r.n} rep={r.rep} method={r.method} failed: {r.error}",
@@ -507,10 +509,10 @@ def cmd_compare(args) -> int:
     d_full = n_params(g_full)
     d_sub = n_params(g_sub)
     if d_full == d_sub:
-        print(json.dumps({
+        sys.stdout.write(dump_report({
             "degenerate": True, "stat": 0.0, "df": 0,
             "deviance_full": dev_full, "deviance_sub": dev_sub,
-        }, indent=2, sort_keys=True, allow_nan=False))
+        }))
         return 0
     result = lrt(dev_full, d_full, dev_sub, d_sub, args.alpha)
     _print_lrt(result, dev_full, dev_sub)
@@ -518,7 +520,7 @@ def cmd_compare(args) -> int:
 
 
 def _print_lrt(result, dev_full, dev_sub):
-    print(json.dumps({
+    sys.stdout.write(dump_report({
         "degenerate": False,
         "deviance_full": dev_full,
         "deviance_sub": dev_sub,
@@ -526,7 +528,7 @@ def _print_lrt(result, dev_full, dev_sub):
         "df": result.df,
         "critical": result.critical,
         "reject": result.reject,
-    }, indent=2, sort_keys=True, allow_nan=False))
+    }))
 
 
 def _nesting_violation(g_full: PdColouredGraph, g_sub: PdColouredGraph) -> str | None:
@@ -558,8 +560,16 @@ def _nesting_violation(g_full: PdColouredGraph, g_sub: PdColouredGraph) -> str |
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error, as on any input error: 2 means non-convergence."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pdglasso",
         description="Joint structure learning of two dependent Gaussian graphical models",
     )
@@ -636,19 +646,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except MleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (PdglassoError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, MleError) else 1
 
 
 if __name__ == "__main__":

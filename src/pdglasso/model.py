@@ -343,34 +343,27 @@ def graph_summary(g: PdColouredGraph) -> GraphSummary:
 
 @dataclass(frozen=True)
 class SubmodelClass:
-    """Per-component penalty mode for model selection: zero, grid or inf."""
+    """Per-component penalty for model selection, as :class:`PenaltySpec`
+    holds it: ``0.0`` (off), ``math.inf`` (exact equality), or ``"grid"``
+    for the fused weight of the grid point."""
 
-    vertex: str = "grid"
-    inside: str = "grid"
-    across: str = "grid"
-
-    _MODES = ("zero", "grid", "inf")
+    vertex: float | str = "grid"
+    inside: float | str = "grid"
+    across: float | str = "grid"
 
     def __post_init__(self):
         for name in ("vertex", "inside", "across"):
-            if getattr(self, name) not in self._MODES:
-                raise ValueError(f"{name} mode must be one of {self._MODES}")
-
-    def component(self, name: str, grid_value: float) -> float:
-        mode = getattr(self, name)
-        if mode == "zero":
-            return 0.0
-        if mode == "inf":
-            return math.inf
-        return grid_value
+            value = getattr(self, name)
+            if value != "grid":
+                if value not in (0.0, math.inf):
+                    raise ValueError(f"{name} mode must be 0.0, math.inf or 'grid', "
+                                     f"got {value!r}")
+                # -0.0 and numpy scalars are stored as the plain float
+                object.__setattr__(self, name, 0.0 if value == 0 else math.inf)
 
     def spec(self, lambda1: float, lambda2: float) -> PenaltySpec:
-        return PenaltySpec(
-            lambda1,
-            self.component("vertex", lambda2),
-            self.component("inside", lambda2),
-            self.component("across", lambda2),
-        )
+        modes = (self.vertex, self.inside, self.across)
+        return PenaltySpec(lambda1, *(lambda2 if v == "grid" else v for v in modes))
 
     @property
     def any_gridded(self) -> bool:
@@ -474,7 +467,7 @@ def selection_path(
     Stage 1 grids the l1 weight over m log-spaced values up to the diagonal
     threshold with gridded fused components at zero; stage 2 fixes the chosen
     l1 weight and grids the fused weight up to the full-symmetry threshold.
-    For a class with no ``"inf"`` component, stage 1 is the plain graphical
+    For a class with no infinite component, stage 1 is the plain graphical
     lasso path, point for point, whatever the class: the simulation module
     reads its glasso baseline off it (see :func:`pdglasso.simulate._run_cell`).
     The stage-1 winner stays in the stage-2 candidate set (not re-solved).

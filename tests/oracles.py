@@ -413,7 +413,7 @@ def two_path_rows(spec, cfg):
     from pdglasso.model import SubmodelClass, selection_path
 
     methods = (("pdglasso", SubmodelClass("grid", "grid", "grid")),
-               ("glasso", SubmodelClass("zero", "zero", "zero")))
+               ("glasso", SubmodelClass(0.0, 0.0, 0.0)))
     rows = []
     for rep in range(spec.replications):
         for n in spec.n_list:

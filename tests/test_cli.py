@@ -422,6 +422,23 @@ class TestNonFiniteSettings:
         assert calls == [] and not out.exists()
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("text", ["zero", "0.5", "nan", "-inf", "foo"])
+    def test_path_mode_other_than_0_grid_or_inf_exits_1_before_any_solve(
+        self, tmp_path, monkeypatch, capsys, text
+    ):
+        from pdglasso import solver
+
+        calls = []
+        monkeypatch.setattr(solver, "solve_weighted", lambda *a, **k: calls.append(a))
+        cov = write_cov(tmp_path / "S.csv", np.eye(4))
+        out = tmp_path / "report.json"
+        assert main(["path", str(cov), "--cov", "--n", "10", "-o", str(out),
+                     f"--lambda2-inside={text}"]) == 1
+        assert calls == [] and not out.exists()
+        assert capsys.readouterr().err == (
+            f"error: penalty mode must be 0, grid or Inf, got {text!r}\n"
+        )
+
     @staticmethod
     def run_with_gamma(tmp_path, monkeypatch, command, gamma, n="10"):
         """Exit code, report written and penalized solves of one CLI call."""
@@ -592,6 +609,24 @@ class TestPath:
         assert doc["penalties"]["lambda2_vertex"] == "Inf"
         assert doc["vertex_symmetries"] == ["g1_L", "g2_L", "g3_L"]
 
+    def test_every_spelling_of_0_and_inf_that_fit_reads_selects_the_same(self, tmp_path, rng):
+        cov = write_cov(tmp_path / "S.csv", random_pd(4, rng))
+
+        def outputs(vertex, across):
+            out, grid = tmp_path / "win.json", tmp_path / "grid.csv"
+            assert main(["path", str(cov), "--cov", "--n", "40", "--m", "3",
+                         "--lambda2-vertex", vertex, "--lambda2-across", across,
+                         "-o", str(out), "--grid-csv", str(grid)]) == 0
+            return out.read_bytes(), grid.read_bytes()
+
+        reference = outputs("Inf", "0")
+        for text in ("infinity", "+inf", "1e999", "INF"):
+            assert outputs(text, "0") == reference, text
+        for text in ("0.0", "-0"):
+            assert outputs("Inf", text) == reference, text
+        penalties = json.loads(reference[0])["penalties"]
+        assert (penalties["lambda2_vertex"], penalties["lambda2_across"]) == ("Inf", 0.0)
+
     def test_threads_flag_removed(self, tmp_path):
         cov = write_cov(tmp_path / "S.csv", np.eye(4))
         with pytest.raises(SystemExit):
@@ -755,6 +790,56 @@ class TestStandardOutput:
         assert main(args) == 0
         assert capsys.readouterr().out == out.read_text(encoding="utf-8")
 
+    @staticmethod
+    def assert_canonical_json(out, keys):
+        """out is the document with exactly these keys, sorted, indented by
+        two spaces and ended by one newline."""
+        doc = json.loads(out)
+        assert list(doc) == keys
+        assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return doc
+
+    def test_thresholds_json_bytes(self, tmp_path, capsys):
+        S = np.array([[1.0, 0.5, 0.25, 0.125], [0.5, 2.0, 0.0, 0.375],
+                      [0.25, 0.0, 1.5, 0.5], [0.125, 0.375, 0.5, 1.0]])
+        cov = write_cov(tmp_path / "S.csv", S)
+        assert main(["thresholds", str(cov), "--cov", "--json"]) == 0
+        assert capsys.readouterr().out == (
+            '{\n  "lambda1_block": 0.375,\n  "lambda1_diag": 0.5,\n  "lambda2_sym": 0.5\n}\n'
+        )
+
+    def test_precomputed_compare_bytes(self, capsys):
+        assert main(["compare", "--precomputed", "--deviance-full", "10", "--d-full", "5",
+                     "--deviance-sub", "14.5", "--d-sub", "3"]) == 0
+        doc = self.assert_canonical_json(capsys.readouterr().out, [
+            "critical", "degenerate", "deviance_full", "deviance_sub", "df", "reject", "stat",
+        ])
+        assert doc["critical"] == pytest.approx(5.99146454710798, rel=1e-12)
+        del doc["critical"]
+        assert doc == {"degenerate": False, "deviance_full": 10.0, "deviance_sub": 14.5,
+                       "df": 2, "reject": False, "stat": 4.5}
+
+    def test_report_compare_bytes(self, tmp_path, rng, capsys):
+        from pdglasso.simulate import mvn_sample_cov
+
+        theta = strong_ggm_truth(6, rng, n_edges=6)
+        cov = write_cov(tmp_path / "S.csv", mvn_sample_cov(np.linalg.inv(theta), 200, 9))
+        reports = []
+        for lam1 in ("0.02", "0.35"):
+            reports.append(str(tmp_path / f"{lam1}.json"))
+            assert main(["fit", str(cov), "--cov", "--lambda1", lam1, "--n", "200",
+                         "-o", reports[-1]]) == 0
+        flags = ["--input", str(cov), "--cov", "--n", "200"]
+        capsys.readouterr()
+        assert main(["compare", *reports, *flags]) == 0
+        self.assert_canonical_json(capsys.readouterr().out, [
+            "critical", "degenerate", "deviance_full", "deviance_sub", "df", "reject", "stat",
+        ])
+        assert main(["compare", reports[0], reports[0], *flags]) == 0
+        self.assert_canonical_json(capsys.readouterr().out, [
+            "degenerate", "deviance_full", "deviance_sub", "df", "stat",
+        ])
+
 
 class TestIgnoredRefineFlag:
     """``--no-kkt-refine`` and ``--eps-rel`` are accepted and ignored, so that
@@ -806,6 +891,32 @@ class TestIgnoredRefineFlag:
         out = capsys.readouterr().out
         assert "--eps-abs" in out
         assert "eps-rel" not in out and "kkt-refine" not in out
+
+
+class TestUsageErrors:
+    """A command line argparse rejects exits 1, the code of every input
+    error; 2 is left to numerical non-convergence."""
+
+    @pytest.mark.parametrize("argv", [
+        ["fit", "input.csv"],
+        ["nosuch"],
+        ["compare", "a.json", "b.json", "--eps-rel", "1e-6"],
+        ["path", "input.csv", "--m", "x"],
+    ], ids=["missing-required", "unknown-command", "unknown-flag", "bad-int"])
+    def test_exits_1_with_the_usage(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: pdglasso") and "error: " in captured.err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["path", "--help"]])
+    def test_help_and_version_exit_0(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out
 
 
 _BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
@@ -1029,7 +1140,7 @@ class TestCompare:
         # refits read no other solver setting, so compare offers none
         with pytest.raises(SystemExit) as exc:
             main(["compare", "a.json", "b.json", *flag])
-        assert exc.value.code == 2
+        assert exc.value.code == 1
         assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_nested_pair_and_violation(self, tmp_path, rng, capsys):

@@ -539,6 +539,24 @@ class TestSubmodelClass:
         with pytest.raises(ValueError, match="inside mode"):
             SubmodelClass("grid", "foo", "grid")
 
+    @pytest.mark.parametrize("value, stored", [
+        (0, 0.0), (0.0, 0.0), (-0.0, 0.0), (math.inf, math.inf),
+        (np.float64(np.inf), math.inf), ("grid", "grid"),
+    ], ids=["int-0", "0.0", "-0.0", "math.inf", "np.inf", "grid"])
+    def test_holds_a_fixed_component_as_the_float_penaltyspec_takes(self, value, stored):
+        cls = SubmodelClass(value, 0.0, "grid")
+        assert cls.vertex == stored and type(cls.vertex) is type(stored)
+        if stored == 0.0:
+            assert math.copysign(1.0, cls.vertex) == 1.0
+        spec = cls.spec(0.25, 0.5)
+        assert spec == PenaltySpec(0.25, 0.5 if stored == "grid" else stored, 0.0, 0.5)
+        assert all(type(w) is float for w in spec.components)
+
+    @pytest.mark.parametrize("value", ["zero", "inf", "Inf", 0.5, math.nan, -math.inf, None])
+    def test_rejects_a_value_that_is_not_0_inf_or_grid(self, value):
+        with pytest.raises(ValueError, match="across mode must be"):
+            SubmodelClass("grid", "grid", value)
+
 
 class TestGraphSummary:
     def test_empty(self):
@@ -657,7 +675,7 @@ class TestModelSelect:
         S = random_pd(6, rng)
         cfg = AdmmConfig(eps_abs=1e-7)
         _, points = selection_path(
-            S, 100, 4, 0.0, SubmodelClass("zero", "zero", "zero"), cfg
+            S, 100, 4, 0.0, SubmodelClass(0.0, 0.0, 0.0), cfg
         )
         assert all(pt.stage == 1 for pt in points)
 
