@@ -39,7 +39,7 @@ from .model import (
     selection_path,
     solve_point,
 )
-from .paired import PairedIndex
+from .paired import PairedIndex, checked_cov
 from .penalties import PenaltySpec, lambda1_block_max, lambda1_diag_max, lambda2_sym_max
 from .simulate import ScenarioSpec, results_to_csv, run_scenario
 from .solver import AdmmConfig
@@ -107,23 +107,9 @@ def read_matrix_csv(path: str, cov: bool) -> tuple[np.ndarray, list[str]]:
         raise InputError(f"{path}: no data rows")
     M = np.asarray(rows, dtype=float)
 
-    if cov:
-        p = len(names)
-        if M.shape != (p, p):
-            raise InputError(
-                f"{path}: covariance must be {p} x {p}, got {M.shape[0]} x {M.shape[1]}"
-            )
-        asym = float(np.abs(M - M.T).max())
-        if asym > 1e-10:
-            raise InputError(
-                f"{path}: covariance asymmetry {asym:.3e} exceeds 1e-10"
-            )
-        if asym > 1e-12:
-            print(
-                f"warning: symmetrizing covariance (asymmetry {asym:.3e})",
-                file=sys.stderr,
-            )
-        M = 0.5 * (M + M.T)
+    p = len(names)
+    if cov and M.shape != (p, p):  # every row has p fields
+        raise InputError(f"{path}: covariance must be {p} x {p}, got {len(M)} x {p}")
     return M, names
 
 
@@ -148,6 +134,7 @@ def _read_sample(args) -> tuple[np.ndarray, list[str], int | None]:
             raise InputError("--n is required with --cov")
         if n < 1:
             raise InputError(f"--n must be >= 1, got {n}")
+    S = checked_cov(S)
     if args.standardize:
         d = np.sqrt(np.diag(S))
         if np.any(d <= 0):

@@ -75,11 +75,8 @@ def _rcon_newton(
     :class:`MleError`: a zero diagonal class sum of S, a Newton system that
     is not numerically positive definite, a failed line search, Newton steps
     stalled at float precision, or more than ``max_steps`` Newton steps.
-    Raises ValueError when S has non-finite entries.
+    S is finite and symmetric (see :func:`pdglasso.paired.checked_cov`).
     """
-    S = np.asarray(S, dtype=float)
-    if not np.all(np.isfinite(S)):
-        raise ValueError("S contains non-finite entries")
     # one free parameter per class: a tied pair or a lone present coordinate
     _, cls = _colour_classes(idx, absent, coloured)
     free = ~absent
@@ -177,13 +174,15 @@ def _pcg(hvp, precond, b: np.ndarray, max_iter: int) -> np.ndarray:
     Stops once the preconditioned residual norm falls below
     min(_MAX_FORCING, sqrt(lambda)) times its start, where lambda^2 = b' P b
     approximates the squared Newton decrement; the outer Newton loop then
-    converges superlinearly.  Raises :class:`MleError` when the curvature
-    along a direction is not positive or the iterations exceed ``max_iter``.
+    converges superlinearly.  Raises :class:`MleError` when b' P b or the
+    curvature along a direction is not positive, or after ``max_iter`` steps.
     """
     x = np.zeros_like(b)
     r = b.copy()
     z = precond(r)
     rz = float(r @ z)
+    if not rz > 0:  # P is positive definite in exact arithmetic
+        raise MleError("Newton preconditioner is not numerically positive definite")
     stop = min(_MAX_FORCING**2, math.sqrt(rz)) * rz
     direction = z
     for _ in range(max_iter):

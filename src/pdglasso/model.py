@@ -16,6 +16,7 @@ from .face import _colour_classes, _rcon_newton
 from .paired import (
     PairedIndex,
     _check_square,
+    checked_cov,
     log_likelihood,
     pd_vec,
     symmetrize_paired,
@@ -172,13 +173,12 @@ def mle(S: np.ndarray, g: PdColouredGraph, cfg: Optional[AdmmConfig] = None) -> 
     diverging to infinity.  ``cfg.max_outer`` caps the Newton steps.  Every
     other exit raises :class:`MleError`: a zero sample variance, a Newton
     system that is not numerically positive definite, a failed line search,
-    Newton steps stalled at float precision, or the step cap.  Raises
-    ValueError when S has non-finite entries.
+    Newton steps stalled at float precision, or the step cap.  S is checked
+    by :func:`pdglasso.paired.checked_cov`.
     """
     cfg = cfg or AdmmConfig()
     idx = g.index
-    _check_square(S, idx, "S")
-    return _refit(S, idx, ~g.present, g.coloured, cfg)
+    return _refit(checked_cov(S, idx), idx, ~g.present, g.coloured, cfg)
 
 
 def mle_fully_symmetric(
@@ -194,8 +194,7 @@ def mle_fully_symmetric(
     if not g.is_fully_symmetric():
         raise ValueError("graph is not fully symmetric")
     idx = g.index
-    _check_square(S, idx, "S")
-    S_bar = symmetrize_paired(S, idx)
+    S_bar = symmetrize_paired(checked_cov(S, idx), idx)
     no_ties = np.zeros(idx.n_rows, dtype=bool)
     return symmetrize_paired(_refit(S_bar, idx, ~g.present, no_ties, cfg), idx)
 
@@ -205,9 +204,10 @@ def rcon_residual(theta: np.ndarray, S: np.ndarray, g: PdColouredGraph) -> float
 
     Present uncoloured entries of the inverse must match S; colour classes
     must match on class sums; absent entries and colour differences must be
-    exactly zero.
+    exactly zero.  S is checked by :func:`~pdglasso.paired.checked_cov`.
     """
     idx = g.index
+    S = checked_cov(S, idx)
     absent = ~g.present
     owner, cls = _colour_classes(idx, absent, g.coloured)
     z = pd_vec(theta, idx)
@@ -439,7 +439,7 @@ def _evaluate(stage, lam1, lam2, S, n, gamma, class_spec, cfg, start) -> GridPoi
     spec = class_spec.spec(lam1, lam2)
     try:
         fit = fit_point(S, n, gamma, spec, cfg, start=start)
-    except (PdglassoError, np.linalg.LinAlgError) as exc:
+    except PdglassoError as exc:
         return GridPoint(stage, lam1, lam2, None, None, False, error=str(exc))
     return GridPoint(
         stage, lam1, lam2, fit.ebic, fit.d, fit.report.converged, fit=fit
@@ -490,7 +490,7 @@ def selection_path(
     cfg = cfg or AdmmConfig()
     check_count(m, "grid length m", 2)
     check_gamma(gamma)
-    S = np.asarray(S, dtype=float)
+    S = checked_cov(S)
     idx = PairedIndex.from_p(S.shape[0])
 
     def sweep(stage: int, grid: list[tuple[float, float]],

@@ -141,6 +141,34 @@ def _check_square(M: np.ndarray, idx: PairedIndex, name: str = "matrix") -> None
         )
 
 
+def checked_cov(S: np.ndarray, idx: PairedIndex | None = None) -> np.ndarray:
+    """S as a float64 array that meets the contract of a covariance input,
+    which every public function reading an S checks on entry.  In this
+    order, S is square with an even p, or p x p for ``idx``, else
+    :class:`DimensionError`; finite; symmetric within 1e-10 max|S|, and then
+    0.5 (S + S') is returned, so no reader depends on a triangle; positive
+    semidefinite: S / max|S| + 10 p eps I has a Cholesky factor, the shift
+    admitting the rounding error of a singular sample moment matrix.  Any
+    other failure is a ValueError naming its cause.  Both bounds are
+    relative, so S and 2^k S get the same verdict."""
+    S = np.asarray(S, dtype=float)
+    _check_square(S, idx or PairedIndex.from_p(len(S) if S.ndim else 0), "S")
+    if not np.all(np.isfinite(S)):
+        raise ValueError("S contains non-finite entries")
+    scale = float(np.abs(S).max())
+    asym = float(np.abs(S - S.T).max())
+    if asym > 1e-10 * scale:
+        raise ValueError(f"S is not symmetric: max|S - S'| = {asym:.3e} exceeds 1e-10 max|S|")
+    if asym > 0:
+        S = 0.5 * (S + S.T)
+    try:  # S = 0 passes: it is divided by 1
+        np.linalg.cholesky(S / (scale or 1.0) + 10 * len(S) * np.finfo(float).eps * np.eye(len(S)))
+    except np.linalg.LinAlgError:
+        raise ValueError("S is not positive semidefinite: its smallest eigenvalue is "
+                         f"{np.linalg.eigvalsh(S)[0]:.3e}") from None
+    return S
+
+
 def pd_vec(M: np.ndarray, idx: PairedIndex) -> np.ndarray:
     """Half-vectorize a symmetric paired matrix in the canonical block order.
 

@@ -15,12 +15,11 @@ q x q block), and each difference is a row of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DimensionError
-from .paired import PairedIndex, _check_square, log_likelihood, pd_unvec, pd_vec
+from .paired import PairedIndex, checked_cov, log_likelihood, pd_unvec, pd_vec
 
 INF = math.inf
 
@@ -40,13 +39,15 @@ class PenaltySpec:
     lambda2_across: float = 0.0
 
     def __post_init__(self):
-        # written so that NaN fails
-        if not 0 <= self.lambda1 < math.inf:
-            raise ValueError(f"lambda1 must be finite and >= 0, got {self.lambda1}")
-        for name in ("lambda2_vertex", "lambda2_inside", "lambda2_across"):
-            value = getattr(self, name)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # written so that NaN fails
+            if f.name == "lambda1" and not 0 <= value < math.inf:
+                raise ValueError(f"lambda1 must be finite and >= 0, got {value}")
             if not 0 <= value <= math.inf:
-                raise ValueError(f"{name} must be >= 0 or Inf, got {value}")
+                raise ValueError(f"{f.name} must be >= 0 or Inf, got {value}")
+            if value == 0:  # -0.0 too, so that both spellings report 0.0
+                object.__setattr__(self, f.name, 0.0)
 
     @classmethod
     def uniform(cls, lambda1: float, lambda2: float) -> "PenaltySpec":
@@ -111,47 +112,35 @@ def objective(theta: np.ndarray, S: np.ndarray, spec: PenaltySpec) -> float:
     return nll + l1 + fused
 
 
-def _finite(S: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(S)):
-        raise ValueError("S contains non-finite entries")
-    return np.asarray(S, dtype=float)
-
-
 def lambda1_diag_max(S: np.ndarray) -> float:
     """Smallest l1 weight at which the estimate is diagonal for any lambda2.
 
-    Equals the largest off-diagonal absolute value of S; ValueError when S
-    has a non-finite entry.
+    Equals the largest off-diagonal absolute value of S, which is checked
+    by :func:`~pdglasso.paired.checked_cov`.
     """
-    S = np.asarray(S, dtype=float)
-    p = S.shape[0]
-    if S.ndim != 2 or S.shape[1] != p or p < 2:
-        raise DimensionError(f"S must be square with p >= 2, got shape {S.shape}")
-    off = np.abs(_finite(S) - np.diag(np.diag(S)))
-    return float(off.max())
+    S = checked_cov(S)
+    return float(np.abs(S - np.diag(np.diag(S))).max())
 
 
 def lambda1_block_max(S: np.ndarray, idx: PairedIndex) -> float:
     """Smallest l1 weight zeroing the whole LR block for any lambda2.
 
-    Equals the largest absolute value of the LR block of S; ValueError when
-    S has a non-finite entry.
+    Equals the largest absolute value of the LR block of S, which is
+    checked by :func:`~pdglasso.paired.checked_cov`.
     """
-    _check_square(S, idx, "S")
     q = idx.q
-    return float(np.abs(_finite(S)[:q, q:]).max())
+    return float(np.abs(checked_cov(S, idx)[:q, q:]).max())
 
 
 def lambda2_sym_max(S: np.ndarray, idx: PairedIndex) -> float:
     """Smallest uniform fused weight forcing a fully symmetric estimate.
 
     Half the largest gap |s_a - s_b| over the rows (a, b) of
-    :attr:`PairedIndex.fused_pairs`, S read through :func:`pd_vec`: on a
-    symmetric S, the largest of |s_ij - s_i'j'| / 2 and |s_i'j - s_ij'| / 2
-    over i, j in the left block.  Stated for the uniform penalty only.
-    Raises ValueError when S has a non-finite entry.
+    :attr:`PairedIndex.fused_pairs`, S read through :func:`pd_vec`: the
+    largest of |s_ij - s_i'j'| / 2 and |s_i'j - s_ij'| / 2 over i, j in the
+    left block.  Stated for the uniform penalty only.  S is checked by
+    :func:`checked_cov`.
     """
-    _check_square(S, idx, "S")
-    s = pd_vec(_finite(S), idx)
+    s = pd_vec(checked_cov(S, idx), idx)
     a, b = idx.fused_pairs
     return float(np.abs(s[a] - s[b]).max() / 2.0)

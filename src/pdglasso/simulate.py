@@ -304,7 +304,7 @@ def _run_cell(
         winner, points = selection_path(
             S, n, spec.select_m, spec.select_gamma, _PDGLASSO, cfg
         )
-    except (PdglassoError, np.linalg.LinAlgError) as exc:
+    except PdglassoError as exc:
         return [_failed_row(spec, n, rep, method, exc) for method in _METHODS]
     fits = (winner, _best([pt for pt in points if pt.stage == 1]).fit)
     out = []

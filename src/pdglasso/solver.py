@@ -87,6 +87,7 @@ from .errors import DimensionError, MleError, NotPositiveDefiniteError
 from .face import _rcon_newton
 from .paired import (
     PairedIndex,
+    checked_cov,
     is_positive_definite,
     log_likelihood,
     pd_unvec,
@@ -477,9 +478,6 @@ def solve_weighted(
     ``max_outer`` stop, the sparse/fused iterate Z, or the positive definite
     iterate Theta when Z is not positive definite (flagged in the report).
     """
-    S = np.asarray(S, dtype=float)
-    if not np.all(np.isfinite(S)):
-        raise ValueError("S contains non-finite entries")
     l1_coord = np.asarray(l1_coord, dtype=float)
     if l1_coord.shape != (idx.vec_length,):
         raise DimensionError("l1 weight vector has wrong length")
@@ -572,13 +570,11 @@ def pdglasso_solve(
     entries.
     ``start``, a positive definite matrix such as an earlier estimate, is
     passed to :func:`solve_weighted`: a cold solve, from the diagonal
-    optimum, when None.
+    optimum, when None.  S is checked by :func:`~pdglasso.paired.checked_cov`.
     """
     cfg = cfg or AdmmConfig()
-    S = np.asarray(S, dtype=float)
+    S = checked_cov(S)
     idx = PairedIndex.from_p(S.shape[0])
-    if not np.all(np.isfinite(S)):
-        raise ValueError("S contains non-finite entries")
 
     unpenalized = spec.lambda1 == 0 and not any(spec.components)
     if unpenalized and not is_positive_definite(S):
@@ -598,9 +594,10 @@ def optimality_residual(
     As :func:`kkt_residual`, but for a matrix that need not come from the
     solver: pairs within 1e-7 max(1, max|theta|) of each other count as
     tied.  Infinite components are constraints (see :func:`kkt_violation`):
-    +inf when ``theta`` breaks one.
+    +inf when ``theta`` breaks one.  S is checked by :func:`checked_cov`.
     """
     idx = PairedIndex.from_p(theta.shape[0])
+    S = checked_cov(S, idx)
     if not is_positive_definite(theta):
         return math.inf
     l1_coord, row_w = penalty_weights(spec, idx, diag_penalty)

@@ -128,6 +128,20 @@ class TestFit:
         assert "seed" not in doc
         assert doc["solver_report"]["converged"] is True
 
+    def test_negative_zero_penalties_write_the_report_of_zero(self, tmp_path, rng):
+        cov = write_cov(tmp_path / "S.csv", random_pd(4, rng))
+
+        def report(lambda1, lambda2):
+            out = tmp_path / "report.json"
+            assert main(["fit", str(cov), "--cov", "--n", "40", "--lambda1", lambda1,
+                         "--lambda2-vertex", lambda2, "--lambda2-inside", lambda2,
+                         "--lambda2-across", lambda2, "-o", str(out)]) == 0
+            return out.read_bytes()
+
+        assert report("-0", "0") == report("0", "0")
+        assert report("0.3", "-0") == report("0.3", "0")
+        assert report("-0", "-0") == report("0", "0")
+
     def test_lambda_at_printed_threshold_gives_empty_graph(self, tmp_path, rng):
         S = random_pd(6, rng)
         cov = write_cov(tmp_path / "S.csv", S)
@@ -360,6 +374,30 @@ class TestInputValidation:
     def test_missing_file(self):
         assert main(["thresholds", "no-such-file.csv"]) == 1
 
+    @pytest.mark.parametrize("command", ["fit", "path", "thresholds", "compare"])
+    @pytest.mark.parametrize("S, cause", [
+        ([[1.0, 2.0], [2.0, 1.0]], "not positive semidefinite"),  # eigenvalues 3 and -1
+        ([[1.0, 0.5], [0.0, 1.0]], "not symmetric"),
+    ], ids=["indefinite", "asymmetric"])
+    def test_covariance_outside_the_contract_exits_1_naming_the_fault(
+        self, tmp_path, capsys, command, S, cause
+    ):
+        bad = write_cov(tmp_path / "bad.csv", np.array(S))
+        report = tmp_path / "report.json"
+        assert main(["fit", str(write_cov(tmp_path / "S.csv", np.eye(2))), "--cov",
+                     "--n", "10", "--lambda1", "0.05", "-o", str(report)]) == 0
+        capsys.readouterr()
+        args = {
+            "fit": ["fit", str(bad), "--lambda1", "0.05"],
+            "path": ["path", str(bad), "--m", "3"],
+            "thresholds": ["thresholds", str(bad)],
+            "compare": ["compare", str(report), str(report), "--input", str(bad)],
+        }[command]
+        assert main([*args, "--cov", *(["--n", "10"] if command != "thresholds" else [])]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert cause in captured.err
+
     @pytest.mark.parametrize("text, flags, message", [
         ("", [], "empty file"),
         ("a_L,a_R\n\n", [], "no data rows"),
@@ -373,14 +411,12 @@ class TestInputValidation:
         captured = capsys.readouterr()
         assert captured.out == "" and message in captured.err
 
-    def test_small_covariance_asymmetry_is_symmetrized_with_a_warning(self, tmp_path, capsys):
+    def test_small_covariance_asymmetry_is_symmetrized(self, tmp_path, capsys):
         M = np.eye(4)
-        M[0, 1] = 5e-11  # within the 1e-10 tolerance, above the 1e-12 one
+        M[0, 1] = 5e-11  # within the tolerance of 1e-10 max|S|
         cov = write_cov(tmp_path / "S.csv", M)
         assert main(["thresholds", str(cov), "--cov", "--json"]) == 0
-        captured = capsys.readouterr()
-        assert "warning: symmetrizing covariance (asymmetry 5.000e-11)" in captured.err
-        assert json.loads(captured.out)["lambda1_diag"] == 2.5e-11
+        assert json.loads(capsys.readouterr().out)["lambda1_diag"] == 2.5e-11
 
     def test_unknown_path_penalty_mode(self, tmp_path, capsys):
         cov = write_cov(tmp_path / "S.csv", np.eye(4))

@@ -334,6 +334,13 @@ class TestMleNewton:
         with pytest.raises(ValueError):
             mle_fully_symmetric(S, PdColouredGraph.complete(2, coloured=True))
 
+    def test_rank_one_saturated_model_raises_mle_error(self):
+        # the MLE does not exist; on this S the Newton preconditioner can lose
+        # positive definiteness in rounding before any other check fails
+        x = np.array([2.214526200456951e-04, -2.326804792215101e-04])
+        with pytest.raises(MleError):
+            mle(np.outer(x, x), PdColouredGraph.complete(1))
+
 
 class TestMleFullySymmetric:
     def test_complete(self, rng):

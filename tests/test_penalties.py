@@ -237,14 +237,14 @@ class TestObjectiveNotPositiveDefinite:
 
 class TestThresholds:
     def test_lambda1_diag_identity(self):
-        assert lambda1_diag_max(np.eye(5)) == 0.0
+        assert lambda1_diag_max(np.eye(6)) == 0.0
 
     def test_lambda1_diag_example(self):
         S = np.array([[1.0, 0.7], [0.7, 1.0]])
         assert lambda1_diag_max(S) == 0.7
 
     def test_lambda1_diag_brute(self, rng):
-        S = random_sym(8, rng)
+        S = random_pd(8, rng)
         expected = max(
             abs(S[i, j]) for i in range(8) for j in range(8) if i != j
         )
@@ -253,10 +253,12 @@ class TestThresholds:
     def test_lambda1_diag_needs_p2(self):
         with pytest.raises(DimensionError):
             lambda1_diag_max(np.eye(1))
+        with pytest.raises(DimensionError, match="even"):  # S is a paired matrix
+            lambda1_diag_max(np.eye(5))
 
     def test_lambda1_block_zero_for_block_diagonal(self, rng):
         idx = PairedIndex(3)
-        S = random_sym(6, rng)
+        S = random_pd(6, rng)
         S[:3, 3:] = 0.0
         S[3:, :3] = 0.0
         assert lambda1_block_max(S, idx) == 0.0
@@ -268,13 +270,13 @@ class TestThresholds:
 
     def test_lambda1_block_brute(self, rng):
         idx = PairedIndex(4)
-        S = random_sym(8, rng)
+        S = random_pd(8, rng)
         expected = max(abs(S[i, j + 4]) for i in range(4) for j in range(4))
         assert lambda1_block_max(S, idx) == expected
 
     def test_lambda2_sym_zero_when_symmetric(self, rng):
         idx = PairedIndex(3)
-        S = symmetrize_paired(random_sym(6, rng), idx)
+        S = symmetrize_paired(random_pd(6, rng), idx)
         assert lambda2_sym_max(S, idx) == 0.0
 
     def test_lambda2_sym_q1(self):
@@ -285,7 +287,7 @@ class TestThresholds:
     def test_lambda2_sym_brute(self, rng):
         idx = PairedIndex(4)
         q = 4
-        S = random_sym(8, rng)
+        S = random_pd(8, rng)
         families = []
         for i in range(q):
             for j in range(q):
@@ -295,7 +297,7 @@ class TestThresholds:
 
     def test_lambda2_sym_of_symmetrized_is_zero(self, rng):
         idx = PairedIndex(5)
-        S = random_sym(10, rng)
+        S = random_pd(10, rng)
         assert lambda2_sym_max(symmetrize_paired(S, idx), idx) == 0.0
 
     @settings(max_examples=80, deadline=None)
@@ -305,14 +307,15 @@ class TestThresholds:
         """The fused rows of pd_vec(S) cover every entry the block slices
         read, vertex rows included, so the two agree bit for bit."""
         idx = PairedIndex(q)
-        S = scale * random_sym(2 * q, np.random.default_rng(seed))
+        S = scale * random_pd(2 * q, np.random.default_rng(seed))
         assert lambda2_sym_max(S, idx) == block_lambda2_sym_max(S, idx)
 
-    def test_lambda2_sym_reads_the_upper_triangle(self, rng):
+    def test_lambda2_sym_rejects_an_asymmetric_S(self, rng):
         idx = PairedIndex(3)
-        S = random_sym(6, rng)
+        S = random_pd(6, rng)
         lower = np.tril(rng.standard_normal((6, 6)), -1)
-        assert lambda2_sym_max(S + lower, idx) == lambda2_sym_max(S, idx)
+        with pytest.raises(ValueError, match="not symmetric"):
+            lambda2_sym_max(S + lower, idx)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("entry", [(0, 0), (1, 4), (4, 1)], ids=["diag", "upper", "lower"])
