@@ -477,7 +477,14 @@ def solve_weighted(
     Returns the certified start, or the polished estimate, or, at a
     ``max_outer`` stop, the sparse/fused iterate Z, or the positive definite
     iterate Theta when Z is not positive definite (flagged in the report).
+
+    S is not put through :func:`~pdglasso.paired.checked_cov`, whose
+    factorization each call would repeat; a caller passes a checked S, as
+    :func:`pdglasso_solve` does.  Only a non-finite S is rejected here.
     """
+    S = np.asarray(S, dtype=float)
+    if not np.all(np.isfinite(S)):
+        raise ValueError("S contains non-finite entries")
     l1_coord = np.asarray(l1_coord, dtype=float)
     if l1_coord.shape != (idx.vec_length,):
         raise DimensionError("l1 weight vector has wrong length")

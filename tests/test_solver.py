@@ -421,6 +421,12 @@ class TestSolveWeightedInputChecks:
         l1_coord, row_w = penalty_weights(PenaltySpec(0.1, 0.2, 0.2, 0.2), idx)
         return np.eye(idx.p), idx, l1_coord, row_w, AdmmConfig()
 
+    def test_non_finite_S(self):
+        S, idx, l1_coord, row_w, cfg = self._args()
+        S[0, 0] = math.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            solve_weighted(S, idx, l1_coord, row_w, cfg)
+
     def test_l1_weights_of_wrong_length(self):
         S, idx, l1_coord, row_w, cfg = self._args()
         with pytest.raises(DimensionError, match="l1 weight vector"):
