@@ -90,6 +90,11 @@ def read_matrix_csv(path: str, cov: bool) -> tuple[np.ndarray, list[str]]:
         raise InputError(
             f"{path}: expected an even column count >= 2, got {len(names)}"
         )
+    seen = set()
+    for name in names:
+        if name in seen:
+            raise InputError(f"{path}: column name {name!r} is repeated")
+        seen.add(name)
     rows = []
     for ln, line in enumerate(lines[1:], start=2):
         if not line.strip():

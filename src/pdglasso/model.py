@@ -229,14 +229,15 @@ def check_alpha(alpha: float) -> None:
 
 
 def deviance(theta_mle: np.ndarray, S: np.ndarray, n: int) -> float:
-    """-n l(theta), comparable across nested models fitted on the same S."""
+    """-n l(theta), comparable across nested models fitted on the same S,
+    which is checked by :func:`~pdglasso.paired.checked_cov`."""
     if n < 1:
         raise ValueError(f"sample size must be >= 1, got {n}")
-    return -n * log_likelihood(theta_mle, S)
+    return -n * log_likelihood(theta_mle, checked_cov(S))
 
 
 def ebic(theta_mle: np.ndarray, S: np.ndarray, n: int, d: int, gamma: float) -> float:
-    """Extended BIC: the deviance plus log(n) d + 4 d gamma log(p)."""
+    """Extended BIC: the :func:`deviance` plus log(n) d + 4 d gamma log(p)."""
     if d < 0:
         raise ValueError(f"parameter count must be >= 0, got {d}")
     check_gamma(gamma)
@@ -421,29 +422,12 @@ def refit_point(
     return replace(fit, ebic=ebic(theta_mle, S, n, fit.d, gamma), theta_mle=theta_mle)
 
 
-def fit_point(
-    S: np.ndarray,
-    n: int,
-    gamma: float,
-    spec: PenaltySpec,
-    cfg: AdmmConfig,
-    *,
-    start: Optional[np.ndarray] = None,
-) -> FitResult:
-    """Solve at one penalty value from ``start`` (cold when None), extract
-    the model and refit its MLE."""
-    return refit_point(solve_point(S, spec, cfg, start=start), S, n, gamma, cfg)
-
-
-def _evaluate(stage, lam1, lam2, S, n, gamma, class_spec, cfg, start) -> GridPoint:
-    spec = class_spec.spec(lam1, lam2)
+def _attempt(step, *args, **kwargs):
+    """``step(*args, **kwargs)``, or the :class:`PdglassoError` it raised."""
     try:
-        fit = fit_point(S, n, gamma, spec, cfg, start=start)
+        return step(*args, **kwargs)
     except PdglassoError as exc:
-        return GridPoint(stage, lam1, lam2, None, None, False, error=str(exc))
-    return GridPoint(
-        stage, lam1, lam2, fit.ebic, fit.d, fit.report.converged, fit=fit
-    )
+        return exc
 
 
 def _best(points: list[GridPoint]) -> GridPoint:
@@ -474,17 +458,19 @@ def selection_path(
     Stage 2 is skipped when no component is gridded or the symmetry threshold
     is zero.
 
-    Grid points are evaluated one after another and the path is
-    warm-started as in glasso and glmnet (Friedman, Hastie & Tibshirani
-    2008, Biostatistics 9:432; 2010, J. Stat. Softw. 33(1)).  Each stage is
-    swept from its sparsest point down: stage 1 in descending l1 weight,
-    from the diagonal threshold, and stage 2 in descending fused weight,
-    from the full-symmetry threshold.  The top of stage 1 starts cold, at
-    the diagonal optimum, which solves it; each
-    later solve starts from the estimate ``theta_hat`` of the solve
-    evaluated before it, except that stage 2 starts from the stage-1
-    winner's, whose l1 weight it keeps.  A point after one that failed
-    starts cold.  Each solve still ends only on its own certificate.  The
+    Each stage runs in two passes: a warm solve chain, then the MLE refits
+    of the solved points in the same order.  The chain is warm-started as
+    in glasso and glmnet (Friedman, Hastie & Tibshirani 2008, Biostatistics
+    9:432; 2010, J. Stat. Softw. 33(1)) and swept from each stage's
+    sparsest point down: stage 1 in descending l1 weight, from the diagonal
+    threshold, and stage 2 in descending fused weight, from the
+    full-symmetry threshold.  The top of stage 1 starts cold, at the
+    diagonal optimum, which solves it; each later solve starts from the
+    estimate ``theta_hat`` of the solve before it, except that stage 2
+    starts from the stage-1 winner's, whose l1 weight it keeps.  A solve
+    after one that raised starts cold; a failed refit does not break the
+    chain, since the next solve starts from the failed point's
+    ``theta_hat``.  Each solve still ends only on its own certificate.  The
     returned points are in ascending penalty order within each stage.
     """
     cfg = cfg or AdmmConfig()
@@ -495,14 +481,24 @@ def selection_path(
 
     def sweep(stage: int, grid: list[tuple[float, float]],
               start: Optional[np.ndarray]) -> list[GridPoint]:
-        """Evaluate (lambda1, lambda2) pairs from the last one down, the first
-        from ``start``, and return the points in grid order."""
-        swept = []
+        """Solve (lambda1, lambda2) pairs from the last one down, the first
+        from ``start``, then refit the solved ones in that order; return the
+        points in grid order."""
+        chain = []  # (lambda1, lambda2, the solve's FitResult or its error)
         for lam1, lam2 in reversed(grid):
-            pt = _evaluate(stage, lam1, lam2, S, n, gamma, class_spec, cfg, start)
-            start = pt.fit.theta_hat if pt.valid else None
-            swept.append(pt)
-        return swept[::-1]
+            fit = _attempt(solve_point, S, class_spec.spec(lam1, lam2), cfg, start=start)
+            start = None if isinstance(fit, PdglassoError) else fit.theta_hat
+            chain.append((lam1, lam2, fit))
+        points = []
+        for lam1, lam2, fit in chain:
+            if not isinstance(fit, PdglassoError):
+                fit = _attempt(refit_point, fit, S, n, gamma, cfg)
+            if isinstance(fit, PdglassoError):
+                points.append(GridPoint(stage, lam1, lam2, None, None, False, error=str(fit)))
+            else:
+                points.append(GridPoint(stage, lam1, lam2, fit.ebic, fit.d,
+                                        fit.report.converged, fit=fit))
+        return points[::-1]
 
     stage1 = sweep(1, [(lam1, 0.0) for lam1 in _log_grid(lambda1_diag_max(S), m)], None)
     winner1 = _best(stage1)

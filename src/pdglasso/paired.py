@@ -229,6 +229,9 @@ def logdet_pd(M: np.ndarray) -> float:
 def log_likelihood(theta: np.ndarray, S: np.ndarray) -> float:
     """Gaussian log-likelihood log det(theta) - trace(S theta), up to constants.
 
+    S is read as given, so it must come from :func:`checked_cov`; the
+    public readers of S (:func:`pdglasso.model.deviance`,
+    :func:`pdglasso.penalties.objective`) check it before they call this.
     Raises :class:`NotPositiveDefiniteError` when theta is not positive
     definite.
     """

@@ -103,11 +103,12 @@ def fused_penalty(theta: np.ndarray, spec: PenaltySpec, idx: PairedIndex) -> flo
 def objective(theta: np.ndarray, S: np.ndarray, spec: PenaltySpec) -> float:
     """Penalized negative log-likelihood being minimized, nll + l1 + fused,
     the penalty read through :func:`penalty_terms`.  Theta is read once,
-    through :func:`pd_vec`, for all three terms.  Raises
+    through :func:`pd_vec`, for all three terms; S is checked by
+    :func:`~pdglasso.paired.checked_cov`.  Raises
     :class:`NotPositiveDefiniteError` off the cone."""
     idx = PairedIndex.from_p(theta.shape[0])
     z = pd_vec(theta, idx)
-    nll = -log_likelihood(pd_unvec(z, idx), S)
+    nll = -log_likelihood(pd_unvec(z, idx), checked_cov(S, idx))
     l1, fused = penalty_terms(z, idx, *penalty_weights(spec, idx))
     return nll + l1 + fused
 

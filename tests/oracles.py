@@ -3,11 +3,12 @@
 Everything here deliberately avoids the production code paths: dense
 operator matrices instead of index arithmetic, cofactor expansion instead of
 LAPACK, subgradient descent and iterative proportional scaling instead of
-ADMM, and hand-derived closed forms for the tiny fused problems.  The two
+ADMM, and hand-derived closed forms for the tiny fused problems.  The three
 exceptions are built from the production steps so that they can be compared
 bit for bit: :func:`admm_loop`, the solver's loop without its face polish,
-and :func:`two_path_rows`, the simulation cells with one selection path per
-method.
+:func:`per_point_path`, the selection path refitting each point before the
+next solve, and :func:`two_path_rows`, the simulation cells with one
+selection path per method.
 """
 
 import math
@@ -397,6 +398,50 @@ def admm_loop(S, idx, l1_coord, row_w, cfg, start=None):
     if not is_positive_definite(Z):
         Z = solver.theta_step(S, Z, U, rho1)
     return Z, iterations, stop_reason
+
+
+def per_point_path(S, n, m, gamma, class_spec, cfg):
+    """Reference for ``model.selection_path``, in the per-point loop that
+    preceded its split into a solve chain and a refit stage: each grid
+    point is solved and refitted before the next is solved, and the next
+    solve starts from that point's estimate when the point is valid, cold
+    otherwise.  The grids, the steps and the choice of winner are the
+    production ones, so where no point fails the two paths agree bit for
+    bit.  Returns (winner's FitResult, points) as ``selection_path`` does.
+    """
+    from pdglasso import model
+    from pdglasso.errors import PdglassoError
+    from pdglasso.paired import PairedIndex, checked_cov
+    from pdglasso.penalties import lambda1_diag_max, lambda2_sym_max
+
+    S = checked_cov(S)
+
+    def sweep(stage, grid, start):
+        points = []
+        for lam1, lam2 in reversed(grid):
+            try:
+                fit = model.solve_point(S, class_spec.spec(lam1, lam2), cfg, start=start)
+                fit = model.refit_point(fit, S, n, gamma, cfg)
+            except PdglassoError as exc:
+                points.append(model.GridPoint(stage, lam1, lam2, None, None, False,
+                                              error=str(exc)))
+                start = None
+                continue
+            points.append(model.GridPoint(stage, lam1, lam2, fit.ebic, fit.d,
+                                          fit.report.converged, fit=fit))
+            start = fit.theta_hat
+        return points[::-1]
+
+    points = sweep(1, [(lam1, 0.0) for lam1 in model._log_grid(lambda1_diag_max(S), m)], None)
+    winner1 = model._best(points)
+    candidates = [winner1]
+    lam2_top = lambda2_sym_max(S, PairedIndex.from_p(len(S)))
+    if class_spec.any_gridded and lam2_top > 0:
+        stage2 = sweep(2, [(winner1.lambda1, lam2) for lam2 in model._log_grid(lam2_top, m)],
+                       winner1.fit.theta_hat)
+        points += stage2
+        candidates += stage2
+    return model._best(candidates).fit, points
 
 
 def two_path_rows(spec, cfg):

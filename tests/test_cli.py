@@ -398,6 +398,25 @@ class TestInputValidation:
         assert captured.out == "" and captured.err.startswith("error: ")
         assert cause in captured.err
 
+    @pytest.mark.parametrize("command", ["fit", "path", "thresholds", "compare"])
+    def test_repeated_column_name_exits_1_naming_it(self, tmp_path, capsys, command):
+        Y = np.random.default_rng(0).standard_normal((30, 4))
+        report = tmp_path / "report.json"
+        assert main(["fit", str(write_data(tmp_path / "good.csv", Y)), "--lambda1", "0.05",
+                     "-o", str(report)]) == 0
+        bad = write_data(tmp_path / "bad.csv", Y, names=["a", "b", "a", "c"])
+        capsys.readouterr()
+        args = {
+            "fit": ["fit", str(bad), "--lambda1", "0.05"],
+            "path": ["path", str(bad), "--m", "3"],
+            "thresholds": ["thresholds", str(bad)],
+            "compare": ["compare", str(report), str(report), "--input", str(bad)],
+        }[command]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert "column name 'a' is repeated" in captured.err
+
     @pytest.mark.parametrize("text, flags, message", [
         ("", [], "empty file"),
         ("a_L,a_R\n\n", [], "no data rows"),

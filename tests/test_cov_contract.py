@@ -10,9 +10,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdglasso.errors import DimensionError, PdglassoError
-from pdglasso.model import SubmodelClass, mle, mle_fully_symmetric, rcon_residual, selection_path
+from pdglasso.model import (
+    SubmodelClass,
+    deviance,
+    ebic,
+    mle,
+    mle_fully_symmetric,
+    rcon_residual,
+    selection_path,
+)
 from pdglasso.paired import PairedIndex, checked_cov
-from pdglasso.penalties import PenaltySpec, lambda1_block_max, lambda1_diag_max, lambda2_sym_max
+from pdglasso.penalties import (
+    PenaltySpec,
+    lambda1_block_max,
+    lambda1_diag_max,
+    lambda2_sym_max,
+    objective,
+)
 from pdglasso.solver import AdmmConfig, optimality_residual, pdglasso_solve
 
 from conftest import random_coloured_graph, random_fully_symmetric_graph
@@ -61,7 +75,21 @@ def entry_points(S: np.ndarray, q: int, seed: int):
         "lambda1_diag_max": lambda: lambda1_diag_max(S),
         "lambda1_block_max": lambda: lambda1_block_max(S, idx),
         "lambda2_sym_max": lambda: lambda2_sym_max(S, idx),
+        "deviance": lambda: deviance(np.eye(p), S, 10),
+        "ebic": lambda: ebic(np.eye(p), S, 10, 1, 0.5),
+        "objective": lambda: objective(np.eye(p), S, spec),
     }
+
+
+@pytest.mark.parametrize("S, cause", [
+    ([[1.0, 2.0], [2.0, 1.0]], "not positive semidefinite"),  # eigenvalues 3 and -1
+    ([[1.0, 0.5], [0.0, 1.0]], "not symmetric"),
+], ids=["indefinite", "asymmetric"])
+@pytest.mark.parametrize("name", ["deviance", "ebic", "objective"])
+def test_scoring_names_the_fault_of_a_small_S(name, S, cause):
+    # each used to read S unchecked and return 20.0 at theta = I, n = 10
+    with pytest.raises(ValueError, match=cause):
+        entry_points(np.array(S), 1, 0)[name]()
 
 
 @settings(max_examples=100, deadline=None)

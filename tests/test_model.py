@@ -40,7 +40,7 @@ from conftest import (
     strong_ggm_truth,
     tied_mask,
 )
-from oracles import admm_loop, ips_ggm_mle
+from oracles import admm_loop, ips_ggm_mle, per_point_path
 
 
 class TestExtractGraph:
@@ -752,7 +752,28 @@ class TestModelSelect:
         assert winner1 is not points[0]  # else the two stage-2 rules coincide
         assert starts[4] is winner1.fit.theta_hat
 
-    def test_failed_point_does_not_seed_the_next(self, rng, monkeypatch):
+    def test_stage_is_solved_before_it_is_refitted(self, rng, monkeypatch):
+        from pdglasso import model, solver
+
+        events = []
+        solve, refit = solver.solve_weighted, model.mle
+
+        def recording_solve(*args, **kwargs):
+            events.append("solve")
+            return solve(*args, **kwargs)
+
+        def recording_refit(*args, **kwargs):
+            events.append("refit")
+            return refit(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "solve_weighted", recording_solve)
+        monkeypatch.setattr(model, "mle", recording_refit)
+        selection_path(random_pd(6, rng), 100, 4, 0.0, SubmodelClass(), AdmmConfig())
+        assert events == (["solve"] * 4 + ["refit"] * 4) * 2
+
+    def test_failed_refit_still_seeds_the_next(self, rng, monkeypatch):
+        # the chain depends only on the solves: a point whose refit fails
+        # still hands its estimate to the next solve
         from pdglasso import model
 
         starts, estimates = self.record_starts(monkeypatch)
@@ -768,10 +789,44 @@ class TestModelSelect:
         monkeypatch.setattr(model, "mle", failing_second_refit)
         S = random_pd(6, rng)
         _, points = selection_path(S, 100, 4, 0.0, SubmodelClass(), AdmmConfig())
-        # the second solve is the second-largest stage-1 penalty
+        # the second refit is of the second solve, the second-largest
+        # stage-1 penalty
         assert [pt.valid for pt in points] == [True, True, False, True] + [True] * 4
-        # the failed point's solve ended normally, yet its estimate is dropped
-        assert starts[1] is estimates[0]
+        assert (points[2].error, points[2].fit) == ("forced refit failure", None)
+        assert starts[0] is None
+        assert all(starts[k] is estimates[k - 1] for k in (1, 2, 3, 5, 6, 7))
+        assert starts[4] is _best(points[:4]).fit.theta_hat
+
+    def test_failed_solve_starts_the_next_cold(self, rng, monkeypatch):
+        from pdglasso import model, solver
+
+        starts, estimates = self.record_starts(monkeypatch)
+        solve = solver.solve_weighted
+
+        def failing_second_solve(*args, **kwargs):
+            if len(starts) == 1:
+                starts.append(kwargs.get("start"))
+                estimates.append(None)
+                raise MleError("forced solve failure")
+            return solve(*args, **kwargs)
+
+        refits = []
+        refit = model.mle
+
+        def counting_refit(*args, **kwargs):
+            refits.append(args)
+            return refit(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "solve_weighted", failing_second_solve)
+        monkeypatch.setattr(model, "mle", counting_refit)
+        S = random_pd(6, rng)
+        _, points = selection_path(S, 100, 4, 0.0, SubmodelClass(), AdmmConfig())
+        assert [pt.valid for pt in points] == [True, True, False, True] + [True] * 4
+        failed = points[2]
+        assert (failed.error, failed.fit, failed.ebic, failed.d) == (
+            "forced solve failure", None, None, None)
+        assert len(starts) == 8 and len(refits) == 7  # a failed solve is not refitted
+        assert starts[0] is None and starts[1] is estimates[0]
         assert starts[2] is None
         assert starts[3] is estimates[2]
         assert starts[4] is _best(points[:4]).fit.theta_hat
@@ -809,6 +864,34 @@ class TestModelSelect:
             assert np.array_equal(w.fit.graph.present, c.fit.graph.present)
             assert np.array_equal(w.fit.graph.coloured, c.fit.graph.coloured)
             assert w.ebic == pytest.approx(c.ebic, rel=1e-8)
+
+    @pytest.mark.parametrize("class_spec", [
+        SubmodelClass(),
+        SubmodelClass(math.inf, "grid", 0.0),
+        SubmodelClass(0.0, 0.0, 0.0),
+        SubmodelClass(math.inf, math.inf, 0.0),
+    ], ids=["all-gridded", "inside-gridded", "none-gridded", "none-gridded-inf"])
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("p", [4, 6, 8])
+    def test_path_equals_the_per_point_loop(self, p, seed, class_spec):
+        # where no point fails, solving a whole stage before refitting it
+        # changes nothing: a path that reorders or skips refits must keep
+        # this wherever it skips none
+        rng = np.random.default_rng(seed)
+        theta = strong_ggm_truth(p, rng)
+        S = mvn_sample_cov(np.linalg.inv(theta), 60, seed)
+        cfg = AdmmConfig()
+        winner, points = selection_path(S, 60, 4, 0.5, class_spec, cfg)
+        ref_winner, ref_points = per_point_path(S, 60, 4, 0.5, class_spec, cfg)
+        assert all(pt.valid for pt in ref_points)
+        assert winner.spec == ref_winner.spec
+        assert len(points) == len(ref_points) == (8 if class_spec.any_gridded else 4)
+        for pt, ref in zip(points, ref_points):
+            assert (pt.stage, pt.lambda1, pt.lambda2, pt.ebic, pt.d, pt.converged) == (
+                ref.stage, ref.lambda1, ref.lambda2, ref.ebic, ref.d, ref.converged)
+            assert pt.fit.report.stop_reason == ref.fit.report.stop_reason
+            assert np.array_equal(pt.fit.theta_hat, ref.fit.theta_hat)
+            assert np.array_equal(pt.fit.theta_mle, ref.fit.theta_mle)
 
     def test_serial_runs_are_deterministic(self, rng):
         S = random_pd(6, rng)

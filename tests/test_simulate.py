@@ -505,10 +505,10 @@ class TestSharedSelectionPath:
     def test_failed_stage_one_fails_both_rows_alike(self, monkeypatch):
         import pdglasso.model as model
 
-        def failing_fit(*args, **kwargs):
+        def failing_refit(*args, **kwargs):
             raise MleError("refit failed")
 
-        monkeypatch.setattr(model, "fit_point", failing_fit)
+        monkeypatch.setattr(model, "refit_point", failing_refit)
         spec = _spec(p=6, n_list=(40,), select_m=3)
         rows = run_scenario(spec, FAST)
         assert [r.method for r in rows] == ["pdglasso", "glasso"]
