@@ -260,7 +260,7 @@ def fit_report_doc(
         "gamma": gamma,
         "penalties": {name: _penalty_json(v) for name, v in asdict(fit.spec).items()},
         "d": fit.d,
-        "ebic": None if fit.ebic is None or math.isnan(fit.ebic) else fit.ebic,
+        "ebic": None if math.isnan(fit.ebic) else fit.ebic,
         "edges": _graph_edges_json(g, names),
         "vertex_symmetries": [names[i] for i in idx.coords[0][vertex_tied]],
         "solver_report": {

@@ -100,17 +100,26 @@ def fused_penalty(theta: np.ndarray, spec: PenaltySpec, idx: PairedIndex) -> flo
     return penalty_terms(pd_vec(theta, idx), idx, *penalty_weights(spec, idx))[1]
 
 
-def objective(theta: np.ndarray, S: np.ndarray, spec: PenaltySpec) -> float:
+def weighted_objective(
+    theta: np.ndarray, S: np.ndarray, idx: PairedIndex, l1_coord: np.ndarray, row_w: np.ndarray
+) -> float:
     """Penalized negative log-likelihood being minimized, nll + l1 + fused,
-    the penalty read through :func:`penalty_terms`.  Theta is read once,
-    through :func:`pd_vec`, for all three terms; S is checked by
+    under the weights of :func:`penalty_weights`, the penalty read through
+    :func:`penalty_terms`.  Theta is read once, through :func:`pd_vec`, for
+    all three terms; S is read as given, so it must come from
     :func:`~pdglasso.paired.checked_cov`.  Raises
     :class:`NotPositiveDefiniteError` off the cone."""
-    idx = PairedIndex.from_p(theta.shape[0])
     z = pd_vec(theta, idx)
-    nll = -log_likelihood(pd_unvec(z, idx), checked_cov(S, idx))
-    l1, fused = penalty_terms(z, idx, *penalty_weights(spec, idx))
+    nll = -log_likelihood(pd_unvec(z, idx), S)
+    l1, fused = penalty_terms(z, idx, l1_coord, row_w)
     return nll + l1 + fused
+
+
+def objective(theta: np.ndarray, S: np.ndarray, spec: PenaltySpec) -> float:
+    """:func:`weighted_objective` under the weights of ``spec``, S checked by
+    :func:`~pdglasso.paired.checked_cov`."""
+    idx = PairedIndex.from_p(theta.shape[0])
+    return weighted_objective(theta, checked_cov(S, idx), idx, *penalty_weights(spec, idx))
 
 
 def lambda1_diag_max(S: np.ndarray) -> float:

@@ -53,6 +53,11 @@ def child_rng(seed: int, *tags: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, tags)]))
 
 
+def _rng(seed) -> np.random.Generator:
+    """``seed`` itself when it is a Generator, else :func:`child_rng` of it."""
+    return seed if isinstance(seed, np.random.Generator) else child_rng(seed)
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """One benchmark scenario: truth shape, sample sizes and selection knobs."""
@@ -94,7 +99,7 @@ def wishart_identity(p: int, df: int, seed) -> np.ndarray:
     """One draw W = G G' with G a p x df matrix of standard normals."""
     if df < p:
         raise ValueError(f"need df >= p, got df={df}, p={p}")
-    rng = seed if isinstance(seed, np.random.Generator) else child_rng(seed)
+    rng = _rng(seed)
     G = rng.standard_normal((p, df))
     return G @ G.T
 
@@ -130,7 +135,7 @@ def ggm_covariance(
 ) -> tuple[np.ndarray, PdColouredGraph]:
     """Random covariance exactly adapted to a random graph of given density."""
     cfg = cfg or AdmmConfig()
-    rng = seed if isinstance(seed, np.random.Generator) else child_rng(seed)
+    rng = _rng(seed)
     graph, S_star = _ggm_truth(p, density, rng)
     return np.linalg.inv(mle(S_star, graph, cfg)), graph
 
@@ -171,11 +176,7 @@ def pdrcon_covariance(
     it coincides with :func:`ggm_covariance` for the same seed.
     """
     cfg = cfg or AdmmConfig()
-    rng = (
-        seed
-        if isinstance(seed, np.random.Generator)
-        else child_rng(spec.seed if seed is None else seed)
-    )
+    rng = _rng(spec.seed if seed is None else seed)
     graph, S_star = _ggm_truth(spec.p, spec.density, rng)
     graph = _inject_symmetries(graph, spec.symmetry_fraction, rng)
     theta = mle(S_star, graph, cfg)
@@ -192,7 +193,7 @@ def mvn_sample_cov(Sigma: np.ndarray, n: int, seed) -> np.ndarray:
         raise NotPositiveDefiniteError("Sigma must be positive definite")
     d, Q = np.linalg.eigh(Sigma)
     root = (Q * np.sqrt(d)) @ Q.T
-    rng = seed if isinstance(seed, np.random.Generator) else child_rng(seed)
+    rng = _rng(seed)
     Y = rng.standard_normal((n, Sigma.shape[0])) @ root
     return Y.T @ Y / n
 

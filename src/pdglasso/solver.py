@@ -41,8 +41,9 @@ Z = Theta_0 and U = (Theta_0^{-1} - S) / rho1, so the first Theta step
 returns Theta_0, and the first rho1 is the curvature of -log det there (see
 :func:`_rho_start`).  Without a given start, Theta_0 is the minimizer over
 diagonal matrices (see :func:`_diagonal_start`), which is the solution
-itself once lambda1 reaches the diagonal threshold of the paper; a problem
-without that minimizer is unbounded below and raises before any step.
+itself once lambda1 reaches the diagonal threshold of the paper.  A
+problem without that minimizer is unbounded below and raises before any
+step, and so does one with every weight zero and an S that fails Cholesky.
 The selection path sweeps each stage from its sparsest penalty down and
 starts each grid point from the estimate of the point solved before it,
 and stage 2 from the stage-1 winner's: the pathwise warm starts of glasso
@@ -52,14 +53,16 @@ ends it, so a warm solve meets the same certificate, usually sooner.
 
 One rule ends a solve: the certificate.  It is computed once at the
 start, from the inverse the start rule needs anyway, and a certified start
-is returned as it is, after no step: the cold start at or above the
-diagonal threshold, or a warm start at an optimum.  After that only an
-accepted polish ends the loop.  The ADMM residuals of Boyd et al. (2011,
-section 3.3) are not tested: they gated a certificate of the iterate, which
-at the default tolerance ended no solve after its first step.  A solve that
-does not certify within ``max_outer`` iterations ends there, and when its
-last Z is singular it returns the positive definite Theta step instead;
-its certificate is computed once, on what it returns.
+takes no step: the cold start at or above the diagonal threshold, or a
+warm start at an optimum.  After that only an accepted polish ends the
+loop.  The ADMM residuals of Boyd et al. (2011, section 3.3) are not
+tested: they gated a certificate of the iterate, which at the default
+tolerance ended no solve after its first step.  A solve that does not
+certify within ``max_outer`` iterations ends there, and when its last Z is
+singular it returns the positive definite Theta step instead; its
+certificate is computed once, on what it returns.  A certified start, an
+accepted polish and a ``max_outer`` stop all leave through one exit, which
+builds the report and evaluates the objective there.
 
 Two choices are constants, not settings.  The step size rho1 is the
 curvature of the smooth term at the start, the scale of the optimal ADMM
@@ -89,11 +92,10 @@ from .paired import (
     PairedIndex,
     checked_cov,
     is_positive_definite,
-    log_likelihood,
     pd_unvec,
     pd_vec,
 )
-from .penalties import PenaltySpec, penalty_terms, penalty_weights
+from .penalties import PenaltySpec, penalty_weights, weighted_objective
 
 _RHO_MIN = 2.0**-19
 # only an overflow guard: (p / tr Theta_0)^2 is inf once tr Theta_0 < 1e-154 p,
@@ -152,8 +154,8 @@ class SolveReport:
     objective_value: float
     kkt_residual: float
     stop_reason: str
-    z_not_pd: bool = False
-    polish_attempts: int = 0
+    z_not_pd: bool
+    polish_attempts: int
 
     @property
     def converged(self) -> bool:
@@ -232,21 +234,6 @@ def _prox(z: np.ndarray, a: np.ndarray, c: np.ndarray, gap_t: np.ndarray,
     z[a] = mean + half_gap
     z[c] = mean - half_gap
     return _shrink(z, l1_t)
-
-
-def _weighted_objective(
-    Z: np.ndarray, S: np.ndarray, idx: PairedIndex, l1_coord: np.ndarray, row_w: np.ndarray
-) -> float:
-    """Penalized negative log-likelihood with per-coordinate/per-row weights,
-    nll + l1 + fused as in :func:`pdglasso.penalties.objective`, Z read once
-    through :func:`pd_vec`; +inf when Z is not positive definite."""
-    z = pd_vec(Z, idx)
-    try:
-        nll = -log_likelihood(pd_unvec(z, idx), S)
-    except NotPositiveDefiniteError:
-        return math.inf
-    l1, fused = penalty_terms(z, idx, l1_coord, row_w)
-    return nll + l1 + fused
 
 
 def kkt_residual(
@@ -341,10 +328,11 @@ def _face(z: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _face_newton(
     Z: np.ndarray, S: np.ndarray, idx: PairedIndex, l1_coord: np.ndarray,
-    row_w: np.ndarray, cfg: AdmmConfig,
+    row_w: np.ndarray, tol: float, max_steps: int,
 ) -> Optional[tuple[np.ndarray, float]]:
     """Solve the penalized problem on the face of the positive definite Z by
-    Newton's method, started at Z.
+    Newton's method, started at Z, within ``max_steps`` Newton steps to the
+    certificate tolerance ``tol``.
 
     On the face the penalty is linear, with gradient Delta: l1_i sign(z_i)
     on each nonzero coordinate, plus w_r sign(z_a - z_b) on a and minus it
@@ -361,7 +349,6 @@ def _face_newton(
     computed from the inverse the face solver certified Theta with; None
     when the face solver fails.
     """
-    tol = _KKT_TOL_FACTOR * cfg.eps_abs
     z = pd_vec(Z, idx)
     a, b, w = _active_rows(idx, row_w)
     gap = z[a] - z[b]
@@ -378,7 +365,7 @@ def _face_newton(
         coloured[coloured] = ~untied
         try:
             Theta, Sigma = _rcon_newton(
-                S + pd_unvec(delta, idx), idx, ~nonzero, coloured, tol, cfg.max_outer, Theta
+                S + pd_unvec(delta, idx), idx, ~nonzero, coloured, tol, max_steps, Theta
             )
         except MleError:
             return None
@@ -463,20 +450,24 @@ def solve_weighted(
     (see the module docstring).
     A start of the wrong shape raises :class:`DimensionError`, one that
     fails Cholesky :class:`NotPositiveDefiniteError`, and so does a problem
-    without a diagonal minimizer, all before any step.
+    without a diagonal minimizer, or one with every weight zero and an S
+    that fails Cholesky, which is unbounded below: all before any step.
 
-    The start's certificate is computed once, from the inverse the start
-    rule needs anyway; a certified start is returned as it is, after 0
-    iterations.  Otherwise, once the face of Z (see :func:`_face`) has held
-    for ``_POLISH_AFTER`` iterations, is not the face last polished, and Z
-    is positive definite, the face is solved by :func:`_face_newton`.  A
-    certified face optimum ends the solve with ``stop_reason`` ``"kkt"``.
-    A rejected one, or a face solver failure, leaves the ADMM state as it
-    was.
+    The tolerance ``_KKT_TOL_FACTOR * cfg.eps_abs`` is computed once.  The
+    start's certificate is computed once, from the inverse the start rule
+    needs anyway; a certified start takes 0 iterations.  Otherwise, once
+    the face of Z (see :func:`_face`) has held for ``_POLISH_AFTER``
+    iterations, is not the face last polished, and Z is positive definite,
+    the face is solved by :func:`_face_newton`.  A certified face optimum
+    ends the solve with ``stop_reason`` ``"kkt"``.  A rejected one, or a
+    face solver failure, leaves the ADMM state as it was.
 
-    Returns the certified start, or the polished estimate, or, at a
-    ``max_outer`` stop, the sparse/fused iterate Z, or the positive definite
-    iterate Theta when Z is not positive definite (flagged in the report).
+    Every solve leaves through one exit, which builds the report from the
+    estimate it returns: the certified start, or the polished estimate, or,
+    at a ``max_outer`` stop, the sparse/fused iterate Z, or the positive
+    definite iterate Theta when Z is not positive definite (flagged in the
+    report).  The objective value is
+    :func:`~pdglasso.penalties.weighted_objective`'s, +inf off the cone.
 
     S is not put through :func:`~pdglasso.paired.checked_cov`, whose
     factorization each call would repeat; a caller passes a checked S, as
@@ -498,6 +489,10 @@ def solve_weighted(
         raise ValueError("l1 weights must match within each active fused pair")
     w2 = 2.0 * w
 
+    if not (l1_coord.any() or w.size) and not is_positive_definite(S):
+        raise NotPositiveDefiniteError(
+            "with all penalties zero the problem is unbounded unless S is positive definite"
+        )
     p = idx.p
     if start is None:
         Z = _diagonal_start(S, idx, l1_coord, a, b, w2)
@@ -510,54 +505,41 @@ def solve_weighted(
     tol = _KKT_TOL_FACTOR * cfg.eps_abs
     Sigma = np.linalg.inv(Z)
     kkt = _certificate(Z, Sigma, S, idx, l1_coord, row_w)
-    if kkt <= tol:
-        return Z, SolveReport(
-            outer_iterations=0, objective_value=_weighted_objective(Z, S, idx, l1_coord, row_w),
-            kkt_residual=kkt, stop_reason="kkt",
-        )
-    rho1 = _rho_start(Z)
-    U = (Sigma - S) / rho1  # so the first Theta step returns the start
-    iterations = 0
-    face = tried = None
-    held = 0
-    polish_attempts = 0
-    polished = None
+    iterations = polish_attempts = 0
+    stop_reason, z_not_pd = "kkt", False
+    if kkt > tol:  # a certified start takes no step
+        rho1 = _rho_start(Z)
+        U = (Sigma - S) / rho1  # so the first Theta step returns the start
+        face = tried = None
+        held = 0
+        for iterations in range(1, cfg.max_outer + 1):
+            Theta = theta_step(S, Z, U, rho1)
+            z = _prox((Theta + U).take(idx.coord_flat), a, b, w2 / rho1, l1_coord / rho1)
+            Z = z.take(idx.coord_of)
+            U = U + Theta - Z
+            new_face = _face(z, a, b)
+            held = held + 1 if face is not None and np.array_equal(new_face, face) else 0
+            face = new_face
+            if (held >= _POLISH_AFTER and not np.array_equal(face, tried)
+                    and is_positive_definite(Z)):
+                tried = face
+                polish_attempts += 1
+                candidate = _face_newton(Z, S, idx, l1_coord, row_w, tol, cfg.max_outer)
+                if candidate is not None and candidate[1] <= tol:
+                    Z, kkt = candidate
+                    break
+        else:
+            stop_reason = "max_outer"
+            z_not_pd = not is_positive_definite(Z)
+            if z_not_pd:
+                Z = theta_step(S, Z, U, rho1)
+            kkt = kkt_residual(Z, S, idx, l1_coord, row_w)
 
-    for l in range(cfg.max_outer):
-        iterations = l + 1
-        Theta = theta_step(S, Z, U, rho1)
-        z = _prox((Theta + U).take(idx.coord_flat), a, b, w2 / rho1, l1_coord / rho1)
-        Z = z.take(idx.coord_of)
-        U = U + Theta - Z
-        new_face = _face(z, a, b)
-        held = held + 1 if face is not None and np.array_equal(new_face, face) else 0
-        face = new_face
-        if (held >= _POLISH_AFTER and not np.array_equal(face, tried)
-                and is_positive_definite(Z)):
-            tried = face
-            polish_attempts += 1
-            candidate = _face_newton(Z, S, idx, l1_coord, row_w, cfg)
-            if candidate is not None and candidate[1] <= tol:
-                polished = candidate
-                break
-
-    z_not_pd = False
-    if polished is not None:
-        result, kkt = polished
-    else:
-        z_not_pd = not is_positive_definite(Z)
-        result = theta_step(S, Z, U, rho1) if z_not_pd else Z
-        kkt = kkt_residual(result, S, idx, l1_coord, row_w)
-
-    report = SolveReport(
-        outer_iterations=iterations,
-        objective_value=_weighted_objective(result, S, idx, l1_coord, row_w),
-        kkt_residual=float(kkt),
-        z_not_pd=z_not_pd,
-        stop_reason="max_outer" if polished is None else "kkt",
-        polish_attempts=polish_attempts,
-    )
-    return result, report
+    try:
+        value = weighted_objective(Z, S, idx, l1_coord, row_w)
+    except NotPositiveDefiniteError:
+        value = math.inf
+    return Z, SolveReport(iterations, value, float(kkt), stop_reason, z_not_pd, polish_attempts)
 
 
 def pdglasso_solve(
@@ -578,17 +560,13 @@ def pdglasso_solve(
     ``start``, a positive definite matrix such as an earlier estimate, is
     passed to :func:`solve_weighted`: a cold solve, from the diagonal
     optimum, when None.  S is checked by :func:`~pdglasso.paired.checked_cov`.
+    A spec with every penalty zero and an S that fails Cholesky raises
+    :class:`NotPositiveDefiniteError` in :func:`solve_weighted`, before any
+    step, and so do the other problems without a minimizer.
     """
     cfg = cfg or AdmmConfig()
     S = checked_cov(S)
     idx = PairedIndex.from_p(S.shape[0])
-
-    unpenalized = spec.lambda1 == 0 and not any(spec.components)
-    if unpenalized and not is_positive_definite(S):
-        raise NotPositiveDefiniteError(
-            "with all penalties zero the problem is unbounded unless S is positive definite"
-        )
-
     l1_coord, row_w = penalty_weights(spec, idx, diag_penalty)
     return solve_weighted(S, idx, l1_coord, row_w, cfg, start=start)
 

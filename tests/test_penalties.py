@@ -17,9 +17,10 @@ from pdglasso.penalties import (
     lambda2_sym_max,
     objective,
     penalty_weights,
+    weighted_objective,
 )
 
-from pdglasso.solver import _weighted_objective, optimality_residual
+from pdglasso.solver import optimality_residual
 
 from conftest import random_pd, random_sym
 
@@ -220,9 +221,8 @@ class TestObjective:
         assert symmetric[1, 0] == 0.3
         assert objective(theta, S, spec) == objective(symmetric, S, spec)
         assert objective(theta.T, S, spec) == objective(2 * np.eye(4), S, spec)
-        l1_coord, row_w = penalty_weights(spec, idx)
-        for M in (theta, theta.T):
-            assert _weighted_objective(M, S, idx, l1_coord, row_w) == objective(M, S, spec)
+        weights = penalty_weights(spec, idx)
+        assert weighted_objective(theta.T, S, idx, *weights) == objective(2 * np.eye(4), S, spec)
 
 
 class TestObjectiveNotPositiveDefinite:

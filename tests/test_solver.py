@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from pdglasso import solver
 from pdglasso.errors import DimensionError, MleError, NotPositiveDefiniteError
-from pdglasso.paired import PairedIndex, is_positive_definite, pd_unvec, pd_vec, swap_blocks
+from pdglasso.paired import (
+    PairedIndex, checked_cov, is_positive_definite, pd_unvec, pd_vec, swap_blocks,
+)
 from pdglasso.penalties import (
     INF,
     PenaltySpec,
@@ -17,10 +19,10 @@ from pdglasso.penalties import (
     lambda2_sym_max,
     objective,
     penalty_weights,
+    weighted_objective,
 )
 from pdglasso.solver import (
     AdmmConfig,
-    _weighted_objective,
     fused_l1_prox,
     kkt_residual,
     kkt_violation,
@@ -325,23 +327,42 @@ class TestWeightedObjective:
         w = np.array([math.inf])
         l1 = np.array([0.0, 0.0, math.inf])
         expected = -2.0 * math.log(2.0) + 4.0
-        assert _weighted_objective(Z, S, idx, l1, w) == pytest.approx(expected, abs=1e-12)
+        assert weighted_objective(Z, S, idx, l1, w) == pytest.approx(expected, abs=1e-12)
 
     def test_infinite_weights_violated_give_inf(self):
         idx = PairedIndex(1)
         S = np.eye(2)
         w = np.array([math.inf])
         untied = np.array([[2.0, 0.0], [0.0, 3.0]])
-        assert _weighted_objective(untied, S, idx, np.zeros(3), w) == math.inf
+        assert weighted_objective(untied, S, idx, np.zeros(3), w) == math.inf
         off = np.array([[2.0, 0.5], [0.5, 2.0]])
         l1 = np.array([0.0, 0.0, math.inf])
-        assert _weighted_objective(off, S, idx, l1, w) == math.inf
+        assert weighted_objective(off, S, idx, l1, w) == math.inf
 
-    def test_not_positive_definite_gives_inf(self):
+    def test_not_positive_definite_raises(self):
         idx = PairedIndex(1)
         w = idx.component_rows(0.0, 0.0, 0.0)
         M = np.diag([-1.0, -2.0])
-        assert _weighted_objective(M, np.eye(2), idx, np.zeros(3), w) == math.inf
+        with pytest.raises(NotPositiveDefiniteError):
+            weighted_objective(M, np.eye(2), idx, np.zeros(3), w)
+
+    def test_solve_reports_inf_for_an_estimate_off_the_cone(self, monkeypatch):
+        # the Theta step returned at a singular max_outer stop is made
+        # indefinite: the solve's one exit records the evaluator's error as
+        # +inf, as it does the certificate
+        step = solver.theta_step
+        calls = []
+
+        def theta_step(*args):
+            calls.append(None)
+            return step(*args) if len(calls) == 1 else -step(*args)
+
+        monkeypatch.setattr(solver, "theta_step", theta_step)
+        S = equicorrelated(6)
+        theta, report = pdglasso_solve(S, PenaltySpec(0.1 * lambda1_diag_max(S)),
+                                       AdmmConfig(max_outer=1))
+        assert len(calls) == 2 and report.z_not_pd and not is_positive_definite(theta)
+        assert report.objective_value == math.inf and report.kkt_residual == math.inf
 
     def test_report_objective_is_the_penalties_objective_bit_for_bit(self, rng):
         """One evaluator: a certified solve under a mixed finite/Inf spec
@@ -818,10 +839,10 @@ class TestFacePolish:
         newton = solver._face_newton
         faces = []
 
-        def fake(Z, S, idx, l1_coord, row_w, cfg):
+        def fake(Z, S, idx, l1_coord, row_w, tol, max_steps):
             a, b, _ = solver._active_rows(idx, row_w)
             faces.append(solver._face(pd_vec(Z, idx), a, b))
-            return newton(Z, S, idx, l1_coord, row_w, cfg)[0], 1.0 / len(faces)
+            return newton(Z, S, idx, l1_coord, row_w, tol, max_steps)[0], 1.0 / len(faces)
 
         monkeypatch.setattr(solver, "_face_newton", fake)
         S, idx, l1, w = correlated_problem(rng)
@@ -861,7 +882,9 @@ class TestFacePolish:
         spec = PenaltySpec(0.1, INF, 0.05, 0.0)  # across entries are in no active row
         l1, w = penalty_weights(spec, idx)
         theta, _ = solve_weighted(S, idx, l1, w, cfg)
-        theta_again, kkt = solver._face_newton(theta, S, idx, l1, w, cfg)
+        theta_again, kkt = solver._face_newton(
+            theta, S, idx, l1, w, 10 * cfg.eps_abs, cfg.max_outer
+        )
         assert kkt <= 10 * cfg.eps_abs
         assert np.abs(theta_again - theta).max() <= 1e-8
         # the same face with one more zero: Newton solves it, the certificate
@@ -875,7 +898,7 @@ class TestFacePolish:
         i, j = idx.coords[0][k], idx.coords[1][k]
         wrong[i, j] = wrong[j, i] = 0.0
         assert is_positive_definite(wrong)
-        _, kkt = solver._face_newton(wrong, S, idx, l1, w, cfg)
+        _, kkt = solver._face_newton(wrong, S, idx, l1, w, 10 * cfg.eps_abs, cfg.max_outer)
         assert kkt > 10 * cfg.eps_abs
 
     def test_polish_certificate_is_kkt_residual_bit_for_bit(self, rng, monkeypatch):
@@ -885,8 +908,8 @@ class TestFacePolish:
         candidates = []
         newton = solver._face_newton
 
-        def recording_newton(Z, S, idx, l1, w, cfg):
-            candidates.append((newton(Z, S, idx, l1, w, cfg), S, idx, l1, w))
+        def recording_newton(Z, S, idx, l1, w, tol, max_steps):
+            candidates.append((newton(Z, S, idx, l1, w, tol, max_steps), S, idx, l1, w))
             return candidates[-1][0]
 
         monkeypatch.setattr(solver, "_face_newton", recording_newton)
@@ -957,6 +980,22 @@ class TestFaceBoundary:
         assert warm[0, 0] == warm[1, 1] and cold[0, 0] == cold[1, 1]
         assert report.kkt_residual == kkt_residual(warm, S, idx, l1, w) <= 10 * cfg.eps_abs
 
+    def test_warm_solve_of_a_rounding_size_gap_ties_like_a_cold_one(self):
+        # a warm start once ended this solve at an ADMM iterate whose vertex
+        # gap was 7.1e-15 where the cold solve ties; both end at a polish
+        S = random_pd(2, np.random.default_rng(598934))
+        idx = PairedIndex(1)
+        cfg = AdmmConfig()
+        top = lambda1_diag_max(S)
+        start, _ = solve_weighted(S, idx, *penalty_weights(PenaltySpec(top / 3, INF), idx), cfg)
+        spec = PenaltySpec(0.3224671290700398 * top, lambda2_sym_max(S, idx), 0.0, 0.0)
+        l1, w = penalty_weights(spec, idx)
+        for theta, report in (solve_weighted(S, idx, l1, w, cfg, start=start),
+                              solve_weighted(S, idx, l1, w, cfg)):
+            assert report.stop_reason == "kkt" and report.polish_attempts >= 1
+            assert theta[0, 0] == theta[1, 1]
+            assert report.kkt_residual == kkt_residual(theta, S, idx, l1, w) <= 10 * cfg.eps_abs
+
     def test_gap_at_the_boundary_is_tied_and_the_face_solved_again(self, monkeypatch):
         faces = self.record_faces(monkeypatch)
         S, idx, l1, w, cfg, _ = self.threshold_instance(0)
@@ -964,7 +1003,9 @@ class TestFaceBoundary:
         untied = tied.copy()
         untied[0, 0] += 1e-3
         faces.clear()
-        theta, certificate = solver._face_newton(untied, S, idx, l1, w, cfg)
+        theta, certificate = solver._face_newton(
+            untied, S, idx, l1, w, 10 * cfg.eps_abs, cfg.max_outer
+        )
         [(_, first), (_, second)] = faces
         assert not first.any() and second[w > 0].all()  # the vertex row
         assert theta[0, 0] == theta[1, 1]
@@ -979,7 +1020,7 @@ class TestFaceBoundary:
         cfg = AdmmConfig()
         Z = np.diag(1.0 / np.diag(S))
         Z[0, 1] = Z[1, 0] = 1e-3 * min(Z[0, 0], Z[1, 1])
-        theta, certificate = solver._face_newton(Z, S, idx, l1, w, cfg)
+        theta, certificate = solver._face_newton(Z, S, idx, l1, w, 10 * cfg.eps_abs, cfg.max_outer)
         [(first, _), (second, _)] = faces
         assert first.sum() + 1 == second.sum()
         assert np.array_equal(theta, np.diag(np.diag(theta)))
@@ -993,7 +1034,9 @@ class TestFaceBoundary:
         cfg = AdmmConfig()
         theta, _ = solve_weighted(S, idx, l1, w, cfg)
         faces.clear()
-        again, certificate = solver._face_newton(theta, S, idx, l1, w, cfg)
+        again, certificate = solver._face_newton(
+            theta, S, idx, l1, w, 10 * cfg.eps_abs, cfg.max_outer
+        )
         assert len(faces) == 1
         assert np.abs(again - theta).max() <= 1e-8 and certificate <= 10 * cfg.eps_abs
 
@@ -1036,6 +1079,20 @@ class TestDiagonalStart:
         steps = TestFacePolish.record_steps(monkeypatch)
         with pytest.raises(NotPositiveDefiniteError, match="no minimizer"):
             pdglasso_solve(self.zero_column(rng), PenaltySpec(0.1), diag_penalty=False)
+        assert steps == []
+
+    @pytest.mark.parametrize("row_weight", [0.0, -1.0], ids=["zero", "negative"])
+    def test_unweighted_singular_S_raises_before_the_first_step(self, monkeypatch, row_weight):
+        # with every l1 weight zero and every fused row inactive, -log det
+        # falls without bound along the null space of a rank-3 S, though its
+        # diagonal minimizer exists
+        steps = TestFacePolish.record_steps(monkeypatch)
+        X = np.random.default_rng(0).standard_normal((3, 6))
+        S = checked_cov(X.T @ X / 3)
+        idx = PairedIndex(3)
+        l1, w = np.zeros(idx.vec_length), np.full(idx.n_rows, row_weight)
+        with pytest.raises(NotPositiveDefiniteError, match="unbounded"):
+            solve_weighted(S, idx, l1, w, AdmmConfig())
         assert steps == []
 
     def test_vertex_weight_bounds_a_zero_column(self, rng):
