@@ -4,7 +4,9 @@ Matrix input is CSV with a header row of variable names; the first half of
 the columns is the left group and the second half the right group with
 positional pairing.  Rows are observations unless --cov marks the file as a
 p x p covariance matrix.  Fit reports are canonical JSON documents:
-``dump_report(json.load(fh))`` gives back the bytes of the file.
+``dump_report(json.load(fh))`` gives back the bytes of the file.  Tables
+are CSV rendered from their records by :func:`render_csv`, and every
+artifact, file or stdout, is written by :func:`write_output`.
 
 Exit codes: 0 success, 1 input error, 2 numerical non-convergence.
 """
@@ -13,11 +15,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from itertools import zip_longest
 
 import numpy as np
@@ -26,6 +29,8 @@ from . import __version__
 from .errors import InputError, MleError, PdglassoError
 from .model import (
     FitResult,
+    GridPoint,
+    LrtResult,
     PdColouredGraph,
     SubmodelClass,
     check_alpha,
@@ -41,7 +46,7 @@ from .model import (
 )
 from .paired import PairedIndex, checked_cov
 from .penalties import PenaltySpec, lambda1_block_max, lambda1_diag_max, lambda2_sym_max
-from .simulate import ScenarioSpec, results_to_csv, run_scenario
+from .simulate import CellResult, ScenarioSpec, run_scenario
 from .solver import AdmmConfig
 
 _STANDARDIZE_CAVEAT = (
@@ -91,7 +96,9 @@ def read_matrix_csv(path: str, cov: bool) -> tuple[np.ndarray, list[str]]:
             f"{path}: expected an even column count >= 2, got {len(names)}"
         )
     seen = set()
-    for name in names:
+    for k, name in enumerate(names, start=1):
+        if not name:
+            raise InputError(f"{path}: column {k} has an empty name")
         if name in seen:
             raise InputError(f"{path}: column name {name!r} is repeated")
         seen.add(name)
@@ -283,13 +290,45 @@ def dump_report(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
+def _csv_cell(value) -> str:
+    """A table cell: blank for None, ``true`` or ``false`` for a bool, the
+    shortest round-trip form for a float."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(float(value))
+    return str(value)
+
+
+def render_csv(rows: list, record: type, omit: str) -> str:
+    """CSV table with one line per dataclass record; the columns are the
+    fields of ``record`` but ``omit``."""
+    columns = [f.name for f in fields(record) if f.name != omit]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([_csv_cell(getattr(row, col)) for col in columns] for row in rows)
+    return out.getvalue()
+
+
+def results_to_csv(rows: list[CellResult]) -> str:
+    """The simulate table: one line per (scenario, n, rep, method)."""
+    return render_csv(rows, CellResult, "error")
+
+
 def write_output(path: str | None, text: str) -> None:
-    """Write text to the file at path, or to stdout when path is not given."""
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+    """Write text to the file at path, or to stdout when path is not given.
+    A file that cannot be written is an :class:`InputError` naming it."""
+    if not path:
         sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
 
 
 def write_fit_report(path: str | None, doc: dict) -> None:
@@ -368,10 +407,9 @@ def cmd_thresholds(args) -> int:
         "lambda2_sym": lambda2_sym_max(S, idx),
     }
     if args.json:
-        sys.stdout.write(dump_report(values))
+        write_output(None, dump_report(values))
     else:
-        for key, value in values.items():
-            print(f"{key} {value!r}")
+        write_output(None, "".join(f"{key} {value!r}\n" for key, value in values.items()))
     return 0
 
 
@@ -385,33 +423,13 @@ def cmd_path(args) -> int:
     winner, points = selection_path(S, n, args.m, args.gamma, class_spec, cfg)
     write_fit_report(args.output, fit_report_doc(winner, S, names, n, args.gamma, cfg))
     if args.grid_csv:
-        with open(args.grid_csv, "w", encoding="utf-8", newline="") as fh:
-            write_grid_csv(fh, points)
+        write_output(args.grid_csv, render_csv(points, GridPoint, "fit"))
     print(
         f"path: winner lambda1={float(winner.spec.lambda1)!r} d={winner.d} "
         f"eBIC={winner.ebic:.4f}",
         file=sys.stderr,
     )
     return 0 if winner.report.converged else 2
-
-
-def write_grid_csv(fh, points) -> None:
-    """One row per grid point; a failed point has a blank eBIC, d and
-    stop_reason and says why in ``error``."""
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(["stage", "lambda1", "lambda2", "ebic", "d", "converged",
-                     "stop_reason", "error"])
-    for pt in points:
-        writer.writerow([
-            pt.stage,
-            repr(float(pt.lambda1)),
-            repr(float(pt.lambda2)),
-            "" if pt.ebic is None else repr(float(pt.ebic)),
-            "" if pt.d is None else pt.d,
-            "true" if pt.converged else "false",
-            "" if pt.fit is None else pt.fit.report.stop_reason,
-            pt.error or "",
-        ])
 
 
 def _mode(text: str) -> float | str:
@@ -467,7 +485,7 @@ def cmd_compare(args) -> int:
             raise InputError(f"--precomputed needs {', '.join(missing)}")
         result = lrt(args.deviance_full, args.d_full, args.deviance_sub, args.d_sub,
                      args.alpha)
-        _print_lrt(result, args.deviance_full, args.deviance_sub)
+        _write_lrt(result, args.deviance_full, args.deviance_sub)
         return 0
 
     if args.full is None or args.sub is None:
@@ -501,25 +519,20 @@ def cmd_compare(args) -> int:
     d_full = n_params(g_full)
     d_sub = n_params(g_sub)
     if d_full == d_sub:
-        sys.stdout.write(dump_report({
+        write_output(None, dump_report({
             "degenerate": True, "stat": 0.0, "df": 0,
             "deviance_full": dev_full, "deviance_sub": dev_sub,
         }))
         return 0
     result = lrt(dev_full, d_full, dev_sub, d_sub, args.alpha)
-    _print_lrt(result, dev_full, dev_sub)
+    _write_lrt(result, dev_full, dev_sub)
     return 0
 
 
-def _print_lrt(result, dev_full, dev_sub):
-    sys.stdout.write(dump_report({
-        "degenerate": False,
-        "deviance_full": dev_full,
-        "deviance_sub": dev_sub,
-        "stat": result.stat,
-        "df": result.df,
-        "critical": result.critical,
-        "reject": result.reject,
+def _write_lrt(result: LrtResult, dev_full: float, dev_sub: float) -> None:
+    write_output(None, dump_report({
+        "degenerate": False, "deviance_full": dev_full, "deviance_sub": dev_sub,
+        **asdict(result),
     }))
 
 

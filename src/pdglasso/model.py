@@ -118,30 +118,24 @@ class FitResult:
     theta_mle: Optional[np.ndarray]
 
 
-def extract_graph(
-    theta: np.ndarray,
-    idx: PairedIndex,
-    zero_tol: Optional[float] = None,
-    eq_tol: Optional[float] = None,
-) -> PdColouredGraph:
+def extract_graph(theta: np.ndarray, idx: PairedIndex) -> PdColouredGraph:
     """Read the coloured graph off an estimated concentration matrix.
 
-    An edge is present when its entry exceeds ``zero_tol`` in absolute value;
-    a present symmetric pair is coloured when the two entries differ by at
-    most ``eq_tol``, and likewise for vertex pairs on the diagonal.  Both
-    default to 1e-5 max(1, max|theta|), which guards float noise in estimates.
+    An edge is present when its entry exceeds 1e-5 max(1, max|theta|) in
+    absolute value; a present symmetric pair is coloured when the two
+    entries differ by at most that much, and likewise for vertex pairs on
+    the diagonal.  The tolerance guards float noise in estimates.  Raises
+    ValueError when theta has a non-finite entry.
     """
     _check_square(theta, idx, "theta")
-    default = 1e-5 * max(1.0, float(np.abs(theta).max()))
-    zero_tol = default if zero_tol is None else zero_tol
-    eq_tol = default if eq_tol is None else eq_tol
-    if not (zero_tol > 0 and eq_tol > 0):  # NaN fails too
-        raise ValueError("tolerances must be > 0")
+    if not np.isfinite(theta).all():
+        raise ValueError("theta must be finite")
+    tol = 1e-5 * max(1.0, float(np.abs(theta).max()))
 
     z = pd_vec(theta, idx)
     a, b = idx.fused_pairs
-    present = (np.abs(z) > zero_tol) | idx.diagonal
-    coloured = present[a] & present[b] & (np.abs(z[a] - z[b]) <= eq_tol)
+    present = (np.abs(z) > tol) | idx.diagonal
+    coloured = present[a] & present[b] & (np.abs(z[a] - z[b]) <= tol)
     return PdColouredGraph(idx.q, present, coloured)
 
 
@@ -373,12 +367,16 @@ class SubmodelClass:
 
 @dataclass(frozen=True)
 class GridPoint:
+    """One point of a selection path, a line of ``path --grid-csv``: a
+    failed point has no eBIC, d or stop reason and says why in ``error``."""
+
     stage: int
     lambda1: float
     lambda2: float
     ebic: Optional[float]
     d: Optional[int]
     converged: bool
+    stop_reason: Optional[str] = None
     error: Optional[str] = None
     fit: Optional[FitResult] = field(default=None, repr=False, compare=False)
 
@@ -431,9 +429,11 @@ def _attempt(step, *args, **kwargs):
 
 
 def _best(points: list[GridPoint]) -> GridPoint:
+    """The valid point of least eBIC; :class:`MleError` naming the first
+    point's error when every point failed."""
     valid = [pt for pt in points if pt.valid]
     if not valid:
-        raise MleError("every penalty grid point failed")
+        raise MleError(f"every penalty grid point failed (first: {points[0].error})")
     # ties broken toward fewer parameters, then the larger (sparser) penalty
     return min(valid, key=lambda pt: (pt.ebic, pt.d, -pt.lambda1, -pt.lambda2))
 
@@ -497,7 +497,8 @@ def selection_path(
                 points.append(GridPoint(stage, lam1, lam2, None, None, False, error=str(fit)))
             else:
                 points.append(GridPoint(stage, lam1, lam2, fit.ebic, fit.d,
-                                        fit.report.converged, fit=fit))
+                                        fit.report.converged, fit.report.stop_reason,
+                                        fit=fit))
         return points[::-1]
 
     stage1 = sweep(1, [(lam1, 0.0) for lam1 in _log_grid(lambda1_diag_max(S), m)], None)

@@ -27,7 +27,7 @@ import os
 import pickle
 import signal
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -313,7 +313,7 @@ def _run_cell(
         try:
             scores = edge_metrics(graph, fit.graph)
             losses = matrix_losses(fit.theta_mle, theta_true)
-        except (PdglassoError, np.linalg.LinAlgError) as exc:
+        except PdglassoError as exc:
             out.append(_failed_row(spec, n, rep, method, exc))
             continue
         out.append(
@@ -437,20 +437,3 @@ def _child_result(pid: int, read_fd: int) -> list:
         raise value
     return value
 
-
-def results_to_csv(rows: list[CellResult]) -> str:
-    """Flat CSV with one row per (scenario, n, rep, method); the columns are
-    the fields of :class:`CellResult` but ``error``."""
-
-    def fmt(value):
-        if isinstance(value, bool):
-            return "true" if value else "false"
-        if isinstance(value, float):
-            return repr(float(value))  # plain shortest round-trip form
-        return str(value)
-
-    columns = [f.name for f in fields(CellResult) if f.name != "error"]
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(fmt(getattr(row, col)) for col in columns))
-    return "\n".join(lines) + "\n"

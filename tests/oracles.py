@@ -428,7 +428,8 @@ def per_point_path(S, n, m, gamma, class_spec, cfg):
                 start = None
                 continue
             points.append(model.GridPoint(stage, lam1, lam2, fit.ebic, fit.d,
-                                          fit.report.converged, fit=fit))
+                                          fit.report.converged, fit.report.stop_reason,
+                                          fit=fit))
             start = fit.theta_hat
         return points[::-1]
 

@@ -25,7 +25,7 @@ from pdglasso.cli import (
     dump_report,
     main,
     read_fit_report,
-    write_grid_csv,
+    render_csv,
 )
 from pdglasso.errors import MleError
 from pdglasso.model import GridPoint, PdColouredGraph, n_params, rcon_residual
@@ -398,13 +398,15 @@ class TestInputValidation:
         assert captured.out == "" and captured.err.startswith("error: ")
         assert cause in captured.err
 
-    @pytest.mark.parametrize("command", ["fit", "path", "thresholds", "compare"])
-    def test_repeated_column_name_exits_1_naming_it(self, tmp_path, capsys, command):
+    @staticmethod
+    def header_error(tmp_path, capsys, command, names):
+        """stderr of a command, which must exit 1 without output, on data
+        whose header is names; compare reads it through --input."""
         Y = np.random.default_rng(0).standard_normal((30, 4))
         report = tmp_path / "report.json"
         assert main(["fit", str(write_data(tmp_path / "good.csv", Y)), "--lambda1", "0.05",
                      "-o", str(report)]) == 0
-        bad = write_data(tmp_path / "bad.csv", Y, names=["a", "b", "a", "c"])
+        bad = write_data(tmp_path / "bad.csv", Y, names=names)
         capsys.readouterr()
         args = {
             "fit": ["fit", str(bad), "--lambda1", "0.05"],
@@ -415,7 +417,20 @@ class TestInputValidation:
         assert main(args) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")
-        assert "column name 'a' is repeated" in captured.err
+        return captured.err
+
+    @pytest.mark.parametrize("command", ["fit", "path", "thresholds", "compare"])
+    def test_repeated_column_name_exits_1_naming_it(self, tmp_path, capsys, command):
+        err = self.header_error(tmp_path, capsys, command, ["a", "b", "a", "c"])
+        assert "column name 'a' is repeated" in err
+
+    @pytest.mark.parametrize("command", ["fit", "path", "thresholds", "compare"])
+    @pytest.mark.parametrize("names, k", [(["a", "", "A", "B"], 2), (["a", "b", " ", "c"], 3)],
+                             ids=["empty", "blank"])
+    def test_empty_column_name_exits_1_naming_its_number(self, tmp_path, capsys, command,
+                                                          names, k):
+        err = self.header_error(tmp_path, capsys, command, names)
+        assert f"column {k} has an empty name" in err
 
     @pytest.mark.parametrize("text, flags, message", [
         ("", [], "empty file"),
@@ -623,14 +638,12 @@ class TestPath:
         assert all(r["stop_reason"] == "kkt" and r["error"] == "" for r in rows)
 
     def test_grid_csv_shows_failure_text(self):
-        points = [
-            GridPoint(1, 0.5, 0.0, None, None, False, error="MLE failed, does not exist"),
-        ]
-        fh = io.StringIO()
-        write_grid_csv(fh, points)
-        (row,) = csv.DictReader(io.StringIO(fh.getvalue()))
+        error = 'MLE failed, "does not" exist'
+        points = [GridPoint(1, 0.5, 0.0, None, None, False, error=error)]
+        (row,) = csv.DictReader(io.StringIO(render_csv(points, GridPoint, "fit")))
+        assert list(row) == [f.name for f in fields(GridPoint) if f.name != "fit"]
         assert row["ebic"] == "" and row["stop_reason"] == ""
-        assert row["error"] == "MLE failed, does not exist"
+        assert row["error"] == error
 
     def test_failed_points_are_listed_and_a_winner_chosen(self, tmp_path):
         # n = 6 < p = 20: at the smallest l1 weight the selected model has no MLE
@@ -652,7 +665,10 @@ class TestPath:
         data = write_data(tmp_path / "Y.csv", Y)
         out = tmp_path / "win.json"
         assert main(["path", str(data), "--m", "2", "-o", str(out)]) == 2
-        assert capsys.readouterr().err == "error: every penalty grid point failed\n"
+        assert capsys.readouterr().err == (
+            "error: every penalty grid point failed (first: a variable has zero sample "
+            "variance; the MLE does not exist)\n"
+        )
         assert not out.exists()
 
     def test_infinite_mode_ties_every_vertex(self, tmp_path):
@@ -894,6 +910,25 @@ class TestStandardOutput:
         self.assert_canonical_json(capsys.readouterr().out, [
             "degenerate", "deviance_full", "deviance_sub", "df", "stat",
         ])
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("command, flag", [
+        ("fit", "-o"), ("path", "-o"), ("path", "--grid-csv"), ("simulate", "-o"),
+    ])
+    def test_output_into_a_missing_directory_exits_1_naming_it(
+        self, tmp_path, capsys, command, flag
+    ):
+        cov = str(write_cov(tmp_path / "S.csv", np.eye(4)))
+        args = {
+            "fit": ["fit", cov, "--cov", "--n", "40", "--lambda1", "0.1"],
+            "path": ["path", cov, "--cov", "--n", "40", "--m", "2"],
+            "simulate": TestSimulateCommand.ARGS + ["--threads", "1"],
+        }[command]
+        target = tmp_path / "missing" / "out"
+        assert main(args + [flag, str(target)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
 
 
 class TestIgnoredRefineFlag:

@@ -81,11 +81,12 @@ class TestExtractGraph:
         # every vertex, and every pair with both entries present, is coloured
         assert np.array_equal(g.coloured, g.present[a] & g.present[b])
 
-    def test_tolerances_must_be_positive(self):
-        idx = PairedIndex(2)
-        for tols in ({"zero_tol": 0.0}, {"zero_tol": math.nan}, {"eq_tol": math.nan}):
-            with pytest.raises(ValueError):
-                extract_graph(np.eye(4), idx, **tols)
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_theta_raises(self, value):
+        theta = np.eye(4)
+        theta[0, 1] = theta[1, 0] = value
+        with pytest.raises(ValueError, match="theta must be finite"):
+            extract_graph(theta, PairedIndex(2))
 
 
 def _adjacency(g):

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pdglasso.cli import results_to_csv
 from pdglasso.errors import DimensionError, MleError, NotPositiveDefiniteError, PdglassoError
 from pdglasso.model import PdColouredGraph, extract_graph
 from pdglasso.paired import PairedIndex, swap_blocks
@@ -21,7 +22,6 @@ from pdglasso.simulate import (
     matrix_losses,
     mvn_sample_cov,
     pdrcon_covariance,
-    results_to_csv,
     run_scenario,
     wishart_identity,
 )
@@ -512,7 +512,7 @@ class TestSharedSelectionPath:
         spec = _spec(p=6, n_list=(40,), select_m=3)
         rows = run_scenario(spec, FAST)
         assert [r.method for r in rows] == ["pdglasso", "glasso"]
-        assert {r.error for r in rows} == {"every penalty grid point failed"}
+        assert {r.error for r in rows} == {"every penalty grid point failed (first: refit failed)"}
         assert all(math.isnan(r.f1) and not r.converged and r.d == 0 for r in rows)
         assert [r.error for r in two_path_rows(spec, FAST)] == [r.error for r in rows]
 
