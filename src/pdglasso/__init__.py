@@ -43,7 +43,6 @@ from .penalties import (
     INF,
     PenaltySpec,
     fused_penalty,
-    l1_penalty,
     lambda1_block_max,
     lambda1_diag_max,
     lambda2_sym_max,
@@ -79,7 +78,6 @@ from .simulate import (
     MatrixLosses,
     ScenarioSpec,
     edge_metrics,
-    ggm_covariance,
     graph_from_threshold,
     matrix_losses,
     mvn_sample_cov,

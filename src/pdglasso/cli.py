@@ -19,6 +19,7 @@ import io
 import json
 import math
 import os
+import stat
 import sys
 from dataclasses import asdict, fields
 from itertools import zip_longest
@@ -318,21 +319,61 @@ def results_to_csv(rows: list[CellResult]) -> str:
     return render_csv(rows, CellResult, "error")
 
 
-def write_output(path: str | None, text: str) -> None:
-    """Write text to the file at path, or to stdout when path is not given.
-    A file that cannot be written is an :class:`InputError` naming it."""
-    if not path:
-        sys.stdout.write(text)
-        return
+def write_output(path: str | None, text: str, *also: tuple[str, str]) -> None:
+    """Write text to the file at path, or to stdout when path is not given,
+    and each further (path, text) pair of ``also`` likewise.
+
+    The files are written all or none: each text goes to a new temporary
+    file beside its regular file, and the temporaries replace their files
+    only after every text is written.  A file already there keeps its mode,
+    and a symbolic link to it stays.  A target that is not a regular file,
+    such as a pipe or ``/dev/null``, is written in place before any file is
+    replaced (so a directory fails there), and stdout last.  A file that
+    cannot be written is an :class:`InputError` naming it; then no regular
+    file has changed and no temporary is left.
+    """
+    outputs = [(path, text), *also]
+    staged = []  # (target, file, temporary) until the temporary replaces its file
+    in_place = []
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        for target, body in outputs:
+            if not target:
+                continue
+            mode = os.stat(target).st_mode if os.path.exists(target) else None
+            if mode is not None and not stat.S_ISREG(mode):
+                in_place.append((target, body))
+                continue
+            if mode is not None and not os.access(target, os.W_OK):  # a replace would ignore it
+                raise InputError(f"cannot write {target}: Permission denied")
+            real = os.path.realpath(target)
+            head, tail = os.path.split(real)
+            tmp = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.tmp")
+            with open(tmp, "x", encoding="utf-8", newline="") as fh:
+                staged.append((target, real, tmp))
+                if mode is not None:
+                    os.chmod(tmp, stat.S_IMODE(mode))
+                fh.write(body)
+        for target, body in in_place:
+            with open(target, "w", encoding="utf-8", newline="") as fh:
+                fh.write(body)
+        while staged:
+            target, real, tmp = staged[0]
+            os.replace(tmp, real)
+            del staged[0]
     except OSError as exc:
-        raise InputError(f"cannot write {path}: {exc}") from exc
+        raise InputError(f"cannot write {target}: {exc.strerror}") from exc
+    finally:
+        for _, _, tmp in staged:
+            os.remove(tmp)
+    for target, body in outputs:
+        if not target:
+            sys.stdout.write(body)
 
 
-def write_fit_report(path: str | None, doc: dict) -> None:
-    write_output(path, dump_report(doc))
+def write_fit_report(path: str | None, doc: dict, *also: tuple[str, str]) -> None:
+    """Write the canonical text of doc as :func:`write_output` does, together
+    with the (path, text) pairs of ``also``."""
+    write_output(path, dump_report(doc), *also)
 
 
 def read_fit_report(path: str) -> dict:
@@ -421,9 +462,8 @@ def cmd_path(args) -> int:
     )
     cfg = _admm_config(args)
     winner, points = selection_path(S, n, args.m, args.gamma, class_spec, cfg)
-    write_fit_report(args.output, fit_report_doc(winner, S, names, n, args.gamma, cfg))
-    if args.grid_csv:
-        write_output(args.grid_csv, render_csv(points, GridPoint, "fit"))
+    grid = [(args.grid_csv, render_csv(points, GridPoint, "fit"))] if args.grid_csv else []
+    write_fit_report(args.output, fit_report_doc(winner, S, names, n, args.gamma, cfg), *grid)
     print(
         f"path: winner lambda1={float(winner.spec.lambda1)!r} d={winner.d} "
         f"eBIC={winner.ebic:.4f}",
@@ -448,11 +488,17 @@ def _mode(text: str) -> float | str:
 
 def cmd_simulate(args) -> int:
     threads = _simulate_threads(args.threads)
+    try:
+        n_list = tuple(int(x) for x in args.n_list.split(","))
+    except ValueError:
+        raise InputError(
+            f"--n-list must be comma-separated integers, got {args.n_list!r}"
+        ) from None
     spec = ScenarioSpec(
         p=args.p,
         density=args.density,
         symmetry_fraction=args.symmetry_fraction,
-        n_list=tuple(int(x) for x in args.n_list.split(",")),
+        n_list=n_list,
         replications=args.replications,
         seed=args.seed,
         select_m=args.m,

@@ -59,13 +59,6 @@ class PenaltySpec:
         return (self.lambda2_vertex, self.lambda2_inside, self.lambda2_across)
 
 
-def l1_penalty(theta: np.ndarray, lambda1: float) -> float:
-    """lambda1 times the sum of absolute values of all entries, diagonal included."""
-    if lambda1 < 0:
-        raise ValueError(f"lambda1 must be >= 0, got {lambda1}")
-    return float(lambda1 * np.abs(theta).sum())
-
-
 def penalty_weights(
     spec: PenaltySpec, idx: PairedIndex, diag_penalty: bool = True
 ) -> tuple[np.ndarray, np.ndarray]:

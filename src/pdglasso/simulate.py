@@ -83,10 +83,12 @@ class ScenarioSpec:
             )
         check_count(self.replications, "replications", 1)
         check_gamma(self.select_gamma, "select_gamma")
-        if not self.n_list or min(self.n_list) < 1:
-            raise ValueError(f"n_list must be nonempty with every n >= 1, got {self.n_list}")
-        for n in self.n_list:
+        if not self.n_list:
+            raise ValueError("n_list must be nonempty")
+        for k, n in enumerate(self.n_list):
             check_count(n, "every n in n_list", 1)
+            if n in self.n_list[:k]:  # its cells would draw the same samples
+                raise ValueError(f"n_list must hold distinct sample sizes, got n = {n} twice")
         object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
         check_count(self.select_m, "select_m", 2)
 
@@ -124,22 +126,6 @@ def graph_from_threshold(K: np.ndarray, density: float) -> PdColouredGraph:
     return PdColouredGraph(idx.q, present, np.zeros(idx.n_rows, dtype=bool))
 
 
-def _ggm_truth(p: int, density: float, rng: np.random.Generator):
-    """Wishart draw S_star and the graph thresholded from its inverse."""
-    S_star = wishart_identity(p, p, rng)
-    return graph_from_threshold(np.linalg.inv(S_star), density), S_star
-
-
-def ggm_covariance(
-    p: int, density: float, seed, cfg: Optional[AdmmConfig] = None
-) -> tuple[np.ndarray, PdColouredGraph]:
-    """Random covariance exactly adapted to a random graph of given density."""
-    cfg = cfg or AdmmConfig()
-    rng = _rng(seed)
-    graph, S_star = _ggm_truth(p, density, rng)
-    return np.linalg.inv(mle(S_star, graph, cfg)), graph
-
-
 def _inject_symmetries(
     graph: PdColouredGraph, fraction: float, rng: np.random.Generator
 ) -> PdColouredGraph:
@@ -172,12 +158,15 @@ def pdrcon_covariance(
 ) -> tuple[np.ndarray, PdColouredGraph]:
     """Random paired coloured truth with the requested symmetry share.
 
-    At fraction 1 the result is invariant under the block swap; at fraction 0
-    it coincides with :func:`ggm_covariance` for the same seed.
+    At fraction 1 the result is invariant under the block swap.  At
+    fraction 0 no row is coloured, and the result is the plain GGM truth: a
+    covariance exactly adapted to the graph thresholded from the inverse of
+    a Wishart draw.
     """
     cfg = cfg or AdmmConfig()
     rng = _rng(spec.seed if seed is None else seed)
-    graph, S_star = _ggm_truth(spec.p, spec.density, rng)
+    S_star = wishart_identity(spec.p, spec.p, rng)
+    graph = graph_from_threshold(np.linalg.inv(S_star), spec.density)
     graph = _inject_symmetries(graph, spec.symmetry_fraction, rng)
     theta = mle(S_star, graph, cfg)
     return np.linalg.inv(theta), graph

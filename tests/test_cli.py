@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -782,9 +783,13 @@ class TestSimulateCommand:
         assert code == 0 and out.exists()
 
     @pytest.mark.parametrize("flags, message", [
-        (["--n-list", "30,0"], "every n >= 1"),
+        (["--n-list", "30,0"], "every n in n_list must be >= 1, got 0"),
+        (["--n-list", "40,30,40"], "n_list must hold distinct sample sizes, got n = 40 twice"),
+        (["--n-list", "30,"], "--n-list must be comma-separated integers, got '30,'"),
+        (["--n-list", "1e2"], "--n-list must be comma-separated integers, got '1e2'"),
         (["--m", "1"], "select_m must be >= 2"),
-    ], ids=["n-list-with-0", "m-1"])
+    ], ids=["n-list-with-0", "n-list-repeated", "n-list-trailing-comma", "n-list-float",
+            "m-1"])
     def test_bad_sample_size_or_grid_exits_1_before_any_truth(
         self, tmp_path, monkeypatch, capsys, flags, message
     ):
@@ -929,6 +934,75 @@ class TestUnwritableOutput:
         assert main(args + [flag, str(target)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("old", [None, "a report of an earlier run\n"],
+                             ids=["no-report", "earlier-report"])
+    @pytest.mark.parametrize("grid", ["missing/grid.csv", "taken"],
+                             ids=["missing-directory", "directory"])
+    def test_path_writes_report_and_grid_together_or_not_at_all(
+        self, tmp_path, capsys, old, grid
+    ):
+        cov = str(write_cov(tmp_path / "S.csv", np.eye(4)))
+        (tmp_path / "taken").mkdir()
+        report = tmp_path / "win.json"
+        if old is not None:
+            report.write_text(old)
+        before = sorted(tmp_path.rglob("*"))
+        code = main(["path", cov, "--cov", "--n", "40", "--m", "2", "-o", str(report),
+                     "--grid-csv", str(tmp_path / grid)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot write {tmp_path / grid}: ")
+        assert sorted(tmp_path.rglob("*")) == before  # no temporary file is left
+        assert report.read_text() == old if old is not None else not report.exists()
+
+    @pytest.mark.parametrize("old_mode, mode", [(None, 0o640), (0o600, 0o600)],
+                             ids=["new-file", "existing-file"])
+    def test_a_written_file_keeps_its_mode_or_gets_the_umask_one(self, tmp_path, old_mode, mode):
+        cov = str(write_cov(tmp_path / "S.csv", np.eye(4)))
+        out = tmp_path / "report.json"
+        if old_mode is not None:
+            out.write_text("")
+            out.chmod(old_mode)
+        umask = os.umask(0o027)
+        try:
+            code = main(["fit", cov, "--cov", "--n", "40", "--lambda1", "0.1", "-o", str(out)])
+        finally:
+            os.umask(umask)
+        assert code == 0 and out.stat().st_mode & 0o777 == mode
+        assert json.loads(out.read_text())["d"] > 0
+
+    def test_a_read_only_file_is_left_as_it_was(self, tmp_path, capsys, monkeypatch):
+        cov = str(write_cov(tmp_path / "S.csv", np.eye(4)))
+        out = tmp_path / "report.json"
+        out.write_text("an earlier report\n")
+        out.chmod(0o444)
+        # root may write any file; answer as the file's mode does for other users
+        monkeypatch.setattr(os, "access", lambda path, mode: path != str(out))
+        before = sorted(tmp_path.iterdir())
+        code = main(["fit", cov, "--cov", "--n", "40", "--lambda1", "0.1", "-o", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: cannot write {out}: Permission denied\n"
+        assert out.read_text() == "an earlier report\n" and sorted(tmp_path.iterdir()) == before
+
+    def test_a_symbolic_link_is_written_through(self, tmp_path):
+        cov = str(write_cov(tmp_path / "S.csv", np.eye(4)))
+        (tmp_path / "real.json").write_text("")
+        link = tmp_path / "link.json"
+        link.symlink_to("real.json")
+        assert main(["fit", cov, "--cov", "--n", "40", "--lambda1", "0.1", "-o", str(link)]) == 0
+        assert link.is_symlink() and json.loads((tmp_path / "real.json").read_text())["d"] > 0
+
+    def test_a_pipe_is_written_in_place(self, tmp_path):
+        cov = str(write_cov(tmp_path / "S.csv", np.eye(4)))
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(pipe.read_text()), daemon=True)
+        reader.start()
+        code = main(["fit", cov, "--cov", "--n", "40", "--lambda1", "0.1", "-o", str(pipe)])
+        reader.join(timeout=30)
+        assert not reader.is_alive() and code == 0 and pipe.is_fifo()
+        assert json.loads(got[0])["d"] > 0
 
 
 class TestIgnoredRefineFlag:

@@ -11,11 +11,11 @@ from pdglasso.penalties import (
     INF,
     PenaltySpec,
     fused_penalty,
-    l1_penalty,
     lambda1_block_max,
     lambda1_diag_max,
     lambda2_sym_max,
     objective,
+    penalty_terms,
     penalty_weights,
     weighted_objective,
 )
@@ -97,20 +97,26 @@ class TestPenaltySpec:
             PenaltySpec(0.1, float("-1"))
 
 
+def l1_term(theta, lambda1):
+    """The l1 term of :func:`penalty_terms` under ``PenaltySpec(lambda1)``."""
+    idx = PairedIndex.from_p(theta.shape[0])
+    return penalty_terms(pd_vec(theta, idx), idx, *penalty_weights(PenaltySpec(lambda1), idx))[0]
+
+
 class TestL1Penalty:
     def test_identity(self):
-        assert l1_penalty(np.eye(4), 2.0) == 8.0
+        assert l1_term(np.eye(4), 2.0) == 8.0
 
     def test_zero_weight(self, rng):
-        assert l1_penalty(random_sym(6, rng), 0.0) == 0.0
+        assert l1_term(random_sym(6, rng), 0.0) == 0.0
 
     def test_small_example(self):
         theta = np.array([[1.0, -2.0], [-2.0, 3.0]])
-        assert l1_penalty(theta, 1.0) == 8.0
+        assert l1_term(theta, 1.0) == 8.0
 
     def test_negative_weight(self):
         with pytest.raises(ValueError):
-            l1_penalty(np.eye(2), -1.0)
+            PenaltySpec(-1.0)
 
 
 class TestFusedPenalty:
@@ -182,7 +188,7 @@ class TestObjective:
 
         expected = (
             -log_likelihood(theta, S)
-            + l1_penalty(theta, 0.3)
+            + 0.3 * np.abs(theta).sum()
             + fused_penalty(theta, spec, idx)
         )
         assert objective(theta, S, spec) == pytest.approx(expected, rel=1e-12)

@@ -11,13 +11,12 @@ import pytest
 
 from pdglasso.cli import results_to_csv
 from pdglasso.errors import DimensionError, MleError, NotPositiveDefiniteError, PdglassoError
-from pdglasso.model import PdColouredGraph, extract_graph
+from pdglasso.model import PdColouredGraph, extract_graph, mle
 from pdglasso.paired import PairedIndex, swap_blocks
 from pdglasso.simulate import (
     ScenarioSpec,
     child_rng,
     edge_metrics,
-    ggm_covariance,
     graph_from_threshold,
     matrix_losses,
     mvn_sample_cov,
@@ -88,24 +87,6 @@ class TestGraphFromThreshold:
             graph_from_threshold(np.eye(4), density)
 
 
-class TestGgmCovariance:
-    def test_density_one_returns_wishart_draw(self):
-        Sigma, g = ggm_covariance(6, 1.0, 5, FAST)
-        S_star = wishart_identity(6, 6, child_rng(5))
-        assert np.abs(Sigma - S_star).max() < 1e-5
-
-    def test_inverse_is_adapted(self):
-        Sigma, g = ggm_covariance(8, 0.25, 11, FAST)
-        theta = np.linalg.inv(Sigma)
-        back = extract_graph(theta, PairedIndex(4))
-        assert np.array_equal(back.present, g.present)
-
-    def test_reproducible(self):
-        a, _ = ggm_covariance(6, 0.3, 17, FAST)
-        b, _ = ggm_covariance(6, 0.3, 17, FAST)
-        assert np.array_equal(a, b)
-
-
 def _spec(p=8, density=0.3, frac=0.5, seed=0, **kw):
     return ScenarioSpec(p=p, density=density, symmetry_fraction=frac,
                         n_list=kw.pop("n_list", (100,)),
@@ -113,15 +94,34 @@ def _spec(p=8, density=0.3, frac=0.5, seed=0, **kw):
                         seed=seed, **kw)
 
 
+class TestGgmCovariance:
+    """The plain GGM truth: :func:`pdrcon_covariance` at symmetry fraction 0."""
+
+    def test_density_one_returns_wishart_draw(self):
+        Sigma, g = pdrcon_covariance(_spec(p=6, density=1.0, frac=0.0, seed=5), FAST)
+        S_star = wishart_identity(6, 6, child_rng(5))
+        assert np.abs(Sigma - S_star).max() < 1e-5
+
+    def test_inverse_is_adapted(self):
+        Sigma, g = pdrcon_covariance(_spec(p=8, density=0.25, frac=0.0, seed=11), FAST)
+        theta = np.linalg.inv(Sigma)
+        back = extract_graph(theta, PairedIndex(4))
+        assert np.array_equal(back.present, g.present)
+
+    def test_reproducible(self):
+        a, _ = pdrcon_covariance(_spec(p=6, density=0.3, frac=0.0, seed=17), FAST)
+        b, _ = pdrcon_covariance(_spec(p=6, density=0.3, frac=0.0, seed=17), FAST)
+        assert np.array_equal(a, b)
+
+
 class TestPdrconCovariance:
     def test_zero_fraction_equals_plain_ggm(self):
-        Sigma_pd, g_pd = pdrcon_covariance(_spec(frac=0.0, seed=3), FAST)
-        Sigma_gg, g_gg = ggm_covariance(8, 0.3, 3, FAST)
-        assert np.array_equal(Sigma_pd, Sigma_gg)
-        inside = g_gg.index.component_rows(False, True, False)
-        a, b = g_gg.index.fused_pairs
-        for side in (a[inside], b[inside]):
-            assert np.array_equal(g_pd.present[side], g_gg.present[side])
+        Sigma, g = pdrcon_covariance(_spec(frac=0.0, seed=3), FAST)
+        S_star = wishart_identity(8, 8, child_rng(3))
+        plain = graph_from_threshold(np.linalg.inv(S_star), 0.3)
+        assert not g.coloured.any()
+        assert np.array_equal(g.present, plain.present)
+        assert np.array_equal(Sigma, np.linalg.inv(mle(S_star, plain, FAST)))
 
     def test_fits_one_mle(self, monkeypatch):
         import pdglasso.simulate as simulate
@@ -558,6 +558,11 @@ class TestScenarioSpecValidation:
     @pytest.mark.parametrize("n_list", [(), (30, 0), (-5,)])
     def test_rejects_empty_or_nonpositive_n_list(self, n_list):
         with pytest.raises(ValueError, match="n_list"):
+            _spec(n_list=n_list)
+
+    @pytest.mark.parametrize("n_list", [(40, 80, 40), (np.int64(40), 40)])
+    def test_rejects_a_repeated_n_naming_it(self, n_list):
+        with pytest.raises(ValueError, match="distinct sample sizes, got n = 40 twice"):
             _spec(n_list=n_list)
 
     def test_rejects_a_grid_below_two_points(self):
