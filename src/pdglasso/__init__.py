@@ -42,7 +42,6 @@ from .paired import (
 from .penalties import (
     INF,
     PenaltySpec,
-    fused_penalty,
     lambda1_block_max,
     lambda1_diag_max,
     lambda2_sym_max,
@@ -53,7 +52,6 @@ from .solver import (
     SolveReport,
     optimality_residual,
     pdglasso_solve,
-    theta_step,
 )
 from .model import (
     FitResult,
@@ -68,8 +66,6 @@ from .model import (
     mle,
     mle_fully_symmetric,
     n_params,
-    partial_correlations,
-    partial_variances,
     rcon_residual,
     selection_path,
 )
@@ -86,4 +82,10 @@ from .simulate import (
     wishart_identity,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# every public name above but the submodules the imports bind, so that
+# ``from pdglasso import *`` binds no module
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, type(_os))
+)

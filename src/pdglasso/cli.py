@@ -418,10 +418,7 @@ def cmd_fit(args) -> int:
     check_gamma(args.gamma)
     S, names, n = _read_sample(args)
     spec = PenaltySpec(
-        args.lambda1,
-        float(args.lambda2_vertex),
-        float(args.lambda2_inside),
-        float(args.lambda2_across),
+        args.lambda1, args.lambda2_vertex, args.lambda2_inside, args.lambda2_across
     )
     cfg = _admm_config(args)
     fit = solve_point(S, spec, cfg, diag_penalty=not args.no_diag_penalty)
@@ -630,9 +627,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit = sub.add_parser("fit", help="solve at fixed penalties and report the model")
     _add_input_flags(p_fit)
     p_fit.add_argument("--lambda1", type=float, required=True)
-    p_fit.add_argument("--lambda2-vertex", default="0", metavar="VAL|Inf")
-    p_fit.add_argument("--lambda2-inside", default="0", metavar="VAL|Inf")
-    p_fit.add_argument("--lambda2-across", default="0", metavar="VAL|Inf")
+    p_fit.add_argument("--lambda2-vertex", type=float, default=0.0, metavar="VAL|Inf")
+    p_fit.add_argument("--lambda2-inside", type=float, default=0.0, metavar="VAL|Inf")
+    p_fit.add_argument("--lambda2-across", type=float, default=0.0, metavar="VAL|Inf")
     p_fit.add_argument("--n", type=int, default=None,
                        help="sample size (required with --cov)")
     p_fit.add_argument("--gamma", type=float, default=0.0, help="eBIC gamma")

@@ -276,26 +276,6 @@ def lrt(
     return LrtResult(stat=stat, df=df, critical=critical, reject=stat > critical)
 
 
-def partial_correlations(theta: np.ndarray) -> np.ndarray:
-    """-theta_ij / sqrt(theta_ii theta_jj) off the diagonal, 1 on it."""
-    theta = np.asarray(theta, dtype=float)
-    diag = np.diag(theta)
-    if np.any(diag <= 0):
-        raise ValueError("diagonal of theta must be positive")
-    scale = np.sqrt(np.outer(diag, diag))
-    P = -theta / scale
-    np.fill_diagonal(P, 1.0)
-    return P
-
-
-def partial_variances(theta: np.ndarray) -> np.ndarray:
-    """Reciprocal diagonal of the concentration matrix."""
-    diag = np.diag(np.asarray(theta, dtype=float))
-    if np.any(diag <= 0):
-        raise ValueError("diagonal of theta must be positive")
-    return 1.0 / diag
-
-
 @dataclass(frozen=True)
 class GraphSummary:
     p: int
@@ -474,6 +454,7 @@ def selection_path(
     returned points are in ascending penalty order within each stage.
     """
     cfg = cfg or AdmmConfig()
+    check_count(n, "sample size n", 1)
     check_count(m, "grid length m", 2)
     check_gamma(gamma)
     S = checked_cov(S)

@@ -86,13 +86,6 @@ def penalty_terms(
     return tuple(float(np.sum(w[v != 0] * np.abs(v[v != 0]))) for w, v in terms)
 
 
-def fused_penalty(theta: np.ndarray, spec: PenaltySpec, idx: PairedIndex) -> float:
-    """The fused term of :func:`penalty_terms` for ``spec``: theta is read
-    through :func:`pd_vec`, and an infinite component adds 0 where its
-    differences vanish exactly and makes the value +inf otherwise."""
-    return penalty_terms(pd_vec(theta, idx), idx, *penalty_weights(spec, idx))[1]
-
-
 def weighted_objective(
     theta: np.ndarray, S: np.ndarray, idx: PairedIndex, l1_coord: np.ndarray, row_w: np.ndarray
 ) -> float:

@@ -480,7 +480,6 @@ class TestNonFiniteSettings:
         ["--lambda1", "0.1", "--lambda2-inside", "nan"],
         ["--lambda1", "0.1", "--eps-abs", "nan"],
         ["--lambda1", "0.1", "--lambda2-vertex=-inf"],
-        ["--lambda1", "0.1", "--lambda2-across", "infinite"],
     ])
     def test_fit_exits_1_before_any_solve(self, tmp_path, monkeypatch, capsys, flags):
         from pdglasso import solver
@@ -1061,19 +1060,26 @@ class TestUsageErrors:
     """A command line argparse rejects exits 1, the code of every input
     error; 2 is left to numerical non-convergence."""
 
-    @pytest.mark.parametrize("argv", [
-        ["fit", "input.csv"],
-        ["nosuch"],
-        ["compare", "a.json", "b.json", "--eps-rel", "1e-6"],
-        ["path", "input.csv", "--m", "x"],
-    ], ids=["missing-required", "unknown-command", "unknown-flag", "bad-int"])
-    def test_exits_1_with_the_usage(self, argv, capsys):
+    @pytest.mark.parametrize("argv, named", [
+        (["fit", "input.csv"], "--lambda1"),
+        (["nosuch"], "'nosuch'"),
+        (["compare", "a.json", "b.json", "--eps-rel", "1e-6"], "--eps-rel"),
+        (["path", "input.csv", "--m", "x"], "argument --m: invalid int value: 'x'"),
+        (["fit", "input.csv", "--lambda1", "0.1", "--lambda2-vertex", "abc"],
+         "argument --lambda2-vertex: invalid float value: 'abc'"),
+        (["fit", "input.csv", "--lambda1", "0.1", "--lambda2-across", "infinite"],
+         "argument --lambda2-across: invalid float value: 'infinite'"),
+    ], ids=["missing-required", "unknown-command", "unknown-flag", "bad-int", "bad-float",
+            "bad-infinity"])
+    def test_exits_1_with_the_usage(self, argv, named, capsys):
+        """The error line names the flag or word argparse rejected."""
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("usage: pdglasso") and "error: " in captured.err
+        assert named in captured.err
 
     @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["path", "--help"]])
     def test_help_and_version_exit_0(self, argv, capsys):

@@ -20,8 +20,6 @@ from pdglasso.model import (
     mle,
     mle_fully_symmetric,
     n_params,
-    partial_correlations,
-    partial_variances,
     rcon_residual,
     selection_path,
     solve_point,
@@ -516,32 +514,6 @@ class TestChiSquareQuantile:
         assert gamma_p(1.0, 0.0) == 0.0
 
 
-class TestPartialCorrelations:
-    def test_diagonal_gives_identity(self):
-        assert np.array_equal(partial_correlations(np.diag([2.0, 3.0])), np.eye(2))
-
-    def test_small_example(self):
-        theta = np.array([[1.0, -0.5], [-0.5, 1.0]])
-        P = partial_correlations(theta)
-        assert P[0, 1] == pytest.approx(0.5)
-
-    def test_fully_symmetric_input_gives_fixed_point(self, rng):
-        idx = PairedIndex(3)
-        theta = symmetrize_paired(random_pd(6, rng), idx)
-        P = partial_correlations(theta)
-        assert np.allclose(swap_blocks(P, idx), P)
-
-    def test_partial_variances(self):
-        theta = np.diag([2.0, 4.0])
-        assert partial_variances(theta).tolist() == [0.5, 0.25]
-        with pytest.raises(ValueError):
-            partial_variances(np.diag([1.0, -1.0]))
-
-    def test_rejects_a_non_positive_diagonal(self):
-        with pytest.raises(ValueError, match="diagonal"):
-            partial_correlations(np.diag([1.0, 0.0]))
-
-
 class TestSubmodelClass:
     def test_rejects_an_unknown_mode(self):
         with pytest.raises(ValueError, match="inside mode"):
@@ -713,6 +685,22 @@ class TestModelSelect:
             selection_path(random_pd(4, rng), 10, 1, 0.0, SubmodelClass())
         with pytest.raises(ValueError, match="must be an integer"):
             selection_path(random_pd(4, rng), 10, 2.5, 0.0, SubmodelClass())
+
+    @pytest.mark.parametrize("n", [0, -3, 2.5])
+    def test_an_invalid_sample_size_runs_no_solve(self, rng, monkeypatch, n):
+        from pdglasso import solver
+
+        calls = []
+        solve = solver.solve_weighted
+
+        def counting_solve(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "solve_weighted", counting_solve)
+        with pytest.raises(ValueError, match="sample size n"):
+            selection_path(random_pd(4, rng), n, 20, 0.0, SubmodelClass())
+        assert calls == []
 
     @staticmethod
     def record_starts(monkeypatch):

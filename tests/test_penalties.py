@@ -10,7 +10,6 @@ from pdglasso.paired import PairedIndex, pd_unvec, pd_vec, swap_blocks, symmetri
 from pdglasso.penalties import (
     INF,
     PenaltySpec,
-    fused_penalty,
     lambda1_block_max,
     lambda1_diag_max,
     lambda2_sym_max,
@@ -97,10 +96,21 @@ class TestPenaltySpec:
             PenaltySpec(0.1, float("-1"))
 
 
-def l1_term(theta, lambda1):
-    """The l1 term of :func:`penalty_terms` under ``PenaltySpec(lambda1)``."""
+def terms(theta, spec):
+    """The l1 and fused terms of :func:`penalty_terms` at theta under ``spec``."""
     idx = PairedIndex.from_p(theta.shape[0])
-    return penalty_terms(pd_vec(theta, idx), idx, *penalty_weights(PenaltySpec(lambda1), idx))[0]
+    return penalty_terms(pd_vec(theta, idx), idx, *penalty_weights(spec, idx))
+
+
+def l1_term(theta, lambda1):
+    """The l1 term under ``PenaltySpec(lambda1)``."""
+    return terms(theta, PenaltySpec(lambda1))[0]
+
+
+def fused_term(theta, spec):
+    """The fused term under ``spec``: an infinite component adds 0 where its
+    differences vanish exactly and makes the value +inf otherwise."""
+    return terms(theta, spec)[1]
 
 
 class TestL1Penalty:
@@ -123,26 +133,25 @@ class TestFusedPenalty:
     def test_fully_symmetric_is_zero(self, rng):
         idx = PairedIndex(3)
         theta = symmetrize_paired(random_sym(6, rng), idx)
-        assert fused_penalty(theta, PenaltySpec.uniform(0.0, 1.7), idx) == 0.0
+        assert fused_term(theta, PenaltySpec.uniform(0.0, 1.7)) == 0.0
 
     def test_vertex_only_q1(self):
-        idx = PairedIndex(1)
         theta = np.array([[2.0, 1.0], [1.0, 4.0]])
         spec = PenaltySpec(0.0, lambda2_vertex=1.0)
-        assert fused_penalty(theta, spec, idx) == 2.0
+        assert fused_term(theta, spec) == 2.0
 
     def test_matches_brute_force_loop(self, rng):
         idx = PairedIndex(4)
         theta = random_sym(8, rng)
         lam2 = 0.7
-        got = fused_penalty(theta, PenaltySpec.uniform(0.0, lam2), idx)
+        got = fused_term(theta, PenaltySpec.uniform(0.0, lam2))
         assert got == pytest.approx(brute_fused(theta, idx, lam2, lam2, lam2), rel=1e-12)
 
     def test_mixed_components(self, rng):
         idx = PairedIndex(3)
         theta = random_sym(6, rng)
         spec = PenaltySpec(0.0, 0.2, 0.5, 1.1)
-        assert fused_penalty(theta, spec, idx) == pytest.approx(
+        assert fused_term(theta, spec) == pytest.approx(
             brute_fused(theta, idx, 0.2, 0.5, 1.1), rel=1e-12
         )
 
@@ -150,17 +159,17 @@ class TestFusedPenalty:
         idx = PairedIndex(2)
         theta = random_sym(4, rng)
         spec = PenaltySpec(0.0, lambda2_vertex=INF)
-        assert fused_penalty(theta, spec, idx) == math.inf
+        assert fused_term(theta, spec) == math.inf
         sym = symmetrize_paired(theta, idx)
-        assert fused_penalty(sym, spec, idx) == 0.0
+        assert fused_term(sym, spec) == 0.0
 
     def test_zero_iff_swap_fixed_point(self, rng):
         idx = PairedIndex(3)
         spec = PenaltySpec(0.0, 0.4, 0.4, 0.4)
         theta = random_sym(6, rng)
-        assert fused_penalty(theta, spec, idx) > 0
+        assert fused_term(theta, spec) > 0
         sym = symmetrize_paired(theta, idx)
-        assert fused_penalty(sym, spec, idx) == 0.0
+        assert fused_term(sym, spec) == 0.0
         assert np.array_equal(swap_blocks(sym, idx), sym)
 
 
@@ -180,7 +189,6 @@ class TestObjective:
         assert objective(np.eye(p), np.eye(p), spec) == pytest.approx(2 * p)
 
     def test_term_by_term(self, rng):
-        idx = PairedIndex(3)
         theta = random_pd(6, rng)
         S = random_pd(6, rng)
         spec = PenaltySpec(0.3, 0.1, 0.2, 0.4)
@@ -189,7 +197,7 @@ class TestObjective:
         expected = (
             -log_likelihood(theta, S)
             + 0.3 * np.abs(theta).sum()
-            + fused_penalty(theta, spec, idx)
+            + fused_term(theta, spec)
         )
         assert objective(theta, S, spec) == pytest.approx(expected, rel=1e-12)
 
